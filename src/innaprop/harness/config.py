@@ -228,7 +228,7 @@ def build_problem(config: RunConfig) -> Problem:
     if config.problem == "quadratic":
         spectrum = config.spectrum if config.spectrum is not None else (1.0, 10.0)
         if config.dim is not None and config.spectrum is None:
-            spectrum = tuple(np.linspace(1.0, 10.0, config.dim))
+            spectrum = np.linspace(1.0, 10.0, config.dim)
         return make_problem("quadratic", spectrum=spectrum)
     if config.problem == "rosenbrock":
         return make_problem("rosenbrock", dim=config.dim or 2)

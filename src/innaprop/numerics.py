@@ -56,7 +56,7 @@ class ParamVector:
         arr = np.array(values, dtype=precision.dtype, copy=True).reshape(-1)
         if arr.size == 0:
             raise ContractViolation("ParamVector must have at least one element")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("ParamVector elements must be finite")
         self.data = _freeze(arr)
 
@@ -84,7 +84,10 @@ class ParamVector:
         return Precision.F32 if self.data.dtype == np.float32 else Precision.F64
 
     def astype(self, precision: Precision | str) -> "ParamVector":
-        return ParamVector(self.data, Precision.of(precision))
+        precision = Precision.of(precision)
+        if precision is self.precision:
+            return self  # immutable, so no copy is needed
+        return ParamVector(self.data, precision)
 
     def to_list(self):
         return self.data.tolist()

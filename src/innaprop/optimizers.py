@@ -247,8 +247,50 @@ def _check_dim(state_theta: ParamVector, g: ParamVector):
 
 def _finite_or_diverged(step_index: int, *arrays: np.ndarray):
     for arr in arrays:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DivergenceError(step_index)
+
+
+# Elements per block of ``_run_blocked``. At f64 one block of each of the
+# kernels' four inputs, three outputs and two scratch buffers is 1.1 MB, so a
+# block's working set stays in a 2 MB L2 cache while its ufuncs pass over it.
+_BLOCK = 16 * 1024
+
+
+def _run_blocked(step_index: int, kernel, inputs, n_out: int) -> list:
+    """Evaluate an update ``kernel`` block by block over equal-length inputs.
+
+    Allocates only the ``n_out`` full-size outputs, plus two scratch blocks.
+    ``kernel(ins, outs, scratch)`` receives aligned views of at most
+    ``_BLOCK`` elements (the arrays themselves when one block covers them)
+    and writes every output block through ``out=``. Each output block is
+    checked while it is still in cache; a non-finite element raises
+    ``DivergenceError(step_index)``, the same verdict as a whole-array check
+    of the finished outputs.
+    """
+    dtype, dim = inputs[0].dtype, inputs[0].size
+    for arr in inputs:
+        if arr.dtype != dtype:
+            raise ContractViolation("gradient precision must match the state precision")
+    outs = [np.empty(dim, dtype) for _ in range(n_out)]
+    width = min(dim, _BLOCK)
+    scratch = [np.empty(width, dtype), np.empty(width, dtype)]
+    finite = np.empty(width, dtype=bool)
+    ins, blocks = inputs, outs
+    for lo in range(0, dim, width):
+        hi = lo + width
+        if hi > dim:  # last, partial block
+            scratch = [buf[: dim - lo] for buf in scratch]
+            finite = finite[: dim - lo]
+        if width < dim:
+            ins = [arr[lo:hi] for arr in inputs]
+            blocks = [arr[lo:hi] for arr in outs]
+        kernel(ins, blocks, scratch)
+        for block in blocks:
+            # count_nonzero is a fraction of the cost of .all() on small blocks.
+            if np.count_nonzero(np.isfinite(block, out=finite)) < finite.size:
+                raise DivergenceError(step_index)
+    return outs
 
 
 def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
@@ -284,32 +326,57 @@ def innaprop_init(config: InnapropConfig, theta0: ParamVector) -> InnapropState:
 
 
 def _innaprop_core(state, g, gamma, config, *, weight_decay, bias_correction):
+    """Shared body of ``innaprop_step`` and ``innaprop_plain_step``.
+
+    The update runs through ``_run_blocked``: it allocates only the three new
+    slots and evaluates the whole-array formulas of ``innaprop_step`` block by
+    block, with the same ufuncs in the same order and the same Python-float
+    coefficients, so its results match those formulas bit for bit in F32 and
+    F64. The input state is only read.
+    """
     _check_dim(state.theta, g)
     _guard_gamma(gamma, config.beta)
     g = _maybe_clip(g, config)
 
-    alpha, beta, sigma, eps = config.alpha, config.beta, config.sigma, config.epsilon
-    theta, psi, v = state.theta.data, state.psi.data, state.v.data
-    grad = g.data
+    # Python floats take the state's precision in every ufunc below.
+    gamma, weight_decay = float(gamma), float(weight_decay)
+    alpha, beta, sigma, eps = (float(config.alpha), float(config.beta),
+                               float(config.sigma), float(config.epsilon))
     step_index = state.k + 1
+    decay = 1.0 - weight_decay * gamma
+    v_scale = 1.0 - sigma ** step_index
+    psi_keep, psi_theta = 1.0 - gamma / beta, gamma * (1.0 / beta - alpha)
+    theta_keep = 1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma)
+    theta_psi, theta_rms = gamma / (beta - gamma), gamma * beta
 
-    if weight_decay:
-        theta = (1.0 - weight_decay * gamma) * theta
+    def kernel(ins, outs, scratch):
+        theta, psi, v, grad = ins
+        theta_new, psi_new, v_new = outs
+        a, b = scratch
+        if weight_decay:
+            theta = np.multiply(decay, theta, out=theta_new)
+        # v_new = sigma * v + (1 - sigma) * grad * grad
+        np.multiply(sigma, v, out=v_new)
+        np.multiply(1.0 - sigma, grad, out=a)
+        np.multiply(a, grad, out=a)
+        np.add(v_new, a, out=v_new)
+        v_hat = np.divide(v_new, v_scale, out=b) if bias_correction else v_new
+        # psi_new = psi_keep * psi + psi_theta * theta
+        np.multiply(psi_keep, psi, out=psi_new)
+        np.add(psi_new, np.multiply(psi_theta, theta, out=a), out=psi_new)
+        # theta_new = theta_keep * theta - theta_psi * psi_new
+        #             - theta_rms * (grad / (sqrt(v_hat) + eps))
+        np.multiply(theta_keep, theta, out=theta_new)
+        np.subtract(theta_new, np.multiply(theta_psi, psi_new, out=a), out=theta_new)
+        np.sqrt(v_hat, out=a)
+        np.add(a, eps, out=a)
+        np.divide(grad, a, out=a)
+        np.multiply(theta_rms, a, out=a)
+        np.subtract(theta_new, a, out=theta_new)
 
-    v_new = sigma * v + (1.0 - sigma) * grad * grad
-    if bias_correction:
-        v_hat = v_new / (1.0 - sigma ** step_index)
-    else:
-        v_hat = v_new
-
-    psi_new = (1.0 - gamma / beta) * psi + (gamma * (1.0 / beta - alpha)) * theta
-    theta_new = (
-        (1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma)) * theta
-        - (gamma / (beta - gamma)) * psi_new
-        - (gamma * beta) * _rms(grad, v_hat, eps)
+    theta_new, psi_new, v_new = _run_blocked(
+        step_index, kernel, (state.theta.data, state.psi.data, state.v.data, g.data), 3
     )
-
-    _finite_or_diverged(step_index, theta_new, psi_new, v_new)
     return InnapropState(
         theta=ParamVector._wrap(theta_new),
         psi=ParamVector._wrap(psi_new),
@@ -685,22 +752,52 @@ def reference_init(
 
 
 def _adam_family(state, grad, gamma, params, *, decoupled_decay):
-    """Shared Adam/AdamW core; decay (when any) multiplies theta first."""
-    b1, b2, eps, lam = params.beta1, params.beta2, params.epsilon, params.weight_decay
-    theta = state.theta.data
-    step_index = state.k + 1
+    """Shared Adam/AdamW step; decay (when any) multiplies theta first.
 
-    if decoupled_decay and lam:
-        theta = (1.0 - lam * gamma) * theta
-    m_new = b1 * state.m.data + (1.0 - b1) * grad
-    v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
-    if params.bias_correction:
-        m_hat = m_new / (1.0 - b1 ** step_index)
-        v_hat = v_new / (1.0 - b2 ** step_index)
-    else:
-        m_hat, v_hat = m_new, v_new
-    theta_new = theta - gamma * (m_hat / (np.sqrt(v_hat) + eps))
-    return theta_new, m_new, v_new, step_index
+    Blocked like ``_innaprop_core``, so it is bit-identical to the
+    whole-array formulas and checks the new slots' finiteness itself.
+    """
+    gamma, lam = float(gamma), float(params.weight_decay)
+    b1, b2, eps = float(params.beta1), float(params.beta2), float(params.epsilon)
+    step_index = state.k + 1
+    decays, decay = decoupled_decay and lam, 1.0 - lam * gamma
+    m_scale, v_scale = 1.0 - b1 ** step_index, 1.0 - b2 ** step_index
+
+    def kernel(ins, outs, scratch):
+        theta, m, v, grad = ins
+        theta_new, m_new, v_new = outs
+        a, b = scratch
+        if decays:
+            theta = np.multiply(decay, theta, out=theta_new)
+        # m_new = b1 * m + (1 - b1) * grad; v_new = b2 * v + (1 - b2) * grad * grad
+        np.multiply(b1, m, out=m_new)
+        np.add(m_new, np.multiply(1.0 - b1, grad, out=a), out=m_new)
+        np.multiply(b2, v, out=v_new)
+        np.multiply(1.0 - b2, grad, out=a)
+        np.multiply(a, grad, out=a)
+        np.add(v_new, a, out=v_new)
+        if params.bias_correction:
+            m_hat = np.divide(m_new, m_scale, out=a)
+            v_hat = np.divide(v_new, v_scale, out=b)
+        else:
+            m_hat, v_hat = m_new, v_new
+        # theta_new = theta - gamma * (m_hat / (sqrt(v_hat) + eps))
+        np.sqrt(v_hat, out=b)
+        np.add(b, eps, out=b)
+        np.divide(m_hat, b, out=a)
+        np.multiply(gamma, a, out=a)
+        np.subtract(theta, a, out=theta_new)
+
+    theta_new, m_new, v_new = _run_blocked(
+        step_index, kernel, (state.theta.data, state.m.data, state.v.data, grad), 3
+    )
+    return replace(
+        state,
+        theta=ParamVector._wrap(theta_new),
+        m=ParamVector._wrap(m_new),
+        v=ParamVector._wrap(v_new),
+        k=step_index,
+    )
 
 
 def reference_step(
@@ -744,9 +841,7 @@ def reference_step(
         m_new = b1 * state.m.data + _rms(grad, v_new, eps)
         theta_new = state.theta.data - gamma_k * m_new
     elif kind in ("Adam", "AdamW"):
-        theta_new, m_new, v_new, step_index = _adam_family(
-            state, grad, gamma_k, params, decoupled_decay=(kind == "AdamW")
-        )
+        return _adam_family(state, grad, gamma_k, params, decoupled_decay=(kind == "AdamW"))
     elif kind == "NAdam":
         m_new = b1 * state.m.data + (1.0 - b1) * grad
         v_new = b2 * state.v.data + (1.0 - b2) * grad * grad

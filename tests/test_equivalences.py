@@ -4,6 +4,8 @@ These are the dual-route checks: each identity is measured by running both
 recursions side by side and bounding the relative trajectory deviation.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from innaprop.harness.checks import (
@@ -21,6 +23,7 @@ from innaprop.optimizers import (
     innaprop_naive_init,
     innaprop_naive_step,
     innaprop_plain_step,
+    innaprop_step,
 )
 from innaprop.problems import generate_synthetic, make_problem
 
@@ -44,6 +47,24 @@ def test_six_slot_vs_three_slot_500_steps():
     theta0 = ParamVector(quad.init_theta(RngStream(1, 1).generator()))
     assert memory_reduction_dev(quad, theta0, 500) < 1e-10
     assert memory_reduction_dev(make_problem("rosenbrock"), ParamVector([-1.2, 1.0]), 500) < 1e-10
+
+
+def test_three_slot_step_allocates_only_its_slots():
+    # The paper's memory claim: one reduced step holds the three new slots
+    # (theta, psi, v) and nothing else of full size.
+    dim = 10**6
+    cfg = InnapropConfig(alpha=0.1, beta=0.9, weight_decay=0.01)
+    rng = RngStream(4, 0).generator()
+    theta0 = ParamVector(rng.standard_normal(dim))
+    g = ParamVector(rng.standard_normal(dim))
+    state = innaprop_step(innaprop_init(cfg, theta0), g, 1e-3, cfg)
+    tracemalloc.start()
+    try:
+        innaprop_step(state, g, 1e-3, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * dim * theta0.data.itemsize + 2 * 2**20
 
 
 def test_naive_bootstrap_matches_reduced_exactly():

@@ -1,7 +1,11 @@
 """Config parsing, run records, grid/sweep behavior, CLI and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +323,21 @@ class TestCli:
         assert main(["check", "schedulers"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] schedulers/" in out and "[FAIL]" not in out
+
+    def test_check_gradients_same_in_every_process(self):
+        # The probe points must not depend on the interpreter's string-hash seed.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-m", "innaprop.harness.cli", "check", "gradients"],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        lines = outputs[0].splitlines()
+        assert outputs[0] == outputs[1]
+        assert len(lines) == 4 and all(line.startswith("[PASS] gradients/") for line in lines)
 
     def test_check_failure_exit_one(self, capsys, monkeypatch):
         from innaprop.harness import checks, cli

@@ -1,13 +1,16 @@
 """Spot values, fixed points, error contracts and state invariants for every
 update rule."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from innaprop.errors import ContractViolation, DivergenceError, WellPosednessError
-from innaprop.numerics import ParamVector, RngStream
+from innaprop.numerics import ParamVector, RngStream, global_norm_clip
 from innaprop.optimizers import (
+    _BLOCK,
     InnapropConfig,
     ReferenceParams,
     ReferenceState,
@@ -390,3 +393,161 @@ class TestReferenceOptimizers:
         with pytest.raises(DivergenceError) as err:
             innaprop_step(state, vec(1e200), 0.01, cfg)
         assert err.value.step == 1
+
+
+# ---------------------------------------------------------------------------
+# Blocked kernels against the whole-array formulas
+# ---------------------------------------------------------------------------
+
+BLOCK_DIMS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]
+
+
+def whole_array_innaprop(state, g, gamma, cfg, weight_decay, bias_correction):
+    """The reduced step as whole-array numpy expressions, in the kernel's order."""
+    alpha, beta, sigma, eps = cfg.alpha, cfg.beta, cfg.sigma, cfg.epsilon
+    theta, psi, v = state.theta.data, state.psi.data, state.v.data
+    grad = (global_norm_clip(g, cfg.grad_clip) if cfg.grad_clip else g).data
+    if weight_decay:
+        theta = (1.0 - weight_decay * gamma) * theta
+    v_new = sigma * v + (1.0 - sigma) * grad * grad
+    v_hat = v_new / (1.0 - sigma ** (state.k + 1)) if bias_correction else v_new
+    psi_new = (1.0 - gamma / beta) * psi + (gamma * (1.0 / beta - alpha)) * theta
+    theta_new = (
+        (1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma)) * theta
+        - (gamma / (beta - gamma)) * psi_new
+        - (gamma * beta) * (grad / (np.sqrt(v_hat) + eps))
+    )
+    return theta_new, psi_new, v_new
+
+
+def whole_array_adamw(state, g, gamma, params):
+    b1, b2, eps, lam = params.beta1, params.beta2, params.epsilon, params.weight_decay
+    theta, grad, k = state.theta.data, g.data, state.k + 1
+    if lam:
+        theta = (1.0 - lam * gamma) * theta
+    m_new = b1 * state.m.data + (1.0 - b1) * grad
+    v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
+    if params.bias_correction:
+        m_hat, v_hat = m_new / (1.0 - b1 ** k), v_new / (1.0 - b2 ** k)
+    else:
+        m_hat, v_hat = m_new, v_new
+    return theta - gamma * (m_hat / (np.sqrt(v_hat) + eps)), m_new, v_new
+
+
+def assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestBlockedKernels:
+    @pytest.mark.parametrize("dim", BLOCK_DIMS)
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("bias_correction", [True, False])
+    @pytest.mark.parametrize("grad_clip", [None, 1.0])
+    def test_innaprop_bitwise_equal_to_whole_array(self, dim, precision, weight_decay,
+                                                    bias_correction, grad_clip):
+        cfg = InnapropConfig(alpha=0.3, beta=0.9, weight_decay=weight_decay,
+                             bias_correction=bias_correction, grad_clip=grad_clip)
+        rng = RngStream(dim, 3).generator()
+        full = plain = innaprop_init(cfg, ParamVector(rng.standard_normal(dim), precision))
+        for k in range(3):
+            g = ParamVector(3.0 * rng.standard_normal(dim), precision)
+            gamma = 0.01 * (k + 1)
+            want = whole_array_innaprop(full, g, gamma, cfg, weight_decay, bias_correction)
+            full = innaprop_step(full, g, gamma, cfg)
+            assert_bitwise((full.theta.data, full.psi.data, full.v.data), want)
+            want = whole_array_innaprop(plain, g, gamma, cfg, 0.0, False)
+            plain = innaprop_plain_step(plain, g, gamma, cfg)
+            assert_bitwise((plain.theta.data, plain.psi.data, plain.v.data), want)
+
+    @pytest.mark.parametrize("dim", BLOCK_DIMS)
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("bias_correction", [True, False])
+    def test_adamw_bitwise_equal_to_whole_array(self, dim, precision, weight_decay,
+                                                bias_correction):
+        params = ReferenceParams(weight_decay=weight_decay, bias_correction=bias_correction)
+        rng = RngStream(dim, 4).generator()
+        state = reference_init("AdamW", ParamVector(rng.standard_normal(dim), precision), params)
+        for _ in range(3):
+            g = ParamVector(3.0 * rng.standard_normal(dim), precision)
+            want = whole_array_adamw(state, g, 0.01, params)
+            state = reference_step(state, g, 0.01, params)
+            assert_bitwise((state.theta.data, state.m.data, state.v.data), want)
+
+    def test_input_state_is_left_alone(self):
+        dim = 2 * _BLOCK + 7
+        cfg = InnapropConfig(alpha=0.3, beta=0.9, weight_decay=0.01)
+        params = ReferenceParams(weight_decay=0.01)
+        rng = RngStream(5, 5).generator()
+        theta0 = ParamVector(rng.standard_normal(dim))
+        g = ParamVector(rng.standard_normal(dim))
+        for state, step in (
+            (innaprop_step(innaprop_init(cfg, theta0), g, 0.01, cfg),
+             lambda s: innaprop_step(s, g, 0.01, cfg)),
+            (reference_step(reference_init("AdamW", theta0, params), g, 0.01, params),
+             lambda s: reference_step(s, g, 0.01, params)),
+        ):
+            slots = [getattr(state, f) for f in ("theta", "psi", "m", "v")
+                     if getattr(state, f, None) is not None]
+            before = [s.data.copy() for s in slots]
+            new = step(state)
+            for slot, copy in zip(slots, before):
+                assert not slot.data.flags.writeable
+                assert np.array_equal(slot.data, copy)
+            assert not new.theta.data.flags.writeable
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_only_in_last_partial_block(self):
+        dim = 2 * _BLOCK + 7
+        cfg = InnapropConfig(alpha=0.1, beta=0.9)
+        theta = np.ones(dim)
+        theta[-1] = 1e308  # theta_new overflows there and nowhere else
+        state = replace(innaprop_init(cfg, ParamVector(theta)), k=6)
+        g = ParamVector(np.ones(dim))
+        want = whole_array_innaprop(state, g, 0.5, cfg, 0.0, True)
+        assert not np.isfinite(want[0][-1]) and np.isfinite(want[0][:-1]).all()
+        assert all(np.isfinite(arr).all() for arr in want[1:])
+        with pytest.raises(DivergenceError) as err:
+            innaprop_step(state, g, 0.5, cfg)
+        assert err.value.step == 7
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_only_in_v(self):
+        dim = _BLOCK + 1
+        cfg = InnapropConfig(alpha=0.1, beta=0.9)
+        params = ReferenceParams()
+        grad = np.ones(dim)
+        grad[-1] = 1e200  # (1 - sigma) * g * g overflows; g / sqrt(inf) is 0
+        g = ParamVector(grad)
+        inna = replace(innaprop_init(cfg, ParamVector(np.ones(dim))), k=2)
+        adamw = replace(reference_init("AdamW", ParamVector(np.ones(dim)), params), k=2)
+        for state, want, step in (
+            (inna, whole_array_innaprop(inna, g, 0.01, cfg, 0.0, True),
+             lambda s: innaprop_step(s, g, 0.01, cfg)),
+            (adamw, whole_array_adamw(adamw, g, 0.01, params),
+             lambda s: reference_step(s, g, 0.01, params)),
+        ):
+            assert np.isfinite(want[0]).all() and np.isfinite(want[1]).all()
+            assert not np.isfinite(want[2][-1])
+            with pytest.raises(DivergenceError) as err:
+                step(state)
+            assert err.value.step == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_in_v_slot_diverges(self):
+        cfg = InnapropConfig(alpha=0.1, beta=0.9)
+        v = np.zeros(_BLOCK + 1)
+        v[_BLOCK] = np.nan
+        state = replace(innaprop_init(cfg, ParamVector(np.ones(_BLOCK + 1))),
+                        v=ParamVector._wrap(v), k=4)
+        with pytest.raises(DivergenceError) as err:
+            innaprop_step(state, ParamVector(np.ones(_BLOCK + 1)), 0.01, cfg)
+        assert err.value.step == 5
+
+    def test_gradient_precision_must_match_state(self):
+        cfg = InnapropConfig(alpha=0.1, beta=0.9)
+        state = innaprop_init(cfg, ParamVector([1.0, 2.0], "f32"))
+        with pytest.raises(ContractViolation):
+            innaprop_step(state, ParamVector([1.0, 2.0], "f64"), 0.01, cfg)
