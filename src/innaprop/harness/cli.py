@@ -19,7 +19,7 @@ from ..ode import DinFlowSpec, discretization_gap, rk4_integrate
 from .checks import SUITES, run_suite
 from .config import load_preset, parse_config
 from .grid import grid_search, lr_sweep
-from .runner import run_experiment
+from .runner import csv_text, run_experiment
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -97,13 +97,10 @@ def _cmd_ode(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        losses = traj.losses(problem)
         header = "t," + ",".join(f"theta{i}" for i in range(traj.theta.shape[1])) + ",loss"
-        lines = [header]
-        for t, row, loss in zip(traj.t, traj.theta, losses):
-            lines.append(",".join([repr(float(t))] + [repr(float(x)) for x in row]
-                                  + [repr(float(loss))]))
-        (out / "trajectory.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = ((t, *row, loss)
+                for t, row, loss in zip(traj.t, traj.theta, traj.losses(problem)))
+        (out / "trajectory.csv").write_text(csv_text(header, rows), encoding="utf-8")
         print(f"trajectory written to {out / 'trajectory.csv'}")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..numerics import Precision, RngStream
 from ..problems import (
+    PROBLEM_KINDS,
     Problem,
     generate_synthetic,
     load_csv_dataset,
@@ -28,22 +29,26 @@ from ..problems import (
 )
 from ..schedulers import ScheduleSpec, stays_below
 
-OPTIMIZER_KINDS = (
-    "innaprop",
-    "innaprop_plain",
-    "innaprop_momentum",
-    "dinadam",
-    "inna",
-    "adamw",
-    "adam",
-    "sgd",
-    "momentum",
-    "nesterov",
-    "rmsprop_momentum",
-    "nadam",
-)
+# Every optimizer a config can name, mapped to its ``reference_step`` kind.
+# ``None`` marks the inertial family, which needs keys 'alpha' and 'beta'.
+OPTIMIZERS = {
+    "innaprop": None,
+    "innaprop_plain": None,
+    "innaprop_momentum": None,
+    "dinadam": None,
+    "inna": None,
+    "adamw": "AdamW",
+    "adam": "Adam",
+    "sgd": "SGD",
+    "momentum": "Momentum",
+    "nesterov": "Nesterov",
+    "rmsprop_momentum": "RMSpropMomentum",
+    "nadam": "NAdam",
+}
 
-INERTIAL_KINDS = ("innaprop", "innaprop_plain", "innaprop_momentum", "inna", "dinadam")
+OPTIMIZER_KINDS = tuple(OPTIMIZERS)
+
+INERTIAL_KINDS = tuple(name for name, kind in OPTIMIZERS.items() if kind is None)
 
 # Purpose offsets for per-run randomness; every stream is keyed by the config
 # seed alone so grid cells see identical data, inits and batch orders.
@@ -158,7 +163,7 @@ def parse_config(path) -> RunConfig:
 
 
 def validate_config(config: RunConfig):
-    if config.problem not in ("quadratic", "rosenbrock", "logistic_regression", "tiny_mlp"):
+    if config.problem not in PROBLEM_KINDS:
         raise ConfigError(f"unknown problem {config.problem!r}")
     if config.optimizer not in OPTIMIZER_KINDS:
         raise ConfigError(f"unknown optimizer {config.optimizer!r}")
@@ -172,8 +177,15 @@ def validate_config(config: RunConfig):
         raise ConfigError("key 'sigma' must lie in [0, 1]")
     if not 0.0 <= config.beta1 < 1.0:
         raise ConfigError("key 'beta1' must lie in [0, 1)")
-    if config.batch_size is not None and config.batch_size <= 0:
-        raise ConfigError("key 'batch_size' must be positive")
+    if config.batch_size is not None:
+        if config.batch_size <= 0:
+            raise ConfigError("key 'batch_size' must be positive")
+        if config.problem in ("quadratic", "rosenbrock"):
+            raise ConfigError(f"key 'batch_size' needs a problem with a dataset, "
+                              f"not {config.problem!r}")
+    if config.t_max is not None and config.t_max < config.steps:
+        raise ConfigError(f"key 't_max' ({config.t_max}) must be at least "
+                          f"'steps' ({config.steps})")
     if config.precision not in ("f32", "f64"):
         raise ConfigError("key 'precision' must be 'f32' or 'f64'")
     if not config.init_scale > 0:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ..errors import ConfigError
 from .config import RunConfig, build_schedule, validate_config
-from .runner import RunRow, row_at_step, run_experiment, snapshot_step
+from .runner import RunRow, csv_text, row_at_step, run_experiment, snapshot_step
 from ..schedulers import stays_below
 
 # Default tuning grid for the inertial pair.
@@ -50,19 +50,11 @@ class GridResult:
     steps: int
 
     def to_csv(self) -> str:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-
-        lines = [GRID_CSV_HEADER]
-        for c in self.cells:
-            lines.append(
-                ",".join(
-                    [repr(float(c.alpha)), repr(float(c.beta)), fmt(c.short_train_loss),
-                     fmt(c.short_test_metric), fmt(c.final_train_loss),
-                     fmt(c.final_test_metric), fmt(c.best_test_metric), c.status]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(GRID_CSV_HEADER, [
+            (float(c.alpha), float(c.beta), c.short_train_loss, c.short_test_metric,
+             c.final_train_loss, c.final_test_metric, c.best_test_metric, c.status)
+            for c in self.cells
+        ])
 
 
 def _summarize_cell(alpha, beta, rows: list[RunRow], summary, short_step) -> GridCell:
@@ -157,13 +149,8 @@ def lr_sweep(base_config: RunConfig, lrs=None, out_dir=None) -> list[SweepRow]:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["lr,final_train_loss,test_metric,status"]
-        for r in rows:
-            lines.append(",".join([
-                repr(float(r.lr)),
-                "" if r.final_train_loss is None else repr(float(r.final_train_loss)),
-                "" if r.test_metric is None else repr(float(r.test_metric)),
-                r.status,
-            ]))
-        (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = csv_text("lr,final_train_loss,test_metric,status",
+                        [(float(r.lr), r.final_train_loss, r.test_metric, r.status)
+                         for r in rows])
+        (out / "sweep.csv").write_text(text, encoding="utf-8")
     return rows

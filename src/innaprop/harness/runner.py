@@ -36,6 +36,7 @@ from ..optimizers import (
 from ..problems import MiniBatchSampler, minibatch_grad
 from ..schedulers import lr_at
 from .config import (
+    OPTIMIZERS,
     RunConfig,
     batch_stream,
     build_problem,
@@ -69,43 +70,45 @@ class RunSummary:
     wall_time_s: float
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy float64 included
+        return repr(float(value))
     return str(value)
 
 
-def rows_to_csv(rows: list[RunRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join([str(r.step), _fmt(r.lr), _fmt(r.train_loss), _fmt(r.test_metric), r.status])
-        )
+def csv_text(header: str, rows) -> str:
+    """The one CSV writer: ``header``, then one line per row of cells.
+
+    A float prints as its shortest round-trip repr, ``None`` as an empty
+    cell and anything else (step indices, status strings) through ``str``.
+    """
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(_cell(value) for value in row))
     return "\n".join(lines) + "\n"
+
+
+def rows_to_csv(rows: list[RunRow]) -> str:
+    return csv_text(CSV_HEADER, [(r.step, r.lr, r.train_loss, r.test_metric, r.status)
+                                 for r in rows])
 
 
 def _make_stepper(config: RunConfig, theta0: ParamVector):
     """Initial state plus a pure step closure (state, g, gamma) -> state."""
     kind = config.optimizer
-    if kind in ("innaprop", "innaprop_plain", "innaprop_momentum"):
-        opt_cfg = InnapropConfig(
-            alpha=config.alpha,
-            beta=config.beta,
-            sigma=config.sigma,
+    ref_kind = OPTIMIZERS[kind]
+    if ref_kind is not None:
+        params = ReferenceParams(
+            beta1=config.beta1,
+            beta2=config.sigma,
             epsilon=config.epsilon,
-            weight_decay=config.weight_decay if kind == "innaprop" else 0.0,
-            bias_correction=config.bias_correction if kind == "innaprop" else False,
-            grad_clip=config.grad_clip,
+            weight_decay=config.weight_decay,
+            bias_correction=config.bias_correction,
         )
-        if kind == "innaprop":
-            return innaprop_init(opt_cfg, theta0), lambda s, g, lr: innaprop_step(s, g, lr, opt_cfg)
-        if kind == "innaprop_plain":
-            return innaprop_init(opt_cfg, theta0), lambda s, g, lr: innaprop_plain_step(s, g, lr, opt_cfg)
-        form = config.form or "reduced"
-        state = innaprop_momentum_init(opt_cfg, theta0, form)
-        return state, lambda s, g, lr: innaprop_momentum_step(s, g, lr, opt_cfg)
+        state = reference_init(ref_kind, theta0, params)
+        return state, lambda s, g, lr: reference_step(s, g, lr, params)
     if kind == "inna":
         state = inna_init(config.alpha, config.beta, theta0)
         form = config.form or "classic"
@@ -116,24 +119,22 @@ def _make_stepper(config: RunConfig, theta0: ParamVector):
             s, g, lr, config.alpha, config.beta, config.epsilon
         )
 
-    params = ReferenceParams(
-        beta1=config.beta1,
-        beta2=config.sigma,
+    opt_cfg = InnapropConfig(
+        alpha=config.alpha,
+        beta=config.beta,
+        sigma=config.sigma,
         epsilon=config.epsilon,
-        weight_decay=config.weight_decay,
-        bias_correction=config.bias_correction,
+        weight_decay=config.weight_decay if kind == "innaprop" else 0.0,
+        bias_correction=config.bias_correction if kind == "innaprop" else False,
+        grad_clip=config.grad_clip,
     )
-    ref_kind = {
-        "adamw": "AdamW",
-        "adam": "Adam",
-        "sgd": "SGD",
-        "momentum": "Momentum",
-        "nesterov": "Nesterov",
-        "rmsprop_momentum": "RMSpropMomentum",
-        "nadam": "NAdam",
-    }[kind]
-    state = reference_init(ref_kind, theta0, params)
-    return state, lambda s, g, lr: reference_step(s, g, lr, params)
+    if kind == "innaprop":
+        return innaprop_init(opt_cfg, theta0), lambda s, g, lr: innaprop_step(s, g, lr, opt_cfg)
+    if kind == "innaprop_plain":
+        return innaprop_init(opt_cfg, theta0), lambda s, g, lr: innaprop_plain_step(s, g, lr, opt_cfg)
+    form = config.form or "reduced"
+    state = innaprop_momentum_init(opt_cfg, theta0, form)
+    return state, lambda s, g, lr: innaprop_momentum_step(s, g, lr, opt_cfg)
 
 
 def snapshot_step(config: RunConfig) -> int:
@@ -159,8 +160,6 @@ def run_experiment(config: RunConfig, out_dir=None, tag: str = "run"):
 
     sampler = None
     if config.batch_size is not None:
-        if problem.dataset is None:
-            raise DivergenceError(None, "batch_size set but problem has no dataset")
         sampler = MiniBatchSampler(
             problem.dataset.n_train,
             config.batch_size,

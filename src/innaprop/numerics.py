@@ -1,5 +1,5 @@
-"""Dense-vector arithmetic, precision control, deterministic randomness and
-finite-difference gradient checks.
+"""Dense vectors, precision control, gradient clipping, deterministic
+randomness and finite-difference gradient checks.
 
 Everything downstream (optimizers, problems, the ODE layer) works on
 ``ParamVector`` values. Vectors are immutable after construction; all
@@ -43,10 +43,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class ParamVector:
     """Immutable 1-D vector of reals in a fixed precision (F32 or F64).
 
-    The dimension is set at construction and must match across operands of
-    any coordinatewise operation. Every public operation either returns an
-    all-finite vector or raises (``DomainError`` / ``DivergenceError`` at the
-    call sites that own a step index).
+    The dimension is set at construction; an optimizer step rejects a
+    gradient whose dimension or precision differs from its state's. Every
+    public operation either returns an all-finite vector or raises
+    (``DomainError`` / ``DivergenceError`` at the call sites that own a step
+    index).
     """
 
     __slots__ = ("data",)
@@ -89,9 +90,6 @@ class ParamVector:
             return self  # immutable, so no copy is needed
         return ParamVector(self.data, precision)
 
-    def to_list(self):
-        return self.data.tolist()
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
@@ -108,52 +106,6 @@ class ParamVector:
 
     def __hash__(self):
         return hash((self.data.dtype.str, self.data.tobytes()))
-
-
-def _binary_operands(a: ParamVector, b) -> tuple[np.ndarray, np.ndarray | float]:
-    if isinstance(b, ParamVector):
-        if b.dim != a.dim:
-            raise ContractViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
-        return a.data, b.data
-    return a.data, float(b)
-
-
-_COORDINATEWISE = {"add", "sub", "mul", "div", "sqrt", "scale", "add_scalar"}
-
-
-def coordinatewise(op: str, a: ParamVector, b=None) -> ParamVector:
-    """Apply a coordinatewise operation in the precision of ``a``.
-
-    ``op`` is one of add/sub/mul/div (vector or scalar second operand),
-    sqrt (unary), scale / add_scalar (scalar second operand). Division
-    requires every divisor element to be nonzero.
-    """
-    if op not in _COORDINATEWISE:
-        raise ContractViolation(f"unknown coordinatewise op {op!r}")
-    x = a.data
-    if op == "sqrt":
-        if b is not None:
-            raise ContractViolation("sqrt takes a single operand")
-        if np.any(x < 0):
-            raise DomainError("sqrt of negative element")
-        return ParamVector._wrap(np.sqrt(x))
-    if b is None:
-        raise ContractViolation(f"{op} needs a second operand")
-    x, y = _binary_operands(a, b)
-    if op in ("scale", "mul"):
-        out = x * y
-    elif op in ("add", "add_scalar"):
-        out = x + y
-    elif op == "sub":
-        out = x - y
-    else:  # div
-        if np.any(y == 0):
-            raise DomainError("division by zero element")
-        out = x / y
-    out = np.asarray(out, dtype=x.dtype)
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"non-finite result in coordinatewise {op}")
-    return ParamVector._wrap(out)
 
 
 # Norm slack treated as "already clipped"; keeps clipping bitwise idempotent
@@ -192,10 +144,6 @@ class RngStream:
         key = np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF,
                                       self.stream_id & 0xFFFFFFFFFFFFFFFF])
         return np.random.Generator(np.random.Philox(key))
-
-    def child(self, offset: int) -> "RngStream":
-        """Derived stream for a sub-purpose (data, init, batches, ...)."""
-        return RngStream(self.seed, self.stream_id * 1024 + offset)
 
 
 def fd_gradient(problem, theta: ParamVector, h: float = 1e-5) -> ParamVector:

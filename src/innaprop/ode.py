@@ -56,22 +56,22 @@ class Trajectory:
         return np.array([problem.loss(row) for row in self.theta])
 
 
-def din_rhs(theta: ParamVector, psi: ParamVector, spec: DinFlowSpec):
-    """Right-hand side of the (theta, psi) flow; one gradient call, no Hessian."""
-    th, ps = theta.data, psi.data
-    g = np.asarray(spec.problem.grad(np.asarray(th, dtype=np.float64)), dtype=np.float64)
-    if not np.all(np.isfinite(g)):
-        raise DomainError("non-finite gradient in din_rhs")
-    drift = -(spec.alpha - 1.0 / spec.beta) * th - ps / spec.beta
-    dtheta = drift - spec.beta * g
-    dpsi = drift
-    return ParamVector(dtheta), ParamVector(dpsi)
-
-
 def _rhs_raw(spec: DinFlowSpec, th: np.ndarray, ps: np.ndarray):
     g = spec.problem.grad(th)
     drift = -(spec.alpha - 1.0 / spec.beta) * th - ps / spec.beta
     return drift - spec.beta * g, drift
+
+
+def din_rhs(theta: ParamVector, psi: ParamVector, spec: DinFlowSpec):
+    """Right-hand side of the (theta, psi) flow; one gradient call, no Hessian.
+
+    Raises ``DomainError`` when the gradient, and with it ``dtheta``, is not
+    finite.
+    """
+    dtheta, dpsi = _rhs_raw(spec, np.asarray(theta.data, dtype=np.float64), psi.data)
+    if not np.isfinite(dtheta).all():
+        raise DomainError("non-finite gradient in din_rhs")
+    return ParamVector(dtheta), ParamVector(dpsi)
 
 
 def _step_count(total: float, step: float) -> int:

@@ -3,9 +3,13 @@ reference methods, written as pure step functions over explicit state.
 
 Every optimizer here is a function ``(state, gradient, step size, params) ->
 new state``; states are plain immutable values, so runs can be replayed,
-forked, or executed concurrently. A non-finite result aborts with
-``DivergenceError`` carrying the offending step index instead of silently
-propagating NaNs.
+forked, or executed concurrently. A public step checks its own scalar
+arguments and states its update over raw arrays; one private driver,
+``_drive``, does the rest for every step. It rejects a gradient whose
+dimension or precision differs from the state's with ``ContractViolation``,
+aborts a non-finite result with ``DivergenceError`` carrying the offending
+step index instead of silently propagating NaNs, and wraps the new arrays
+into a state of the input's class with ``k + 1``.
 
 Naming used throughout:
 
@@ -19,7 +23,7 @@ Naming used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,12 +35,12 @@ __all__ = [
     "InnapropConfig",
     "InnapropState",
     "NaiveInnapropState",
+    "InnaState",
     "MomentumVariantState",
     "DinadamState",
     "DinadamDirectState",
     "ReferenceParams",
     "ReferenceState",
-    "REFERENCE_KINDS",
     "innaprop_init",
     "innaprop_step",
     "innaprop_plain_step",
@@ -50,7 +54,6 @@ __all__ = [
     "dinadam_direct_step",
     "inna_init",
     "inna_step",
-    "adamw_step",
     "reference_init",
     "reference_step",
 ]
@@ -123,6 +126,15 @@ class NaiveInnapropState:
 
 
 @dataclass(frozen=True)
+class InnaState:
+    """Two full-dimension slots of the unscaled recursion: theta and psi."""
+
+    theta: ParamVector
+    psi: ParamVector
+    k: int = 0
+
+
+@dataclass(frozen=True)
 class MomentumVariantState:
     """State for the momentum-style integration of the scaled direction.
 
@@ -137,8 +149,8 @@ class MomentumVariantState:
     m: ParamVector
     v: ParamVector
     form: str  # "direct" | "reduced"
-    k: int = 0
     g_prev: Optional[ParamVector] = None  # direct form only
+    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -170,17 +182,6 @@ class DinadamDirectState:
     k: int = 0
 
 
-REFERENCE_KINDS = (
-    "SGD",
-    "Momentum",
-    "Nesterov",
-    "RMSpropMomentum",
-    "Adam",
-    "AdamW",
-    "NAdam",
-    "INNA",
-)
-
 _SLOTS_BY_KIND = {
     "SGD": (),
     "Momentum": ("m",),
@@ -189,7 +190,6 @@ _SLOTS_BY_KIND = {
     "Adam": ("m", "v"),
     "AdamW": ("m", "v"),
     "NAdam": ("m", "v"),
-    "INNA": ("psi",),
 }
 
 
@@ -201,8 +201,6 @@ class ReferenceParams:
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.0
-    alpha: Optional[float] = None  # INNA
-    beta: Optional[float] = None  # INNA
     bias_correction: bool = True  # Adam / AdamW
 
 
@@ -211,21 +209,20 @@ class ReferenceState:
     """Tagged state for the standard reference optimizers.
 
     The slot set matches the kind exactly: SGD none, Momentum/Nesterov ``m``,
-    RMSpropMomentum/Adam/AdamW/NAdam ``m`` and ``v``, INNA ``psi``.
+    RMSpropMomentum/Adam/AdamW/NAdam ``m`` and ``v``.
     """
 
     kind: str
     theta: ParamVector
     m: Optional[ParamVector] = None
     v: Optional[ParamVector] = None
-    psi: Optional[ParamVector] = None
     k: int = 0
 
     def __post_init__(self):
         if self.kind not in _SLOTS_BY_KIND:
             raise ContractViolation(f"unknown reference kind {self.kind!r}")
         slots = _SLOTS_BY_KIND[self.kind]
-        for name in ("m", "v", "psi"):
+        for name in ("m", "v"):
             have = getattr(self, name) is not None
             if have != (name in slots):
                 raise ContractViolation(
@@ -234,21 +231,38 @@ class ReferenceState:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# The driver and shared helpers
 # ---------------------------------------------------------------------------
 
 
-def _check_dim(state_theta: ParamVector, g: ParamVector):
-    if g.dim != state_theta.dim:
+def _drive(state, theta: ParamVector, g: ParamVector, rule):
+    """Advance ``state`` by one step; every public step ends here.
+
+    ``theta`` is the state's parameter slot, which ``g`` must match in
+    dimension and precision. ``rule(step_index)`` returns the new state's
+    fields in the order its class declares them, all but the last, ``k``.
+    Each raw ndarray among them is checked for finiteness, raising
+    ``DivergenceError(step_index)``, and wrapped. Any other field passes
+    through as it is: a ``ParamVector`` (a slot carried over, or an output
+    of ``_run_blocked``, already checked block by block), ``None``, a kind
+    or form tag, a rate.
+    """
+    if g.dim != theta.dim:
         raise ContractViolation(
-            f"gradient dimension {g.dim} does not match state dimension {state_theta.dim}"
+            f"gradient dimension {g.dim} does not match state dimension {theta.dim}"
         )
-
-
-def _finite_or_diverged(step_index: int, *arrays: np.ndarray):
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise DivergenceError(step_index)
+    if g.data.dtype != theta.data.dtype:
+        raise ContractViolation("gradient precision must match the state precision")
+    step_index = state.k + 1
+    fields = list(rule(step_index))
+    for i, value in enumerate(fields):
+        if type(value) is np.ndarray:
+            # count_nonzero costs about half of .all() on small arrays.
+            if np.count_nonzero(np.isfinite(value)) < value.size:
+                raise DivergenceError(step_index)
+            fields[i] = ParamVector._wrap(value)
+    # Positional, the cheapest construction; state objects are made every step.
+    return type(state)(*fields, step_index)
 
 
 # Elements per block of ``_run_blocked``. At f64 one block of each of the
@@ -258,7 +272,8 @@ _BLOCK = 16 * 1024
 
 
 def _run_blocked(step_index: int, kernel, inputs, n_out: int) -> list:
-    """Evaluate an update ``kernel`` block by block over equal-length inputs.
+    """Evaluate an update ``kernel`` block by block over equal-length inputs
+    of one precision; returns the ``n_out`` outputs as ``ParamVector``.
 
     Allocates only the ``n_out`` full-size outputs, plus two scratch blocks.
     ``kernel(ins, outs, scratch)`` receives aligned views of at most
@@ -269,9 +284,6 @@ def _run_blocked(step_index: int, kernel, inputs, n_out: int) -> list:
     of the finished outputs.
     """
     dtype, dim = inputs[0].dtype, inputs[0].size
-    for arr in inputs:
-        if arr.dtype != dtype:
-            raise ContractViolation("gradient precision must match the state precision")
     outs = [np.empty(dim, dtype) for _ in range(n_out)]
     width = min(dim, _BLOCK)
     scratch = [np.empty(width, dtype), np.empty(width, dtype)]
@@ -290,7 +302,7 @@ def _run_blocked(step_index: int, kernel, inputs, n_out: int) -> list:
             # count_nonzero is a fraction of the cost of .all() on small blocks.
             if np.count_nonzero(np.isfinite(block, out=finite)) < finite.size:
                 raise DivergenceError(step_index)
-    return outs
+    return [ParamVector._wrap(out) for out in outs]
 
 
 def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
@@ -312,6 +324,13 @@ def _maybe_clip(g: ParamVector, config: InnapropConfig) -> ParamVector:
     return g
 
 
+def _psi0(alpha: float, beta: float, theta0: ParamVector) -> ParamVector:
+    """``(1 - alpha*beta) * theta0`` in the precision of ``theta0``."""
+    return ParamVector._wrap(
+        np.asarray((1.0 - alpha * beta) * theta0.data, dtype=theta0.data.dtype)
+    )
+
+
 # ---------------------------------------------------------------------------
 # INNAprop, reduced three-slot form
 # ---------------------------------------------------------------------------
@@ -319,9 +338,7 @@ def _maybe_clip(g: ParamVector, config: InnapropConfig) -> ParamVector:
 
 def innaprop_init(config: InnapropConfig, theta0: ParamVector) -> InnapropState:
     """Initial state: v = 0 and psi = (1 - alpha*beta) * theta0."""
-    psi0 = ParamVector._wrap(
-        np.asarray((1.0 - config.alpha * config.beta) * theta0.data, dtype=theta0.data.dtype)
-    )
+    psi0 = _psi0(config.alpha, config.beta, theta0)
     return InnapropState(theta=theta0, psi=psi0, v=ParamVector.zeros_like(theta0), k=0)
 
 
@@ -334,17 +351,14 @@ def _innaprop_core(state, g, gamma, config, *, weight_decay, bias_correction):
     coefficients, so its results match those formulas bit for bit in F32 and
     F64. The input state is only read.
     """
-    _check_dim(state.theta, g)
     _guard_gamma(gamma, config.beta)
-    g = _maybe_clip(g, config)
 
     # Python floats take the state's precision in every ufunc below.
     gamma, weight_decay = float(gamma), float(weight_decay)
     alpha, beta, sigma, eps = (float(config.alpha), float(config.beta),
                                float(config.sigma), float(config.epsilon))
-    step_index = state.k + 1
     decay = 1.0 - weight_decay * gamma
-    v_scale = 1.0 - sigma ** step_index
+    v_scale = 1.0 - sigma ** (state.k + 1)
     psi_keep, psi_theta = 1.0 - gamma / beta, gamma * (1.0 / beta - alpha)
     theta_keep = 1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma)
     theta_psi, theta_rms = gamma / (beta - gamma), gamma * beta
@@ -374,15 +388,13 @@ def _innaprop_core(state, g, gamma, config, *, weight_decay, bias_correction):
         np.multiply(theta_rms, a, out=a)
         np.subtract(theta_new, a, out=theta_new)
 
-    theta_new, psi_new, v_new = _run_blocked(
-        step_index, kernel, (state.theta.data, state.psi.data, state.v.data, g.data), 3
-    )
-    return InnapropState(
-        theta=ParamVector._wrap(theta_new),
-        psi=ParamVector._wrap(psi_new),
-        v=ParamVector._wrap(v_new),
-        k=step_index,
-    )
+    def rule(step_index):
+        grad = _maybe_clip(g, config).data
+        return _run_blocked(
+            step_index, kernel, (state.theta.data, state.psi.data, state.v.data, grad), 3
+        )
+
+    return _drive(state, state.theta, g, rule)
 
 
 def innaprop_step(
@@ -450,37 +462,28 @@ def innaprop_naive_step(
     consistent with ``psi_0 = (1 - alpha*beta) * theta_0`` in the reduced
     form, which makes the two recursions coincide exactly from step one.
     """
-    _check_dim(state.theta_curr, g_curr)
     _guard_gamma(gamma, config.beta)
-    g_curr = _maybe_clip(g_curr, config)
-
     alpha, beta, sigma, eps = config.alpha, config.beta, config.sigma, config.epsilon
-    grad = g_curr.data
-    step_index = state.k + 1
 
-    v_next = sigma * state.v_curr.data + (1.0 - sigma) * grad * grad
-    rms_curr = _rms(grad, v_next, eps)
+    def rule(step_index):
+        g = _maybe_clip(g_curr, config)
+        grad = g.data
+        v_next = sigma * state.v_curr.data + (1.0 - sigma) * grad * grad
+        rms_curr = _rms(grad, v_next, eps)
 
-    if state.k == 0:
-        theta_next = state.theta_curr.data - (gamma * beta) * rms_curr
-    else:
-        rms_prev = _rms(state.g_prev.data, state.v_curr.data, eps)
-        theta_next = (
-            state.theta_curr.data
-            + (1.0 - alpha * gamma) * (state.theta_curr.data - state.theta_prev.data)
-            - (beta * gamma) * (rms_curr - rms_prev)
-            - (gamma * gamma) * rms_prev
-        )
+        if state.k == 0:
+            theta_next = state.theta_curr.data - (gamma * beta) * rms_curr
+        else:
+            rms_prev = _rms(state.g_prev.data, state.v_curr.data, eps)
+            theta_next = (
+                state.theta_curr.data
+                + (1.0 - alpha * gamma) * (state.theta_curr.data - state.theta_prev.data)
+                - (beta * gamma) * (rms_curr - rms_prev)
+                - (gamma * gamma) * rms_prev
+            )
+        return state.theta_curr, theta_next, g, state.v_curr, v_next
 
-    _finite_or_diverged(step_index, theta_next, v_next)
-    return NaiveInnapropState(
-        theta_prev=state.theta_curr,
-        theta_curr=ParamVector._wrap(theta_next),
-        g_prev=g_curr,
-        v_prev=state.v_curr,
-        v_curr=ParamVector._wrap(v_next),
-        k=step_index,
-    )
+    return _drive(state, state.theta_curr, g_curr, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -488,21 +491,18 @@ def innaprop_naive_step(
 # ---------------------------------------------------------------------------
 
 
-def inna_init(alpha: float, beta: float, theta0: ParamVector) -> ReferenceState:
-    psi0 = ParamVector._wrap(
-        np.asarray((1.0 - alpha * beta) * theta0.data, dtype=theta0.data.dtype)
-    )
-    return ReferenceState(kind="INNA", theta=theta0, psi=psi0)
+def inna_init(alpha: float, beta: float, theta0: ParamVector) -> InnaState:
+    return InnaState(theta=theta0, psi=_psi0(alpha, beta, theta0))
 
 
 def inna_step(
-    state: ReferenceState,
+    state: InnaState,
     g: ParamVector,
     gamma: float,
     alpha: float,
     beta: float,
     form: str = "classic",
-) -> ReferenceState:
+) -> InnaState:
     """One step of the plain inertial-Newton recursion.
 
     ``form="classic"`` is the textbook two-line update
@@ -514,36 +514,31 @@ def inna_step(
     ``form="compact"`` substitutes psi_{k+1} into the theta update so only the
     already-updated psi needs to be held; algebraically identical.
     """
-    if state.kind != "INNA":
+    if not isinstance(state, InnaState):
         raise ContractViolation("inna_step requires an INNA state")
-    _check_dim(state.theta, g)
     if not beta > 0:
         raise ContractViolation("beta must be > 0")
-    theta, psi, grad = state.theta.data, state.psi.data, g.data
-    step_index = state.k + 1
-
-    if form == "classic":
-        drift = (1.0 / beta - alpha) * theta - psi / beta
-        psi_new = psi + gamma * drift
-        theta_new = theta + gamma * (drift - beta * grad)
-    elif form == "compact":
+    if form == "compact":
         _guard_gamma(gamma, beta)
-        psi_new = (1.0 - gamma / beta) * psi + (gamma * (1.0 / beta - alpha)) * theta
-        theta_new = (
-            (1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma)) * theta
-            - (gamma / (beta - gamma)) * psi_new
-            - (gamma * beta) * grad
-        )
-    else:
+    elif form != "classic":
         raise ContractViolation(f"unknown INNA form {form!r}")
 
-    _finite_or_diverged(step_index, theta_new, psi_new)
-    return ReferenceState(
-        kind="INNA",
-        theta=ParamVector._wrap(theta_new),
-        psi=ParamVector._wrap(psi_new),
-        k=step_index,
-    )
+    def rule(step_index):
+        theta, psi, grad = state.theta.data, state.psi.data, g.data
+        if form == "classic":
+            drift = (1.0 / beta - alpha) * theta - psi / beta
+            psi_new = psi + gamma * drift
+            theta_new = theta + gamma * (drift - beta * grad)
+        else:
+            psi_new = (1.0 - gamma / beta) * psi + (gamma * (1.0 / beta - alpha)) * theta
+            theta_new = (
+                (1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma)) * theta
+                - (gamma / (beta - gamma)) * psi_new
+                - (gamma * beta) * grad
+            )
+        return theta_new, psi_new
+
+    return _drive(state, state.theta, g, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -586,41 +581,33 @@ def innaprop_momentum_step(
     The gamma^2 factor in the mtilde increment is what starves the reduced
     form of precision in F32 once the accumulated mtilde dwarfs it.
     """
-    _check_dim(state.theta, g)
-    g = _maybe_clip(g, config)
     alpha, beta, sigma, eps = config.alpha, config.beta, config.sigma, config.epsilon
     a = 1.0 - alpha * gamma
     if a == 0.0:
         raise ContractViolation("singular coefficient: alpha * gamma == 1")
-    grad = g.data
-    step_index = state.k + 1
 
-    v_new = sigma * state.v.data + (1.0 - sigma) * grad * grad
-    rms_curr = _rms(grad, v_new, eps)
+    def rule(step_index):
+        g_clipped = _maybe_clip(g, config)
+        grad = g_clipped.data
+        v_new = sigma * state.v.data + (1.0 - sigma) * grad * grad
+        rms_curr = _rms(grad, v_new, eps)
 
-    if state.form == "direct":
-        rms_prev = _rms(state.g_prev.data, state.v.data, eps)
-        m_new = (
-            a * state.m.data
-            + (gamma * gamma) * rms_prev
-            + (beta * gamma) * (rms_curr - rms_prev)
-        )
-        theta_new = state.theta.data - m_new
-        g_prev = g
-    else:
-        m_new = a * state.m.data + (gamma * gamma * (1.0 - alpha * beta) / a) * rms_curr
-        theta_new = state.theta.data - m_new - (gamma * (beta - gamma) / a) * rms_curr
-        g_prev = None
+        if state.form == "direct":
+            rms_prev = _rms(state.g_prev.data, state.v.data, eps)
+            m_new = (
+                a * state.m.data
+                + (gamma * gamma) * rms_prev
+                + (beta * gamma) * (rms_curr - rms_prev)
+            )
+            theta_new = state.theta.data - m_new
+            g_prev = g_clipped
+        else:
+            m_new = a * state.m.data + (gamma * gamma * (1.0 - alpha * beta) / a) * rms_curr
+            theta_new = state.theta.data - m_new - (gamma * (beta - gamma) / a) * rms_curr
+            g_prev = None
+        return theta_new, m_new, v_new, state.form, g_prev
 
-    _finite_or_diverged(step_index, theta_new, m_new, v_new)
-    return MomentumVariantState(
-        theta=ParamVector._wrap(theta_new),
-        m=ParamVector._wrap(m_new),
-        v=ParamVector._wrap(v_new),
-        form=state.form,
-        k=step_index,
-        g_prev=g_prev,
-    )
+    return _drive(state, state.theta, g, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -658,25 +645,18 @@ def dinadam_step(
     """
     if not eta > 0:
         raise ContractViolation("eta must be > 0")
-    _check_dim(state.theta, g)
-    grad = g.data
     s1, s2 = state.sigma1, state.sigma2
-    step_index = state.k + 1
 
-    v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
-    mtilde_new = s1 * state.mtilde.data + (1.0 - s1 + beta * alpha * s1 - beta * alpha) * grad
-    theta_new = state.theta.data - eta * (mtilde_new + (alpha * beta) * grad) / (
-        np.sqrt(v_new) + epsilon
-    )
+    def rule(step_index):
+        grad = g.data
+        v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
+        mtilde_new = s1 * state.mtilde.data + (1.0 - s1 + beta * alpha * s1 - beta * alpha) * grad
+        theta_new = state.theta.data - eta * (mtilde_new + (alpha * beta) * grad) / (
+            np.sqrt(v_new) + epsilon
+        )
+        return theta_new, mtilde_new, v_new, s1, s2
 
-    _finite_or_diverged(step_index, theta_new, mtilde_new, v_new)
-    return replace(
-        state,
-        theta=ParamVector._wrap(theta_new),
-        mtilde=ParamVector._wrap(mtilde_new),
-        v=ParamVector._wrap(v_new),
-        k=step_index,
-    )
+    return _drive(state, state.theta, g, rule)
 
 
 def dinadam_direct_init(theta0: ParamVector, sigma1: float, sigma2: float) -> DinadamDirectState:
@@ -699,29 +679,20 @@ def dinadam_direct_step(
         m_{k+1} = sigma1*m_k + (1-sigma1)*g_k + beta*alpha*sigma1*(g_k - g_{k-1})
         theta_{k+1} = theta_k - eta * m_{k+1} / (sqrt(v_{k+1}) + eps)
     """
-    _check_dim(state.theta, g)
-    grad = g.data
     s1, s2 = state.sigma1, state.sigma2
-    step_index = state.k + 1
 
-    v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
-    m_new = (
-        s1 * state.m.data
-        + (1.0 - s1) * grad
-        + (beta * alpha * s1) * (grad - state.g_prev.data)
-    )
-    theta_new = state.theta.data - eta * m_new / (np.sqrt(v_new) + epsilon)
+    def rule(step_index):
+        grad = g.data
+        v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
+        m_new = (
+            s1 * state.m.data
+            + (1.0 - s1) * grad
+            + (beta * alpha * s1) * (grad - state.g_prev.data)
+        )
+        theta_new = state.theta.data - eta * m_new / (np.sqrt(v_new) + epsilon)
+        return theta_new, m_new, v_new, g, s1, s2
 
-    _finite_or_diverged(step_index, theta_new, m_new, v_new)
-    return DinadamDirectState(
-        theta=ParamVector._wrap(theta_new),
-        m=ParamVector._wrap(m_new),
-        v=ParamVector._wrap(v_new),
-        g_prev=g,
-        sigma1=s1,
-        sigma2=s2,
-        k=step_index,
-    )
+    return _drive(state, state.theta, g, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +704,6 @@ def reference_init(
     kind: str, theta0: ParamVector, params: Optional[ReferenceParams] = None
 ) -> ReferenceState:
     """State with exactly the slots the chosen update rule needs."""
-    params = params or ReferenceParams()
-    if kind == "INNA":
-        if params.alpha is None or params.beta is None:
-            raise ContractViolation("INNA needs alpha and beta in ReferenceParams")
-        return inna_init(params.alpha, params.beta, theta0)
     slots = _SLOTS_BY_KIND.get(kind)
     if slots is None:
         raise ContractViolation(f"unknown reference kind {kind!r}")
@@ -747,19 +713,17 @@ def reference_init(
         theta=theta0,
         m=zeros if "m" in slots else None,
         v=zeros if "v" in slots else None,
-        psi=None,
     )
 
 
-def _adam_family(state, grad, gamma, params, *, decoupled_decay):
-    """Shared Adam/AdamW step; decay (when any) multiplies theta first.
+def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay) -> list:
+    """New (theta, m, v) of Adam/AdamW; decay (when any) multiplies theta first.
 
     Blocked like ``_innaprop_core``, so it is bit-identical to the
     whole-array formulas and checks the new slots' finiteness itself.
     """
     gamma, lam = float(gamma), float(params.weight_decay)
     b1, b2, eps = float(params.beta1), float(params.beta2), float(params.epsilon)
-    step_index = state.k + 1
     decays, decay = decoupled_decay and lam, 1.0 - lam * gamma
     m_scale, v_scale = 1.0 - b1 ** step_index, 1.0 - b2 ** step_index
 
@@ -788,15 +752,8 @@ def _adam_family(state, grad, gamma, params, *, decoupled_decay):
         np.multiply(gamma, a, out=a)
         np.subtract(theta, a, out=theta_new)
 
-    theta_new, m_new, v_new = _run_blocked(
+    return _run_blocked(
         step_index, kernel, (state.theta.data, state.m.data, state.v.data, grad), 3
-    )
-    return replace(
-        state,
-        theta=ParamVector._wrap(theta_new),
-        m=ParamVector._wrap(m_new),
-        v=ParamVector._wrap(v_new),
-        k=step_index,
     )
 
 
@@ -820,67 +777,34 @@ def reference_step(
       with ``m_hat = m_new/(1 - beta1^(k+1))``.
     """
     kind = state.kind
-    _check_dim(state.theta, g)
-    grad = g.data
-    step_index = state.k + 1
     b1, b2, eps = params.beta1, params.beta2, params.epsilon
 
-    if kind == "SGD":
-        theta_new = state.theta.data - gamma_k * grad
+    def rule(step_index):
+        grad = g.data
         m_new = v_new = None
-    elif kind == "Momentum":
-        m = b1 * state.m.data + grad
-        theta_new = state.theta.data - gamma_k * m
-        m_new, v_new = m, None
-    elif kind == "Nesterov":
-        m = b1 * state.m.data + grad
-        theta_new = state.theta.data - gamma_k * (grad + b1 * m)
-        m_new, v_new = m, None
-    elif kind == "RMSpropMomentum":
-        v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
-        m_new = b1 * state.m.data + _rms(grad, v_new, eps)
-        theta_new = state.theta.data - gamma_k * m_new
-    elif kind in ("Adam", "AdamW"):
-        return _adam_family(state, grad, gamma_k, params, decoupled_decay=(kind == "AdamW"))
-    elif kind == "NAdam":
-        m_new = b1 * state.m.data + (1.0 - b1) * grad
-        v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
-        m_hat = m_new / (1.0 - b1 ** (step_index + 1))
-        g_hat = grad / (1.0 - b1 ** step_index)
-        v_hat = v_new / (1.0 - b2 ** step_index)
-        theta_new = state.theta.data - gamma_k * (
-            (b1 * m_hat + (1.0 - b1) * g_hat) / (np.sqrt(v_hat) + eps)
-        )
-    elif kind == "INNA":
-        return inna_step(state, g, gamma_k, params.alpha, params.beta)
-    else:  # pragma: no cover - guarded in ReferenceState
-        raise ContractViolation(f"unknown reference kind {kind!r}")
+        if kind == "SGD":
+            theta_new = state.theta.data - gamma_k * grad
+        elif kind in ("Momentum", "Nesterov"):
+            m_new = b1 * state.m.data + grad
+            step = m_new if kind == "Momentum" else grad + b1 * m_new
+            theta_new = state.theta.data - gamma_k * step
+        elif kind == "RMSpropMomentum":
+            v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
+            m_new = b1 * state.m.data + _rms(grad, v_new, eps)
+            theta_new = state.theta.data - gamma_k * m_new
+        elif kind in ("Adam", "AdamW"):
+            theta_new, m_new, v_new = _adam_family(
+                state, grad, gamma_k, params, step_index, decoupled_decay=(kind == "AdamW")
+            )
+        else:  # NAdam; ReferenceState admits no other kind
+            m_new = b1 * state.m.data + (1.0 - b1) * grad
+            v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
+            m_hat = m_new / (1.0 - b1 ** (step_index + 1))
+            g_hat = grad / (1.0 - b1 ** step_index)
+            v_hat = v_new / (1.0 - b2 ** step_index)
+            theta_new = state.theta.data - gamma_k * (
+                (b1 * m_hat + (1.0 - b1) * g_hat) / (np.sqrt(v_hat) + eps)
+            )
+        return kind, theta_new, m_new, v_new
 
-    arrays = [theta_new] + [arr for arr in (m_new, v_new) if arr is not None]
-    _finite_or_diverged(step_index, *arrays)
-    return ReferenceState(
-        kind=kind,
-        theta=ParamVector._wrap(theta_new),
-        m=ParamVector._wrap(m_new) if m_new is not None else None,
-        v=ParamVector._wrap(v_new) if v_new is not None else None,
-        psi=None,
-        k=step_index,
-    )
-
-
-def adamw_step(
-    state: ReferenceState,
-    g: ParamVector,
-    gamma_k: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-    lam: float = 0.01,
-) -> ReferenceState:
-    """Decoupled-weight-decay Adam with the default library settings."""
-    if state.kind != "AdamW":
-        raise ContractViolation("adamw_step requires an AdamW state")
-    params = ReferenceParams(
-        beta1=beta1, beta2=beta2, epsilon=epsilon, weight_decay=lam
-    )
-    return reference_step(state, g, gamma_k, params)
+    return _drive(state, state.theta, g, rule)

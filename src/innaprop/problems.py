@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, DivergenceError, ParseError
+from .errors import ConfigError, ContractViolation, ParseError
 from .numerics import ParamVector, RngStream
 
 
@@ -211,15 +211,6 @@ def _as_array(theta) -> np.ndarray:
     if isinstance(theta, ParamVector):
         return np.asarray(theta.data, dtype=np.float64)
     return np.asarray(theta, dtype=np.float64)
-
-
-def evaluate(problem: Problem, theta) -> dict:
-    """Full-batch training loss plus the test metric when one is defined."""
-    loss = float(problem.loss(_as_array(theta)))
-    if not np.isfinite(loss):
-        raise DivergenceError(None, "non-finite loss in evaluate")
-    metric = float(problem.test_metric(_as_array(theta))) if problem.test_metric else None
-    return {"loss": loss, "metric": metric}
 
 
 def minibatch_grad(problem: Problem, theta, sampler: MiniBatchSampler):

@@ -210,10 +210,9 @@ def test_criterion_9_fixed_points_and_well_posedness():
                 drift = max(drift, rel_drift(state.theta.data, theta0))
             drift = max(drift, rel_drift(st_naive.theta_curr.data, theta0))
 
-    params = ReferenceParams(beta1=0.9, beta2=0.999, weight_decay=0.0,
-                             alpha=0.5, beta=0.1)
+    params = ReferenceParams(beta1=0.9, beta2=0.999, weight_decay=0.0)
     for kind in ("SGD", "Momentum", "Nesterov", "RMSpropMomentum", "Adam",
-                 "AdamW", "NAdam", "INNA"):
+                 "AdamW", "NAdam"):
         for _ in range(10):
             theta0 = ParamVector(rng.standard_normal(4))
             state = reference_init(kind, theta0, params)

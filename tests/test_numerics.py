@@ -1,20 +1,19 @@
-"""Vector arithmetic, clipping, deterministic randomness, finite differences."""
+"""Vectors, clipping, deterministic randomness, finite differences."""
 
 import concurrent.futures
 
 import numpy as np
 import pytest
-from mpmath import mp, mpf
 
 from innaprop.errors import ContractViolation, DomainError
 from innaprop.numerics import (
     ParamVector,
     Precision,
     RngStream,
-    coordinatewise,
     fd_gradient,
     global_norm_clip,
 )
+from innaprop.optimizers import ReferenceParams, reference_init, reference_step
 from innaprop.problems import make_problem
 
 
@@ -22,8 +21,9 @@ class TestParamVector:
     def test_dimension_fixed_and_checked(self):
         a = ParamVector([1.0, 2.0])
         b = ParamVector([1.0, 2.0, 3.0])
+        assert a.dim == len(a) == 2
         with pytest.raises(ContractViolation):
-            coordinatewise("add", a, b)
+            reference_step(reference_init("SGD", a), b, 0.1, ReferenceParams())
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
@@ -40,42 +40,6 @@ class TestParamVector:
         v = ParamVector([1.0, 2.0])
         with pytest.raises(ValueError):
             v.data[0] = 5.0
-
-
-class TestCoordinatewise:
-    def test_sqrt_exact_squares(self):
-        out = coordinatewise("sqrt", ParamVector([4.0, 9.0]))
-        assert out.data.tolist() == [2.0, 3.0]
-
-    def test_add_zero_identity(self):
-        a = ParamVector([1.0, 2.0])
-        z = coordinatewise("scale", ParamVector([123.0, -7.0]), 0.0)
-        assert coordinatewise("add", a, z).data.tolist() == [1.0, 2.0]
-
-    def test_div_scaled_direction_value(self):
-        # 1 / (sqrt(4) + 1e-8), evaluated independently in extended precision
-        mp.dps = 50
-        expected = float(mpf(1) / (mpf(2) + mpf("1e-8")))
-        out = coordinatewise("div", ParamVector([1.0]), ParamVector([2.0 + 1e-8]))
-        assert abs(out.data[0] - expected) <= np.spacing(expected)
-
-    def test_div_by_zero_element(self):
-        with pytest.raises(DomainError):
-            coordinatewise("div", ParamVector([1.0, 1.0]), ParamVector([2.0, 0.0]))
-
-    def test_exact_on_integer_values(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = rng.integers(-50, 50, size=8).astype(np.float64)
-            b = rng.integers(-50, 50, size=8).astype(np.float64)
-            va, vb = ParamVector(a), ParamVector(b)
-            assert coordinatewise("add", va, vb).data.tolist() == (a + b).tolist()
-            assert coordinatewise("sub", va, vb).data.tolist() == (a - b).tolist()
-            assert coordinatewise("mul", va, vb).data.tolist() == (a * b).tolist()
-
-    def test_unknown_op(self):
-        with pytest.raises(ContractViolation):
-            coordinatewise("pow", ParamVector([1.0]), 2.0)
 
 
 class TestGlobalNormClip:

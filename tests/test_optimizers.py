@@ -1,7 +1,7 @@
 """Spot values, fixed points, error contracts and state invariants for every
 update rule."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ from innaprop.optimizers import (
     InnapropConfig,
     ReferenceParams,
     ReferenceState,
+    dinadam_direct_init,
+    dinadam_direct_step,
     dinadam_init,
     dinadam_step,
     inna_init,
@@ -346,10 +348,9 @@ class TestReferenceOptimizers:
 
     def test_zero_gradient_fixed_points_all_kinds(self):
         rng = RngStream(31, 0).generator()
-        params = ReferenceParams(beta1=0.9, beta2=0.999, weight_decay=0.0,
-                                 alpha=0.5, beta=0.1)
+        params = ReferenceParams(beta1=0.9, beta2=0.999, weight_decay=0.0)
         for kind in ("SGD", "Momentum", "Nesterov", "RMSpropMomentum",
-                     "Adam", "AdamW", "NAdam", "INNA"):
+                     "Adam", "AdamW", "NAdam"):
             for _ in range(10):
                 theta0 = rng.standard_normal(4)
                 state = reference_init(kind, ParamVector(theta0), params)
@@ -393,6 +394,55 @@ class TestReferenceOptimizers:
         with pytest.raises(DivergenceError) as err:
             innaprop_step(state, vec(1e200), 0.01, cfg)
         assert err.value.step == 1
+
+
+# ---------------------------------------------------------------------------
+# The shared driver: precision contract of every public step
+# ---------------------------------------------------------------------------
+
+CFG = InnapropConfig(alpha=0.1, beta=0.9, weight_decay=0.01)
+PARAMS = ReferenceParams(weight_decay=0.01)
+
+# name -> (init(theta0), step(state, g)), one entry per public step and form.
+EVERY_STEP = {
+    "innaprop": (lambda th: innaprop_init(CFG, th),
+                 lambda s, g: innaprop_step(s, g, 0.01, CFG)),
+    "innaprop_plain": (lambda th: innaprop_init(CFG, th),
+                       lambda s, g: innaprop_plain_step(s, g, 0.01, CFG)),
+    "innaprop_naive": (lambda th: innaprop_naive_init(CFG, th),
+                       lambda s, g: innaprop_naive_step(s, g, 0.01, CFG)),
+    "inna_classic": (lambda th: inna_init(0.5, 0.1, th),
+                     lambda s, g: inna_step(s, g, 0.01, 0.5, 0.1, "classic")),
+    "inna_compact": (lambda th: inna_init(0.5, 0.1, th),
+                     lambda s, g: inna_step(s, g, 0.01, 0.5, 0.1, "compact")),
+    "dinadam": (lambda th: dinadam_init(th, sigma1=0.9, sigma2=0.999),
+                lambda s, g: dinadam_step(s, g, 0.01, 0.5, 0.7)),
+    "dinadam_direct": (lambda th: dinadam_direct_init(th, sigma1=0.9, sigma2=0.999),
+                       lambda s, g: dinadam_direct_step(s, g, 0.01, 0.5, 0.7)),
+    **{f"momentum_{form}": (lambda th, form=form: innaprop_momentum_init(CFG, th, form),
+                            lambda s, g: innaprop_momentum_step(s, g, 0.01, CFG))
+       for form in ("direct", "reduced")},
+    **{f"reference_{kind}": (lambda th, kind=kind: reference_init(kind, th, PARAMS),
+                             lambda s, g: reference_step(s, g, 0.01, PARAMS))
+       for kind in ("SGD", "Momentum", "Nesterov", "RMSpropMomentum", "Adam", "AdamW",
+                    "NAdam")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_STEP))
+def test_step_checks_gradient_and_keeps_precision(name):
+    init, step = EVERY_STEP[name]
+    state = init(ParamVector([1.0, -2.0, 0.5], "f32"))
+    with pytest.raises(ContractViolation, match="precision"):
+        step(state, ParamVector([0.5, 0.25, -1.0], "f64"))
+    with pytest.raises(ContractViolation, match="dimension"):
+        step(state, ParamVector([0.5], "f32"))
+    for _ in range(2):  # the second step reads the slots the first one wrote
+        state = step(state, ParamVector([0.5, 0.25, -1.0], "f32"))
+    slots = [getattr(state, f.name) for f in fields(state)]
+    slots = [slot for slot in slots if isinstance(slot, ParamVector)]
+    assert state.k == 2 and len(slots) >= 1
+    assert all(slot.data.dtype == np.float32 for slot in slots)
 
 
 # ---------------------------------------------------------------------------

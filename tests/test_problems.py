@@ -8,7 +8,6 @@ from innaprop.harness.checks import gradient_fidelity
 from innaprop.numerics import ParamVector, RngStream
 from innaprop.problems import (
     MiniBatchSampler,
-    evaluate,
     generate_synthetic,
     load_csv_dataset,
     make_problem,
@@ -225,18 +224,7 @@ class TestSamplerAndBatches:
         np.testing.assert_allclose(g.data, prob.grad(np.zeros(prob.dim), batch), rtol=1e-15)
 
 
-class TestEvaluate:
-    def test_quadratic_at_origin(self):
-        prob = make_problem("quadratic", spectrum=(1.0, 10.0))
-        out = evaluate(prob, ParamVector([0.0, 0.0]))
-        assert out == {"loss": 0.0, "metric": None}
-
-    def test_uninformative_logistic_near_half(self):
-        data = generate_synthetic("two_gaussians", n=400, dim=2, seed=11)
-        prob = make_problem("logistic_regression", dataset=data)
-        out = evaluate(prob, ParamVector(np.zeros(prob.dim)))
-        assert abs(out["metric"] - 0.5) < 0.15
-
+class TestShippedProblems:
     def test_shipped_problem_registry(self):
         names = [p.name for p in shipped_problems()]
         assert names == ["quadratic", "rosenbrock", "logistic_regression", "tiny_mlp"]
