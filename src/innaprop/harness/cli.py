@@ -51,8 +51,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_grid(args) -> int:
     cfg = _load_config(args)
-    result = grid_search(cfg, alphas=args.alphas, betas=args.betas,
-                         workers=args.workers, out_dir=args.out)
+    result = grid_search(cfg, alphas=args.alphas, betas=args.betas, out_dir=args.out)
     ok = sum(1 for c in result.cells if c.status == "ok")
     print(f"grid complete: {ok}/{len(result.cells)} cells ok "
           f"(short horizon at step {result.short_step} of {result.steps})")
@@ -127,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_grid)
     p_grid.add_argument("--alphas", type=float, nargs="+", default=None)
     p_grid.add_argument("--betas", type=float, nargs="+", default=None)
-    p_grid.add_argument("--workers", type=int, default=4)
+    p_grid.add_argument("--workers", type=int, default=None,
+                        help="ignored; kept so older command lines still parse: "
+                             "the cells run in lock-step in one process")
     p_grid.set_defaults(func=_cmd_grid)
 
     p_sweep = sub.add_parser("sweep", help="initial learning-rate sweep")

@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 from importlib import resources
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -214,8 +215,12 @@ def emit_config(config: RunConfig) -> dict:
 
 
 def content_hash(config: RunConfig) -> str:
-    blob = json.dumps(emit_config(config), sort_keys=True).encode()
-    return hashlib.sha1(blob).hexdigest()
+    """sha1 of the inputs: the emitted config, then the bytes of a ``.csv``
+    dataset file. A synthetic dataset is fully named by the config."""
+    digest = hashlib.sha1(json.dumps(emit_config(config), sort_keys=True).encode())
+    if config.dataset is not None and config.dataset.endswith(".csv"):
+        digest.update(Path(config.dataset).read_bytes())
+    return digest.hexdigest()
 
 
 def build_schedule(config: RunConfig) -> ScheduleSpec:

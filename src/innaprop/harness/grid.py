@@ -1,15 +1,15 @@
 """(alpha, beta) grid search and the initial-learning-rate sweep.
 
-Cells run concurrently but independently: all cells share the same
-seed-keyed data, parameter init and batch order, so differences between
-cells come from (alpha, beta) alone and a grid rerun is byte-stable
-regardless of scheduling. A diverged cell is recorded and never aborts its
-siblings.
+All cells share the same seed-keyed data, parameter init and batch order, so
+differences between cells come from (alpha, beta), or the lr, alone. Each
+search is one lock-step ``run_experiment`` call: every step evaluates the
+gradient of all live cells in one stacked problem call, then advances each
+cell with its own step. Every cell's CSV is byte for byte its standalone
+run's. A diverged cell is recorded and never aborts its siblings.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -73,9 +73,9 @@ def _summarize_cell(alpha, beta, rows: list[RunRow], summary, short_step) -> Gri
     )
 
 
-def grid_search(base_config: RunConfig, alphas=None, betas=None, workers: int = 4,
+def grid_search(base_config: RunConfig, alphas=None, betas=None,
                 out_dir=None) -> GridResult:
-    """One run per (alpha, beta) cell; rows sorted by (alpha, beta).
+    """One lock-step run of every (alpha, beta) cell; rows sorted by (alpha, beta).
 
     Every cell must be well-posed against the schedule up front; unstable
     cells that diverge at run time are recorded with their step index.
@@ -98,19 +98,9 @@ def grid_search(base_config: RunConfig, alphas=None, betas=None, workers: int = 
         validate_config(cfg)
     short_step = snapshot_step(base_config)
 
-    def run_cell(idx):
-        a, b = cells[idx]
-        tag = f"cell_a{a:g}_b{b:g}"
-        rows, summary = run_experiment(
-            configs[idx], out_dir=out_dir, tag=tag if out_dir else "run"
-        )
-        return _summarize_cell(a, b, rows, summary, short_step)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, range(len(cells))))
-    else:
-        results = [run_cell(i) for i in range(len(cells))]
+    tags = [f"cell_a{a:g}_b{b:g}" for a, b in cells]
+    results = [_summarize_cell(a, b, rows, summary, short_step) for (a, b), (rows, summary)
+               in zip(cells, run_experiment(configs, out_dir=out_dir, tag=tags))]
 
     results.sort(key=lambda c: (c.alpha, c.beta))
     grid = GridResult(cells=tuple(results), short_step=short_step, steps=base_config.steps)
@@ -129,7 +119,7 @@ class SweepRow:
 
 
 def lr_sweep(base_config: RunConfig, lrs=None, out_dir=None) -> list[SweepRow]:
-    """One run per candidate initial learning rate."""
+    """One lock-step run of every candidate initial learning rate."""
     lrs = tuple(lrs) if lrs is not None else DEFAULT_LR_SWEEP
     if len(set(lrs)) != len(lrs):
         raise ConfigError("duplicate learning rates in sweep list")
@@ -140,8 +130,8 @@ def lr_sweep(base_config: RunConfig, lrs=None, out_dir=None) -> list[SweepRow]:
         validate_config(cfg)
 
     rows = []
-    for cfg in configs:
-        run_rows, summary = run_experiment(cfg)
+    for cfg, (run_rows, summary) in zip(configs, run_experiment(
+            configs, tag=[f"lr{v:g}" for v in lrs])):
         ok = [r for r in run_rows if r.status == "ok"]
         last_metric = ok[-1].test_metric if ok else None
         rows.append(SweepRow(lr=cfg.lr, final_train_loss=summary.final_train_loss,

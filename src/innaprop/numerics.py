@@ -69,6 +69,24 @@ class ParamVector:
         return vec
 
     @classmethod
+    def adopt_rows(cls, stack: np.ndarray, precision: Precision | str) -> list:
+        """One vector per row of a fresh (rows, dim) array, or ``None`` for a
+        row with a non-finite element.
+
+        The rows are taken over, not copied, when ``stack`` already has the
+        precision's dtype; otherwise the whole stack is cast once and the
+        finiteness verdict is on the cast values. The caller gives the array
+        up: nothing may write to it afterwards.
+        """
+        dtype = Precision.of(precision).dtype
+        if stack.dtype != dtype:
+            stack = stack.astype(dtype)
+        finite = np.isfinite(stack)
+        if np.count_nonzero(finite) == finite.size:
+            return [cls._wrap(row) for row in stack]
+        return [cls._wrap(row) if ok else None for row, ok in zip(stack, finite.all(axis=-1))]
+
+    @classmethod
     def zeros(cls, dim: int, precision: Precision | str = Precision.F64) -> "ParamVector":
         return cls._wrap(np.zeros(dim, dtype=Precision.of(precision).dtype))
 

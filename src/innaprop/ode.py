@@ -53,7 +53,8 @@ class Trajectory:
     psi: np.ndarray  # (N+1, p)
 
     def losses(self, problem: Problem) -> np.ndarray:
-        return np.array([problem.loss(row) for row in self.theta])
+        """The loss at every sample, from one stacked ``problem.loss`` call."""
+        return problem.loss(self.theta)
 
 
 def _rhs_raw(spec: DinFlowSpec, th: np.ndarray, ps: np.ndarray):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, ParseError
-from .numerics import ParamVector, RngStream
+from .numerics import RngStream
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +195,14 @@ class Problem:
     """Objective with loss, analytic gradient, optional test metric and data.
 
     ``loss`` and ``grad`` take a raw parameter array plus an optional array
-    of training-set positions (None means full batch).
+    of training-set positions (None means full batch). The parameter array
+    is one vector of ``dim`` entries, or a ``(cells, dim)`` stack of them:
+    a vector gives a float loss and metric and a ``(dim,)`` gradient, a stack
+    gives ``(cells,)`` losses and metrics and a ``(cells, dim)`` gradient.
+    Each cell's numbers are bit for bit those of its own 1-D call, because
+    every operation maps cells to cells with the same BLAS call per cell and
+    reduces along the last axis only. ``grad`` returns a fresh array, which
+    the run loop takes over without a copy.
     """
 
     name: str
@@ -207,21 +214,43 @@ class Problem:
     dataset: Optional[Dataset] = None
 
 
-def _as_array(theta) -> np.ndarray:
-    if isinstance(theta, ParamVector):
-        return np.asarray(theta.data, dtype=np.float64)
-    return np.asarray(theta, dtype=np.float64)
+# Element budget of one chunk of a stacked evaluation: the cells of a
+# (cells, dim) parameter array are evaluated a chunk at a time, so that the
+# largest intermediate of a chunk holds about this many elements however
+# many cells there are.
+_BLOCK = 1 << 13
 
 
-def minibatch_grad(problem: Problem, theta, sampler: MiniBatchSampler):
-    """Mean gradient over the next sampled batch; returns (grad, batch)."""
-    if problem.dataset is None or problem.dataset.n_train == 0:
-        raise ContractViolation("minibatch_grad needs a problem with a nonempty dataset")
-    batch = sampler.next_batch()
-    arr = _as_array(theta)
-    g = problem.grad(arr, batch)
-    precision = theta.precision if isinstance(theta, ParamVector) else "f64"
-    return ParamVector(g, precision), batch
+def _over_cells(fn, cell_size: Callable[[Optional[np.ndarray]], int]):
+    """Lift ``fn(cells, batch)``, written for a (cells, dim) f64 array and
+    returning one result row per cell, to the ``Problem`` calling convention.
+
+    ``cell_size(batch)`` is the size of a cell's largest intermediate; it sets
+    how many cells make one chunk. A 1-D parameter vector is evaluated as a
+    one-cell view and answers with its row: a float for a per-cell scalar.
+    """
+    def lifted(theta, batch=None):
+        arr = np.asarray(theta, dtype=np.float64)
+        if arr.ndim == 1:
+            out = fn(arr[None], batch)[0]
+            return float(out) if out.ndim == 0 else out
+        step = max(1, _BLOCK // cell_size(batch))
+        if len(arr) <= step:
+            return fn(arr, batch)
+        return np.concatenate([fn(arr[lo:lo + step], batch)
+                               for lo in range(0, len(arr), step)])
+    return lifted
+
+
+def _per_cell_float(theta: np.ndarray, out):
+    """A per-cell scalar as the 1-D convention wants it: a float for one
+    parameter vector, the (cells,) array for a stack."""
+    return float(out) if theta.ndim == 1 else out
+
+
+# The quadratic and Rosenbrock objectives are elementwise over the last axis,
+# so they take a vector or a stack as it is, with no chunks: no intermediate
+# is larger than the parameters.
 
 
 def _quadratic(spectrum) -> Problem:
@@ -231,7 +260,7 @@ def _quadratic(spectrum) -> Problem:
 
     def loss(theta, batch=None):
         theta = np.asarray(theta, dtype=np.float64)
-        return float(0.5 * np.sum(a * theta * theta))
+        return _per_cell_float(theta, 0.5 * (a * theta * theta).sum(axis=-1))
 
     def grad(theta, batch=None):
         return a * np.asarray(theta, dtype=np.float64)
@@ -248,13 +277,16 @@ def _rosenbrock(dim: int = 2) -> Problem:
 
     def loss(theta, batch=None):
         x = np.asarray(theta, dtype=np.float64)
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+        head, tail = x[..., :-1], x[..., 1:]
+        return _per_cell_float(x, (100.0 * (tail - head ** 2) ** 2
+                                   + (1.0 - head) ** 2).sum(axis=-1))
 
     def grad(theta, batch=None):
         x = np.asarray(theta, dtype=np.float64)
+        head, tail = x[..., :-1], x[..., 1:]
         g = np.zeros_like(x)
-        g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
-        g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+        g[..., :-1] = -400.0 * head * (tail - head ** 2) - 2.0 * (1.0 - head)
+        g[..., 1:] += 200.0 * (tail - head ** 2)
         return g
 
     def init_theta(rng):
@@ -266,12 +298,10 @@ def _rosenbrock(dim: int = 2) -> Problem:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so that
+    # exp never overflows.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _logistic_regression(dataset: Dataset) -> Problem:
@@ -279,31 +309,37 @@ def _logistic_regression(dataset: Dataset) -> Problem:
     x_train, y_train = dataset.train_xy()
     sign = 2.0 * y_train - 1.0
 
-    def _margins(theta, batch):
-        w, b = theta[:d], theta[d]
+    def cell_size(batch):
+        return x_train.shape[0] if batch is None else batch.size
+
+    def _margins(x, theta):
+        # One gemv per cell: a single (cells, d) @ (d, n) gemm would round
+        # differently from the 1-D call's gemv.
+        return (x @ theta[:, :d, None])[..., 0] + theta[:, d, None]
+
+    def _batch(batch):
         if batch is None:
-            return x_train @ w + b, sign, x_train
-        return x_train[batch] @ w + b, sign[batch], x_train[batch]
+            return x_train, sign
+        return x_train[batch], sign[batch]
 
-    def loss(theta, batch=None):
-        theta = np.asarray(theta, dtype=np.float64)
-        z, s, _ = _margins(theta, batch)
-        return float(np.mean(np.logaddexp(0.0, -s * z)))
+    def loss(theta, batch):
+        x, s = _batch(batch)
+        return np.logaddexp(0.0, -s * _margins(x, theta)).sum(axis=-1) / s.size
 
-    def grad(theta, batch=None):
-        theta = np.asarray(theta, dtype=np.float64)
-        z, s, x = _margins(theta, batch)
-        dz = -s * _sigmoid(-s * z) / z.size
-        g = np.empty(d + 1)
-        g[:d] = x.T @ dz
-        g[d] = np.sum(dz)
+    def grad(theta, batch):
+        x, s = _batch(batch)
+        z = _margins(x, theta)
+        dz = -s * _sigmoid(-s * z) / z.shape[-1]
+        g = np.empty((len(theta), d + 1))
+        g[:, :d] = (x.T @ dz[..., None])[..., 0]
+        g[:, d] = dz.sum(axis=-1)
         return g
 
-    def test_metric(theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        x_test, y_test = dataset.test_xy()
-        z = x_test @ theta[:d] + theta[d]
-        return float(np.mean((z > 0) == (y_test > 0.5)))
+    x_test, y_test = dataset.test_xy()
+
+    def test_metric(theta, batch):
+        hits = (_margins(x_test, theta) > 0) == (y_test > 0.5)
+        return hits.sum(axis=-1) / hits.shape[-1]
 
     def init_theta(rng):
         return 0.1 * rng.standard_normal(d + 1)
@@ -311,10 +347,10 @@ def _logistic_regression(dataset: Dataset) -> Problem:
     return Problem(
         name="logistic_regression",
         dim=d + 1,
-        loss=loss,
-        grad=grad,
+        loss=_over_cells(loss, cell_size),
+        grad=_over_cells(grad, cell_size),
         init_theta=init_theta,
-        test_metric=test_metric,
+        test_metric=_over_cells(test_metric, lambda batch: x_test.shape[0]),
         dataset=dataset,
     )
 
@@ -335,8 +371,11 @@ class _MlpLayout:
         self.dim = offset
 
     def unpack(self, theta):
+        """Per-layer (W, b) views of a (cells, dim) array: W is
+        (cells, fan_in, fan_out) and b is (cells, 1, fan_out)."""
+        cells = len(theta)
         return [
-            (theta[w].reshape(fan_in, fan_out), theta[b])
+            (theta[:, w].reshape(cells, fan_in, fan_out), theta[:, None, b])
             for w, b, fan_in, fan_out in self.slices
         ]
 
@@ -352,69 +391,72 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
     if any(w <= 0 for w in widths):
         raise ContractViolation("layer widths must be positive")
     layout = _MlpLayout(widths)
+    widest = max(widths[1:])
 
-    def _forward(theta, x):
-        params = layout.unpack(theta)
+    def _forward(params, x):
+        """Every layer's output: ``x`` first, the logits last. One gemm per
+        cell, as ``x @ W`` broadcasts the shared rows over the cells."""
         acts = [x]
-        pre = []
-        a = x
         for i, (w, b) in enumerate(params):
-            z = a @ w + b
-            pre.append(z)
+            z = acts[-1] @ w
+            z += b
             if i < len(params) - 1:
-                a = np.tanh(z) if activation == "tanh" else np.maximum(z, 0.0)
-            else:
-                a = z
-            acts.append(a)
-        return params, acts, pre
+                if activation == "tanh":
+                    np.tanh(z, out=z)
+                else:
+                    np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        return acts
+
+    one_hot = np.eye(n_classes)[labels]
 
     def _batch_xy(batch):
         if batch is None:
-            return x_train, labels
-        return x_train[batch], labels[batch]
+            return x_train, labels, one_hot
+        return x_train[batch], labels[batch], one_hot[batch]
 
-    def _ce(logits, y):
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=1))
-        return float(np.mean(logz - shifted[np.arange(y.size), y]))
+    def cell_size(batch):
+        return widest * (x_train.shape[0] if batch is None else batch.size)
 
-    def loss(theta, batch=None):
-        theta = np.asarray(theta, dtype=np.float64)
-        x, y = _batch_xy(batch)
-        _, acts, _ = _forward(theta, x)
-        return _ce(acts[-1], y)
+    def loss(theta, batch):
+        x, y, _ = _batch_xy(batch)
+        logits = _forward(layout.unpack(theta), x)[-1]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logz = np.log(np.exp(shifted).sum(axis=-1))
+        return (logz - shifted[:, np.arange(y.size), y]).sum(axis=-1) / y.size
 
-    def grad(theta, batch=None):
-        theta = np.asarray(theta, dtype=np.float64)
-        x, y = _batch_xy(batch)
-        params, acts, pre = _forward(theta, x)
+    def grad(theta, batch):
+        x, y, y_hot = _batch_xy(batch)
+        params = layout.unpack(theta)
+        acts = _forward(params, x)
         logits = acts[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         ez = np.exp(shifted)
-        softmax = ez / ez.sum(axis=1, keepdims=True)
+        softmax = ez / ez.sum(axis=-1, keepdims=True)
         delta = softmax
-        delta[np.arange(y.size), y] -= 1.0
+        delta -= y_hot  # minus 1 at each row's label, minus 0 elsewhere: exact
         delta /= y.size
 
-        g = np.zeros(layout.dim)
+        g = np.zeros((len(theta), layout.dim))
         for i in reversed(range(len(params))):
             w, _ = params[i]
             w_sl, b_sl, fan_in, fan_out = layout.slices[i]
-            g[w_sl] = (acts[i].T @ delta).reshape(-1)
-            g[b_sl] = delta.sum(axis=0)
+            g[:, w_sl] = (acts[i].swapaxes(-1, -2) @ delta).reshape(len(theta), -1)
+            g[:, b_sl] = delta.sum(axis=-2)
             if i > 0:
-                upstream = delta @ w.T
+                upstream = delta @ w.swapaxes(-1, -2)
                 if activation == "tanh":
                     delta = upstream * (1.0 - acts[i] ** 2)
-                else:
-                    delta = upstream * (pre[i - 1] > 0)
+                else:  # relu: its output is > 0 exactly where its input is
+                    delta = upstream * (acts[i] > 0)
         return g
 
-    def test_metric(theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        x_test, y_test = dataset.test_xy()
-        _, acts, _ = _forward(theta, x_test)
-        return float(np.mean(acts[-1].argmax(axis=1) == y_test.astype(np.int64)))
+    x_test, y_test = dataset.test_xy()
+    test_labels = y_test.astype(np.int64)
+
+    def test_metric(theta, batch):
+        logits = _forward(layout.unpack(theta), x_test)[-1]
+        return (logits.argmax(axis=-1) == test_labels).sum(axis=-1) / test_labels.size
 
     def init_theta(rng):
         theta0 = np.zeros(layout.dim)
@@ -426,10 +468,10 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
     return Problem(
         name="tiny_mlp",
         dim=layout.dim,
-        loss=loss,
-        grad=grad,
+        loss=_over_cells(loss, cell_size),
+        grad=_over_cells(grad, cell_size),
         init_theta=init_theta,
-        test_metric=test_metric,
+        test_metric=_over_cells(test_metric, lambda batch: widest * x_test.shape[0]),
         dataset=dataset,
     )
 

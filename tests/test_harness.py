@@ -1,6 +1,7 @@
 """Config parsing, run records, grid/sweep behavior, CLI and determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from innaprop.errors import ConfigError
+from innaprop.errors import ConfigError, ContractViolation
+import innaprop.harness.runner as runner
 from innaprop.harness.cli import main
 from innaprop.harness.config import (
     content_hash,
@@ -25,6 +27,7 @@ from innaprop.harness.config import (
 from innaprop.harness.grid import (
     DEFAULT_GRID,
     DEFAULT_LR_SWEEP,
+    SweepRow,
     grid_search,
     lr_sweep,
 )
@@ -230,6 +233,65 @@ class TestRunExperiment:
                                                         rel=1e-10)
 
 
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize("precision,bad", [("f64", np.inf), ("f64", np.nan),
+                                               ("f32", 1e300)])
+    def test_same_rows_and_status(self, monkeypatch, precision, bad):
+        # The 7th gradient is non-finite (for f32: it overflows in the cast).
+        # The run keeps the rows logged before step 7 and ends in a
+        # diverged@7 row, as it did while the runner still copied each
+        # gradient into a ParamVector.
+        cfg = parse_config_dict({"problem": "quadratic", "optimizer": "innaprop",
+                                 "alpha": 0.5, "beta": 1.0, "lr": 1e-2, "steps": 20,
+                                 "log_every": 2, "precision": precision, "seed": 3})
+        clean, _ = run_experiment(cfg)
+        build = runner.build_problem
+
+        def broken(config):
+            problem = build(config)
+            calls = []
+
+            def grad(theta, batch=None):
+                calls.append(batch)
+                g = problem.grad(theta, batch)
+                return np.full_like(g, bad) if len(calls) == 7 else g
+            return replace(problem, grad=grad)
+
+        monkeypatch.setattr(runner, "build_problem", broken)
+        with np.errstate(over="ignore"):
+            rows, summary = run_experiment(cfg)
+        assert (summary.status, summary.steps_run) == ("diverged@7", 7)
+        assert rows[:-1] == [r for r in clean if r.step < 7]
+        last = rows[-1]
+        assert (last.step, last.lr, last.test_metric, last.status) == (7, 1e-2, None,
+                                                                       "diverged@7")
+        assert np.isnan(last.train_loss)
+
+
+class TestContentHash:
+    @pytest.mark.parametrize("name,digest", [
+        ("cifar_small", "f29cad71295f3ccaa086ca96a18fca3b8bbea788"),
+        ("gpt2_small", "f0e596eab89f20a86c60813ed4deb758f20f04dc"),
+        ("lora_e2e", "706b01e4c24bc673d49e85de7974718f19239d69"),
+    ])
+    def test_synthetic_preset_hash_unchanged(self, name, digest):
+        # Recorded before the hash covered dataset files: a synthetic dataset
+        # has no file, so the run.json of these presets keeps its hash.
+        assert content_hash(load_preset(name)) == digest
+
+    def test_csv_dataset_bytes_change_the_hash(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y,label\n0.5,1.0,0\n1.5,-2.0,1\n2.5,0.25,0\n3.5,4.0,1\n",
+                        encoding="utf-8")
+        cfg = parse_config_dict({"problem": "logistic_regression", "dataset": str(path),
+                                 "label_column": "label", "optimizer": "adamw", "steps": 5})
+        before = content_hash(cfg)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"2.5")] = ord("7")  # one feature cell, 2.5 -> 7.5
+        path.write_bytes(bytes(data))
+        assert content_hash(cfg) != before
+
+
 class TestGrid:
     BASE = {"problem": "quadratic", "spectrum": [1.0, 10.0], "optimizer": "innaprop",
             "alpha": 0.1, "beta": 0.9, "lr": 1e-3, "steps": 60, "weight_decay": 0.0,
@@ -240,7 +302,7 @@ class TestGrid:
 
     def test_two_by_two_sorted(self):
         grid = grid_search(parse_config_dict(self.BASE), alphas=[2.0, 0.5],
-                           betas=[1.5, 0.9], workers=2)
+                           betas=[1.5, 0.9])
         keys = [(c.alpha, c.beta) for c in grid.cells]
         assert keys == [(0.5, 0.9), (0.5, 1.5), (2.0, 0.9), (2.0, 1.5)]
         assert all(c.status == "ok" for c in grid.cells)
@@ -258,7 +320,7 @@ class TestGrid:
                                  "optimizer": "inna", "alpha": 0.1, "beta": 0.5,
                                  "lr": 0.05, "weight_decay": 0.0, "steps": 800,
                                  "log_every": 200, "seed": 0})
-        grid = grid_search(cfg, alphas=[0.1], betas=[0.5, 4.0], workers=2)
+        grid = grid_search(cfg, alphas=[0.1], betas=[0.5, 4.0])
         statuses = {c.beta: c.status for c in grid.cells}
         assert statuses[0.5] == "ok"
         assert statuses[4.0].startswith("diverged@")
@@ -266,15 +328,17 @@ class TestGrid:
     def test_parallel_grid_byte_determinism(self, tmp_path):
         cfg = parse_config_dict(self.BASE)
         out1, out2 = tmp_path / "g1", tmp_path / "g2"
-        grid_search(cfg, alphas=[0.5, 2.0], betas=[0.9], workers=4, out_dir=out1)
-        grid_search(cfg, alphas=[0.5, 2.0], betas=[0.9], workers=1, out_dir=out2)
+        grid_search(cfg, alphas=[0.5, 2.0], betas=[0.9], out_dir=out1)
+        grid_search(cfg, alphas=[0.5, 2.0], betas=[0.9], out_dir=out2)
         assert (out1 / "grid.csv").read_bytes() == (out2 / "grid.csv").read_bytes()
-        for name in ("cell_a0.5_b0.9.csv", "cell_a2_b0.9.csv"):
+        for a, name in ((0.5, "cell_a0.5_b0.9.csv"), (2.0, "cell_a2_b0.9.csv")):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+            standalone = run_experiment(replace(cfg, alpha=a, beta=0.9))[0]
+            assert (out1 / name).read_text(encoding="utf-8") == rows_to_csv(standalone)
 
     def test_cell_matches_standalone_run(self):
         cfg = parse_config_dict(self.BASE)
-        grid = grid_search(cfg, alphas=[2.0], betas=[2.0], workers=1)
+        grid = grid_search(cfg, alphas=[2.0], betas=[2.0])
         standalone = run_experiment(replace(cfg, alpha=2.0, beta=2.0))[1]
         assert grid.cells[0].final_train_loss == standalone.final_train_loss
 
@@ -296,6 +360,116 @@ class TestSweep:
         losses = [r.final_train_loss for r in rows]
         best = int(np.argmin(losses))
         assert 0 < best < len(rows) - 1, f"best lr at endpoint: {losses}"
+
+
+class TestLockStep:
+    """A grid or sweep runs its cells in lock-step from one run_experiment
+    call; every cell must come out as its own single run would."""
+
+    MLP = {"problem": "tiny_mlp", "dataset": "two_gaussians", "n_samples": 120, "dim": 2,
+           "separation": 4.0, "hidden": [8], "optimizer": "innaprop", "alpha": 0.1,
+           "beta": 0.9, "lr": 1e-3, "schedule": "cosine", "steps": 40, "batch_size": 16,
+           "log_every": 3, "seed": 2}
+    LOGISTIC = {"problem": "logistic_regression", "dataset": "two_gaussians",
+                "n_samples": 200, "dim": 6, "separation": 4.0, "optimizer": "innaprop",
+                "alpha": 0.1, "beta": 0.9, "lr": 2e-4, "schedule": "linear_warmup",
+                "t_warmup": 10, "t_max": 60, "steps": 60, "batch_size": 32, "log_every": 5,
+                "seed": 1}
+    DIVERGING = {"problem": "quadratic", "spectrum": [1.0, 50.0], "optimizer": "inna",
+                 "alpha": 0.1, "beta": 0.5, "lr": 0.05, "weight_decay": 0.0, "steps": 800,
+                 "log_every": 200, "seed": 0}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("base,alphas,betas", [
+        (MLP, [0.1, 0.5, 2.0], [0.9, 2.0]),
+        (LOGISTIC, [0.1, 1.0], [0.9, 1.0, 3.0]),
+        (DIVERGING, [0.1], [0.5, 4.0]),
+        ({**MLP, "precision": "f32"}, [0.1, 2.0], [0.9, 2.0]),
+    ], ids=["tiny_mlp", "logistic_regression", "diverging_inna", "tiny_mlp_f32"])
+    def test_every_cell_csv_equals_its_standalone_run(self, tmp_path, base, alphas, betas):
+        cfg = parse_config_dict(base)
+        grid_search(cfg, alphas=alphas, betas=betas, out_dir=tmp_path)
+        statuses = set()
+        for a in alphas:
+            for b in betas:
+                rows, summary = run_experiment(replace(cfg, alpha=a, beta=b))
+                statuses.add(summary.status.split("@")[0])
+                cell = (tmp_path / f"cell_a{a:g}_b{b:g}.csv").read_text(encoding="utf-8")
+                assert cell == rows_to_csv(rows), (a, b)
+        assert statuses == ({"ok", "diverged"} if base is self.DIVERGING else {"ok"})
+
+    def test_sweep_rows_equal_standalone_runs(self):
+        cfg = parse_config_dict({**self.MLP, "optimizer": "adamw", "steps": 60})
+        lrs = [1e-4, 1e-3, 1e-2, 5e-2]
+        for row, lr in zip(lr_sweep(cfg, lrs=lrs), lrs):
+            rows, summary = run_experiment(replace(cfg, lr=lr))
+            ok = [r for r in rows if r.status == "ok"]
+            assert row == SweepRow(lr=lr, final_train_loss=summary.final_train_loss,
+                                   test_metric=ok[-1].test_metric, status=summary.status)
+
+    def test_sequence_returns_one_result_per_config(self):
+        cfg = parse_config_dict({**MINIMAL, "steps": 30, "log_every": 10})
+        configs = [replace(cfg, alpha=0.5), cfg, replace(cfg, lr=1e-2, beta=1.5)]
+        results = run_experiment(configs, tag=["a", "b", "c"])
+        assert len(results) == 3
+        for cell, (rows, summary) in zip(configs, results):
+            alone_rows, alone = run_experiment(cell)
+            assert (rows, summary.final_train_loss) == (alone_rows, alone.final_train_loss)
+        assert results[-1] == results[2] and results[1:] == [results[1], results[2]]
+        with pytest.raises(IndexError):
+            results[3]
+
+    @pytest.mark.parametrize("change", [{"seed": 1}, {"steps": 31}, {"optimizer": "adamw"},
+                                        {"precision": "f32"}, {"sigma": 0.99}])
+    def test_configs_differing_in_another_key_rejected(self, change):
+        cfg = parse_config_dict({**MINIMAL, "steps": 30})
+        with pytest.raises(ContractViolation, match=next(iter(change))):
+            run_experiment([cfg, replace(cfg, **change)], tag=["a", "b"])
+
+    def test_one_tag_per_config(self):
+        cfg = parse_config_dict({**MINIMAL, "steps": 30})
+        for tag in ("run", ["a"]):
+            with pytest.raises(ContractViolation, match="tag"):
+                run_experiment([cfg, cfg], tag=tag)
+
+
+class TestBenchmarkHooks:
+    """The benchmark traces the harness by wrapping its module globals. A grid
+    that stopped calling them would drop out of the traced run (no
+    harness.grid.cells) or of the step count behind steps_per_s."""
+
+    @staticmethod
+    def _tracing():
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def _grid(tmp_path, tracer):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**MINIMAL, "steps": 20}), encoding="utf-8")
+        tracer.install()
+        try:
+            assert main(["grid", "--config", str(cfg), "--alphas", "0.1", "0.5",
+                         "--betas", "0.9", "1.5", "--out", str(tmp_path / "grid")]) == 0
+        finally:
+            tracer.uninstall()
+
+    def test_traced_grid_reports_grid_and_run_metrics(self, tmp_path, capsys):
+        tracing = self._tracing()
+        tracer = tracing.Tracer(record=True)
+        self._grid(tmp_path, tracer)
+        layers = tracing.layer_metrics(tracer.spans, 1, 1)
+        assert layers["harness.grid.cells"] == 1
+        assert layers["harness.runner.run_experiment.self_s"] > 0
+
+    def test_every_cell_step_is_counted(self, tmp_path, capsys):
+        tracing = self._tracing()
+        tracer = tracing.Tracer(record=False)
+        self._grid(tmp_path, tracer)
+        assert tracer.counts()[tracing.STEP] == 4 * 20
 
 
 class TestCli:

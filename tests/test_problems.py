@@ -11,7 +11,6 @@ from innaprop.problems import (
     generate_synthetic,
     load_csv_dataset,
     make_problem,
-    minibatch_grad,
     shipped_problems,
 )
 
@@ -209,19 +208,39 @@ class TestSamplerAndBatches:
         for _ in range(5):
             assert np.array_equal(a.next_batch(), b.next_batch())
 
-    def test_minibatch_grad_contract(self):
-        quad = make_problem("quadratic", spectrum=(1.0, 2.0))
-        sampler = MiniBatchSampler(4, 2, rng=RngStream(0))
-        with pytest.raises(ContractViolation):
-            minibatch_grad(quad, ParamVector([1.0, 1.0]), sampler)
 
-    def test_minibatch_grad_returns_batch(self):
-        data = generate_synthetic("two_gaussians", n=30, dim=2, seed=8)
-        prob = make_problem("logistic_regression", dataset=data)
-        sampler = MiniBatchSampler(data.n_train, 5, rng=RngStream(8, 2))
-        g, batch = minibatch_grad(prob, ParamVector(np.zeros(prob.dim)), sampler)
-        assert g.dim == prob.dim and len(batch) == 5
-        np.testing.assert_allclose(g.data, prob.grad(np.zeros(prob.dim), batch), rtol=1e-15)
+class TestStackedCells:
+    """A (cells, dim) stack is evaluated in one call, bit for bit as each of
+    its rows on its own. 81 cells span several chunks of the stacked
+    evaluation on the dataset problems."""
+
+    @pytest.mark.parametrize("cells", [1, 3, 81])
+    @pytest.mark.parametrize("index", range(4), ids=lambda i: shipped_problems()[i].name)
+    def test_stack_equals_row_by_row(self, index, cells):
+        problem = shipped_problems()[index]
+        rng = RngStream(cells, index).generator()
+        theta = 0.7 * rng.standard_normal((cells, problem.dim))
+        batches = [None]
+        if problem.dataset is not None:
+            batches.append(rng.integers(0, problem.dataset.n_train, 32))
+        for batch in batches:
+            losses, grads = problem.loss(theta, batch), problem.grad(theta, batch)
+            assert losses.shape == (cells,) and grads.shape == (cells, problem.dim)
+            for row, loss, g in zip(theta, losses, grads):
+                one = problem.loss(row, batch)
+                assert type(one) is float
+                assert np.float64(one).tobytes() == loss.tobytes()
+                assert problem.grad(row, batch).tobytes() == g.tobytes()
+        if problem.test_metric is not None:
+            metrics = problem.test_metric(theta)
+            assert metrics.shape == (cells,)
+            assert [problem.test_metric(row) for row in theta] == metrics.tolist()
+
+    def test_f32_stack_evaluated_in_f64(self):
+        problem = shipped_problems()[3]
+        theta = RngStream(3, 1).generator().standard_normal((3, problem.dim))
+        low = theta.astype(np.float32)
+        np.testing.assert_array_equal(problem.grad(low), problem.grad(low.astype(np.float64)))
 
 
 class TestShippedProblems:
