@@ -16,7 +16,7 @@ from typing import Optional
 
 from ..errors import ConfigError
 from .config import RunConfig, build_schedule, validate_config
-from .runner import RunRow, csv_text, row_at_step, run_experiment, snapshot_step
+from .runner import CellResults, csv_text, run_experiment, snapshot_step
 from ..schedulers import stays_below
 
 # Default tuning grid for the inertial pair.
@@ -57,17 +57,15 @@ class GridResult:
         ])
 
 
-def _summarize_cell(alpha, beta, rows: list[RunRow], summary, short_step) -> GridCell:
-    short = row_at_step(rows, short_step)
-    ok_rows = [r for r in rows if r.status == "ok"]
-    final_metric = ok_rows[-1].test_metric if ok_rows else None
+def _summarize_cell(alpha, beta, results: CellResults, i: int, short_step) -> GridCell:
+    short, last, summary = results.row_at(i, short_step), results.last_row(i), results.summary(i)
     return GridCell(
         alpha=alpha,
         beta=beta,
         short_train_loss=short.train_loss if short else None,
         short_test_metric=short.test_metric if short else None,
         final_train_loss=summary.final_train_loss,
-        final_test_metric=final_metric,
+        final_test_metric=last.test_metric if last else None,
         best_test_metric=summary.best_test_metric,
         status=summary.status,
     )
@@ -99,8 +97,8 @@ def grid_search(base_config: RunConfig, alphas=None, betas=None,
     short_step = snapshot_step(base_config)
 
     tags = [f"cell_a{a:g}_b{b:g}" for a, b in cells]
-    results = [_summarize_cell(a, b, rows, summary, short_step) for (a, b), (rows, summary)
-               in zip(cells, run_experiment(configs, out_dir=out_dir, tag=tags))]
+    runs = run_experiment(configs, out_dir=out_dir, tag=tags)
+    results = [_summarize_cell(a, b, runs, i, short_step) for i, (a, b) in enumerate(cells)]
 
     results.sort(key=lambda c: (c.alpha, c.beta))
     grid = GridResult(cells=tuple(results), short_step=short_step, steps=base_config.steps)
@@ -129,13 +127,13 @@ def lr_sweep(base_config: RunConfig, lrs=None, out_dir=None) -> list[SweepRow]:
     for cfg in configs:
         validate_config(cfg)
 
+    runs = run_experiment(configs, tag=[f"lr{v:g}" for v in lrs])
     rows = []
-    for cfg, (run_rows, summary) in zip(configs, run_experiment(
-            configs, tag=[f"lr{v:g}" for v in lrs])):
-        ok = [r for r in run_rows if r.status == "ok"]
-        last_metric = ok[-1].test_metric if ok else None
+    for i, cfg in enumerate(configs):
+        last, summary = runs.last_row(i), runs.summary(i)
         rows.append(SweepRow(lr=cfg.lr, final_train_loss=summary.final_train_loss,
-                             test_metric=last_metric, status=summary.status))
+                             test_metric=last.test_metric if last else None,
+                             status=summary.status))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

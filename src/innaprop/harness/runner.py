@@ -98,8 +98,26 @@ def rows_to_csv(rows: list[RunRow]) -> str:
                                  for r in rows])
 
 
+def _writable(state):
+    """``state`` with every slot writable, so it can be donated to a step.
+
+    Set once at setup, never per step. No slot may share its array with
+    another slot or another state.
+    """
+    for field in fields(state):
+        slot = getattr(state, field.name)
+        if isinstance(slot, ParamVector):
+            slot.data.flags.writeable = True
+    return state
+
+
 def _make_stepper(config: RunConfig, theta0: ParamVector):
-    """Initial state plus a pure step closure (state, g, gamma) -> state."""
+    """Initial state plus a step closure (state, g, gamma) -> state.
+
+    The run loop owns the state: the steps that can write in place get it
+    with writable slots and ``donate=True``, and the others build fresh
+    slots from it. ``theta0`` becomes the state's parameter slot.
+    """
     kind = config.optimizer
     ref_kind = OPTIMIZERS[kind]
     if ref_kind is not None:
@@ -110,8 +128,8 @@ def _make_stepper(config: RunConfig, theta0: ParamVector):
             weight_decay=config.weight_decay,
             bias_correction=config.bias_correction,
         )
-        state = reference_init(ref_kind, theta0, params)
-        return state, lambda s, g, lr: reference_step(s, g, lr, params)
+        state = _writable(reference_init(ref_kind, theta0, params))
+        return state, lambda s, g, lr: reference_step(s, g, lr, params, donate=True)
     if kind == "inna":
         state = inna_init(config.alpha, config.beta, theta0)
         form = config.form or "classic"
@@ -132,9 +150,11 @@ def _make_stepper(config: RunConfig, theta0: ParamVector):
         grad_clip=config.grad_clip,
     )
     if kind == "innaprop":
-        return innaprop_init(opt_cfg, theta0), lambda s, g, lr: innaprop_step(s, g, lr, opt_cfg)
+        return (_writable(innaprop_init(opt_cfg, theta0)),
+                lambda s, g, lr: innaprop_step(s, g, lr, opt_cfg, donate=True))
     if kind == "innaprop_plain":
-        return innaprop_init(opt_cfg, theta0), lambda s, g, lr: innaprop_plain_step(s, g, lr, opt_cfg)
+        return (_writable(innaprop_init(opt_cfg, theta0)),
+                lambda s, g, lr: innaprop_plain_step(s, g, lr, opt_cfg, donate=True))
     form = config.form or "reduced"
     state = innaprop_momentum_init(opt_cfg, theta0, form)
     return state, lambda s, g, lr: innaprop_momentum_step(s, g, lr, opt_cfg)
@@ -175,22 +195,71 @@ def _stack(states, live):
 class CellResults(Sequence):
     """One ``(rows, summary)`` per config of a lock-step call, in order.
 
-    The logged numbers stay in compact per-cell arrays; a cell's ``RunRow``
-    list is built when that cell is read.
+    The logged numbers stay in compact arrays with one row per logged step
+    and one column per cell (one per distinct schedule for the lr), NaN
+    where nothing was logged. Reading a cell builds its ``RunRow`` list;
+    ``summary``, ``row_at`` and ``last_row`` read the arrays and build none.
     """
 
-    def __init__(self, build, size: int):
-        self._build, self._size = build, size
+    def __init__(self, configs, hashes, logged, lrs, lane, losses, metrics, ends,
+                 wall_time_s):
+        self._configs, self._hashes, self._logged = configs, hashes, logged
+        self._lrs, self._lane, self._losses, self._metrics = lrs, lane, losses, metrics
+        self._ends, self._wall_time_s = ends, wall_time_s
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._configs)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._build(i) for i in range(*index.indices(self._size))]
-        if not -self._size <= index < self._size:
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if not -len(self) <= index < len(self):
             raise IndexError(index)
-        return self._build(index % self._size)
+        i = index % len(self)
+        lrs = self._lrs[:, self._lane[i]].tolist()
+        metrics = (self._metrics[:, i].tolist() if self._metrics is not None
+                   else [None] * len(lrs))
+        rows = [RunRow(step, lr, loss, metric, "ok") for step, lr, loss, metric
+                in zip(self._logged, lrs, self._losses[:, i].tolist(), metrics)
+                if math.isfinite(loss)]
+        if self._ends[i] is not None:
+            k, gamma, at = self._ends[i]
+            rows.append(RunRow(k, gamma, float("nan"), None, f"diverged@{at}"))
+        return rows, self.summary(i)
+
+    def _row(self, i: int, j: int) -> Optional[RunRow]:
+        loss = float(self._losses[j, i])
+        if not math.isfinite(loss):
+            return None
+        metric = float(self._metrics[j, i]) if self._metrics is not None else None
+        return RunRow(self._logged[j], float(self._lrs[j, self._lane[i]]), loss, metric, "ok")
+
+    def row_at(self, i: int, step: int) -> Optional[RunRow]:
+        """Cell ``i``'s ok row at ``step``, as ``row_at_step`` finds it."""
+        return self._row(i, self._logged.index(step)) if step in self._logged else None
+
+    def last_row(self, i: int) -> Optional[RunRow]:
+        """Cell ``i``'s last ok row."""
+        ok = np.flatnonzero(np.isfinite(self._losses[:, i]))
+        return self._row(i, ok[-1]) if ok.size else None
+
+    def summary(self, i: int) -> RunSummary:
+        cfg, last = self._configs[i], self.last_row(i)
+        ok = np.isfinite(self._losses[:, i])
+        scores = self._metrics[ok, i].tolist() if self._metrics is not None else []
+        status, steps_run = "ok", cfg.steps
+        if self._ends[i] is not None:
+            at = self._ends[i][2]
+            status, steps_run = f"diverged@{at}", min(cfg.steps, at)
+        return RunSummary(
+            config=emit_config(cfg),
+            config_hash=self._hashes[i],
+            status=status,
+            steps_run=steps_run,
+            final_train_loss=last.train_loss if last else None,
+            best_test_metric=max(scores) if scores else None,
+            wall_time_s=self._wall_time_s,
+        )
 
 
 def run_experiment(config: RunConfig | Sequence[RunConfig], out_dir=None,
@@ -234,7 +303,10 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
     theta = ParamVector(
         base.init_scale * problem.init_theta(init_stream(base).generator()), precision
     )
-    states, step_fns = map(list, zip(*(_make_stepper(cfg, theta) for cfg in configs)))
+    # Each cell owns its state's arrays; the first keeps theta itself.
+    states, step_fns = map(list, zip(*(
+        _make_stepper(cfg, theta if i == 0 else ParamVector._wrap(theta.data.copy()))
+        for i, cfg in enumerate(configs))))
 
     sampler = None
     if base.batch_size is not None:
@@ -251,7 +323,7 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
     # a slot without a row.
     losses = np.full((len(logged), len(configs)), np.nan)
     metrics = np.full(losses.shape, np.nan) if problem.test_metric else None
-    lrs = [None] * len(logged)  # per logged step, the lr of each distinct schedule
+    lrs = np.full((len(logged), len(distinct)), np.nan)  # one column per schedule
     ends = [None] * len(configs)  # (step, lr, diverged_step) of a diverged cell
     live = list(range(len(configs)))
 
@@ -292,41 +364,19 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
                 try:
                     states[i] = step_fns[i](states[i], g, gammas[lane[i]])
                 except (DivergenceError, DomainError) as exc:
+                    # A donated state may be left partly written; the cell
+                    # leaves the live set and it is never read again.
                     diverge(i, k, gammas, getattr(exc, "step", None) or k)
+            del grads, g  # one gradient alive at a time, not two
             if logged[j] == k:
                 if live:
                     for i in log(j, gammas):
                         diverge(i, k, gammas, k)
                 j += 1
     wall_time_s = time.perf_counter() - started
-    hashes = [content_hash(cfg) for cfg in configs]
 
-    def build(i):
-        cfg = configs[i]
-        column = metrics[:, i].tolist() if metrics is not None else [None] * len(logged)
-        rows = [
-            RunRow(step, float(lr[lane[i]]), loss, metric, "ok")
-            for step, lr, loss, metric in zip(logged, lrs, losses[:, i].tolist(), column)
-            if math.isfinite(loss)
-        ]
-        scores = [r.test_metric for r in rows if r.test_metric is not None]
-        status, steps_run, tail = "ok", cfg.steps, []
-        if ends[i] is not None:
-            k, gamma, at = ends[i]
-            status, steps_run = f"diverged@{at}", min(cfg.steps, at)
-            tail = [RunRow(k, gamma, float("nan"), None, status)]
-        summary = RunSummary(
-            config=emit_config(cfg),
-            config_hash=hashes[i],
-            status=status,
-            steps_run=steps_run,
-            final_train_loss=rows[-1].train_loss if rows else None,
-            best_test_metric=max(scores) if scores else None,
-            wall_time_s=wall_time_s,
-        )
-        return rows + tail, summary
-
-    results = CellResults(build, len(configs))
+    results = CellResults(configs, [content_hash(cfg) for cfg in configs], logged, lrs,
+                          lane, losses, metrics, ends, wall_time_s)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -43,6 +43,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class ParamVector:
     """Immutable 1-D vector of reals in a fixed precision (F32 or F64).
 
+    The run loop is the one owner that makes vectors writable: it does so
+    once, for the slots of the optimizer states it donates to in-place steps.
+
     The dimension is set at construction; an optimizer step rejects a
     gradient whose dimension or precision differs from its state's. Every
     public operation either returns an all-finite vector or raises

@@ -11,6 +11,13 @@ aborts a non-finite result with ``DivergenceError`` carrying the offending
 step index instead of silently propagating NaNs, and wraps the new arrays
 into a state of the input's class with ``k + 1``.
 
+The blocked steps (``innaprop_step``, ``innaprop_plain_step`` and the
+Adam/AdamW kinds of ``reference_step``) also take ``donate=True`` from a
+caller that owns a state with writable slots and gives it up, as the run
+loop does. The same kernel then writes the new slots over the old ones,
+block by block, so a step holds one state, not two. Without ``donate``
+every step stays pure.
+
 Naming used throughout:
 
 * ``theta``   parameter vector
@@ -271,22 +278,32 @@ def _drive(state, theta: ParamVector, g: ParamVector, rule):
 _BLOCK = 16 * 1024
 
 
-def _run_blocked(step_index: int, kernel, inputs, n_out: int) -> list:
-    """Evaluate an update ``kernel`` block by block over equal-length inputs
-    of one precision; returns the ``n_out`` outputs as ``ParamVector``.
+def _run_blocked(step_index: int, kernel, slots, grad: np.ndarray, donate: bool) -> list:
+    """Evaluate an update ``kernel`` block by block over the state ``slots``
+    (``ParamVector``) and the raw gradient, all of one length and precision;
+    returns one new slot per old one.
 
-    Allocates only the ``n_out`` full-size outputs, plus two scratch blocks.
+    Fresh (``donate`` false): allocates only the new full-size slots, plus
+    two scratch blocks, and leaves ``slots`` alone. Donated: writes each new
+    slot over its old one, which must be writable, and returns ``slots``
+    itself; this is exact because every kernel is elementwise and reads an
+    input block before it writes the output block over it. Donating a state
+    whose slots are read-only, as a public one's are, makes numpy raise at
+    the kernel's first write, before anything changes.
+
     ``kernel(ins, outs, scratch)`` receives aligned views of at most
     ``_BLOCK`` elements (the arrays themselves when one block covers them)
     and writes every output block through ``out=``. Each output block is
     checked while it is still in cache; a non-finite element raises
     ``DivergenceError(step_index)``, the same verdict as a whole-array check
-    of the finished outputs.
+    of the finished outputs. A donated state is then left partly written.
     """
-    dtype, dim = inputs[0].dtype, inputs[0].size
-    outs = [np.empty(dim, dtype) for _ in range(n_out)]
+    olds = [slot.data for slot in slots]
+    dim = grad.size
+    outs = olds if donate else [np.empty(dim, grad.dtype) for _ in slots]
+    inputs = [*olds, grad]
     width = min(dim, _BLOCK)
-    scratch = [np.empty(width, dtype), np.empty(width, dtype)]
+    scratch = [np.empty(width, grad.dtype), np.empty(width, grad.dtype)]
     finite = np.empty(width, dtype=bool)
     ins, blocks = inputs, outs
     for lo in range(0, dim, width):
@@ -302,7 +319,7 @@ def _run_blocked(step_index: int, kernel, inputs, n_out: int) -> list:
             # count_nonzero is a fraction of the cost of .all() on small blocks.
             if np.count_nonzero(np.isfinite(block, out=finite)) < finite.size:
                 raise DivergenceError(step_index)
-    return [ParamVector._wrap(out) for out in outs]
+    return slots if donate else [ParamVector._wrap(out) for out in outs]
 
 
 def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
@@ -342,14 +359,14 @@ def innaprop_init(config: InnapropConfig, theta0: ParamVector) -> InnapropState:
     return InnapropState(theta=theta0, psi=psi0, v=ParamVector.zeros_like(theta0), k=0)
 
 
-def _innaprop_core(state, g, gamma, config, *, weight_decay, bias_correction):
+def _innaprop_core(state, g, gamma, config, *, weight_decay, bias_correction, donate):
     """Shared body of ``innaprop_step`` and ``innaprop_plain_step``.
 
-    The update runs through ``_run_blocked``: it allocates only the three new
-    slots and evaluates the whole-array formulas of ``innaprop_step`` block by
-    block, with the same ufuncs in the same order and the same Python-float
-    coefficients, so its results match those formulas bit for bit in F32 and
-    F64. The input state is only read.
+    The update runs through ``_run_blocked``: it evaluates the whole-array
+    formulas of ``innaprop_step`` block by block, with the same ufuncs in the
+    same order and the same Python-float coefficients, so its results match
+    those formulas bit for bit in F32 and F64. The input state is only read,
+    unless it is donated.
     """
     _guard_gamma(gamma, config.beta)
 
@@ -390,15 +407,14 @@ def _innaprop_core(state, g, gamma, config, *, weight_decay, bias_correction):
 
     def rule(step_index):
         grad = _maybe_clip(g, config).data
-        return _run_blocked(
-            step_index, kernel, (state.theta.data, state.psi.data, state.v.data, grad), 3
-        )
+        return _run_blocked(step_index, kernel, (state.theta, state.psi, state.v), grad, donate)
 
     return _drive(state, state.theta, g, rule)
 
 
 def innaprop_step(
-    state: InnapropState, g: ParamVector, gamma_k: float, config: InnapropConfig
+    state: InnapropState, g: ParamVector, gamma_k: float, config: InnapropConfig,
+    *, donate: bool = False,
 ) -> InnapropState:
     """One full training step of the reduced recursion.
 
@@ -411,7 +427,9 @@ def innaprop_step(
                  - gamma/(beta-gamma) * psi_new
                  - gamma*beta * g / (sqrt(v_hat) + eps)
 
-    The gradient must be evaluated at the pre-decay ``theta``.
+    The gradient must be evaluated at the pre-decay ``theta``. With
+    ``donate=True`` the caller gives ``state`` up, and the new slots are
+    written over its writable ones.
     """
     return _innaprop_core(
         state,
@@ -420,15 +438,18 @@ def innaprop_step(
         config,
         weight_decay=config.weight_decay,
         bias_correction=config.bias_correction,
+        donate=donate,
     )
 
 
 def innaprop_plain_step(
-    state: InnapropState, g: ParamVector, gamma: float, config: InnapropConfig
+    state: InnapropState, g: ParamVector, gamma: float, config: InnapropConfig,
+    *, donate: bool = False,
 ) -> InnapropState:
-    """Constant-step variant: no weight decay, raw (uncorrected) ``v``."""
+    """Constant-step variant: no weight decay, raw (uncorrected) ``v``.
+    ``donate`` is as for ``innaprop_step``."""
     return _innaprop_core(
-        state, g, gamma, config, weight_decay=0.0, bias_correction=False
+        state, g, gamma, config, weight_decay=0.0, bias_correction=False, donate=donate
     )
 
 
@@ -707,20 +728,21 @@ def reference_init(
     slots = _SLOTS_BY_KIND.get(kind)
     if slots is None:
         raise ContractViolation(f"unknown reference kind {kind!r}")
-    zeros = ParamVector.zeros_like(theta0)
+    # Each slot gets its own zeros, so a donated step may write them in place.
     return ReferenceState(
         kind=kind,
         theta=theta0,
-        m=zeros if "m" in slots else None,
-        v=zeros if "v" in slots else None,
+        m=ParamVector.zeros_like(theta0) if "m" in slots else None,
+        v=ParamVector.zeros_like(theta0) if "v" in slots else None,
     )
 
 
-def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay) -> list:
+def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay, donate) -> list:
     """New (theta, m, v) of Adam/AdamW; decay (when any) multiplies theta first.
 
     Blocked like ``_innaprop_core``, so it is bit-identical to the
-    whole-array formulas and checks the new slots' finiteness itself.
+    whole-array formulas, checks the new slots' finiteness itself and writes
+    them over a donated state's.
     """
     gamma, lam = float(gamma), float(params.weight_decay)
     b1, b2, eps = float(params.beta1), float(params.beta2), float(params.epsilon)
@@ -752,13 +774,12 @@ def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay) -> 
         np.multiply(gamma, a, out=a)
         np.subtract(theta, a, out=theta_new)
 
-    return _run_blocked(
-        step_index, kernel, (state.theta.data, state.m.data, state.v.data, grad), 3
-    )
+    return _run_blocked(step_index, kernel, (state.theta, state.m, state.v), grad, donate)
 
 
 def reference_step(
-    state: ReferenceState, g: ParamVector, gamma_k: float, params: ReferenceParams
+    state: ReferenceState, g: ParamVector, gamma_k: float, params: ReferenceParams,
+    *, donate: bool = False,
 ) -> ReferenceState:
     """One standard update of the selected kind.
 
@@ -775,6 +796,10 @@ def reference_step(
     * NAdam uses the plain Nesterov-Adam rule without momentum scheduling:
       ``step = gamma*(beta1*m_hat + (1-beta1)*g/(1-beta1^k)) / (sqrt(v_hat)+eps)``
       with ``m_hat = m_new/(1 - beta1^(k+1))``.
+
+    ``donate=True`` gives ``state`` up: the Adam/AdamW kinds then write the
+    new slots over its writable ones, and the other kinds, which build fresh
+    slots, ignore it.
     """
     kind = state.kind
     b1, b2, eps = params.beta1, params.beta2, params.epsilon
@@ -794,7 +819,8 @@ def reference_step(
             theta_new = state.theta.data - gamma_k * m_new
         elif kind in ("Adam", "AdamW"):
             theta_new, m_new, v_new = _adam_family(
-                state, grad, gamma_k, params, step_index, decoupled_decay=(kind == "AdamW")
+                state, grad, gamma_k, params, step_index, decoupled_decay=(kind == "AdamW"),
+                donate=donate,
             )
         else:  # NAdam; ReferenceState admits no other kind
             m_new = b1 * state.m.data + (1.0 - b1) * grad

@@ -45,10 +45,6 @@ class Dataset:
         return self.train_idx.size
 
     @property
-    def n_test(self) -> int:
-        return self.test_idx.size
-
-    @property
     def dim(self) -> int:
         return self.features.shape[1]
 

@@ -10,7 +10,7 @@ choice; schedules are index-agnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ContractViolation
@@ -49,16 +49,6 @@ class ScheduleSpec:
             raise ContractViolation("t_decay only applies to cosine_warmup")
         if self.kind in ("cosine_warmup", "linear_warmup") and self.t_warmup == 0:
             raise ContractViolation(f"{self.kind} needs t_warmup > 0")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.t_decay is None:
-            d.pop("t_decay")
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScheduleSpec":
-        return cls(**d)
 
 
 def lr_at(spec: ScheduleSpec, k: int) -> float:

@@ -67,6 +67,27 @@ def test_three_slot_step_allocates_only_its_slots():
     assert peak < 3 * dim * theta0.data.itemsize + 2 * 2**20
 
 
+def test_donated_step_allocates_only_scratch():
+    # A step donated the state it advances writes the new slots over the old
+    # ones: beyond the state it holds only two block scratch buffers.
+    dim = 10**6
+    cfg = InnapropConfig(alpha=0.1, beta=0.9, weight_decay=0.01)
+    rng = RngStream(4, 0).generator()
+    theta0 = ParamVector(rng.standard_normal(dim))
+    g = ParamVector(rng.standard_normal(dim))
+    state = innaprop_step(innaprop_init(cfg, theta0), g, 1e-3, cfg)
+    for slot in (state.theta, state.psi, state.v):
+        slot.data.flags.writeable = True
+    tracemalloc.start()
+    try:
+        state = innaprop_step(state, g, 1e-3, cfg, donate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.k == 2
+    assert peak < 2 * 2**20
+
+
 def test_naive_bootstrap_matches_reduced_exactly():
     # The forced bootstrap makes the two forms coincide from the very first
     # step, not just asymptotically.

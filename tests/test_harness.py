@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -378,6 +379,15 @@ class TestLockStep:
     DIVERGING = {"problem": "quadratic", "spectrum": [1.0, 50.0], "optimizer": "inna",
                  "alpha": 0.1, "beta": 0.5, "lr": 0.05, "weight_decay": 0.0, "steps": 800,
                  "log_every": 200, "seed": 0}
+    # The f32 INNAprop step overflows inside its kernel once the warm-up
+    # brings gamma close to beta = 0.0901: (1 + gamma*(1 - alpha*beta)/(beta -
+    # gamma)) * theta passes the f32 range at step 20, while the gradients
+    # and losses stay finite. A donated state is left partly written there.
+    KERNEL_DIVERGING = {"problem": "quadratic", "spectrum": [1e-20, 3e-20],
+                        "optimizer": "innaprop", "alpha": 0.1, "beta": 0.9, "lr": 0.09,
+                        "schedule": "linear_warmup", "t_warmup": 20, "t_max": 30,
+                        "steps": 30, "log_every": 4, "precision": "f32",
+                        "init_scale": 1e37, "seed": 0}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("base,alphas,betas", [
@@ -385,7 +395,9 @@ class TestLockStep:
         (LOGISTIC, [0.1, 1.0], [0.9, 1.0, 3.0]),
         (DIVERGING, [0.1], [0.5, 4.0]),
         ({**MLP, "precision": "f32"}, [0.1, 2.0], [0.9, 2.0]),
-    ], ids=["tiny_mlp", "logistic_regression", "diverging_inna", "tiny_mlp_f32"])
+        (KERNEL_DIVERGING, [0.1, 2.0], [0.0901, 0.9]),
+    ], ids=["tiny_mlp", "logistic_regression", "diverging_inna", "tiny_mlp_f32",
+            "innaprop_f32_kernel_overflow"])
     def test_every_cell_csv_equals_its_standalone_run(self, tmp_path, base, alphas, betas):
         cfg = parse_config_dict(base)
         grid_search(cfg, alphas=alphas, betas=betas, out_dir=tmp_path)
@@ -396,7 +408,19 @@ class TestLockStep:
                 statuses.add(summary.status.split("@")[0])
                 cell = (tmp_path / f"cell_a{a:g}_b{b:g}.csv").read_text(encoding="utf-8")
                 assert cell == rows_to_csv(rows), (a, b)
-        assert statuses == ({"ok", "diverged"} if base is self.DIVERGING else {"ok"})
+        diverging = base is self.DIVERGING or base is self.KERNEL_DIVERGING
+        assert statuses == ({"ok", "diverged"} if diverging else {"ok"})
+
+    def test_adamw_lr_cells_equal_standalone_runs(self, tmp_path):
+        # Every cell's AdamW state is donated to its step; no cell may share
+        # an array with another, or m with v.
+        cfg = parse_config_dict({**self.MLP, "optimizer": "adamw", "weight_decay": 0.01})
+        lrs = [1e-4, 1e-3, 1e-2, 5e-2]
+        tags = [f"lr{v:g}" for v in lrs]
+        run_experiment([replace(cfg, lr=v) for v in lrs], out_dir=tmp_path, tag=tags)
+        for lr, tag in zip(lrs, tags):
+            rows, _ = run_experiment(replace(cfg, lr=lr))
+            assert (tmp_path / f"{tag}.csv").read_text(encoding="utf-8") == rows_to_csv(rows)
 
     def test_sweep_rows_equal_standalone_runs(self):
         cfg = parse_config_dict({**self.MLP, "optimizer": "adamw", "steps": 60})
@@ -431,6 +455,32 @@ class TestLockStep:
         for tag in ("run", ["a"]):
             with pytest.raises(ContractViolation, match="tag"):
                 run_experiment([cfg, cfg], tag=tag)
+
+    @pytest.mark.parametrize("optimizer", ["innaprop", "innaprop_plain", "adam", "adamw"])
+    def test_run_holds_one_state_and_one_gradient(self, monkeypatch, optimizer):
+        # Each step writes the cell's new slots over its old ones, so every
+        # gradient is taken at the same parameter array, and the previous
+        # gradient is gone before the next one is computed.
+        cfg = parse_config_dict({**MINIMAL, "optimizer": optimizer, "steps": 12})
+        clean, _ = run_experiment(cfg)
+        build = runner.build_problem
+        params, previous = [], []
+
+        def watched(config):
+            problem = build(config)
+
+            def grad(theta, batch=None):
+                assert all(ref() is None for ref in previous)
+                params.append(theta.base)
+                g = problem.grad(theta, batch)
+                previous.append(weakref.ref(g))
+                return g
+            return replace(problem, grad=grad)
+
+        monkeypatch.setattr(runner, "build_problem", watched)
+        rows, _ = run_experiment(cfg)
+        assert rows == clean and len(params) == 12
+        assert all(p is params[0] for p in params)
 
 
 class TestBenchmarkHooks:
@@ -470,6 +520,22 @@ class TestBenchmarkHooks:
         tracer = tracing.Tracer(record=False)
         self._grid(tmp_path, tracer)
         assert tracer.counts()[tracing.STEP] == 4 * 20
+
+    def test_traced_run_reads_state_and_gradient_of_each_step(self, tmp_path, capsys):
+        # The tracer reads the state and the gradient from a step's first two
+        # positional arguments; a step called otherwise would lose its bytes.
+        tracing = self._tracing()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**MINIMAL, "steps": 20}), encoding="utf-8")
+        tracer = tracing.Tracer(record=True).install()
+        try:
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        finally:
+            tracer.uninstall()
+        layers = tracing.layer_metrics(tracer.spans, 1, 1)
+        assert layers[f"{tracing.STEP}.calls"] == 20
+        # theta, psi and v read and written once, the gradient read once
+        assert layers[f"{tracing.STEP}.bytes_moved_computed"] == 20 * 7 * 2 * 8
 
 
 class TestCli:

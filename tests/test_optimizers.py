@@ -601,3 +601,95 @@ class TestBlockedKernels:
         state = innaprop_init(cfg, ParamVector([1.0, 2.0], "f32"))
         with pytest.raises(ContractViolation):
             innaprop_step(state, ParamVector([1.0, 2.0], "f64"), 0.01, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Donated states: the same kernel writes the new slots over the old ones
+# ---------------------------------------------------------------------------
+
+
+def donatable(state):
+    """A copy of ``state`` that owns writable slots, as the run loop makes them."""
+    slots = {f.name: ParamVector._wrap(getattr(state, f.name).data.copy())
+             for f in fields(state) if isinstance(getattr(state, f.name), ParamVector)}
+    for slot in slots.values():
+        slot.data.flags.writeable = True
+    return replace(state, **slots)
+
+
+def slot_arrays(state):
+    return [getattr(state, name).data for name in ("theta", "psi", "m", "v")
+            if getattr(state, name, None) is not None]
+
+
+def blocked_steps(weight_decay, bias_correction, grad_clip):
+    """name -> (init(theta0), step(state, g, gamma, **kw)) for each blocked step."""
+    cfg = InnapropConfig(alpha=0.3, beta=0.9, weight_decay=weight_decay,
+                         bias_correction=bias_correction, grad_clip=grad_clip)
+    params = ReferenceParams(weight_decay=weight_decay, bias_correction=bias_correction)
+    steps = {
+        "innaprop": (lambda th: innaprop_init(cfg, th),
+                     lambda s, g, gamma, **kw: innaprop_step(s, g, gamma, cfg, **kw)),
+        "innaprop_plain": (lambda th: innaprop_init(cfg, th),
+                           lambda s, g, gamma, **kw: innaprop_plain_step(s, g, gamma, cfg, **kw)),
+    }
+    if grad_clip is None:  # the reference steps have no clip
+        for kind in ("Adam", "AdamW"):
+            steps[kind] = (lambda th, kind=kind: reference_init(kind, th, params),
+                           lambda s, g, gamma, **kw: reference_step(s, g, gamma, params, **kw))
+    return steps
+
+
+class TestDonatedSteps:
+    @pytest.mark.parametrize("dim", BLOCK_DIMS)
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("bias_correction", [True, False])
+    @pytest.mark.parametrize("grad_clip", [None, 1.0])
+    def test_donated_bitwise_equal_to_fresh(self, dim, precision, weight_decay,
+                                            bias_correction, grad_clip):
+        for name, (init, step) in blocked_steps(weight_decay, bias_correction,
+                                                grad_clip).items():
+            rng = RngStream(dim, 6).generator()
+            fresh = init(ParamVector(rng.standard_normal(dim), precision))
+            donated = donatable(fresh)
+            for k in range(3):
+                g = ParamVector(3.0 * rng.standard_normal(dim), precision)
+                gamma = 0.01 * (k + 1)
+                fresh = step(fresh, g, gamma)
+                owned = slot_arrays(donated)
+                donated = step(donated, g, gamma, donate=True)
+                assert donated.k == fresh.k == k + 1
+                assert all(new is old for new, old in zip(slot_arrays(donated), owned)), name
+                assert_bitwise(slot_arrays(donated), slot_arrays(fresh))
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_donating_a_frozen_state_raises_and_changes_nothing(self, weight_decay):
+        # The first write of every kernel goes through a read-only out=, so
+        # numpy refuses before any slot changes.
+        dim = 2 * _BLOCK + 7
+        rng = RngStream(7, 7).generator()
+        theta0 = ParamVector(rng.standard_normal(dim))
+        g = ParamVector(rng.standard_normal(dim))
+        for name, (init, step) in blocked_steps(weight_decay, True, None).items():
+            state = step(init(theta0), g, 0.01)
+            before = [arr.copy() for arr in slot_arrays(state)]
+            with pytest.raises(ValueError, match="read-only"):
+                step(state, g, 0.01, donate=True)
+            assert state.k == 1
+            assert_bitwise(slot_arrays(state), before)
+
+    def test_reference_init_gives_each_slot_its_own_array(self):
+        theta0 = ParamVector([1.0, 2.0])
+        for kind in ("RMSpropMomentum", "Adam", "AdamW", "NAdam"):
+            state = reference_init(kind, theta0)
+            assert not np.shares_memory(state.m.data, state.v.data)
+
+    @pytest.mark.parametrize("kind", ["SGD", "Momentum", "Nesterov", "RMSpropMomentum",
+                                      "NAdam"])
+    def test_other_reference_kinds_ignore_donate(self, kind):
+        rng = RngStream(8, 8).generator()
+        state = reference_init(kind, ParamVector(rng.standard_normal(5)), PARAMS)
+        g = ParamVector(rng.standard_normal(5))
+        assert reference_step(state, g, 0.01, PARAMS, donate=True) == \
+            reference_step(state, g, 0.01, PARAMS)

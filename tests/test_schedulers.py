@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from innaprop.errors import ContractViolation
-from innaprop.schedulers import KINDS, ScheduleSpec, lr_at, max_lr, stays_below
+from innaprop.schedulers import ScheduleSpec, lr_at, max_lr, stays_below
 
 
 class TestSpotValues:
@@ -105,10 +105,3 @@ class TestValidation:
         spec = ScheduleSpec(kind="cosine", gamma0=1e-3, t_max=100)
         assert stays_below(spec, 0.9)
         assert not stays_below(ScheduleSpec(kind="constant", gamma0=1.0, t_max=5), 0.9)
-
-    def test_round_trip_dict(self):
-        for kind in KINDS:
-            spec = ScheduleSpec(kind=kind, gamma0=1e-3, t_max=100,
-                                t_warmup=10 if kind.endswith("warmup") else 0,
-                                t_decay=90 if kind == "cosine_warmup" else None)
-            assert ScheduleSpec.from_dict(spec.to_dict()) == spec
