@@ -17,7 +17,7 @@ from ..errors import ConfigError, ContractViolation, InnapropError, ParseError
 from ..numerics import ParamVector
 from ..ode import DinFlowSpec, discretization_gap, rk4_integrate
 from .checks import SUITES, run_suite
-from .config import load_preset, parse_config
+from .config import build_problem, init_stream, load_preset, parse_config
 from .grid import grid_search, lr_sweep
 from .runner import csv_text, run_experiment
 
@@ -84,8 +84,6 @@ def _cmd_ode(args) -> int:
     cfg = _load_config(args)
     if cfg.alpha is None or cfg.beta is None:
         raise ConfigError("ode command needs keys 'alpha' and 'beta'")
-    from .config import build_problem, init_stream  # local to avoid cycle at import
-
     problem = build_problem(cfg)
     theta0 = ParamVector(cfg.init_scale * problem.init_theta(init_stream(cfg).generator()))
     spec = DinFlowSpec(cfg.alpha, cfg.beta, problem, t_end=cfg.t_end, dt=cfg.ode_dt)

@@ -30,26 +30,25 @@ from ..problems import (
 )
 from ..schedulers import ScheduleSpec, stays_below
 
-# Every optimizer a config can name, mapped to its ``reference_step`` kind.
-# ``None`` marks the inertial family, which needs keys 'alpha' and 'beta'.
+# Every optimizer a config can name, mapped to its ``reference_step`` kind and
+# the values its key 'form' may take, the default first. Kind ``None`` marks
+# the inertial family, which needs keys 'alpha' and 'beta'.
 OPTIMIZERS = {
-    "innaprop": None,
-    "innaprop_plain": None,
-    "innaprop_momentum": None,
-    "dinadam": None,
-    "inna": None,
-    "adamw": "AdamW",
-    "adam": "Adam",
-    "sgd": "SGD",
-    "momentum": "Momentum",
-    "nesterov": "Nesterov",
-    "rmsprop_momentum": "RMSpropMomentum",
-    "nadam": "NAdam",
+    "innaprop": (None, ()),
+    "innaprop_plain": (None, ()),
+    "innaprop_momentum": (None, ("reduced", "direct")),
+    "dinadam": (None, ()),
+    "inna": (None, ("classic", "compact")),
+    "adamw": ("AdamW", ()),
+    "adam": ("Adam", ()),
+    "sgd": ("SGD", ()),
+    "momentum": ("Momentum", ()),
+    "nesterov": ("Nesterov", ()),
+    "rmsprop_momentum": ("RMSpropMomentum", ()),
+    "nadam": ("NAdam", ()),
 }
 
-OPTIMIZER_KINDS = tuple(OPTIMIZERS)
-
-INERTIAL_KINDS = tuple(name for name, kind in OPTIMIZERS.items() if kind is None)
+INERTIAL_KINDS = tuple(name for name, (kind, _) in OPTIMIZERS.items() if kind is None)
 
 # Purpose offsets for per-run randomness; every stream is keyed by the config
 # seed alone so grid cells see identical data, inits and batch orders.
@@ -166,8 +165,13 @@ def parse_config(path) -> RunConfig:
 def validate_config(config: RunConfig):
     if config.problem not in PROBLEM_KINDS:
         raise ConfigError(f"unknown problem {config.problem!r}")
-    if config.optimizer not in OPTIMIZER_KINDS:
+    if config.optimizer not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {config.optimizer!r}")
+    forms = OPTIMIZERS[config.optimizer][1]
+    if config.form is not None and config.form not in forms:
+        allowed = f"one of {', '.join(forms)}" if forms else "unset"
+        raise ConfigError(f"key 'form' of optimizer {config.optimizer!r} must be {allowed}, "
+                          f"not {config.form!r}")
     if config.steps <= 0:
         raise ConfigError("key 'steps' must be positive")
     if config.log_every <= 0:

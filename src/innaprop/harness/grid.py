@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import ConfigError
-from .config import RunConfig, build_schedule, validate_config
+from .config import RunConfig, validate_config
 from .runner import CellResults, csv_text, run_experiment, snapshot_step
-from ..schedulers import stays_below
 
 # Default tuning grid for the inertial pair.
 DEFAULT_GRID = (0.1, 0.5, 0.9, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
@@ -75,20 +74,14 @@ def grid_search(base_config: RunConfig, alphas=None, betas=None,
                 out_dir=None) -> GridResult:
     """One lock-step run of every (alpha, beta) cell; rows sorted by (alpha, beta).
 
-    Every cell must be well-posed against the schedule up front; unstable
-    cells that diverge at run time are recorded with their step index.
+    Every cell is validated up front, which rejects an inertial cell that is
+    not well-posed against the schedule; unstable cells that diverge at run
+    time are recorded with their step index.
     """
     alphas = tuple(alphas) if alphas is not None else DEFAULT_GRID
     betas = tuple(betas) if betas is not None else DEFAULT_GRID
     if not alphas or not betas:
         raise ConfigError("grid needs at least one alpha and one beta")
-
-    schedule = build_schedule(base_config)
-    for b in betas:
-        if not stays_below(schedule, b):
-            raise ConfigError(
-                f"grid cell beta={b} is not well-posed against gamma0={schedule.gamma0}"
-            )
 
     cells = [(a, b) for a in alphas for b in betas]
     configs = [replace(base_config, alpha=a, beta=b) for a, b in cells]

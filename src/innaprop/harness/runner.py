@@ -31,7 +31,6 @@ from ..optimizers import (
     innaprop_init,
     innaprop_momentum_init,
     innaprop_momentum_step,
-    innaprop_plain_step,
     innaprop_step,
     reference_init,
     reference_step,
@@ -119,7 +118,7 @@ def _make_stepper(config: RunConfig, theta0: ParamVector):
     slots from it. ``theta0`` becomes the state's parameter slot.
     """
     kind = config.optimizer
-    ref_kind = OPTIMIZERS[kind]
+    ref_kind, forms = OPTIMIZERS[kind]
     if ref_kind is not None:
         params = ReferenceParams(
             beta1=config.beta1,
@@ -132,7 +131,7 @@ def _make_stepper(config: RunConfig, theta0: ParamVector):
         return state, lambda s, g, lr: reference_step(s, g, lr, params, donate=True)
     if kind == "inna":
         state = inna_init(config.alpha, config.beta, theta0)
-        form = config.form or "classic"
+        form = config.form or forms[0]
         return state, lambda s, g, lr: inna_step(s, g, lr, config.alpha, config.beta, form)
     if kind == "dinadam":
         state = dinadam_init(theta0, sigma1=config.sigma1, sigma2=config.sigma)
@@ -149,14 +148,11 @@ def _make_stepper(config: RunConfig, theta0: ParamVector):
         bias_correction=config.bias_correction if kind == "innaprop" else False,
         grad_clip=config.grad_clip,
     )
-    if kind == "innaprop":
+    # With decay and bias correction off, innaprop_step is innaprop_plain_step.
+    if kind in ("innaprop", "innaprop_plain"):
         return (_writable(innaprop_init(opt_cfg, theta0)),
                 lambda s, g, lr: innaprop_step(s, g, lr, opt_cfg, donate=True))
-    if kind == "innaprop_plain":
-        return (_writable(innaprop_init(opt_cfg, theta0)),
-                lambda s, g, lr: innaprop_plain_step(s, g, lr, opt_cfg, donate=True))
-    form = config.form or "reduced"
-    state = innaprop_momentum_init(opt_cfg, theta0, form)
+    state = innaprop_momentum_init(opt_cfg, theta0, config.form or forms[0])
     return state, lambda s, g, lr: innaprop_momentum_step(s, g, lr, opt_cfg)
 
 
@@ -235,7 +231,7 @@ class CellResults(Sequence):
         return RunRow(self._logged[j], float(self._lrs[j, self._lane[i]]), loss, metric, "ok")
 
     def row_at(self, i: int, step: int) -> Optional[RunRow]:
-        """Cell ``i``'s ok row at ``step``, as ``row_at_step`` finds it."""
+        """Cell ``i``'s ok row at ``step``, or ``None``."""
         return self._row(i, self._logged.index(step)) if step in self._logged else None
 
     def last_row(self, i: int) -> Optional[RunRow]:
@@ -386,10 +382,3 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
             (out / f"{tag}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                                              encoding="utf-8")
     return results
-
-
-def row_at_step(rows: list[RunRow], step: int) -> Optional[RunRow]:
-    for r in rows:
-        if r.step == step and r.status == "ok":
-            return r
-    return None

@@ -90,10 +90,6 @@ class ParamVector:
         return [cls._wrap(row) if ok else None for row, ok in zip(stack, finite.all(axis=-1))]
 
     @classmethod
-    def zeros(cls, dim: int, precision: Precision | str = Precision.F64) -> "ParamVector":
-        return cls._wrap(np.zeros(dim, dtype=Precision.of(precision).dtype))
-
-    @classmethod
     def zeros_like(cls, other: "ParamVector") -> "ParamVector":
         return cls._wrap(np.zeros_like(other.data))
 
@@ -104,15 +100,6 @@ class ParamVector:
     @property
     def precision(self) -> Precision:
         return Precision.F32 if self.data.dtype == np.float32 else Precision.F64
-
-    def astype(self, precision: Precision | str) -> "ParamVector":
-        precision = Precision.of(precision)
-        if precision is self.precision:
-            return self  # immutable, so no copy is needed
-        return ParamVector(self.data, precision)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
 
     def __len__(self):
         return self.data.size

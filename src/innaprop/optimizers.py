@@ -4,12 +4,13 @@ reference methods, written as pure step functions over explicit state.
 Every optimizer here is a function ``(state, gradient, step size, params) ->
 new state``; states are plain immutable values, so runs can be replayed,
 forked, or executed concurrently. A public step checks its own scalar
-arguments and states its update over raw arrays; one private driver,
-``_drive``, does the rest for every step. It rejects a gradient whose
-dimension or precision differs from the state's with ``ContractViolation``,
-aborts a non-finite result with ``DivergenceError`` carrying the offending
-step index instead of silently propagating NaNs, and wraps the new arrays
-into a state of the input's class with ``k + 1``.
+arguments, then calls ``_begin``, states its update over raw arrays and
+ends in ``_advance``; these two private helpers do the bookkeeping for every
+step. ``_begin`` rejects a gradient whose dimension or precision differs from
+the state's with ``ContractViolation``. ``_advance`` aborts a non-finite
+result with ``DivergenceError`` carrying the offending step index instead of
+silently propagating NaNs, and wraps the new arrays into a state of the
+input's class with ``k + 1``.
 
 The blocked steps (``innaprop_step``, ``innaprop_plain_step`` and the
 Adam/AdamW kinds of ``reference_step``) also take ``donate=True`` from a
@@ -238,21 +239,14 @@ class ReferenceState:
 
 
 # ---------------------------------------------------------------------------
-# The driver and shared helpers
+# Step bookkeeping and shared helpers
 # ---------------------------------------------------------------------------
 
 
-def _drive(state, theta: ParamVector, g: ParamVector, rule):
-    """Advance ``state`` by one step; every public step ends here.
-
-    ``theta`` is the state's parameter slot, which ``g`` must match in
-    dimension and precision. ``rule(step_index)`` returns the new state's
-    fields in the order its class declares them, all but the last, ``k``.
-    Each raw ndarray among them is checked for finiteness, raising
-    ``DivergenceError(step_index)``, and wrapped. Any other field passes
-    through as it is: a ``ParamVector`` (a slot carried over, or an output
-    of ``_run_blocked``, already checked block by block), ``None``, a kind
-    or form tag, a rate.
+def _begin(state, theta: ParamVector, g: ParamVector) -> int:
+    """Check ``g`` against ``theta``, the state's parameter slot, in
+    dimension and precision; returns the new state's step index ``k + 1``.
+    Every public step calls it after its scalar guards, before any arithmetic.
     """
     if g.dim != theta.dim:
         raise ContractViolation(
@@ -260,8 +254,21 @@ def _drive(state, theta: ParamVector, g: ParamVector, rule):
         )
     if g.data.dtype != theta.data.dtype:
         raise ContractViolation("gradient precision must match the state precision")
-    step_index = state.k + 1
-    fields = list(rule(step_index))
+    return state.k + 1
+
+
+def _advance(state, step_index: int, *fields):
+    """The state after ``state``, of its class, at ``step_index``; every
+    public step ends here.
+
+    ``fields`` are the new state's fields in the order its class declares
+    them, all but the last, ``k``. Each raw ndarray among them is checked
+    for finiteness, raising ``DivergenceError(step_index)``, and wrapped.
+    Any other field passes through as it is: a ``ParamVector`` (a slot
+    carried over, or an output of ``_run_blocked``, already checked block by
+    block), ``None``, a kind or form tag, a rate.
+    """
+    fields = list(fields)
     for i, value in enumerate(fields):
         if type(value) is np.ndarray:
             # count_nonzero costs about half of .all() on small arrays.
@@ -369,13 +376,15 @@ def _innaprop_core(state, g, gamma, config, *, weight_decay, bias_correction, do
     unless it is donated.
     """
     _guard_gamma(gamma, config.beta)
+    step_index = _begin(state, state.theta, g)
+    grad = _maybe_clip(g, config).data
 
     # Python floats take the state's precision in every ufunc below.
     gamma, weight_decay = float(gamma), float(weight_decay)
     alpha, beta, sigma, eps = (float(config.alpha), float(config.beta),
                                float(config.sigma), float(config.epsilon))
     decay = 1.0 - weight_decay * gamma
-    v_scale = 1.0 - sigma ** (state.k + 1)
+    v_scale = 1.0 - sigma ** step_index
     psi_keep, psi_theta = 1.0 - gamma / beta, gamma * (1.0 / beta - alpha)
     theta_keep = 1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma)
     theta_psi, theta_rms = gamma / (beta - gamma), gamma * beta
@@ -405,11 +414,8 @@ def _innaprop_core(state, g, gamma, config, *, weight_decay, bias_correction, do
         np.multiply(theta_rms, a, out=a)
         np.subtract(theta_new, a, out=theta_new)
 
-    def rule(step_index):
-        grad = _maybe_clip(g, config).data
-        return _run_blocked(step_index, kernel, (state.theta, state.psi, state.v), grad, donate)
-
-    return _drive(state, state.theta, g, rule)
+    slots = (state.theta, state.psi, state.v)
+    return _advance(state, step_index, *_run_blocked(step_index, kernel, slots, grad, donate))
 
 
 def innaprop_step(
@@ -484,27 +490,24 @@ def innaprop_naive_step(
     form, which makes the two recursions coincide exactly from step one.
     """
     _guard_gamma(gamma, config.beta)
+    step_index = _begin(state, state.theta_curr, g_curr)
     alpha, beta, sigma, eps = config.alpha, config.beta, config.sigma, config.epsilon
+    g = _maybe_clip(g_curr, config)
+    grad = g.data
+    v_next = sigma * state.v_curr.data + (1.0 - sigma) * grad * grad
+    rms_curr = _rms(grad, v_next, eps)
 
-    def rule(step_index):
-        g = _maybe_clip(g_curr, config)
-        grad = g.data
-        v_next = sigma * state.v_curr.data + (1.0 - sigma) * grad * grad
-        rms_curr = _rms(grad, v_next, eps)
-
-        if state.k == 0:
-            theta_next = state.theta_curr.data - (gamma * beta) * rms_curr
-        else:
-            rms_prev = _rms(state.g_prev.data, state.v_curr.data, eps)
-            theta_next = (
-                state.theta_curr.data
-                + (1.0 - alpha * gamma) * (state.theta_curr.data - state.theta_prev.data)
-                - (beta * gamma) * (rms_curr - rms_prev)
-                - (gamma * gamma) * rms_prev
-            )
-        return state.theta_curr, theta_next, g, state.v_curr, v_next
-
-    return _drive(state, state.theta_curr, g_curr, rule)
+    if state.k == 0:
+        theta_next = state.theta_curr.data - (gamma * beta) * rms_curr
+    else:
+        rms_prev = _rms(state.g_prev.data, state.v_curr.data, eps)
+        theta_next = (
+            state.theta_curr.data
+            + (1.0 - alpha * gamma) * (state.theta_curr.data - state.theta_prev.data)
+            - (beta * gamma) * (rms_curr - rms_prev)
+            - (gamma * gamma) * rms_prev
+        )
+    return _advance(state, step_index, state.theta_curr, theta_next, g, state.v_curr, v_next)
 
 
 # ---------------------------------------------------------------------------
@@ -543,23 +546,21 @@ def inna_step(
         _guard_gamma(gamma, beta)
     elif form != "classic":
         raise ContractViolation(f"unknown INNA form {form!r}")
+    step_index = _begin(state, state.theta, g)
 
-    def rule(step_index):
-        theta, psi, grad = state.theta.data, state.psi.data, g.data
-        if form == "classic":
-            drift = (1.0 / beta - alpha) * theta - psi / beta
-            psi_new = psi + gamma * drift
-            theta_new = theta + gamma * (drift - beta * grad)
-        else:
-            psi_new = (1.0 - gamma / beta) * psi + (gamma * (1.0 / beta - alpha)) * theta
-            theta_new = (
-                (1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma)) * theta
-                - (gamma / (beta - gamma)) * psi_new
-                - (gamma * beta) * grad
-            )
-        return theta_new, psi_new
-
-    return _drive(state, state.theta, g, rule)
+    theta, psi, grad = state.theta.data, state.psi.data, g.data
+    if form == "classic":
+        drift = (1.0 / beta - alpha) * theta - psi / beta
+        psi_new = psi + gamma * drift
+        theta_new = theta + gamma * (drift - beta * grad)
+    else:
+        psi_new = (1.0 - gamma / beta) * psi + (gamma * (1.0 / beta - alpha)) * theta
+        theta_new = (
+            (1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma)) * theta
+            - (gamma / (beta - gamma)) * psi_new
+            - (gamma * beta) * grad
+        )
+    return _advance(state, step_index, theta_new, psi_new)
 
 
 # ---------------------------------------------------------------------------
@@ -606,29 +607,27 @@ def innaprop_momentum_step(
     a = 1.0 - alpha * gamma
     if a == 0.0:
         raise ContractViolation("singular coefficient: alpha * gamma == 1")
+    step_index = _begin(state, state.theta, g)
 
-    def rule(step_index):
-        g_clipped = _maybe_clip(g, config)
-        grad = g_clipped.data
-        v_new = sigma * state.v.data + (1.0 - sigma) * grad * grad
-        rms_curr = _rms(grad, v_new, eps)
+    g_clipped = _maybe_clip(g, config)
+    grad = g_clipped.data
+    v_new = sigma * state.v.data + (1.0 - sigma) * grad * grad
+    rms_curr = _rms(grad, v_new, eps)
 
-        if state.form == "direct":
-            rms_prev = _rms(state.g_prev.data, state.v.data, eps)
-            m_new = (
-                a * state.m.data
-                + (gamma * gamma) * rms_prev
-                + (beta * gamma) * (rms_curr - rms_prev)
-            )
-            theta_new = state.theta.data - m_new
-            g_prev = g_clipped
-        else:
-            m_new = a * state.m.data + (gamma * gamma * (1.0 - alpha * beta) / a) * rms_curr
-            theta_new = state.theta.data - m_new - (gamma * (beta - gamma) / a) * rms_curr
-            g_prev = None
-        return theta_new, m_new, v_new, state.form, g_prev
-
-    return _drive(state, state.theta, g, rule)
+    if state.form == "direct":
+        rms_prev = _rms(state.g_prev.data, state.v.data, eps)
+        m_new = (
+            a * state.m.data
+            + (gamma * gamma) * rms_prev
+            + (beta * gamma) * (rms_curr - rms_prev)
+        )
+        theta_new = state.theta.data - m_new
+        g_prev = g_clipped
+    else:
+        m_new = a * state.m.data + (gamma * gamma * (1.0 - alpha * beta) / a) * rms_curr
+        theta_new = state.theta.data - m_new - (gamma * (beta - gamma) / a) * rms_curr
+        g_prev = None
+    return _advance(state, step_index, theta_new, m_new, v_new, state.form, g_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -664,20 +663,17 @@ def dinadam_step(
     direct-form twin below enforces it. At alpha=1, beta=0 this is exactly
     Adam without bias correction.
     """
-    if not eta > 0:
-        raise ContractViolation("eta must be > 0")
-    s1, s2 = state.sigma1, state.sigma2
+    if not eta >= 0:
+        raise ContractViolation("eta must be >= 0")
+    step_index = _begin(state, state.theta, g)
 
-    def rule(step_index):
-        grad = g.data
-        v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
-        mtilde_new = s1 * state.mtilde.data + (1.0 - s1 + beta * alpha * s1 - beta * alpha) * grad
-        theta_new = state.theta.data - eta * (mtilde_new + (alpha * beta) * grad) / (
-            np.sqrt(v_new) + epsilon
-        )
-        return theta_new, mtilde_new, v_new, s1, s2
-
-    return _drive(state, state.theta, g, rule)
+    s1, s2, grad = state.sigma1, state.sigma2, g.data
+    v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
+    mtilde_new = s1 * state.mtilde.data + (1.0 - s1 + beta * alpha * s1 - beta * alpha) * grad
+    theta_new = state.theta.data - eta * (mtilde_new + (alpha * beta) * grad) / (
+        np.sqrt(v_new) + epsilon
+    )
+    return _advance(state, step_index, theta_new, mtilde_new, v_new, s1, s2)
 
 
 def dinadam_direct_init(theta0: ParamVector, sigma1: float, sigma2: float) -> DinadamDirectState:
@@ -700,20 +696,17 @@ def dinadam_direct_step(
         m_{k+1} = sigma1*m_k + (1-sigma1)*g_k + beta*alpha*sigma1*(g_k - g_{k-1})
         theta_{k+1} = theta_k - eta * m_{k+1} / (sqrt(v_{k+1}) + eps)
     """
-    s1, s2 = state.sigma1, state.sigma2
+    step_index = _begin(state, state.theta, g)
 
-    def rule(step_index):
-        grad = g.data
-        v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
-        m_new = (
-            s1 * state.m.data
-            + (1.0 - s1) * grad
-            + (beta * alpha * s1) * (grad - state.g_prev.data)
-        )
-        theta_new = state.theta.data - eta * m_new / (np.sqrt(v_new) + epsilon)
-        return theta_new, m_new, v_new, g, s1, s2
-
-    return _drive(state, state.theta, g, rule)
+    s1, s2, grad = state.sigma1, state.sigma2, g.data
+    v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
+    m_new = (
+        s1 * state.m.data
+        + (1.0 - s1) * grad
+        + (beta * alpha * s1) * (grad - state.g_prev.data)
+    )
+    theta_new = state.theta.data - eta * m_new / (np.sqrt(v_new) + epsilon)
+    return _advance(state, step_index, theta_new, m_new, v_new, g, s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -801,36 +794,32 @@ def reference_step(
     new slots over its writable ones, and the other kinds, which build fresh
     slots, ignore it.
     """
-    kind = state.kind
+    step_index = _begin(state, state.theta, g)
+    kind, grad = state.kind, g.data
     b1, b2, eps = params.beta1, params.beta2, params.epsilon
-
-    def rule(step_index):
-        grad = g.data
-        m_new = v_new = None
-        if kind == "SGD":
-            theta_new = state.theta.data - gamma_k * grad
-        elif kind in ("Momentum", "Nesterov"):
-            m_new = b1 * state.m.data + grad
-            step = m_new if kind == "Momentum" else grad + b1 * m_new
-            theta_new = state.theta.data - gamma_k * step
-        elif kind == "RMSpropMomentum":
-            v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
-            m_new = b1 * state.m.data + _rms(grad, v_new, eps)
-            theta_new = state.theta.data - gamma_k * m_new
-        elif kind in ("Adam", "AdamW"):
-            theta_new, m_new, v_new = _adam_family(
-                state, grad, gamma_k, params, step_index, decoupled_decay=(kind == "AdamW"),
-                donate=donate,
-            )
-        else:  # NAdam; ReferenceState admits no other kind
-            m_new = b1 * state.m.data + (1.0 - b1) * grad
-            v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
-            m_hat = m_new / (1.0 - b1 ** (step_index + 1))
-            g_hat = grad / (1.0 - b1 ** step_index)
-            v_hat = v_new / (1.0 - b2 ** step_index)
-            theta_new = state.theta.data - gamma_k * (
-                (b1 * m_hat + (1.0 - b1) * g_hat) / (np.sqrt(v_hat) + eps)
-            )
-        return kind, theta_new, m_new, v_new
-
-    return _drive(state, state.theta, g, rule)
+    m_new = v_new = None
+    if kind == "SGD":
+        theta_new = state.theta.data - gamma_k * grad
+    elif kind in ("Momentum", "Nesterov"):
+        m_new = b1 * state.m.data + grad
+        step = m_new if kind == "Momentum" else grad + b1 * m_new
+        theta_new = state.theta.data - gamma_k * step
+    elif kind == "RMSpropMomentum":
+        v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
+        m_new = b1 * state.m.data + _rms(grad, v_new, eps)
+        theta_new = state.theta.data - gamma_k * m_new
+    elif kind in ("Adam", "AdamW"):
+        theta_new, m_new, v_new = _adam_family(
+            state, grad, gamma_k, params, step_index, decoupled_decay=(kind == "AdamW"),
+            donate=donate,
+        )
+    else:  # NAdam; ReferenceState admits no other kind
+        m_new = b1 * state.m.data + (1.0 - b1) * grad
+        v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
+        m_hat = m_new / (1.0 - b1 ** (step_index + 1))
+        g_hat = grad / (1.0 - b1 ** step_index)
+        v_hat = v_new / (1.0 - b2 ** step_index)
+        theta_new = state.theta.data - gamma_k * (
+            (b1 * m_hat + (1.0 - b1) * g_hat) / (np.sqrt(v_hat) + eps)
+        )
+    return _advance(state, step_index, kind, theta_new, m_new, v_new)

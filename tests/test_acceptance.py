@@ -25,7 +25,7 @@ from innaprop.harness.checks import (
 )
 from innaprop.harness.config import parse_config_dict, with_optimizer
 from innaprop.harness.grid import grid_search
-from innaprop.harness.runner import row_at_step, rows_to_csv, run_experiment
+from innaprop.harness.runner import rows_to_csv, run_experiment
 from innaprop.numerics import ParamVector, RngStream
 from innaprop.optimizers import (
     InnapropConfig,
@@ -259,7 +259,7 @@ def test_criterion_10_protocol_scale():
     adam_cfg = with_optimizer(base, "adamw")
     adam_rows, adam_summary = run_experiment(adam_cfg)
     short_step = 40
-    adam_short = row_at_step(adam_rows, short_step)
+    adam_short = next(r for r in adam_rows if r.step == short_step and r.status == "ok")
 
     ip_rows, _ = run_experiment(base)
     hit = next((r.step for r in ip_rows

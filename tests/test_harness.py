@@ -32,7 +32,7 @@ from innaprop.harness.grid import (
     grid_search,
     lr_sweep,
 )
-from innaprop.harness.runner import row_at_step, rows_to_csv, run_experiment
+from innaprop.harness.runner import rows_to_csv, run_experiment
 
 
 MINIMAL = {"problem": "rosenbrock", "optimizer": "innaprop", "alpha": 0.1,
@@ -89,6 +89,12 @@ class TestConfig:
     def test_t_max_below_steps_rejected(self, tmp_path, capsys):
         raw = {**MINIMAL, "schedule": "cosine", "t_max": 5, "steps": 10}
         self._rejected_before_compute(tmp_path, raw, "'t_max'")
+
+    @pytest.mark.parametrize("optimizer,form", [("innaprop", "direct"), ("inna", "bogus")])
+    def test_form_outside_the_optimizers_forms_rejected(self, tmp_path, capsys,
+                                                        optimizer, form):
+        raw = {**MINIMAL, "optimizer": optimizer, "form": form}
+        self._rejected_before_compute(tmp_path, raw, "'form'")
 
     def test_round_trip(self):
         cfg = parse_config_dict({**MINIMAL, "schedule": "cosine", "t_max": 200,
@@ -168,7 +174,7 @@ class TestRunExperiment:
         rows, _ = run_experiment(cfg)
         steps = [r.step for r in rows]
         assert steps == sorted(steps)
-        assert row_at_step(rows, 5) is not None  # 10% snapshot
+        assert any(r.step == 5 and r.status == "ok" for r in rows)  # 10% snapshot
         assert rows[-1].step == 50
 
     def test_output_files(self, tmp_path):
@@ -222,6 +228,15 @@ class TestRunExperiment:
         for a, b in zip(rows_ip, rows_aw):
             assert a.step == b.step
             assert abs(a.train_loss - b.train_loss) <= 1e-12 * max(abs(b.train_loss), 1e-30)
+
+    def test_dinadam_runs_to_a_schedule_end_at_zero_lr(self):
+        # cosine with t_max = steps and lr_min = 0 gives the last step lr 0.
+        cfg = parse_config_dict({"problem": "rosenbrock", "optimizer": "dinadam",
+                                 "alpha": 0.1, "beta": 0.9, "schedule": "cosine",
+                                 "steps": 20})
+        rows, summary = run_experiment(cfg)
+        assert summary.status == "ok"
+        assert (rows[-1].step, rows[-1].lr, rows[-1].status) == (20, 0.0, "ok")
 
     def test_momentum_form_key(self):
         base = {"problem": "quadratic", "optimizer": "innaprop_momentum",
@@ -306,6 +321,13 @@ class TestGrid:
                            betas=[1.5, 0.9])
         keys = [(c.alpha, c.beta) for c in grid.cells]
         assert keys == [(0.5, 0.9), (0.5, 1.5), (2.0, 0.9), (2.0, 1.5)]
+        assert all(c.status == "ok" for c in grid.cells)
+
+    def test_beta_below_lr_runs_for_an_optimizer_without_beta(self):
+        # Only the inertial kinds that divide by beta - gamma need beta > lr.
+        cfg = parse_config_dict({**self.BASE, "optimizer": "adamw", "lr": 0.5})
+        grid = grid_search(cfg, alphas=[1.0], betas=[0.4, 2.0])
+        assert [c.beta for c in grid.cells] == [0.4, 2.0]
         assert all(c.status == "ok" for c in grid.cells)
 
     def test_illposed_cell_rejected_up_front(self):
@@ -497,13 +519,16 @@ class TestBenchmarkHooks:
         return module
 
     @staticmethod
-    def _grid(tmp_path, tracer):
+    def _grid(tmp_path, tracer, optimizer="innaprop"):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**MINIMAL, "steps": 20}), encoding="utf-8")
+        cfg.write_text(json.dumps({**MINIMAL, "optimizer": optimizer, "steps": 20}),
+                       encoding="utf-8")
         tracer.install()
         try:
+            # --workers 1 as the benchmark's grid workload passes it.
             assert main(["grid", "--config", str(cfg), "--alphas", "0.1", "0.5",
-                         "--betas", "0.9", "1.5", "--out", str(tmp_path / "grid")]) == 0
+                         "--betas", "0.9", "1.5", "--workers", "1",
+                         "--out", str(tmp_path / "grid")]) == 0
         finally:
             tracer.uninstall()
 
@@ -515,10 +540,11 @@ class TestBenchmarkHooks:
         assert layers["harness.grid.cells"] == 1
         assert layers["harness.runner.run_experiment.self_s"] > 0
 
-    def test_every_cell_step_is_counted(self, tmp_path, capsys):
+    @pytest.mark.parametrize("optimizer", ["innaprop", "innaprop_plain", "adamw"])
+    def test_every_cell_step_is_counted(self, tmp_path, capsys, optimizer):
         tracing = self._tracing()
         tracer = tracing.Tracer(record=False)
-        self._grid(tmp_path, tracer)
+        self._grid(tmp_path, tracer, optimizer)
         assert tracer.counts()[tracing.STEP] == 4 * 20
 
     def test_traced_run_reads_state_and_gradient_of_each_step(self, tmp_path, capsys):

@@ -34,7 +34,6 @@ class TestParamVector:
     def test_precision_round_trip(self):
         v = ParamVector([1.0, 2.0], "f32")
         assert v.precision is Precision.F32
-        assert v.astype("f64").precision is Precision.F64
 
     def test_immutable(self):
         v = ParamVector([1.0, 2.0])
@@ -62,7 +61,7 @@ class TestGlobalNormClip:
             once = global_norm_clip(g, 1.0)
             twice = global_norm_clip(once, 1.0)
             assert np.array_equal(once.data, twice.data)
-            assert once.norm() <= 1.0 + 1e-12
+            assert np.linalg.norm(once.data) <= 1.0 + 1e-12
 
     def test_requires_positive_bound(self):
         with pytest.raises(ContractViolation):

@@ -296,6 +296,15 @@ class TestDinadam:
         with pytest.raises(ContractViolation):
             dinadam_init(vec(1.0), sigma1=1.2, sigma2=0.999)
 
+    def test_zero_step_size_keeps_theta(self):
+        # A schedule that ends at lr_min = 0 hands the last step eta = 0.
+        state = dinadam_init(vec(1.0, -2.0), sigma1=0.9, sigma2=0.999)
+        state = dinadam_step(state, vec(3.0, 0.5), 0.0, alpha=0.5, beta=0.7)
+        np.testing.assert_array_equal(state.theta.data, [1.0, -2.0])
+        assert state.k == 1
+        with pytest.raises(ContractViolation, match="eta"):
+            dinadam_step(state, vec(3.0, 0.5), -0.1, alpha=0.5, beta=0.7)
+
 
 class TestReferenceOptimizers:
     def test_sgd_spot(self):
