@@ -34,7 +34,6 @@ from ..optimizers import (
     innaprop_momentum_step,
     innaprop_naive_init,
     innaprop_naive_step,
-    innaprop_plain_step,
     innaprop_step,
     reference_init,
     reference_step,
@@ -109,11 +108,12 @@ def adam_equivalence_dev(problem: Problem, theta0: ParamVector, lam: float,
 
 def memory_reduction_dev(problem: Problem, theta0: ParamVector, n_steps: int = 500) -> float:
     """Unreduced six-slot recursion against the reduced three-slot recursion."""
-    cfg = InnapropConfig(alpha=0.1, beta=0.9, sigma=0.999, epsilon=1e-8)
+    cfg = InnapropConfig(alpha=0.1, beta=0.9, sigma=0.999, epsilon=1e-8,
+                         bias_correction=False)
     return _paired_max_dev(
         problem, n_steps,
         innaprop_naive_init(cfg, theta0), lambda s, g: innaprop_naive_step(s, g, 1e-3, cfg),
-        innaprop_init(cfg, theta0), lambda s, g: innaprop_plain_step(s, g, 1e-3, cfg),
+        innaprop_init(cfg, theta0), lambda s, g: innaprop_step(s, g, 1e-3, cfg),
     )
 
 

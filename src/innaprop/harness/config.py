@@ -182,6 +182,17 @@ def validate_config(config: RunConfig):
         raise ConfigError("key 'sigma' must lie in [0, 1]")
     if not 0.0 <= config.beta1 < 1.0:
         raise ConfigError("key 'beta1' must lie in [0, 1)")
+    if not 0.0 <= config.sigma1 <= 1.0:
+        raise ConfigError("key 'sigma1' must lie in [0, 1]")
+    if not config.epsilon > 0:
+        raise ConfigError("key 'epsilon' must be positive")
+    if not config.weight_decay >= 0:
+        raise ConfigError("key 'weight_decay' must be >= 0")
+    if config.grad_clip is not None and not config.grad_clip > 0:
+        raise ConfigError("key 'grad_clip' must be positive when set")
+    if (config.bias_correction and config.sigma == 1.0
+            and config.optimizer in ("innaprop", "adam", "adamw")):
+        raise ConfigError("key 'bias_correction' is undefined at sigma = 1")
     if config.batch_size is not None:
         if config.batch_size <= 0:
             raise ConfigError("key 'batch_size' must be positive")
@@ -229,9 +240,6 @@ def content_hash(config: RunConfig) -> str:
 
 def build_schedule(config: RunConfig) -> ScheduleSpec:
     t_max = config.t_max if config.t_max is not None else config.steps
-    kwargs = {}
-    if config.schedule == "cosine_warmup":
-        kwargs["t_decay"] = config.t_decay
     try:
         return ScheduleSpec(
             kind=config.schedule,
@@ -239,7 +247,7 @@ def build_schedule(config: RunConfig) -> ScheduleSpec:
             t_max=t_max,
             gamma_min=config.lr_min,
             t_warmup=config.t_warmup,
-            **kwargs,
+            t_decay=config.t_decay,
         )
     except Exception as exc:
         raise ConfigError(f"invalid schedule: {exc}") from None

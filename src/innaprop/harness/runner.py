@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ContractViolation, DivergenceError, DomainError
-from ..numerics import ParamVector
+from ..numerics import ParamVector, global_norm_clip
 from ..optimizers import (
     InnapropConfig,
     ReferenceParams,
@@ -146,9 +146,8 @@ def _make_stepper(config: RunConfig, theta0: ParamVector):
         epsilon=config.epsilon,
         weight_decay=config.weight_decay if kind == "innaprop" else 0.0,
         bias_correction=config.bias_correction if kind == "innaprop" else False,
-        grad_clip=config.grad_clip,
     )
-    # With decay and bias correction off, innaprop_step is innaprop_plain_step.
+    # innaprop_plain is innaprop_step with decay and bias correction off.
     if kind in ("innaprop", "innaprop_plain"):
         return (_writable(innaprop_init(opt_cfg, theta0)),
                 lambda s, g, lr: innaprop_step(s, g, lr, opt_cfg, donate=True))
@@ -357,6 +356,8 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
                 if g is None:
                     diverge(i, k, gammas, k)
                     continue
+                if base.grad_clip is not None:
+                    g = global_norm_clip(g, base.grad_clip)
                 try:
                     states[i] = step_fns[i](states[i], g, gammas[lane[i]])
                 except (DivergenceError, DomainError) as exc:

@@ -12,12 +12,11 @@ result with ``DivergenceError`` carrying the offending step index instead of
 silently propagating NaNs, and wraps the new arrays into a state of the
 input's class with ``k + 1``.
 
-The blocked steps (``innaprop_step``, ``innaprop_plain_step`` and the
-Adam/AdamW kinds of ``reference_step``) also take ``donate=True`` from a
-caller that owns a state with writable slots and gives it up, as the run
-loop does. The same kernel then writes the new slots over the old ones,
-block by block, so a step holds one state, not two. Without ``donate``
-every step stays pure.
+The blocked steps (``innaprop_step`` and the Adam/AdamW kinds of
+``reference_step``) also take ``donate=True`` from a caller that owns a
+state with writable slots and gives it up, as the run loop does. The same
+kernel then writes the new slots over the old ones, block by block, so a
+step holds one state, not two. Without ``donate`` every step stays pure.
 
 Naming used throughout:
 
@@ -37,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation, DivergenceError, WellPosednessError
-from .numerics import ParamVector, global_norm_clip
+from .numerics import ParamVector
 
 __all__ = [
     "InnapropConfig",
@@ -51,7 +50,6 @@ __all__ = [
     "ReferenceState",
     "innaprop_init",
     "innaprop_step",
-    "innaprop_plain_step",
     "innaprop_naive_init",
     "innaprop_naive_step",
     "innaprop_momentum_init",
@@ -87,7 +85,6 @@ class InnapropConfig:
     epsilon: float = 1e-8
     weight_decay: float = 0.0
     bias_correction: bool = True
-    grad_clip: Optional[float] = None
 
     def __post_init__(self):
         if not self.alpha >= 0:
@@ -100,8 +97,6 @@ class InnapropConfig:
             raise ContractViolation("epsilon must be > 0")
         if not self.weight_decay >= 0:
             raise ContractViolation("weight_decay must be >= 0")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ContractViolation("grad_clip must be positive when set")
         if self.bias_correction and self.sigma == 1.0:
             raise ContractViolation("bias correction is undefined at sigma = 1")
 
@@ -342,12 +337,6 @@ def _guard_gamma(gamma: float, beta: float):
         )
 
 
-def _maybe_clip(g: ParamVector, config: InnapropConfig) -> ParamVector:
-    if config.grad_clip is not None:
-        return global_norm_clip(g, config.grad_clip)
-    return g
-
-
 def _psi0(alpha: float, beta: float, theta0: ParamVector) -> ParamVector:
     """``(1 - alpha*beta) * theta0`` in the precision of ``theta0``."""
     return ParamVector._wrap(
@@ -366,21 +355,37 @@ def innaprop_init(config: InnapropConfig, theta0: ParamVector) -> InnapropState:
     return InnapropState(theta=theta0, psi=psi0, v=ParamVector.zeros_like(theta0), k=0)
 
 
-def _innaprop_core(state, g, gamma, config, *, weight_decay, bias_correction, donate):
-    """Shared body of ``innaprop_step`` and ``innaprop_plain_step``.
+def innaprop_step(
+    state: InnapropState, g: ParamVector, gamma_k: float, config: InnapropConfig,
+    *, donate: bool = False,
+) -> InnapropState:
+    """One full training step of the reduced recursion.
 
-    The update runs through ``_run_blocked``: it evaluates the whole-array
-    formulas of ``innaprop_step`` block by block, with the same ufuncs in the
-    same order and the same Python-float coefficients, so its results match
-    those formulas bit for bit in F32 and F64. The input state is only read,
-    unless it is donated.
+    In order: decoupled weight decay ``theta <- (1 - lambda*gamma_k) * theta``;
+    ``v <- sigma*v + (1-sigma)*g^2``; bias-corrected
+    ``v_hat = v / (1 - sigma^(k+1))`` when enabled;
+    ``psi <- (1 - gamma/beta)*psi + gamma*(1/beta - alpha)*theta``; finally
+
+        theta <- (1 + gamma*(1-alpha*beta)/(beta-gamma)) * theta
+                 - gamma/(beta-gamma) * psi_new
+                 - gamma*beta * g / (sqrt(v_hat) + eps)
+
+    With ``weight_decay`` 0 and ``bias_correction`` off this is the
+    constant-step recursion on the raw ``v``. The gradient must be evaluated
+    at the pre-decay ``theta``. With ``donate=True`` the caller gives
+    ``state`` up, and the new slots are written over its writable ones.
+
+    The update runs through ``_run_blocked``: it evaluates the formulas above
+    block by block, with the same ufuncs in the same order and the same
+    Python-float coefficients as the whole-array expressions, so its results
+    match them bit for bit in F32 and F64.
     """
-    _guard_gamma(gamma, config.beta)
+    _guard_gamma(gamma_k, config.beta)
     step_index = _begin(state, state.theta, g)
-    grad = _maybe_clip(g, config).data
+    bias_correction = config.bias_correction
 
     # Python floats take the state's precision in every ufunc below.
-    gamma, weight_decay = float(gamma), float(weight_decay)
+    gamma, weight_decay = float(gamma_k), float(config.weight_decay)
     alpha, beta, sigma, eps = (float(config.alpha), float(config.beta),
                                float(config.sigma), float(config.epsilon))
     decay = 1.0 - weight_decay * gamma
@@ -415,48 +420,7 @@ def _innaprop_core(state, g, gamma, config, *, weight_decay, bias_correction, do
         np.subtract(theta_new, a, out=theta_new)
 
     slots = (state.theta, state.psi, state.v)
-    return _advance(state, step_index, *_run_blocked(step_index, kernel, slots, grad, donate))
-
-
-def innaprop_step(
-    state: InnapropState, g: ParamVector, gamma_k: float, config: InnapropConfig,
-    *, donate: bool = False,
-) -> InnapropState:
-    """One full training step of the reduced recursion.
-
-    In order: optional global-norm clip of ``g``; decoupled weight decay
-    ``theta <- (1 - lambda*gamma_k) * theta``; ``v <- sigma*v + (1-sigma)*g^2``;
-    bias-corrected ``v_hat = v / (1 - sigma^(k+1))`` when enabled;
-    ``psi <- (1 - gamma/beta)*psi + gamma*(1/beta - alpha)*theta``; finally
-
-        theta <- (1 + gamma*(1-alpha*beta)/(beta-gamma)) * theta
-                 - gamma/(beta-gamma) * psi_new
-                 - gamma*beta * g / (sqrt(v_hat) + eps)
-
-    The gradient must be evaluated at the pre-decay ``theta``. With
-    ``donate=True`` the caller gives ``state`` up, and the new slots are
-    written over its writable ones.
-    """
-    return _innaprop_core(
-        state,
-        g,
-        gamma_k,
-        config,
-        weight_decay=config.weight_decay,
-        bias_correction=config.bias_correction,
-        donate=donate,
-    )
-
-
-def innaprop_plain_step(
-    state: InnapropState, g: ParamVector, gamma: float, config: InnapropConfig,
-    *, donate: bool = False,
-) -> InnapropState:
-    """Constant-step variant: no weight decay, raw (uncorrected) ``v``.
-    ``donate`` is as for ``innaprop_step``."""
-    return _innaprop_core(
-        state, g, gamma, config, weight_decay=0.0, bias_correction=False, donate=donate
-    )
+    return _advance(state, step_index, *_run_blocked(step_index, kernel, slots, g.data, donate))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +456,7 @@ def innaprop_naive_step(
     _guard_gamma(gamma, config.beta)
     step_index = _begin(state, state.theta_curr, g_curr)
     alpha, beta, sigma, eps = config.alpha, config.beta, config.sigma, config.epsilon
-    g = _maybe_clip(g_curr, config)
-    grad = g.data
+    grad = g_curr.data
     v_next = sigma * state.v_curr.data + (1.0 - sigma) * grad * grad
     rms_curr = _rms(grad, v_next, eps)
 
@@ -507,7 +470,7 @@ def innaprop_naive_step(
             - (beta * gamma) * (rms_curr - rms_prev)
             - (gamma * gamma) * rms_prev
         )
-    return _advance(state, step_index, state.theta_curr, theta_next, g, state.v_curr, v_next)
+    return _advance(state, step_index, state.theta_curr, theta_next, g_curr, state.v_curr, v_next)
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +572,7 @@ def innaprop_momentum_step(
         raise ContractViolation("singular coefficient: alpha * gamma == 1")
     step_index = _begin(state, state.theta, g)
 
-    g_clipped = _maybe_clip(g, config)
-    grad = g_clipped.data
+    grad = g.data
     v_new = sigma * state.v.data + (1.0 - sigma) * grad * grad
     rms_curr = _rms(grad, v_new, eps)
 
@@ -622,7 +584,7 @@ def innaprop_momentum_step(
             + (beta * gamma) * (rms_curr - rms_prev)
         )
         theta_new = state.theta.data - m_new
-        g_prev = g_clipped
+        g_prev = g
     else:
         m_new = a * state.m.data + (gamma * gamma * (1.0 - alpha * beta) / a) * rms_curr
         theta_new = state.theta.data - m_new - (gamma * (beta - gamma) / a) * rms_curr
@@ -733,7 +695,7 @@ def reference_init(
 def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay, donate) -> list:
     """New (theta, m, v) of Adam/AdamW; decay (when any) multiplies theta first.
 
-    Blocked like ``_innaprop_core``, so it is bit-identical to the
+    Blocked like ``innaprop_step``, so it is bit-identical to the
     whole-array formulas, checks the new slots' finiteness itself and writes
     them over a donated state's.
     """

@@ -301,6 +301,8 @@ def _sigmoid(x):
 
 
 def _logistic_regression(dataset: Dataset) -> Problem:
+    if not np.isin(dataset.labels, (0.0, 1.0)).all():
+        raise ContractViolation("logistic_regression needs labels in {0, 1}")
     d = dataset.dim
     x_train, y_train = dataset.train_xy()
     sign = 2.0 * y_train - 1.0
@@ -379,6 +381,9 @@ class _MlpLayout:
 def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Problem:
     if activation not in ("tanh", "relu"):
         raise ContractViolation(f"unknown activation {activation!r}")
+    y = dataset.labels
+    if not np.all(np.isfinite(y) & (y >= 0) & (y == np.round(y))):
+        raise ContractViolation("tiny_mlp needs non-negative integer class labels")
     x_train, y_train = dataset.train_xy()
     labels = y_train.astype(np.int64)
     n_classes = int(labels.max()) + 1 if labels.size else 2

@@ -39,7 +39,6 @@ from innaprop.optimizers import (
     innaprop_momentum_step,
     innaprop_naive_init,
     innaprop_naive_step,
-    innaprop_plain_step,
     innaprop_step,
     reference_init,
     reference_step,
@@ -187,6 +186,7 @@ def test_criterion_9_fixed_points_and_well_posedness():
 
     for alpha, beta in pairs:
         cfg = InnapropConfig(alpha=alpha, beta=beta, weight_decay=0.0)
+        plain_cfg = replace(cfg, bias_correction=False)
         for _ in range(10):
             theta0 = ParamVector(rng.standard_normal(4))
             zero = ParamVector.zeros_like(theta0)
@@ -200,7 +200,7 @@ def test_criterion_9_fixed_points_and_well_posedness():
             st_inna = inna_init(alpha, beta, theta0)
             for _ in range(5):
                 st = innaprop_step(st, zero, 0.01, cfg)
-                st_plain = innaprop_plain_step(st_plain, zero, 0.01, cfg)
+                st_plain = innaprop_step(st_plain, zero, 0.01, plain_cfg)
                 st_naive = innaprop_naive_step(st_naive, zero, 0.01, cfg)
                 st_dir = innaprop_momentum_step(st_dir, zero, 0.01, cfg)
                 st_red = innaprop_momentum_step(st_red, zero, 0.01, cfg)

@@ -22,7 +22,6 @@ from innaprop.optimizers import (
     innaprop_init,
     innaprop_naive_init,
     innaprop_naive_step,
-    innaprop_plain_step,
     innaprop_step,
 )
 from innaprop.problems import generate_synthetic, make_problem
@@ -91,11 +90,12 @@ def test_donated_step_allocates_only_scratch():
 def test_naive_bootstrap_matches_reduced_exactly():
     # The forced bootstrap makes the two forms coincide from the very first
     # step, not just asymptotically.
-    cfg = InnapropConfig(alpha=0.7, beta=1.3, sigma=0.99, epsilon=1e-8)
+    cfg = InnapropConfig(alpha=0.7, beta=1.3, sigma=0.99, epsilon=1e-8,
+                         bias_correction=False)
     rng = RngStream(8, 0).generator()
     theta0 = ParamVector(rng.standard_normal(5))
     g0 = ParamVector(rng.standard_normal(5))
-    reduced = innaprop_plain_step(innaprop_init(cfg, theta0), g0, 0.01, cfg)
+    reduced = innaprop_step(innaprop_init(cfg, theta0), g0, 0.01, cfg)
     naive = innaprop_naive_step(innaprop_naive_init(cfg, theta0), g0, 0.01, cfg)
     rel = np.max(np.abs(reduced.theta.data - naive.theta_curr.data)) / np.max(
         np.abs(reduced.theta.data)

@@ -17,8 +17,12 @@ from innaprop.errors import ConfigError, ContractViolation
 import innaprop.harness.runner as runner
 from innaprop.harness.cli import main
 from innaprop.harness.config import (
+    OPTIMIZERS,
+    build_problem,
+    build_schedule,
     content_hash,
     emit_config,
+    init_stream,
     load_preset,
     parse_config,
     parse_config_dict,
@@ -33,6 +37,17 @@ from innaprop.harness.grid import (
     lr_sweep,
 )
 from innaprop.harness.runner import rows_to_csv, run_experiment
+from innaprop.numerics import ParamVector, RngStream, global_norm_clip
+from innaprop.optimizers import (
+    InnapropConfig,
+    ReferenceParams,
+    innaprop_init,
+    innaprop_step,
+    reference_init,
+    reference_step,
+)
+from innaprop.problems import make_problem
+from innaprop.schedulers import lr_at
 
 
 MINIMAL = {"problem": "rosenbrock", "optimizer": "innaprop", "alpha": 0.1,
@@ -95,6 +110,26 @@ class TestConfig:
                                                         optimizer, form):
         raw = {**MINIMAL, "optimizer": optimizer, "form": form}
         self._rejected_before_compute(tmp_path, raw, "'form'")
+
+    @pytest.mark.parametrize("change,match", [
+        ({"optimizer": "adamw", "weight_decay": -5.0}, "'weight_decay'"),
+        ({"optimizer": "adamw", "epsilon": -1.0}, "'epsilon'"),
+        ({"optimizer": "dinadam", "epsilon": 0.0}, "'epsilon'"),
+        ({"optimizer": "dinadam", "sigma1": 1.5}, "'sigma1'"),
+        ({"optimizer": "sgd", "grad_clip": -1.0}, "'grad_clip'"),
+        ({"optimizer": "innaprop", "sigma": 1.0}, "'bias_correction'"),
+        ({"optimizer": "adam", "sigma": 1.0}, "'bias_correction'"),
+        ({"optimizer": "adamw", "sigma": 1.0}, "'bias_correction'"),
+    ], ids=["adamw-weight_decay", "adamw-epsilon", "dinadam-epsilon", "dinadam-sigma1",
+            "sgd-grad_clip", "innaprop-bias_correction", "adam-bias_correction",
+            "adamw-bias_correction"])
+    def test_bad_optimizer_value_rejected(self, tmp_path, capsys, change, match):
+        self._rejected_before_compute(tmp_path, {**MINIMAL, **change}, match)
+
+    def test_t_decay_only_on_cosine_warmup(self, tmp_path, capsys):
+        raw = {**MINIMAL, "schedule": "cosine", "t_decay": 5}
+        self._rejected_before_compute(tmp_path, raw, "t_decay")
+        assert build_schedule(load_preset("gpt2_small")).t_decay == 5000
 
     def test_round_trip(self):
         cfg = parse_config_dict({**MINIMAL, "schedule": "cosine", "t_max": 200,
@@ -247,6 +282,74 @@ class TestRunExperiment:
         assert direct.status == reduced.status == "ok"
         assert direct.final_train_loss == pytest.approx(reduced.final_train_loss,
                                                         rel=1e-10)
+
+
+class TestLabels:
+    """A problem that cannot read its dataset's labels is rejected before any
+    compute: CLI exit 2 and no output directory."""
+
+    @staticmethod
+    def _run(tmp_path, raw) -> tuple:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        return main(["run", "--config", str(path), "--out", str(out)]), out.exists()
+
+    @pytest.mark.parametrize("problem", ["tiny_mlp", "logistic_regression"])
+    def test_regression_targets_rejected(self, tmp_path, capsys, problem):
+        raw = {"problem": problem, "dataset": "linear_regression", "optimizer": "adamw",
+               "steps": 5, "dim": 3}
+        assert self._run(tmp_path, raw) == (2, False)
+
+    @pytest.mark.parametrize("problem,labels,code", [
+        ("tiny_mlp", [0, 1, -1], 2),
+        ("tiny_mlp", [0, 1, 2], 0),
+        ("logistic_regression", [0, 1, 2], 2),
+    ], ids=["tiny_mlp-negative", "tiny_mlp-three_classes", "logistic_regression-three_classes"])
+    def test_csv_labels(self, tmp_path, capsys, problem, labels, code):
+        data = tmp_path / "data.csv"
+        rows = [f"{0.1 * i},{1.0 - 0.2 * i},{labels[i % 3]}" for i in range(12)]
+        data.write_text("x0,x1,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        raw = {"problem": problem, "dataset": str(data), "label_column": "y",
+               "optimizer": "adamw", "steps": 5}
+        assert self._run(tmp_path, raw) == (code, code == 0)
+
+
+class TestGradClip:
+    """``grad_clip`` clips each cell's gradient in the run loop, once, before
+    any optimizer's step."""
+
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+    def test_clip_applies_to_every_optimizer(self, optimizer):
+        def csv(**change):
+            cfg = parse_config_dict({**MINIMAL, "optimizer": optimizer, "steps": 20, **change})
+            return rows_to_csv(run_experiment(cfg)[0])
+
+        unclipped = csv()
+        assert csv(grad_clip=1e-6) != unclipped
+        assert csv(grad_clip=1e300) == unclipped
+
+    @pytest.mark.parametrize("optimizer", ["innaprop", "adamw"])
+    def test_clip_then_step_by_hand(self, optimizer):
+        cfg = parse_config_dict({**MINIMAL, "optimizer": optimizer, "steps": 20,
+                                 "grad_clip": 1e-3})
+        problem, schedule = build_problem(cfg), build_schedule(cfg)
+        theta0 = ParamVector(problem.init_theta(init_stream(cfg).generator()))
+        if optimizer == "innaprop":
+            hyper = InnapropConfig(alpha=cfg.alpha, beta=cfg.beta, sigma=cfg.sigma,
+                                   epsilon=cfg.epsilon, weight_decay=cfg.weight_decay)
+            state, step = innaprop_init(hyper, theta0), innaprop_step
+        else:
+            hyper = ReferenceParams(beta1=cfg.beta1, beta2=cfg.sigma, epsilon=cfg.epsilon,
+                                    weight_decay=cfg.weight_decay)
+            state, step = reference_init("AdamW", theta0, hyper), reference_step
+        want = [(0, lr_at(schedule, 0), problem.loss(theta0.data))]
+        for k in range(1, cfg.steps + 1):
+            g = ParamVector(problem.grad(state.theta.data))
+            state = step(state, global_norm_clip(g, cfg.grad_clip), lr_at(schedule, k), hyper)
+            want.append((k, lr_at(schedule, k), problem.loss(state.theta.data)))
+        rows, _ = run_experiment(cfg)
+        assert [(r.step, r.lr, r.train_loss) for r in rows] == want
 
 
 class TestNonFiniteGradient:
@@ -546,6 +649,19 @@ class TestBenchmarkHooks:
         tracer = tracing.Tracer(record=False)
         self._grid(tmp_path, tracer, optimizer)
         assert tracer.counts()[tracing.STEP] == 4 * 20
+
+    def test_check_steps_go_through_checks_globals(self):
+        # check_all's steps_per_s counts the steps that the memory-reduction
+        # check makes through the checks module's globals: 10 naive, 10 reduced.
+        tracing = self._tracing()
+        quad = make_problem("quadratic", spectrum=(1.0, 10.0))
+        theta0 = ParamVector(quad.init_theta(RngStream(1, 1).generator()))
+        tracer = tracing.Tracer(record=False).install()
+        try:
+            tracing.checks.memory_reduction_dev(quad, theta0, n_steps=10)
+        finally:
+            tracer.uninstall()
+        assert tracer.counts()[tracing.STEP] == 20
 
     def test_traced_run_reads_state_and_gradient_of_each_step(self, tmp_path, capsys):
         # The tracer reads the state and the gradient from a step's first two

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from innaprop.errors import ContractViolation, DivergenceError, WellPosednessError
-from innaprop.numerics import ParamVector, RngStream, global_norm_clip
+from innaprop.numerics import ParamVector, RngStream
 from innaprop.optimizers import (
     _BLOCK,
     InnapropConfig,
@@ -25,7 +25,6 @@ from innaprop.optimizers import (
     innaprop_momentum_step,
     innaprop_naive_init,
     innaprop_naive_step,
-    innaprop_plain_step,
     innaprop_step,
     reference_init,
     reference_step,
@@ -79,9 +78,10 @@ class TestInnapropStep:
         assert abs(state.theta.data[0] - 0.9) < 1e-15
 
     def test_plain_first_step_uses_raw_v(self):
-        cfg = InnapropConfig(alpha=1.0, beta=1.0, sigma=0.999, epsilon=1e-30)
+        cfg = InnapropConfig(alpha=1.0, beta=1.0, sigma=0.999, epsilon=1e-30,
+                             bias_correction=False)
         state = innaprop_init(cfg, vec(1.0))
-        state = innaprop_plain_step(state, vec(2.0), 0.1, cfg)
+        state = innaprop_step(state, vec(2.0), 0.1, cfg)
         expected = 1.0 - 0.1 * 2.0 / np.sqrt(0.004)
         assert abs(state.theta.data[0] - expected) < 1e-14
 
@@ -168,18 +168,6 @@ class TestInnapropStep:
         state = innaprop_init(cfg, vec(1.0))
         state = innaprop_step(state, vec(0.0), 0.1, cfg)
         assert abs(state.theta.data[0] - 0.99) < 1e-15
-
-    def test_grad_clip_inside_step(self):
-        cfg_clip = InnapropConfig(alpha=1.0, beta=1.0, grad_clip=1.0,
-                                  weight_decay=0.0)
-        cfg_pre = InnapropConfig(alpha=1.0, beta=1.0, weight_decay=0.0)
-        g = vec(3.0, 4.0)
-        s1 = innaprop_step(innaprop_init(cfg_clip, vec(1.0, 1.0)), g, 0.01, cfg_clip)
-        from innaprop.numerics import global_norm_clip
-
-        s2 = innaprop_step(innaprop_init(cfg_pre, vec(1.0, 1.0)),
-                           global_norm_clip(g, 1.0), 0.01, cfg_pre)
-        np.testing.assert_array_equal(s1.theta.data, s2.theta.data)
 
     def test_v_stays_nonnegative(self):
         rng = RngStream(23, 0).generator()
@@ -410,14 +398,15 @@ class TestReferenceOptimizers:
 # ---------------------------------------------------------------------------
 
 CFG = InnapropConfig(alpha=0.1, beta=0.9, weight_decay=0.01)
+PLAIN_CFG = replace(CFG, weight_decay=0.0, bias_correction=False)
 PARAMS = ReferenceParams(weight_decay=0.01)
 
 # name -> (init(theta0), step(state, g)), one entry per public step and form.
 EVERY_STEP = {
     "innaprop": (lambda th: innaprop_init(CFG, th),
                  lambda s, g: innaprop_step(s, g, 0.01, CFG)),
-    "innaprop_plain": (lambda th: innaprop_init(CFG, th),
-                       lambda s, g: innaprop_plain_step(s, g, 0.01, CFG)),
+    "innaprop_plain": (lambda th: innaprop_init(PLAIN_CFG, th),
+                       lambda s, g: innaprop_step(s, g, 0.01, PLAIN_CFG)),
     "innaprop_naive": (lambda th: innaprop_naive_init(CFG, th),
                        lambda s, g: innaprop_naive_step(s, g, 0.01, CFG)),
     "inna_classic": (lambda th: inna_init(0.5, 0.1, th),
@@ -465,7 +454,7 @@ def whole_array_innaprop(state, g, gamma, cfg, weight_decay, bias_correction):
     """The reduced step as whole-array numpy expressions, in the kernel's order."""
     alpha, beta, sigma, eps = cfg.alpha, cfg.beta, cfg.sigma, cfg.epsilon
     theta, psi, v = state.theta.data, state.psi.data, state.v.data
-    grad = (global_norm_clip(g, cfg.grad_clip) if cfg.grad_clip else g).data
+    grad = g.data
     if weight_decay:
         theta = (1.0 - weight_decay * gamma) * theta
     v_new = sigma * v + (1.0 - sigma) * grad * grad
@@ -503,22 +492,18 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("bias_correction", [True, False])
-    @pytest.mark.parametrize("grad_clip", [None, 1.0])
     def test_innaprop_bitwise_equal_to_whole_array(self, dim, precision, weight_decay,
-                                                    bias_correction, grad_clip):
+                                                    bias_correction):
         cfg = InnapropConfig(alpha=0.3, beta=0.9, weight_decay=weight_decay,
-                             bias_correction=bias_correction, grad_clip=grad_clip)
+                             bias_correction=bias_correction)
         rng = RngStream(dim, 3).generator()
-        full = plain = innaprop_init(cfg, ParamVector(rng.standard_normal(dim), precision))
+        state = innaprop_init(cfg, ParamVector(rng.standard_normal(dim), precision))
         for k in range(3):
             g = ParamVector(3.0 * rng.standard_normal(dim), precision)
             gamma = 0.01 * (k + 1)
-            want = whole_array_innaprop(full, g, gamma, cfg, weight_decay, bias_correction)
-            full = innaprop_step(full, g, gamma, cfg)
-            assert_bitwise((full.theta.data, full.psi.data, full.v.data), want)
-            want = whole_array_innaprop(plain, g, gamma, cfg, 0.0, False)
-            plain = innaprop_plain_step(plain, g, gamma, cfg)
-            assert_bitwise((plain.theta.data, plain.psi.data, plain.v.data), want)
+            want = whole_array_innaprop(state, g, gamma, cfg, weight_decay, bias_correction)
+            state = innaprop_step(state, g, gamma, cfg)
+            assert_bitwise((state.theta.data, state.psi.data, state.v.data), want)
 
     @pytest.mark.parametrize("dim", BLOCK_DIMS)
     @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -631,21 +616,18 @@ def slot_arrays(state):
             if getattr(state, name, None) is not None]
 
 
-def blocked_steps(weight_decay, bias_correction, grad_clip):
+def blocked_steps(weight_decay, bias_correction):
     """name -> (init(theta0), step(state, g, gamma, **kw)) for each blocked step."""
     cfg = InnapropConfig(alpha=0.3, beta=0.9, weight_decay=weight_decay,
-                         bias_correction=bias_correction, grad_clip=grad_clip)
+                         bias_correction=bias_correction)
     params = ReferenceParams(weight_decay=weight_decay, bias_correction=bias_correction)
     steps = {
         "innaprop": (lambda th: innaprop_init(cfg, th),
                      lambda s, g, gamma, **kw: innaprop_step(s, g, gamma, cfg, **kw)),
-        "innaprop_plain": (lambda th: innaprop_init(cfg, th),
-                           lambda s, g, gamma, **kw: innaprop_plain_step(s, g, gamma, cfg, **kw)),
     }
-    if grad_clip is None:  # the reference steps have no clip
-        for kind in ("Adam", "AdamW"):
-            steps[kind] = (lambda th, kind=kind: reference_init(kind, th, params),
-                           lambda s, g, gamma, **kw: reference_step(s, g, gamma, params, **kw))
+    for kind in ("Adam", "AdamW"):
+        steps[kind] = (lambda th, kind=kind: reference_init(kind, th, params),
+                       lambda s, g, gamma, **kw: reference_step(s, g, gamma, params, **kw))
     return steps
 
 
@@ -654,11 +636,9 @@ class TestDonatedSteps:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("bias_correction", [True, False])
-    @pytest.mark.parametrize("grad_clip", [None, 1.0])
     def test_donated_bitwise_equal_to_fresh(self, dim, precision, weight_decay,
-                                            bias_correction, grad_clip):
-        for name, (init, step) in blocked_steps(weight_decay, bias_correction,
-                                                grad_clip).items():
+                                            bias_correction):
+        for name, (init, step) in blocked_steps(weight_decay, bias_correction).items():
             rng = RngStream(dim, 6).generator()
             fresh = init(ParamVector(rng.standard_normal(dim), precision))
             donated = donatable(fresh)
@@ -680,7 +660,7 @@ class TestDonatedSteps:
         rng = RngStream(7, 7).generator()
         theta0 = ParamVector(rng.standard_normal(dim))
         g = ParamVector(rng.standard_normal(dim))
-        for name, (init, step) in blocked_steps(weight_decay, True, None).items():
+        for name, (init, step) in blocked_steps(weight_decay, True).items():
             state = step(init(theta0), g, 0.01)
             before = [arr.copy() for arr in slot_arrays(state)]
             with pytest.raises(ValueError, match="read-only"):
