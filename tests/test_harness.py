@@ -329,6 +329,21 @@ class TestGradClip:
         assert csv(grad_clip=1e-6) != unclipped
         assert csv(grad_clip=1e300) == unclipped
 
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+    def test_lock_step_cell_clips_on_its_own_norm(self, optimizer, precision):
+        # The cells of one lock-step call share a stacked gradient call; each
+        # is clipped on the norm of its own row, as its single run would be.
+        cfg = parse_config_dict({**MINIMAL, "optimizer": optimizer, "steps": 20,
+                                 "precision": precision, "grad_clip": 1.0})
+        lrs = [1e-4, 1e-3, 1e-2]
+        cells = run_experiment([replace(cfg, lr=v) for v in lrs],
+                               tag=[f"lr{v:g}" for v in lrs])
+        for lr, (rows, _) in zip(lrs, cells):
+            cell = rows_to_csv(rows)
+            assert cell == rows_to_csv(run_experiment(replace(cfg, lr=lr))[0])
+            assert cell != rows_to_csv(run_experiment(replace(cfg, lr=lr, grad_clip=None))[0])
+
     @pytest.mark.parametrize("optimizer", ["innaprop", "adamw"])
     def test_clip_then_step_by_hand(self, optimizer):
         cfg = parse_config_dict({**MINIMAL, "optimizer": optimizer, "steps": 20,

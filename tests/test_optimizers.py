@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from innaprop.errors import ContractViolation, DivergenceError, WellPosednessError
-from innaprop.numerics import ParamVector, RngStream
+from innaprop.numerics import ParamVector, RngStream, global_norm_clip
 from innaprop.optimizers import (
     _BLOCK,
     InnapropConfig,
@@ -450,6 +450,14 @@ def test_step_checks_gradient_and_keeps_precision(name):
 BLOCK_DIMS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]
 
 
+def loop_gradient(rng, dim, precision, grad_clip):
+    """A gradient as the run loop hands it to a step: clipped to
+    ``grad_clip`` when that is set. Its norm is well above 1, so a clip of 1
+    rescales it."""
+    g = ParamVector(3.0 * rng.standard_normal(dim), precision)
+    return global_norm_clip(g, grad_clip) if grad_clip is not None else g
+
+
 def whole_array_innaprop(state, g, gamma, cfg, weight_decay, bias_correction):
     """The reduced step as whole-array numpy expressions, in the kernel's order."""
     alpha, beta, sigma, eps = cfg.alpha, cfg.beta, cfg.sigma, cfg.epsilon
@@ -492,14 +500,15 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("bias_correction", [True, False])
+    @pytest.mark.parametrize("grad_clip", [None, 1.0])
     def test_innaprop_bitwise_equal_to_whole_array(self, dim, precision, weight_decay,
-                                                    bias_correction):
+                                                    bias_correction, grad_clip):
         cfg = InnapropConfig(alpha=0.3, beta=0.9, weight_decay=weight_decay,
                              bias_correction=bias_correction)
         rng = RngStream(dim, 3).generator()
         state = innaprop_init(cfg, ParamVector(rng.standard_normal(dim), precision))
         for k in range(3):
-            g = ParamVector(3.0 * rng.standard_normal(dim), precision)
+            g = loop_gradient(rng, dim, precision, grad_clip)
             gamma = 0.01 * (k + 1)
             want = whole_array_innaprop(state, g, gamma, cfg, weight_decay, bias_correction)
             state = innaprop_step(state, g, gamma, cfg)
@@ -636,14 +645,15 @@ class TestDonatedSteps:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("bias_correction", [True, False])
+    @pytest.mark.parametrize("grad_clip", [None, 1.0])
     def test_donated_bitwise_equal_to_fresh(self, dim, precision, weight_decay,
-                                            bias_correction):
+                                            bias_correction, grad_clip):
         for name, (init, step) in blocked_steps(weight_decay, bias_correction).items():
             rng = RngStream(dim, 6).generator()
             fresh = init(ParamVector(rng.standard_normal(dim), precision))
             donated = donatable(fresh)
             for k in range(3):
-                g = ParamVector(3.0 * rng.standard_normal(dim), precision)
+                g = loop_gradient(rng, dim, precision, grad_clip)
                 gamma = 0.01 * (k + 1)
                 fresh = step(fresh, g, gamma)
                 owned = slot_arrays(donated)
