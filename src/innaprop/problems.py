@@ -198,7 +198,8 @@ class Problem:
     Each cell's numbers are bit for bit those of its own 1-D call, because
     every operation maps cells to cells with the same BLAS call per cell and
     reduces along the last axis only. ``grad`` returns a fresh array, which
-    the run loop takes over without a copy.
+    the run loop takes over without a copy. ``test_metric`` is None when
+    there is no test split to measure.
     """
 
     name: str
@@ -215,6 +216,23 @@ class Problem:
 # largest intermediate of a chunk holds about this many elements however
 # many cells there are.
 _BLOCK = 1 << 13
+
+# numpy adds fewer than this many elements left to right, and pairwise from
+# this many on; it is a fact of numpy's sum, not a setting.
+_PAIRWISE_MIN = 8
+
+
+def _last_axis(ufunc, z: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(z, axis=-1)``, bit for bit, for ``np.add`` or
+    ``np.maximum``. numpy reduces a short last axis one output at a time; a
+    last axis of 2 to ``_PAIRWISE_MIN - 1`` entries is folded column by
+    column instead, left to right as numpy adds them, one call a column."""
+    if not 2 <= z.shape[-1] < _PAIRWISE_MIN:
+        return ufunc.reduce(z, axis=-1)
+    out = ufunc(z[..., 0], z[..., 1])
+    for c in range(2, z.shape[-1]):
+        ufunc(out, z[..., c], out=out)
+    return out
 
 
 def _over_cells(fn, cell_size: Callable[[Optional[np.ndarray]], int]):
@@ -348,7 +366,8 @@ def _logistic_regression(dataset: Dataset) -> Problem:
         loss=_over_cells(loss, cell_size),
         grad=_over_cells(grad, cell_size),
         init_theta=init_theta,
-        test_metric=_over_cells(test_metric, lambda batch: x_test.shape[0]),
+        test_metric=(_over_cells(test_metric, lambda batch: x_test.shape[0])
+                     if x_test.shape[0] else None),
         dataset=dataset,
     )
 
@@ -386,8 +405,8 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
         raise ContractViolation("tiny_mlp needs non-negative integer class labels")
     x_train, y_train = dataset.train_xy()
     labels = y_train.astype(np.int64)
-    n_classes = int(labels.max()) + 1 if labels.size else 2
-    n_classes = max(n_classes, 2)
+    # Over every label, so that a class seen only in the test split has a logit.
+    n_classes = int(y.max(initial=1)) + 1
     widths = [dataset.dim, *hidden, n_classes]
     if any(w <= 0 for w in widths):
         raise ContractViolation("layer widths must be positive")
@@ -410,6 +429,7 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
         return acts
 
     one_hot = np.eye(n_classes)[labels]
+    all_rows = np.arange(labels.size)  # the full batch's row index, built once
 
     def _batch_xy(batch):
         if batch is None:
@@ -421,19 +441,20 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
 
     def loss(theta, batch):
         x, y, _ = _batch_xy(batch)
+        rows = all_rows if batch is None else np.arange(y.size)
         logits = _forward(layout.unpack(theta), x)[-1]
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=-1))
-        return (logz - shifted[:, np.arange(y.size), y]).sum(axis=-1) / y.size
+        shifted = logits - _last_axis(np.maximum, logits)[..., None]
+        logz = np.log(_last_axis(np.add, np.exp(shifted)))
+        return (logz - shifted[:, rows, y]).sum(axis=-1) / y.size
 
     def grad(theta, batch):
         x, y, y_hot = _batch_xy(batch)
         params = layout.unpack(theta)
         acts = _forward(params, x)
         logits = acts[-1]
-        shifted = logits - logits.max(axis=-1, keepdims=True)
+        shifted = logits - _last_axis(np.maximum, logits)[..., None]
         ez = np.exp(shifted)
-        softmax = ez / ez.sum(axis=-1, keepdims=True)
+        softmax = ez / _last_axis(np.add, ez)[..., None]
         delta = softmax
         delta -= y_hot  # minus 1 at each row's label, minus 0 elsewhere: exact
         delta /= y.size
@@ -472,7 +493,8 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
         loss=_over_cells(loss, cell_size),
         grad=_over_cells(grad, cell_size),
         init_theta=init_theta,
-        test_metric=_over_cells(test_metric, lambda batch: widest * x_test.shape[0]),
+        test_metric=(_over_cells(test_metric, lambda batch: widest * x_test.shape[0])
+                     if x_test.shape[0] else None),
         dataset=dataset,
     )
 

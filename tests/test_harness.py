@@ -426,6 +426,53 @@ class TestContentHash:
         assert content_hash(cfg) != before
 
 
+class TestDatasetProblems:
+    @pytest.mark.parametrize("n_classes,sha256", [
+        (3, "ac134ed4f61e51f3abcf87d266734ee94a2dffd39eb2d49777c585c426b20e6a"),
+        (9, "987c245a8e1ca45c57b965805fececddbdfa31f539d0a41350aa2abe14706fb7"),
+    ], ids=["3_classes", "9_classes"])
+    def test_multi_class_run_csv_pinned(self, tmp_path, capsys, class_csv, n_classes, sha256):
+        # Recorded before the class axis was reduced by columns: 3 logits take
+        # the column fold, 9 numpy's own reduction.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": "tiny_mlp", "dataset": str(class_csv(n_classes)), "label_column": "y",
+            "optimizer": "innaprop", "alpha": 0.1, "beta": 0.9, "lr": 0.05, "steps": 40,
+            "batch_size": 16}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "run.csv").read_bytes()).hexdigest() == sha256
+
+    EMPTY_TEST_SPLIT = {"optimizer": "adamw", "steps": 3, "split_fraction": 1.0}
+
+    @pytest.mark.parametrize("problem", ["tiny_mlp", "logistic_regression"])
+    def test_empty_test_split_runs_without_test_metric(self, tmp_path, capsys, problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.EMPTY_TEST_SPLIT, "problem": problem}),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "run.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 4
+        assert all(line.split(",")[3:] == ["", "ok"] for line in lines[1:])
+        assert json.loads((out / "run.json").read_text())["best_test_metric"] is None
+
+    def test_empty_test_split_grid(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.EMPTY_TEST_SPLIT, "problem": "tiny_mlp",
+                                   "optimizer": "innaprop", "alpha": 0.1, "beta": 0.9,
+                                   "lr": 1e-3}), encoding="utf-8")
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", str(cfg), "--alphas", "0.1", "0.5",
+                     "--betas", "0.9", "1.5", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "grid.csv").read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(rows) == 4
+        # short_test_metric, final_test_metric and best_test_metric are empty
+        assert all(r[3] == r[5] == r[6] == "" and r[7] == "ok" for r in rows)
+        assert len(list(out.glob("cell_*.csv"))) == 4
+
+
 class TestGrid:
     BASE = {"problem": "quadratic", "spectrum": [1.0, 10.0], "optimizer": "innaprop",
             "alpha": 0.1, "beta": 0.9, "lr": 1e-3, "steps": 60, "weight_decay": 0.0,
@@ -482,6 +529,17 @@ class TestGrid:
         grid = grid_search(cfg, alphas=[2.0], betas=[2.0])
         standalone = run_experiment(replace(cfg, alpha=2.0, beta=2.0))[1]
         assert grid.cells[0].final_train_loss == standalone.final_train_loss
+
+    def test_default_grid_bytes_match_benchmark_reference(self, tmp_path, capsys):
+        # The benchmark's grid_cifar workload at config seed 0: all 81 cell
+        # CSVs and grid.csv, against the sha256s it checks its runs with.
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+        want = json.loads(path.read_text(encoding="utf-8"))["grid_cifar"]["0"]["grid"]
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", "preset:cifar_small", "--seed", "0",
+                     "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+        assert len(want) == 82 and got == want
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ from innaprop.harness.checks import gradient_fidelity
 from innaprop.numerics import ParamVector, RngStream
 from innaprop.problems import (
     MiniBatchSampler,
+    _last_axis,
     generate_synthetic,
     load_csv_dataset,
     make_problem,
@@ -156,6 +157,15 @@ class TestCsvLoading:
         with pytest.raises(ParseError, match="row 3"):
             load_csv_dataset(path, "y")
 
+    def test_class_seen_only_in_test_split_has_a_logit(self, tmp_path):
+        labels = [i % 2 for i in range(19)] + [2]
+        path = self._write(tmp_path, "a,b,y\n" + "".join(
+            f"{0.1 * i},{1.0 - 0.05 * i},{y}\n" for i, y in enumerate(labels)))
+        data = load_csv_dataset(path, "y", split_fraction=0.75, seed=1)
+        assert 19 in data.test_idx and 2.0 not in data.labels[data.train_idx]
+        # 2 -> 4 -> 3: 2*4 + 4 weights and biases, then 4*3 + 3
+        assert make_problem("tiny_mlp", dataset=data, hidden=(4,)).dim == 27
+
 
 class TestSamplerAndBatches:
     def test_full_ordered_batch_equals_full_gradient_exactly(self):
@@ -214,10 +224,20 @@ class TestStackedCells:
     its rows on its own. 81 cells span several chunks of the stacked
     evaluation on the dataset problems."""
 
+    # The shipped problems, then tiny_mlp on a 3-class and a 9-class CSV: 3
+    # logits are reduced a column at a time, 9 by numpy's own reduction.
+    CASES = ("quadratic", "rosenbrock", "logistic_regression", "tiny_mlp",
+             "tiny_mlp_3_classes", "tiny_mlp_9_classes")
+
     @pytest.mark.parametrize("cells", [1, 3, 81])
-    @pytest.mark.parametrize("index", range(4), ids=lambda i: shipped_problems()[i].name)
-    def test_stack_equals_row_by_row(self, index, cells):
-        problem = shipped_problems()[index]
+    @pytest.mark.parametrize("name", CASES)
+    def test_stack_equals_row_by_row(self, class_csv, name, cells):
+        index = self.CASES.index(name)
+        if index < 4:
+            problem = shipped_problems()[index]
+        else:
+            n_classes = int(name.split("_")[2])
+            problem = make_problem("tiny_mlp", dataset=load_csv_dataset(class_csv(n_classes), "y"))
         rng = RngStream(cells, index).generator()
         theta = 0.7 * rng.standard_normal((cells, problem.dim))
         batches = [None]
@@ -241,6 +261,30 @@ class TestStackedCells:
         theta = RngStream(3, 1).generator().standard_normal((3, problem.dim))
         low = theta.astype(np.float32)
         np.testing.assert_array_equal(problem.grad(low), problem.grad(low.astype(np.float64)))
+
+
+class TestLastAxis:
+    """``_last_axis`` gives the bits of numpy's own last-axis reduction at
+    every width: a column fold below 8 columns, numpy's reduce from 8 on."""
+
+    @staticmethod
+    def _same_bits(got, want):
+        nan = np.isnan(want)
+        assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 32), (5, 180), (81, 180)])
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_equals_numpy_reduce(self, width, shape):
+        rng = RngStream(width, shape[0]).generator()
+        # Rounded to one decimal, so that most rows hold ties; some signed
+        # zeros and a NaN in about one entry in fifty.
+        z = np.round(rng.standard_normal((*shape, width)), 1)
+        z[rng.random(z.shape) < 0.05] = -0.0
+        z[rng.random(z.shape) < 0.02] = np.nan
+        self._same_bits(_last_axis(np.maximum, z), z.max(axis=-1))
+        e = np.exp(z + rng.standard_normal(z.shape))
+        self._same_bits(_last_axis(np.add, e), e.sum(axis=-1))
 
 
 class TestShippedProblems:
