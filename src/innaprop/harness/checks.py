@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ParamVector, RngStream, fd_gradient
+from ..numerics import ParamVector, Precision, RngStream, fd_gradient
 from ..ode import DinFlowSpec, discretization_gap, din_rhs, richardson_ratio, rk4_integrate
 from ..optimizers import (
     InnapropConfig,
@@ -66,17 +66,18 @@ class SuiteReport:
 
 
 def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(b))), 1e-30)
-    return float(np.max(np.abs(a - b))) / scale
+    scale = max(float(np.abs(b).max()), 1e-30)
+    return float(np.abs(a - b).max()) / scale
 
 
 def _paired_max_dev(problem, n_steps, state_a, step_a, state_b, step_b) -> float:
     """Advance two recursions side by side; each sees the gradient at its own
-    iterate. Returns the max relative theta deviation over the run."""
+    iterate, from one stacked ``problem.grad`` call on the two iterates.
+    Returns the max relative theta deviation over the run."""
     worst = 0.0
     for _ in range(n_steps):
-        ga = ParamVector(problem.grad(np.asarray(_theta_of(state_a), dtype=np.float64)))
-        gb = ParamVector(problem.grad(np.asarray(_theta_of(state_b), dtype=np.float64)))
+        grads = problem.grad(np.array((_theta_of(state_a), _theta_of(state_b)), dtype=np.float64))
+        ga, gb = ParamVector(grads[0]), ParamVector(grads[1])
         state_a = step_a(state_a, ga)
         state_b = step_b(state_b, gb)
         worst = max(worst, _rel_dev(_theta_of(state_a), _theta_of(state_b)))
@@ -396,6 +397,7 @@ def _slope_problem(slope: float) -> Problem:
 
 def _stagnation_run(precision: str) -> dict:
     p = _STAGNATION
+    precision, gamma = Precision.of(precision), p["gamma"]
     problem = _slope_problem(p["slope"])
     rng = RngStream(p["seed"], 0).generator()
     theta0 = p["theta_base"] + 0.1 * rng.standard_normal(p["dim"])
@@ -410,7 +412,7 @@ def _stagnation_run(precision: str) -> dict:
     for k in range(p["steps"]):
         g = ParamVector(problem.grad(state.theta.data), precision)
         prev_m = state.m.data
-        state = innaprop_momentum_step(state, g, p["gamma"], cfg)
+        state = innaprop_momentum_step(state, g, gamma, cfg)
         if k >= warm:
             if m_window_start is None:
                 m_window_start = prev_m.copy()

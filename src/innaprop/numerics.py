@@ -36,7 +36,8 @@ class Precision(enum.Enum):
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    # setflags is several times cheaper than assigning arr.flags.writeable.
+    arr.setflags(write=False)
     return arr
 
 
@@ -60,7 +61,7 @@ class ParamVector:
         arr = np.array(values, dtype=precision.dtype, copy=True).reshape(-1)
         if arr.size == 0:
             raise ContractViolation("ParamVector must have at least one element")
-        if not np.isfinite(arr).all():
+        if np.count_nonzero(np.isfinite(arr)) < arr.size:
             raise DomainError("ParamVector elements must be finite")
         self.data = _freeze(arr)
 
@@ -158,20 +159,23 @@ def fd_gradient(problem, theta: ParamVector, h: float = 1e-5) -> ParamVector:
     """Central-difference gradient estimate of ``problem.loss`` at ``theta``.
 
     Always computed in F64 regardless of the vector's precision; the result
-    carries the precision of the input. Raises ``DomainError`` if the loss is
-    non-finite at any probe point.
+    carries the precision of the input. All ``2*dim`` probe points go to
+    ``problem.loss`` as one ``(2*dim, dim)`` stack, so the loss must take a
+    stack (see ``Problem``); the stack holds ``2*dim*dim`` f64 values, so
+    this suits small problems. Raises ``DomainError`` naming the first
+    coordinate whose up or down probe has a non-finite loss.
     """
     if not h > 0:
         raise ContractViolation("finite-difference step h must be positive")
     base = np.array(theta.data, dtype=np.float64)
-    grad = np.empty_like(base)
-    for i in range(base.size):
-        probe = base.copy()
-        probe[i] = base[i] + h
-        up = float(problem.loss(probe))
-        probe[i] = base[i] - h
-        down = float(problem.loss(probe))
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise DomainError(f"non-finite loss while probing coordinate {i}")
-        grad[i] = (up - down) / (2.0 * h)
-    return ParamVector(grad, theta.precision)
+    dim = base.size
+    # Rows 0..dim-1 step coordinate i up, rows dim..2*dim-1 step it down.
+    probes = np.tile(base, (2 * dim, 1))
+    i = np.arange(dim)
+    probes[i, i] = base + h
+    probes[dim + i, i] = base - h
+    up, down = np.asarray(problem.loss(probes), dtype=np.float64).reshape(2, dim)
+    finite = np.isfinite(up) & np.isfinite(down)
+    if np.count_nonzero(finite) < dim:
+        raise DomainError(f"non-finite loss while probing coordinate {int(np.argmin(finite))}")
+    return ParamVector((up - down) / (2.0 * h), theta.precision)

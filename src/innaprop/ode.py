@@ -57,10 +57,15 @@ class Trajectory:
         return problem.loss(self.theta)
 
 
-def _rhs_raw(spec: DinFlowSpec, th: np.ndarray, ps: np.ndarray):
-    g = spec.problem.grad(th)
+def _rhs(spec: DinFlowSpec, y: np.ndarray) -> np.ndarray:
+    """Right-hand side of the flow at ``y``, the (2, p) f64 array with theta
+    in row 0 and psi in row 1; one gradient call."""
+    th, ps = y
     drift = -(spec.alpha - 1.0 / spec.beta) * th - ps / spec.beta
-    return drift - spec.beta * g, drift
+    dy = np.empty_like(y)
+    dy[1] = drift
+    np.subtract(drift, spec.beta * spec.problem.grad(th), out=dy[0])
+    return dy
 
 
 def din_rhs(theta: ParamVector, psi: ParamVector, spec: DinFlowSpec):
@@ -69,8 +74,8 @@ def din_rhs(theta: ParamVector, psi: ParamVector, spec: DinFlowSpec):
     Raises ``DomainError`` when the gradient, and with it ``dtheta``, is not
     finite.
     """
-    dtheta, dpsi = _rhs_raw(spec, np.asarray(theta.data, dtype=np.float64), psi.data)
-    if not np.isfinite(dtheta).all():
+    dtheta, dpsi = _rhs(spec, np.array((theta.data, psi.data), dtype=np.float64))
+    if np.count_nonzero(np.isfinite(dtheta)) < dtheta.size:
         raise DomainError("non-finite gradient in din_rhs")
     return ParamVector(dtheta), ParamVector(dpsi)
 
@@ -86,33 +91,32 @@ def rk4_integrate(spec: DinFlowSpec, theta0: ParamVector, psi0: ParamVector | No
     """Classical fourth-order integration from (theta0, psi0).
 
     ``psi0`` defaults to ``(1 - alpha*beta) * theta0``, the initialization
-    under which critical points are equilibria of the flow.
+    under which critical points are equilibria of the flow. (theta, psi)
+    advance as the two rows of one (2, p) array, so every stage is one set of
+    array operations for both.
     """
     n_steps = _step_count(spec.t_end, spec.dt)
-    th = np.asarray(theta0.data, dtype=np.float64).copy()
-    ps = (
-        np.asarray(psi0.data, dtype=np.float64).copy()
-        if psi0 is not None
-        else (1.0 - spec.alpha * spec.beta) * th
-    )
+    th = np.asarray(theta0.data, dtype=np.float64)
+    y = np.empty((2, th.size))
+    y[0] = th
+    y[1] = psi0.data if psi0 is not None else (1.0 - spec.alpha * spec.beta) * th
     h = spec.dt
     t = np.linspace(0.0, n_steps * h, n_steps + 1)
-    thetas = np.empty((n_steps + 1, th.size))
-    psis = np.empty_like(thetas)
-    thetas[0], psis[0] = th, ps
+    # states[0] holds theta and states[1] psi at every sample.
+    states = np.empty((2, n_steps + 1, th.size))
+    states[:, 0] = y
 
     for k in range(1, n_steps + 1):
-        k1t, k1p = _rhs_raw(spec, th, ps)
-        k2t, k2p = _rhs_raw(spec, th + 0.5 * h * k1t, ps + 0.5 * h * k1p)
-        k3t, k3p = _rhs_raw(spec, th + 0.5 * h * k2t, ps + 0.5 * h * k2p)
-        k4t, k4p = _rhs_raw(spec, th + h * k3t, ps + h * k3p)
-        th = th + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        ps = ps + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(ps))):
+        k1 = _rhs(spec, y)
+        k2 = _rhs(spec, y + 0.5 * h * k1)
+        k3 = _rhs(spec, y + 0.5 * h * k2)
+        k4 = _rhs(spec, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.count_nonzero(np.isfinite(y)) < y.size:
             raise DivergenceError(k)
-        thetas[k], psis[k] = th, ps
+        states[:, k] = y
 
-    return Trajectory(t=t, theta=thetas, psi=psis)
+    return Trajectory(t=t, theta=states[0], psi=states[1])
 
 
 def richardson_ratio(spec: DinFlowSpec, theta0: ParamVector) -> float:

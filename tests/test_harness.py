@@ -736,6 +736,22 @@ class TestBenchmarkHooks:
             tracer.uninstall()
         assert tracer.counts()[tracing.STEP] == 20
 
+    @pytest.mark.parametrize("suite,steps", [
+        ("equivalence", 9800), ("gradients", 0), ("schedulers", 0),
+        ("ode", 10700), ("instability", 48000),
+    ])
+    def test_suite_step_calls_pinned(self, suite, steps):
+        # check_all's steps_per_s divides a fixed step count by the wall time,
+        # so a suite must make the same step calls through the checks and
+        # ode module globals, however it evaluates its problems.
+        tracing = self._tracing()
+        tracer = tracing.Tracer(record=False).install()
+        try:
+            assert tracing.checks.run_suite(suite).passed
+        finally:
+            tracer.uninstall()
+        assert tracer.counts()[tracing.STEP] == steps
+
     def test_traced_run_reads_state_and_gradient_of_each_step(self, tmp_path, capsys):
         # The tracer reads the state and the gradient from a step's first two
         # positional arguments; a step called otherwise would lose its bytes.
@@ -801,6 +817,13 @@ class TestCli:
         lines = outputs[0].splitlines()
         assert outputs[0] == outputs[1]
         assert len(lines) == 4 and all(line.startswith("[PASS] gradients/") for line in lines)
+
+    def test_check_all_report_pinned(self, capsys):
+        # Every line of every suite's report, byte for byte.
+        assert main(["check", "all"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "807157cc8a961d4cf4fb5df5ac285d7d435fe3aa334ca56ffc3e740292f73aa8")
 
     def test_check_failure_exit_one(self, capsys, monkeypatch):
         from innaprop.harness import checks, cli

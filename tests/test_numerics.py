@@ -14,7 +14,7 @@ from innaprop.numerics import (
     global_norm_clip,
 )
 from innaprop.optimizers import ReferenceParams, reference_init, reference_step
-from innaprop.problems import make_problem
+from innaprop.problems import make_problem, shipped_problems
 
 
 class TestParamVector:
@@ -118,13 +118,54 @@ class TestFdGradient:
     def test_non_finite_probe_raises_domain_error(self):
         from innaprop.problems import Problem
 
+        # The loss reduces over the last axis, so it takes a probe stack too.
         sqrt_prob = Problem(
             name="sqrt",
             dim=1,
-            loss=lambda theta, batch=None: float(np.sqrt(theta[0])),
+            loss=lambda theta, batch=None: np.sqrt(theta[..., 0]),
             grad=lambda theta, batch=None: 0.5 / np.sqrt(theta),
             init_theta=lambda rng: np.ones(1),
         )
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="coordinate 0"):
             with np.errstate(invalid="ignore"):
                 fd_gradient(sqrt_prob, ParamVector([1e-9]), h=1e-5)
+
+    def test_domain_error_names_first_bad_coordinate(self):
+        from innaprop.problems import Problem
+
+        # Only coordinate 2 reaches below zero when probed.
+        sqrt_prob = Problem(
+            name="sqrt",
+            dim=4,
+            loss=lambda theta, batch=None: np.sqrt(theta).sum(axis=-1),
+            grad=lambda theta, batch=None: 0.5 / np.sqrt(theta),
+            init_theta=lambda rng: np.ones(4),
+        )
+        with pytest.raises(DomainError, match="coordinate 2$"):
+            with np.errstate(invalid="ignore"):
+                fd_gradient(sqrt_prob, ParamVector([1.0, 1.0, 1e-9, 1e-9]), h=1e-5)
+
+    @staticmethod
+    def _per_probe_fd(problem, theta, h):
+        # One 1-D loss call per probe, coordinate by coordinate.
+        base = np.array(theta.data, dtype=np.float64)
+        grad = np.empty_like(base)
+        for i in range(base.size):
+            probe = base.copy()
+            probe[i] = base[i] + h
+            up = float(problem.loss(probe))
+            probe[i] = base[i] - h
+            down = float(problem.loss(probe))
+            grad[i] = (up - down) / (2.0 * h)
+        return ParamVector(grad, theta.precision)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_stacked_probes_match_per_probe_loop(self, precision):
+        for index, prob in enumerate(shipped_problems()):
+            rng = RngStream(42, index).generator()
+            for _ in range(3):
+                theta = ParamVector(0.5 * rng.standard_normal(prob.dim), precision)
+                got = fd_gradient(prob, theta, h=1e-5)
+                want = self._per_probe_fd(prob, theta, 1e-5)
+                assert got.data.dtype == want.data.dtype
+                assert got.data.tobytes() == want.data.tobytes(), prob.name

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from innaprop.errors import ContractViolation
+from innaprop.errors import ContractViolation, DivergenceError
 from innaprop.numerics import ParamVector, RngStream
 from innaprop.ode import (
     DinFlowSpec,
@@ -88,6 +88,68 @@ class TestRk4:
         losses = traj.losses(QUAD)
         assert losses.shape == traj.t.shape
         assert losses[0] == pytest.approx(5.5)
+
+
+def two_array_rk4(spec, theta0):
+    """RK4 with theta and psi in separate arrays: the ``t``, the stacked
+    thetas and psis, and the step at which the state first went non-finite
+    (None if it never did)."""
+    n_steps = int(round(spec.t_end / spec.dt))
+    h = spec.dt
+
+    def rhs(th, ps):
+        g = spec.problem.grad(th)
+        drift = -(spec.alpha - 1.0 / spec.beta) * th - ps / spec.beta
+        return drift - spec.beta * g, drift
+
+    th = np.array(theta0.data, dtype=np.float64)
+    ps = (1.0 - spec.alpha * spec.beta) * th
+    thetas, psis = [th], [ps]
+    for k in range(1, n_steps + 1):
+        k1t, k1p = rhs(th, ps)
+        k2t, k2p = rhs(th + 0.5 * h * k1t, ps + 0.5 * h * k1p)
+        k3t, k3p = rhs(th + 0.5 * h * k2t, ps + 0.5 * h * k2p)
+        k4t, k4p = rhs(th + h * k3t, ps + h * k3p)
+        th = th + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        ps = ps + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(ps))):
+            return None, None, None, k
+        thetas.append(th)
+        psis.append(ps)
+    return np.linspace(0.0, n_steps * h, n_steps + 1), np.array(thetas), np.array(psis), None
+
+
+class TestStackedRk4:
+    @pytest.mark.parametrize("problem,alpha,beta,theta0", [
+        (QUAD, 0.5, 0.9, [1.2, -0.8]),
+        (QUAD, 1.0, 1.0, [0.3, 2.0]),
+        (make_problem("rosenbrock", dim=2), 0.1, 0.9, [-1.2, 1.0]),
+        (make_problem("rosenbrock", dim=5), 0.5, 0.7, [0.5, -0.3, 1.1, 0.8, -1.0]),
+    ])
+    def test_bitwise_equal_to_two_array_loop(self, problem, alpha, beta, theta0):
+        spec = DinFlowSpec(alpha, beta, problem, t_end=0.5, dt=1e-3)
+        traj = rk4_integrate(spec, ParamVector(theta0))
+        t, thetas, psis, blew_up = two_array_rk4(spec, ParamVector(theta0))
+        assert blew_up is None
+        for got, want in ((traj.t, t), (traj.theta, thetas), (traj.psi, psis)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("problem,t_end,dt,theta0", [
+        # A step past RK4's stability bound: the state grows geometrically
+        # and overflows hundreds of steps in.
+        (QUAD, 1000.0, 0.5, [1.2, -0.8]),
+        # A far start: Rosenbrock's quartic term overflows within a few steps.
+        (make_problem("rosenbrock", dim=2), 1.0, 0.0025, [1.5, -1.5]),
+    ])
+    def test_blow_up_at_the_same_step(self, problem, t_end, dt, theta0):
+        spec = DinFlowSpec(0.1, 0.9, problem, t_end=t_end, dt=dt)
+        theta0 = ParamVector(theta0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, _, blew_up = two_array_rk4(spec, theta0)
+            assert blew_up is not None
+            with pytest.raises(DivergenceError) as err:
+                rk4_integrate(spec, theta0)
+        assert err.value.step == blew_up
 
 
 class TestDiscretizationGap:
