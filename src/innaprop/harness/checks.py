@@ -72,12 +72,13 @@ def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
 
 def _paired_max_dev(problem, n_steps, state_a, step_a, state_b, step_b) -> float:
     """Advance two recursions side by side; each sees the gradient at its own
-    iterate, from one stacked ``problem.grad`` call on the two iterates.
-    Returns the max relative theta deviation over the run."""
+    iterate, from one stacked ``problem.grad`` call on the two iterates, in
+    F64. Returns the max relative theta deviation over the run."""
     worst = 0.0
     for _ in range(n_steps):
-        grads = problem.grad(np.array((_theta_of(state_a), _theta_of(state_b)), dtype=np.float64))
-        ga, gb = ParamVector(grads[0]), ParamVector(grads[1])
+        ga, gb = ParamVector.adopt_rows(
+            problem.grad(np.array((_theta_of(state_a), _theta_of(state_b)), dtype=np.float64)),
+            Precision.F64)
         state_a = step_a(state_a, ga)
         state_b = step_b(state_b, gb)
         worst = max(worst, _rel_dev(_theta_of(state_a), _theta_of(state_b)))
@@ -410,7 +411,7 @@ def _stagnation_run(precision: str) -> dict:
     window_losses = []
     m_window_start = None
     for k in range(p["steps"]):
-        g = ParamVector(problem.grad(state.theta.data), precision)
+        g, = ParamVector.adopt_rows(problem.grad(state.theta.data)[None], precision)
         prev_m = state.m.data
         state = innaprop_momentum_step(state, g, gamma, cfg)
         if k >= warm:

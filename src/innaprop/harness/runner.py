@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ContractViolation, DivergenceError, DomainError
+from ..errors import ContractViolation, DivergenceError
 from ..numerics import ParamVector, global_norm_clip
 from ..optimizers import (
     InnapropConfig,
@@ -98,7 +98,7 @@ def rows_to_csv(rows: list[RunRow]) -> str:
 
 
 def _writable(state):
-    """``state`` with every slot writable, so it can be donated to a step.
+    """``state`` with every slot writable, so blocked steps write it in place.
 
     Set once at setup, never per step. No slot may share its array with
     another slot or another state.
@@ -113,9 +113,7 @@ def _writable(state):
 def _make_stepper(config: RunConfig, theta0: ParamVector):
     """Initial state plus a step closure (state, g, gamma) -> state.
 
-    The run loop owns the state: the steps that can write in place get it
-    with writable slots and ``donate=True``, and the others build fresh
-    slots from it. ``theta0`` becomes the state's parameter slot.
+    ``theta0`` becomes the state's parameter slot.
     """
     kind = config.optimizer
     ref_kind, forms = OPTIMIZERS[kind]
@@ -127,8 +125,8 @@ def _make_stepper(config: RunConfig, theta0: ParamVector):
             weight_decay=config.weight_decay,
             bias_correction=config.bias_correction,
         )
-        state = _writable(reference_init(ref_kind, theta0, params))
-        return state, lambda s, g, lr: reference_step(s, g, lr, params, donate=True)
+        state = reference_init(ref_kind, theta0, params)
+        return state, lambda s, g, lr: reference_step(s, g, lr, params)
     if kind == "inna":
         state = inna_init(config.alpha, config.beta, theta0)
         form = config.form or forms[0]
@@ -149,8 +147,8 @@ def _make_stepper(config: RunConfig, theta0: ParamVector):
     )
     # innaprop_plain is innaprop_step with decay and bias correction off.
     if kind in ("innaprop", "innaprop_plain"):
-        return (_writable(innaprop_init(opt_cfg, theta0)),
-                lambda s, g, lr: innaprop_step(s, g, lr, opt_cfg, donate=True))
+        state = innaprop_init(opt_cfg, theta0)
+        return state, lambda s, g, lr: innaprop_step(s, g, lr, opt_cfg)
     state = innaprop_momentum_init(opt_cfg, theta0, config.form or forms[0])
     return state, lambda s, g, lr: innaprop_momentum_step(s, g, lr, opt_cfg)
 
@@ -298,10 +296,12 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
     theta = ParamVector(
         base.init_scale * problem.init_theta(init_stream(base).generator()), precision
     )
-    # Each cell owns its state's arrays; the first keeps theta itself.
+    # Each cell owns its state's arrays, made writable once; the first keeps
+    # theta itself.
     states, step_fns = map(list, zip(*(
         _make_stepper(cfg, theta if i == 0 else ParamVector._wrap(theta.data.copy()))
         for i, cfg in enumerate(configs))))
+    states = [_writable(state) for state in states]
 
     sampler = None
     if base.batch_size is not None:
@@ -353,17 +353,15 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
             grads = ParamVector.adopt_rows(problem.grad(_stack(states, live), batch),
                                            precision)
             for i, g in zip(tuple(live), grads):
-                if g is None:
-                    diverge(i, k, gammas, k)
-                    continue
                 if base.grad_clip is not None:
                     g = global_norm_clip(g, base.grad_clip)
                 try:
                     states[i] = step_fns[i](states[i], g, gammas[lane[i]])
-                except (DivergenceError, DomainError) as exc:
-                    # A donated state may be left partly written; the cell
-                    # leaves the live set and it is never read again.
-                    diverge(i, k, gammas, getattr(exc, "step", None) or k)
+                except DivergenceError as exc:
+                    # A non-finite gradient or result. A state written in place
+                    # may be left partly written; the cell leaves the live set
+                    # and it is never read again.
+                    diverge(i, k, gammas, exc.step)
             del grads, g  # one gradient alive at a time, not two
             if logged[j] == k:
                 if live:

@@ -45,13 +45,13 @@ class ParamVector:
     """Immutable 1-D vector of reals in a fixed precision (F32 or F64).
 
     The run loop is the one owner that makes vectors writable: it does so
-    once, for the slots of the optimizer states it donates to in-place steps.
+    once, for the slots of the optimizer states it owns.
 
     The dimension is set at construction; an optimizer step rejects a
-    gradient whose dimension or precision differs from its state's. Every
-    public operation either returns an all-finite vector or raises
-    (``DomainError`` / ``DivergenceError`` at the call sites that own a step
-    index).
+    gradient whose dimension or precision differs from its state's. The
+    constructor rejects a non-finite element (``DomainError``); a gradient
+    taken over by ``adopt_rows`` may be non-finite, and the step it feeds
+    rejects the result (``DivergenceError``).
     """
 
     __slots__ = ("data",)
@@ -67,28 +67,24 @@ class ParamVector:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "ParamVector":
-        # Internal fast path: trusts that arr is 1-D, finite, f32/f64 and owned.
+        # Internal fast path: trusts that arr is 1-D, f32/f64 and owned; no scan.
         vec = object.__new__(cls)
         vec.data = _freeze(arr)
         return vec
 
     @classmethod
     def adopt_rows(cls, stack: np.ndarray, precision: Precision | str) -> list:
-        """One vector per row of a fresh (rows, dim) array, or ``None`` for a
-        row with a non-finite element.
+        """One vector per row of a fresh (rows, dim) array.
 
         The rows are taken over, not copied, when ``stack`` already has the
-        precision's dtype; otherwise the whole stack is cast once and the
-        finiteness verdict is on the cast values. The caller gives the array
-        up: nothing may write to it afterwards.
+        precision's dtype; otherwise the whole stack is cast once. No row is
+        scanned: the step it feeds rejects a non-finite result. The caller
+        gives the array up: nothing may write to it afterwards.
         """
         dtype = Precision.of(precision).dtype
         if stack.dtype != dtype:
             stack = stack.astype(dtype)
-        finite = np.isfinite(stack)
-        if np.count_nonzero(finite) == finite.size:
-            return [cls._wrap(row) for row in stack]
-        return [cls._wrap(row) if ok else None for row, ok in zip(stack, finite.all(axis=-1))]
+        return [cls._wrap(row) for row in stack]
 
     @classmethod
     def zeros_like(cls, other: "ParamVector") -> "ParamVector":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DivergenceError, DomainError
-from .numerics import ParamVector, RngStream
+from .numerics import ParamVector, Precision, RngStream
 from .optimizers import inna_init, inna_step
 from .problems import Problem
 
@@ -157,7 +157,7 @@ def discretization_gap(spec: DinFlowSpec, gamma: float, theta0: ParamVector | No
     state = inna_init(spec.alpha, spec.beta, theta0)
     gap = 0.0
     for k in range(1, n_steps + 1):
-        g = ParamVector(spec.problem.grad(np.asarray(state.theta.data, dtype=np.float64)))
+        g, = ParamVector.adopt_rows(spec.problem.grad(state.theta.data)[None], Precision.F64)
         state = inna_step(state, g, gamma, spec.alpha, spec.beta)
         gap = max(gap, float(np.linalg.norm(state.theta.data - flow_theta[k])))
     return gap

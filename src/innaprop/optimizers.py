@@ -10,13 +10,14 @@ step. ``_begin`` rejects a gradient whose dimension or precision differs from
 the state's with ``ContractViolation``. ``_advance`` aborts a non-finite
 result with ``DivergenceError`` carrying the offending step index instead of
 silently propagating NaNs, and wraps the new arrays into a state of the
-input's class with ``k + 1``.
+input's class with ``k + 1``. Every rule reads the gradient into a new slot,
+and ``0*inf`` and ``x*nan`` are NaN, so a non-finite gradient is rejected too.
 
 The blocked steps (``innaprop_step`` and the Adam/AdamW kinds of
-``reference_step``) also take ``donate=True`` from a caller that owns a
-state with writable slots and gives it up, as the run loop does. The same
-kernel then writes the new slots over the old ones, block by block, so a
-step holds one state, not two. Without ``donate`` every step stays pure.
+``reference_step``) write the new slots over the old ones, block by block,
+when every slot of the given state is writable, as in the states the run
+loop owns; so a step holds one state, not two. A public state's slots are
+read-only, and it gets fresh slots.
 
 Naming used throughout:
 
@@ -280,29 +281,30 @@ def _advance(state, step_index: int, *fields):
 _BLOCK = 16 * 1024
 
 
-def _run_blocked(step_index: int, kernel, slots, grad: np.ndarray, donate: bool) -> list:
+def _run_blocked(step_index: int, kernel, slots, grad: np.ndarray) -> list:
     """Evaluate an update ``kernel`` block by block over the state ``slots``
     (``ParamVector``) and the raw gradient, all of one length and precision;
     returns one new slot per old one.
 
-    Fresh (``donate`` false): allocates only the new full-size slots, plus
-    two scratch blocks, and leaves ``slots`` alone. Donated: writes each new
-    slot over its old one, which must be writable, and returns ``slots``
-    itself; this is exact because every kernel is elementwise and reads an
-    input block before it writes the output block over it. Donating a state
-    whose slots are read-only, as a public one's are, makes numpy raise at
-    the kernel's first write, before anything changes.
+    In place, when every one of ``slots`` is writable: writes each new slot
+    over its old one and returns ``slots`` itself; this is exact because
+    every kernel is elementwise and reads an input block before it writes
+    the output block over it. Otherwise (a public, read-only state, or one
+    with only some slots writable): allocates only the new full-size slots,
+    plus two scratch blocks, and leaves ``slots`` alone.
 
     ``kernel(ins, outs, scratch)`` receives aligned views of at most
     ``_BLOCK`` elements (the arrays themselves when one block covers them)
     and writes every output block through ``out=``. Each output block is
     checked while it is still in cache; a non-finite element raises
     ``DivergenceError(step_index)``, the same verdict as a whole-array check
-    of the finished outputs. A donated state is then left partly written.
+    of the finished outputs. A state written in place is then left partly
+    written.
     """
     olds = [slot.data for slot in slots]
+    in_place = all(old.flags.writeable for old in olds)
     dim = grad.size
-    outs = olds if donate else [np.empty(dim, grad.dtype) for _ in slots]
+    outs = olds if in_place else [np.empty(dim, grad.dtype) for _ in slots]
     inputs = [*olds, grad]
     width = min(dim, _BLOCK)
     scratch = [np.empty(width, grad.dtype), np.empty(width, grad.dtype)]
@@ -321,7 +323,7 @@ def _run_blocked(step_index: int, kernel, slots, grad: np.ndarray, donate: bool)
             # count_nonzero is a fraction of the cost of .all() on small blocks.
             if np.count_nonzero(np.isfinite(block, out=finite)) < finite.size:
                 raise DivergenceError(step_index)
-    return slots if donate else [ParamVector._wrap(out) for out in outs]
+    return slots if in_place else [ParamVector._wrap(out) for out in outs]
 
 
 def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
@@ -356,8 +358,7 @@ def innaprop_init(config: InnapropConfig, theta0: ParamVector) -> InnapropState:
 
 
 def innaprop_step(
-    state: InnapropState, g: ParamVector, gamma_k: float, config: InnapropConfig,
-    *, donate: bool = False,
+    state: InnapropState, g: ParamVector, gamma_k: float, config: InnapropConfig
 ) -> InnapropState:
     """One full training step of the reduced recursion.
 
@@ -372,8 +373,8 @@ def innaprop_step(
 
     With ``weight_decay`` 0 and ``bias_correction`` off this is the
     constant-step recursion on the raw ``v``. The gradient must be evaluated
-    at the pre-decay ``theta``. With ``donate=True`` the caller gives
-    ``state`` up, and the new slots are written over its writable ones.
+    at the pre-decay ``theta``. A state whose slots are all writable is
+    written in place (see ``_run_blocked``).
 
     The update runs through ``_run_blocked``: it evaluates the formulas above
     block by block, with the same ufuncs in the same order and the same
@@ -420,7 +421,7 @@ def innaprop_step(
         np.subtract(theta_new, a, out=theta_new)
 
     slots = (state.theta, state.psi, state.v)
-    return _advance(state, step_index, *_run_blocked(step_index, kernel, slots, g.data, donate))
+    return _advance(state, step_index, *_run_blocked(step_index, kernel, slots, g.data))
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +537,9 @@ def innaprop_momentum_init(
 ) -> MomentumVariantState:
     if form not in ("direct", "reduced"):
         raise ContractViolation(f"unknown momentum form {form!r}")
-    zeros = ParamVector.zeros_like(theta0)
     return MomentumVariantState(
-        theta=theta0,
-        m=zeros,
-        v=zeros,
-        form=form,
-        k=0,
-        g_prev=zeros if form == "direct" else None,
+        theta=theta0, m=ParamVector.zeros_like(theta0), v=ParamVector.zeros_like(theta0),
+        form=form, g_prev=ParamVector.zeros_like(theta0) if form == "direct" else None,
     )
 
 
@@ -600,8 +596,8 @@ def innaprop_momentum_step(
 def dinadam_init(theta0: ParamVector, sigma1: float, sigma2: float) -> DinadamState:
     if not (0.0 <= sigma1 <= 1.0 and 0.0 <= sigma2 <= 1.0):
         raise ContractViolation("sigma1 and sigma2 must lie in [0, 1]")
-    zeros = ParamVector.zeros_like(theta0)
-    return DinadamState(theta=theta0, mtilde=zeros, v=zeros, sigma1=sigma1, sigma2=sigma2)
+    return DinadamState(theta=theta0, mtilde=ParamVector.zeros_like(theta0),
+                        v=ParamVector.zeros_like(theta0), sigma1=sigma1, sigma2=sigma2)
 
 
 def dinadam_step(
@@ -683,7 +679,7 @@ def reference_init(
     slots = _SLOTS_BY_KIND.get(kind)
     if slots is None:
         raise ContractViolation(f"unknown reference kind {kind!r}")
-    # Each slot gets its own zeros, so a donated step may write them in place.
+    # Each slot gets its own zeros, so an owner may make them writable.
     return ReferenceState(
         kind=kind,
         theta=theta0,
@@ -692,12 +688,12 @@ def reference_init(
     )
 
 
-def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay, donate) -> list:
+def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay) -> list:
     """New (theta, m, v) of Adam/AdamW; decay (when any) multiplies theta first.
 
     Blocked like ``innaprop_step``, so it is bit-identical to the
     whole-array formulas, checks the new slots' finiteness itself and writes
-    them over a donated state's.
+    them over a state's writable ones.
     """
     gamma, lam = float(gamma), float(params.weight_decay)
     b1, b2, eps = float(params.beta1), float(params.beta2), float(params.epsilon)
@@ -729,12 +725,11 @@ def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay, don
         np.multiply(gamma, a, out=a)
         np.subtract(theta, a, out=theta_new)
 
-    return _run_blocked(step_index, kernel, (state.theta, state.m, state.v), grad, donate)
+    return _run_blocked(step_index, kernel, (state.theta, state.m, state.v), grad)
 
 
 def reference_step(
-    state: ReferenceState, g: ParamVector, gamma_k: float, params: ReferenceParams,
-    *, donate: bool = False,
+    state: ReferenceState, g: ParamVector, gamma_k: float, params: ReferenceParams
 ) -> ReferenceState:
     """One standard update of the selected kind.
 
@@ -752,9 +747,9 @@ def reference_step(
       ``step = gamma*(beta1*m_hat + (1-beta1)*g/(1-beta1^k)) / (sqrt(v_hat)+eps)``
       with ``m_hat = m_new/(1 - beta1^(k+1))``.
 
-    ``donate=True`` gives ``state`` up: the Adam/AdamW kinds then write the
-    new slots over its writable ones, and the other kinds, which build fresh
-    slots, ignore it.
+    The Adam/AdamW kinds write the new slots over the old ones when all of
+    the state's slots are writable (see ``_run_blocked``); the other kinds
+    always build fresh slots.
     """
     step_index = _begin(state, state.theta, g)
     kind, grad = state.kind, g.data
@@ -772,8 +767,7 @@ def reference_step(
         theta_new = state.theta.data - gamma_k * m_new
     elif kind in ("Adam", "AdamW"):
         theta_new, m_new, v_new = _adam_family(
-            state, grad, gamma_k, params, step_index, decoupled_decay=(kind == "AdamW"),
-            donate=donate,
+            state, grad, gamma_k, params, step_index, decoupled_decay=(kind == "AdamW")
         )
     else:  # NAdam; ReferenceState admits no other kind
         m_new = b1 * state.m.data + (1.0 - b1) * grad

@@ -67,8 +67,9 @@ def test_three_slot_step_allocates_only_its_slots():
 
 
 def test_donated_step_allocates_only_scratch():
-    # A step donated the state it advances writes the new slots over the old
-    # ones: beyond the state it holds only two block scratch buffers.
+    # A step given a state whose every slot is writable writes the new slots
+    # over the old ones: beyond the state it holds only two block scratch
+    # buffers.
     dim = 10**6
     cfg = InnapropConfig(alpha=0.1, beta=0.9, weight_decay=0.01)
     rng = RngStream(4, 0).generator()
@@ -79,7 +80,7 @@ def test_donated_step_allocates_only_scratch():
         slot.data.flags.writeable = True
     tracemalloc.start()
     try:
-        state = innaprop_step(state, g, 1e-3, cfg, donate=True)
+        state = innaprop_step(state, g, 1e-3, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -367,15 +367,51 @@ class TestGradClip:
         assert [(r.step, r.lr, r.train_loss) for r in rows] == want
 
 
+class TestKeysRead:
+    """The optimizer keys each optimizer reads, as README's table lists them;
+    a key an optimizer does not read leaves its CSV unchanged."""
+
+    READ = {
+        "innaprop": {"sigma", "epsilon", "weight_decay", "bias_correction"},
+        "innaprop_plain": {"sigma", "epsilon"},
+        "innaprop_momentum": {"sigma", "epsilon", "form"},
+        "dinadam": {"sigma", "epsilon", "sigma1"},
+        "inna": {"form"},
+        "adamw": {"beta1", "sigma", "epsilon", "weight_decay", "bias_correction"},
+        "adam": {"beta1", "sigma", "epsilon", "bias_correction"},
+        "sgd": set(),
+        "momentum": {"beta1"},
+        "nesterov": {"beta1"},
+        "rmsprop_momentum": {"beta1", "sigma", "epsilon"},
+        "nadam": {"beta1", "sigma", "epsilon"},
+    }
+    CHANGE = {"beta1": 0.5, "sigma": 0.99, "epsilon": 1e-3, "weight_decay": 0.5,
+              "bias_correction": False, "sigma1": 0.5}
+
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+    def test_csv_changes_exactly_with_the_keys_read(self, optimizer):
+        def csv(**change):
+            cfg = parse_config_dict({**MINIMAL, "optimizer": optimizer, "steps": 20, **change})
+            return rows_to_csv(run_experiment(cfg)[0])
+
+        read, plain = self.READ[optimizer], csv()
+        for key, value in self.CHANGE.items():
+            assert (csv(**{key: value}) != plain) == (key in read), key
+        forms = OPTIMIZERS[optimizer][1]
+        assert bool(forms) == ("form" in read)
+        for form in forms[1:]:
+            assert csv(form=form) != plain
+
+
 class TestNonFiniteGradient:
     @pytest.mark.parametrize("precision,bad", [("f64", np.inf), ("f64", np.nan),
                                                ("f32", 1e300)])
-    def test_same_rows_and_status(self, monkeypatch, precision, bad):
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+    def test_same_rows_and_status(self, monkeypatch, optimizer, precision, bad):
         # The 7th gradient is non-finite (for f32: it overflows in the cast).
-        # The run keeps the rows logged before step 7 and ends in a
-        # diverged@7 row, as it did while the runner still copied each
-        # gradient into a ParamVector.
-        cfg = parse_config_dict({"problem": "quadratic", "optimizer": "innaprop",
+        # The step rejects its non-finite result, so the run keeps the rows
+        # logged before step 7 and ends in a diverged@7 row.
+        cfg = parse_config_dict({"problem": "quadratic", "optimizer": optimizer,
                                  "alpha": 0.5, "beta": 1.0, "lr": 1e-2, "steps": 20,
                                  "log_every": 2, "precision": precision, "seed": 3})
         clean, _ = run_experiment(cfg)
@@ -400,6 +436,63 @@ class TestNonFiniteGradient:
         assert (last.step, last.lr, last.test_metric, last.status) == (7, 1e-2, None,
                                                                        "diverged@7")
         assert np.isnan(last.train_loss)
+
+
+class TestRunCsvPinned:
+    """Every optimizer's ``run.csv`` bytes in f32 and f64, without a clip and
+    with ``grad_clip`` 0.05, on a converging config and on a diverging one,
+    so that ``diverged@k`` rows are pinned too. In the diverging config
+    ``sigma`` 1 keeps ``v`` at zero, so the scaled steps grow fast; most
+    runs end in ``diverged@k`` (nadam's bias correction divides 0 by 0 at
+    step 1), twelve of them after a non-finite f32 gradient, and the clipped
+    f64 runs but nadam's stay ok."""
+
+    CONFIGS = {
+        "converging": {"problem": "rosenbrock", "alpha": 0.1, "beta": 0.9, "lr": 1e-3,
+                       "steps": 40, "log_every": 3},
+        "diverging": {"problem": "rosenbrock", "alpha": 1.0, "beta": 12.0, "lr": 10.0,
+                      "weight_decay": 0.03, "sigma": 1.0, "bias_correction": False,
+                      "steps": 30, "log_every": 1},
+    }
+    # sha256 over the four run.csv files of (f32, f64) x (no clip, clip 0.05).
+    SHA256 = {
+        ("converging", "adam"): "15b49da2814441345c6bdd2ced3ec88350a641a087b63538ff03384042f41888",
+        ("converging", "adamw"): "eda3588b73f7d6445c672ea170f9259e5c1999d6855cddb10470aaf22e7e01c9",
+        ("converging", "dinadam"): "cae20354044d41b4c77e70e7e6cd0a539ab3b6baca2df19f1d359e586cbd3a08",
+        ("converging", "inna"): "511ae571af7e4ac4b0355ee5e2c9c3bbfe0ed922513ddc8631225f87be9eb7f4",
+        ("converging", "innaprop"): "e7c888954b4eb98d78186d39df3a0c2b091bde29e18ba7dc0901c8dbefcd3778",
+        ("converging", "innaprop_momentum"): "31008830ea4c2277418f45b186e4219038df5640a5af48cb437bb10fb8358bc9",
+        ("converging", "innaprop_plain"): "5301ca2a387a91b1b02d351814d11aae32437ad216f7dc22a7b7dac74af9428f",
+        ("converging", "momentum"): "57c116a43fab80d91cc1ef97ca358c05c971bb48db9b16cbb570b9b4c412e7b9",
+        ("converging", "nadam"): "675f2db1d28a67eff7de6e93554f418afac38ef5ca1689c51d3f1d22482dee8b",
+        ("converging", "nesterov"): "05ca3557a658d2074921c3b435e51ad89e92b91fb136d438a923f7e5a766d01f",
+        ("converging", "rmsprop_momentum"): "3fe124930e5ce3140690bca53408f9d16ee1edddc6f02831e0a91f1cc71ff99b",
+        ("converging", "sgd"): "779e32d14e52de2e17efc20669bd821ca188d6936af54bed741a6fc67473fae4",
+        ("diverging", "adam"): "d811bb95e8296ae64389a52f6fdacd5e68d88125c3af4a015e4ae444a3904c65",
+        ("diverging", "adamw"): "8d332420d8b1f003774de3482012621352850b97d58aaca5eb845235d5e1e478",
+        ("diverging", "dinadam"): "2ac017267fb76277d7921f5df6caa8ad5f604d46cfc4d5df5ea366eb6796b62d",
+        ("diverging", "inna"): "b6c835feadd95d2c56e21964847a01ddb4b85249588b88c98f330bbdf5276745",
+        ("diverging", "innaprop"): "be09909c6714cb2193c8005d9f9b9454c5c171e7344bcd62e6c4872dd9c1a7e0",
+        ("diverging", "innaprop_momentum"): "664cdd3dde32407a757e21ae5958e5a20a556b44a9c204194daa3a91ac152675",
+        ("diverging", "innaprop_plain"): "4bc9b19fd722e63704277581fea7299f86613c623848e8c6297418db12d69a53",
+        ("diverging", "momentum"): "c2f92a0163db11546fe8e15dcb97f13141ef2c3ee5a59d89649e9865e34ec9dc",
+        ("diverging", "nadam"): "f14a45fb0da62e150fe63f9520613ce472584d924a3eedba4bd337e7961013dc",
+        ("diverging", "nesterov"): "7a7f426504fddd35c07071a58dc84726c9db0cd9dc8fd4685e57e473cda44073",
+        ("diverging", "rmsprop_momentum"): "6a554d59df48790757e005a20dcb76e584b3036f2675c1dabf56d6da3615284d",
+        ("diverging", "sgd"): "152996bcfe3b64857f1dc8d4ac7ac98d5582e148fc2683a437390ed4f0cf3f35",
+    }
+
+    @pytest.mark.parametrize("config,optimizer", sorted(SHA256))
+    def test_run_csv_bytes(self, tmp_path, config, optimizer):
+        digest = hashlib.sha256()
+        for precision in ("f32", "f64"):
+            for clip in (None, 0.05):
+                cfg = parse_config_dict({**self.CONFIGS[config], "optimizer": optimizer,
+                                         "precision": precision, "grad_clip": clip})
+                out = tmp_path / f"{precision}_{clip}"
+                run_experiment(cfg, out_dir=out)
+                digest.update((out / "run.csv").read_bytes())
+        assert digest.hexdigest() == self.SHA256[(config, optimizer)]
 
 
 class TestContentHash:
@@ -580,7 +673,8 @@ class TestLockStep:
     # The f32 INNAprop step overflows inside its kernel once the warm-up
     # brings gamma close to beta = 0.0901: (1 + gamma*(1 - alpha*beta)/(beta -
     # gamma)) * theta passes the f32 range at step 20, while the gradients
-    # and losses stay finite. A donated state is left partly written there.
+    # and losses stay finite. A state written in place is left partly
+    # written there.
     KERNEL_DIVERGING = {"problem": "quadratic", "spectrum": [1e-20, 3e-20],
                         "optimizer": "innaprop", "alpha": 0.1, "beta": 0.9, "lr": 0.09,
                         "schedule": "linear_warmup", "t_warmup": 20, "t_max": 30,
@@ -610,8 +704,8 @@ class TestLockStep:
         assert statuses == ({"ok", "diverged"} if diverging else {"ok"})
 
     def test_adamw_lr_cells_equal_standalone_runs(self, tmp_path):
-        # Every cell's AdamW state is donated to its step; no cell may share
-        # an array with another, or m with v.
+        # Every cell's AdamW state is written in place by its step; no cell
+        # may share an array with another, or m with v.
         cfg = parse_config_dict({**self.MLP, "optimizer": "adamw", "weight_decay": 0.01})
         lrs = [1e-4, 1e-3, 1e-2, 5e-2]
         tags = [f"lr{v:g}" for v in lrs]
@@ -653,6 +747,17 @@ class TestLockStep:
         for tag in ("run", ["a"]):
             with pytest.raises(ContractViolation, match="tag"):
                 run_experiment([cfg, cfg], tag=tag)
+
+    @pytest.mark.parametrize("optimizer,form", [(name, form) for name, (_, forms)
+                                                in OPTIMIZERS.items() for form in forms or [None]])
+    def test_initial_state_slots_share_no_array(self, optimizer, form):
+        # The run loop makes every slot of a cell's state writable, for the
+        # blocked steps to write in place; so no two slots may share an array.
+        cfg = parse_config_dict({**MINIMAL, "optimizer": optimizer, "form": form})
+        state, _ = runner._make_stepper(cfg, ParamVector([1.0, 2.0]))
+        slots = [getattr(state, f.name).data for f in fields(state)
+                 if isinstance(getattr(state, f.name), ParamVector)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(slots) for b in slots[i + 1:])
 
     @pytest.mark.parametrize("optimizer", ["innaprop", "innaprop_plain", "adam", "adamw"])
     def test_run_holds_one_state_and_one_gradient(self, monkeypatch, optimizer):

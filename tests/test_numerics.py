@@ -40,6 +40,20 @@ class TestParamVector:
         with pytest.raises(ValueError):
             v.data[0] = 5.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_adopt_rows_takes_every_row_over_unscanned(self):
+        # One read-only vector per row, never None: a non-finite row is the
+        # step's to reject. Rows in the precision's dtype are views; another
+        # dtype is cast once, which may overflow to inf in f32.
+        stack = np.array([[1.0, 2.0], [np.nan, 3.0], [1e300, -np.inf]])
+        rows = ParamVector.adopt_rows(stack, "f64")
+        assert [row.data.base is stack for row in rows] == [True] * 3
+        assert not any(row.data.flags.writeable for row in rows)
+        assert np.array_equal(np.array([row.data for row in rows]), stack, equal_nan=True)
+        cast = ParamVector.adopt_rows(stack, Precision.F32)
+        assert [row.precision for row in cast] == [Precision.F32] * 3
+        assert cast[2].data.tolist() == [np.inf, -np.inf]
+
 
 class TestGlobalNormClip:
     def test_below_threshold_unchanged(self):

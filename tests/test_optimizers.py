@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from innaprop.errors import ContractViolation, DivergenceError, WellPosednessError
-from innaprop.numerics import ParamVector, RngStream, global_norm_clip
+from innaprop.numerics import ParamVector, Precision, RngStream, global_norm_clip
 from innaprop.optimizers import (
     _BLOCK,
     InnapropConfig,
@@ -401,30 +401,37 @@ CFG = InnapropConfig(alpha=0.1, beta=0.9, weight_decay=0.01)
 PLAIN_CFG = replace(CFG, weight_decay=0.0, bias_correction=False)
 PARAMS = ReferenceParams(weight_decay=0.01)
 
-# name -> (init(theta0), step(state, g)), one entry per public step and form.
+# name -> (init(theta0), step(state, g, gamma=0.01)), one entry per public
+# step and form.
 EVERY_STEP = {
     "innaprop": (lambda th: innaprop_init(CFG, th),
-                 lambda s, g: innaprop_step(s, g, 0.01, CFG)),
+                 lambda s, g, gamma=0.01: innaprop_step(s, g, gamma, CFG)),
     "innaprop_plain": (lambda th: innaprop_init(PLAIN_CFG, th),
-                       lambda s, g: innaprop_step(s, g, 0.01, PLAIN_CFG)),
+                       lambda s, g, gamma=0.01: innaprop_step(s, g, gamma, PLAIN_CFG)),
     "innaprop_naive": (lambda th: innaprop_naive_init(CFG, th),
-                       lambda s, g: innaprop_naive_step(s, g, 0.01, CFG)),
+                       lambda s, g, gamma=0.01: innaprop_naive_step(s, g, gamma, CFG)),
     "inna_classic": (lambda th: inna_init(0.5, 0.1, th),
-                     lambda s, g: inna_step(s, g, 0.01, 0.5, 0.1, "classic")),
+                     lambda s, g, gamma=0.01: inna_step(s, g, gamma, 0.5, 0.1, "classic")),
     "inna_compact": (lambda th: inna_init(0.5, 0.1, th),
-                     lambda s, g: inna_step(s, g, 0.01, 0.5, 0.1, "compact")),
+                     lambda s, g, gamma=0.01: inna_step(s, g, gamma, 0.5, 0.1, "compact")),
     "dinadam": (lambda th: dinadam_init(th, sigma1=0.9, sigma2=0.999),
-                lambda s, g: dinadam_step(s, g, 0.01, 0.5, 0.7)),
+                lambda s, g, gamma=0.01: dinadam_step(s, g, gamma, 0.5, 0.7)),
     "dinadam_direct": (lambda th: dinadam_direct_init(th, sigma1=0.9, sigma2=0.999),
-                       lambda s, g: dinadam_direct_step(s, g, 0.01, 0.5, 0.7)),
+                       lambda s, g, gamma=0.01: dinadam_direct_step(s, g, gamma, 0.5, 0.7)),
     **{f"momentum_{form}": (lambda th, form=form: innaprop_momentum_init(CFG, th, form),
-                            lambda s, g: innaprop_momentum_step(s, g, 0.01, CFG))
+                            lambda s, g, gamma=0.01: innaprop_momentum_step(s, g, gamma, CFG))
        for form in ("direct", "reduced")},
     **{f"reference_{kind}": (lambda th, kind=kind: reference_init(kind, th, PARAMS),
-                             lambda s, g: reference_step(s, g, 0.01, PARAMS))
+                             lambda s, g, gamma=0.01: reference_step(s, g, gamma, PARAMS))
        for kind in ("SGD", "Momentum", "Nesterov", "RMSpropMomentum", "Adam", "AdamW",
                     "NAdam")},
 }
+
+
+def slot_arrays(state) -> list:
+    """The arrays of the state's ``ParamVector`` slots, in field order."""
+    slots = [getattr(state, f.name) for f in fields(state)]
+    return [slot.data for slot in slots if isinstance(slot, ParamVector)]
 
 
 @pytest.mark.parametrize("name", sorted(EVERY_STEP))
@@ -437,10 +444,34 @@ def test_step_checks_gradient_and_keeps_precision(name):
         step(state, ParamVector([0.5], "f32"))
     for _ in range(2):  # the second step reads the slots the first one wrote
         state = step(state, ParamVector([0.5, 0.25, -1.0], "f32"))
-    slots = [getattr(state, f.name) for f in fields(state)]
-    slots = [slot for slot in slots if isinstance(slot, ParamVector)]
-    assert state.k == 2 and len(slots) >= 1
-    assert all(slot.data.dtype == np.float32 for slot in slots)
+    arrays = slot_arrays(state)
+    assert state.k == 2 and len(arrays) >= 1
+    assert all(arr.dtype == np.float32 for arr in arrays)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("gamma", [0.01, 0.0])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("name", sorted(EVERY_STEP))
+def test_nonfinite_gradient_diverges_and_changes_nothing(name, precision, bad, gamma):
+    # The run loop hands a step the problem's gradient without a finiteness
+    # scan. Every rule reads the gradient into a new slot, and 0*inf and
+    # x*nan are NaN, so the step's own check is the verdict, even at step
+    # size 0. The bad element sits in the second block of the blocked steps.
+    init, step = EVERY_STEP[name]
+    dim = _BLOCK + 3
+    rng = RngStream(12, 0).generator()
+    state = step(init(ParamVector(rng.standard_normal(dim), precision)),
+                 ParamVector(rng.standard_normal(dim), precision))
+    before = [arr.copy() for arr in slot_arrays(state)]
+    grad = rng.standard_normal(dim).astype(Precision.of(precision).dtype)
+    grad[-2] = bad
+    with pytest.raises(DivergenceError) as err:
+        step(state, ParamVector._wrap(grad), gamma)
+    assert err.value.step == 2 and state.k == 1
+    assert not any(arr.flags.writeable for arr in slot_arrays(state))
+    assert_bitwise(slot_arrays(state), before)
 
 
 # ---------------------------------------------------------------------------
@@ -607,36 +638,34 @@ class TestBlockedKernels:
 
 
 # ---------------------------------------------------------------------------
-# Donated states: the same kernel writes the new slots over the old ones
+# Donated states: given a state whose every slot is writable, the same kernel
+# writes the new slots over the old ones
 # ---------------------------------------------------------------------------
 
 
-def donatable(state):
-    """A copy of ``state`` that owns writable slots, as the run loop makes them."""
+def donatable(state, names=None):
+    """A copy of ``state`` that owns its slots, as the run loop makes them;
+    the slots in ``names`` (default: all) are writable."""
     slots = {f.name: ParamVector._wrap(getattr(state, f.name).data.copy())
              for f in fields(state) if isinstance(getattr(state, f.name), ParamVector)}
-    for slot in slots.values():
-        slot.data.flags.writeable = True
+    for name, slot in slots.items():
+        if names is None or name in names:
+            slot.data.flags.writeable = True
     return replace(state, **slots)
 
 
-def slot_arrays(state):
-    return [getattr(state, name).data for name in ("theta", "psi", "m", "v")
-            if getattr(state, name, None) is not None]
-
-
 def blocked_steps(weight_decay, bias_correction):
-    """name -> (init(theta0), step(state, g, gamma, **kw)) for each blocked step."""
+    """name -> (init(theta0), step(state, g, gamma)) for each blocked step."""
     cfg = InnapropConfig(alpha=0.3, beta=0.9, weight_decay=weight_decay,
                          bias_correction=bias_correction)
     params = ReferenceParams(weight_decay=weight_decay, bias_correction=bias_correction)
     steps = {
         "innaprop": (lambda th: innaprop_init(cfg, th),
-                     lambda s, g, gamma, **kw: innaprop_step(s, g, gamma, cfg, **kw)),
+                     lambda s, g, gamma: innaprop_step(s, g, gamma, cfg)),
     }
     for kind in ("Adam", "AdamW"):
         steps[kind] = (lambda th, kind=kind: reference_init(kind, th, params),
-                       lambda s, g, gamma, **kw: reference_step(s, g, gamma, params, **kw))
+                       lambda s, g, gamma: reference_step(s, g, gamma, params))
     return steps
 
 
@@ -657,26 +686,34 @@ class TestDonatedSteps:
                 gamma = 0.01 * (k + 1)
                 fresh = step(fresh, g, gamma)
                 owned = slot_arrays(donated)
-                donated = step(donated, g, gamma, donate=True)
+                donated = step(donated, g, gamma)
                 assert donated.k == fresh.k == k + 1
                 assert all(new is old for new, old in zip(slot_arrays(donated), owned)), name
                 assert_bitwise(slot_arrays(donated), slot_arrays(fresh))
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_donating_a_frozen_state_raises_and_changes_nothing(self, weight_decay):
-        # The first write of every kernel goes through a read-only out=, so
-        # numpy refuses before any slot changes.
+    @pytest.mark.parametrize("writable", [(), ("theta",), ("psi", "m", "v")],
+                             ids=["read_only", "theta_only", "all_but_theta"])
+    def test_partly_writable_state_gets_fresh_slots_and_changes_nothing(self, weight_decay,
+                                                                        writable):
+        # Only a state whose every slot is writable is written in place; a
+        # public, read-only state or one with only some writable slots gets
+        # fresh slots, the same as the public step's, and stays as it was.
         dim = 2 * _BLOCK + 7
         rng = RngStream(7, 7).generator()
         theta0 = ParamVector(rng.standard_normal(dim))
         g = ParamVector(rng.standard_normal(dim))
         for name, (init, step) in blocked_steps(weight_decay, True).items():
-            state = step(init(theta0), g, 0.01)
+            public = step(init(theta0), g, 0.01)
+            state = donatable(public, writable)
             before = [arr.copy() for arr in slot_arrays(state)]
-            with pytest.raises(ValueError, match="read-only"):
-                step(state, g, 0.01, donate=True)
-            assert state.k == 1
+            new = step(state, g, 0.01)
+            assert state.k == 1 and new.k == 2
+            assert not any(np.shares_memory(a, b) for a in slot_arrays(new)
+                           for b in slot_arrays(state)), name
+            assert not any(arr.flags.writeable for arr in slot_arrays(new)), name
             assert_bitwise(slot_arrays(state), before)
+            assert_bitwise(slot_arrays(new), slot_arrays(step(public, g, 0.01)))
 
     def test_reference_init_gives_each_slot_its_own_array(self):
         theta0 = ParamVector([1.0, 2.0])
@@ -686,9 +723,16 @@ class TestDonatedSteps:
 
     @pytest.mark.parametrize("kind", ["SGD", "Momentum", "Nesterov", "RMSpropMomentum",
                                       "NAdam"])
-    def test_other_reference_kinds_ignore_donate(self, kind):
+    def test_other_reference_kinds_give_a_writable_state_fresh_slots(self, kind):
+        # The whole-array kinds build fresh slots from any state, and leave
+        # a writable one as it was.
         rng = RngStream(8, 8).generator()
-        state = reference_init(kind, ParamVector(rng.standard_normal(5)), PARAMS)
+        public = reference_init(kind, ParamVector(rng.standard_normal(5)), PARAMS)
         g = ParamVector(rng.standard_normal(5))
-        assert reference_step(state, g, 0.01, PARAMS, donate=True) == \
-            reference_step(state, g, 0.01, PARAMS)
+        state = donatable(public)
+        before = [arr.copy() for arr in slot_arrays(state)]
+        new = reference_step(state, g, 0.01, PARAMS)
+        assert new == reference_step(public, g, 0.01, PARAMS)
+        assert not any(np.shares_memory(a, b) for a in slot_arrays(new)
+                       for b in slot_arrays(state))
+        assert_bitwise(slot_arrays(state), before)
