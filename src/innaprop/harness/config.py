@@ -5,7 +5,8 @@ epsilon = 1e-8, weight decay 0.01, beta1 = 0.9). The same file drives every
 optimizer: switching the ``optimizer`` key reuses the schedule, weight decay
 and sigma unchanged, which is the pairing the tuning protocol relies on.
 Validation happens before any compute, including the well-posedness guard
-``sup_k gamma_k < beta`` for the inertial-Newton family.
+``sup_k gamma_k < beta`` for the inertial-Newton family and, for
+``innaprop_momentum``, ``1 - alpha * gamma_k != 0`` at every step.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..problems import (
     load_csv_dataset,
     make_problem,
 )
-from ..schedulers import ScheduleSpec, stays_below
+from ..schedulers import ScheduleSpec, lr_at, max_lr, stays_below
 
 # Every optimizer a config can name, mapped to its ``reference_step`` kind and
 # the values its key 'form' may take, the default first. Kind ``None`` marks
@@ -216,6 +217,14 @@ def validate_config(config: RunConfig):
                 f"well-posedness violated: schedule can emit gamma={schedule.gamma0} "
                 f">= beta={config.beta}"
             )
+    # innaprop_momentum divides by a = 1 - alpha * gamma. The step sizes of
+    # the run's steps are enumerated only when some can reach 1 / alpha.
+    if config.optimizer == "innaprop_momentum" and config.alpha * max_lr(schedule) >= 1.0:
+        for k in range(1, config.steps + 1):
+            gamma = lr_at(schedule, k)
+            if 1.0 - config.alpha * gamma == 0.0:
+                raise ConfigError(f"singular coefficient: alpha={config.alpha} times the "
+                                  f"step size {gamma} of step {k} is 1")
 
 
 def emit_config(config: RunConfig) -> dict:

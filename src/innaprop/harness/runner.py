@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import compress, repeat
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
@@ -100,8 +101,9 @@ def rows_to_csv(rows: list[RunRow]) -> str:
 def _writable(state):
     """``state`` with every slot writable, so blocked steps write it in place.
 
-    Set once at setup, never per step. No slot may share its array with
-    another slot or another state.
+    Set once at setup, never per step. No slot may share memory with
+    another slot or another state; the rows of one array, as a fresh blocked
+    step makes its slots, count as separate slots.
     """
     for field in fields(state):
         slot = getattr(state, field.name)
@@ -219,6 +221,29 @@ class CellResults(Sequence):
             k, gamma, at = self._ends[i]
             rows.append(RunRow(k, gamma, float("nan"), None, f"diverged@{at}"))
         return rows, self.summary(i)
+
+    def csv_texts(self):
+        """Each cell's CSV text, in order: the bytes ``rows_to_csv`` writes
+        for the cell's rows, built column-wise from the arrays and yielded
+        one cell at a time.
+
+        The step and lr cells of a row are formatted once per lr lane, not
+        once per cell; a cell's losses and metrics go through ``repr`` over
+        ``.tolist()``, the shortest round-trip repr that ``csv_text`` prints.
+        """
+        heads = [[f"{k},{lr!r}," for k, lr in zip(self._logged, self._lrs[:, lane].tolist())]
+                 for lane in range(self._lrs.shape[1])]
+        for i in range(len(self)):
+            ok = np.isfinite(self._losses[:, i])
+            metrics = (map(repr, self._metrics[ok, i].tolist()) if self._metrics is not None
+                       else repeat(""))
+            lines = [f"{head}{loss!r},{metric},ok" for head, loss, metric in
+                     zip(compress(heads[self._lane[i]], ok.tolist()),
+                         self._losses[ok, i].tolist(), metrics)]
+            if self._ends[i] is not None:
+                k, gamma, at = self._ends[i]
+                lines.append(f"{k},{gamma!r},nan,,diverged@{at}")
+            yield "\n".join([CSV_HEADER, *lines]) + "\n"
 
     def _row(self, i: int, j: int) -> Optional[RunRow]:
         loss = float(self._losses[j, i])
@@ -375,9 +400,9 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for tag, (rows, summary) in zip(tags, results):
-            (out / f"{tag}.csv").write_text(rows_to_csv(rows), encoding="utf-8")
-            payload = summary.__dict__.copy()
+        for i, (tag, text) in enumerate(zip(tags, results.csv_texts())):
+            (out / f"{tag}.csv").write_text(text, encoding="utf-8")
+            payload = results.summary(i).__dict__.copy()
             (out / f"{tag}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                                              encoding="utf-8")
     return results

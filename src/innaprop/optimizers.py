@@ -264,15 +264,13 @@ def _advance(state, step_index: int, *fields):
     carried over, or an output of ``_run_blocked``, already checked block by
     block), ``None``, a kind or form tag, a rate.
     """
-    fields = list(fields)
-    for i, value in enumerate(fields):
-        if type(value) is np.ndarray:
-            # count_nonzero costs about half of .all() on small arrays.
-            if np.count_nonzero(np.isfinite(value)) < value.size:
-                raise DivergenceError(step_index)
-            fields[i] = ParamVector._wrap(value)
+    for value in fields:
+        # count_nonzero costs about half of .all() on small arrays.
+        if type(value) is np.ndarray and np.count_nonzero(np.isfinite(value)) < value.size:
+            raise DivergenceError(step_index)
     # Positional, the cheapest construction; state objects are made every step.
-    return type(state)(*fields, step_index)
+    return type(state)(*[ParamVector._wrap(value) if type(value) is np.ndarray else value
+                         for value in fields], step_index)
 
 
 # Elements per block of ``_run_blocked``. At f64 one block of each of the
@@ -290,39 +288,45 @@ def _run_blocked(step_index: int, kernel, slots, grad: np.ndarray) -> list:
     over its old one and returns ``slots`` itself; this is exact because
     every kernel is elementwise and reads an input block before it writes
     the output block over it. Otherwise (a public, read-only state, or one
-    with only some slots writable): allocates only the new full-size slots,
-    plus two scratch blocks, and leaves ``slots`` alone.
+    with only some slots writable): the new slots are the rows of one fresh
+    ``(slots, dim)`` array, and ``slots`` are left alone.
 
     ``kernel(ins, outs, scratch)`` receives aligned views of at most
-    ``_BLOCK`` elements (the arrays themselves when one block covers them)
-    and writes every output block through ``out=``. Each output block is
-    checked while it is still in cache; a non-finite element raises
-    ``DivergenceError(step_index)``, the same verdict as a whole-array check
-    of the finished outputs. A state written in place is then left partly
-    written.
+    ``_BLOCK`` elements (the arrays themselves when one block covers them),
+    and the two rows of one scratch array, and writes every output block
+    through ``out=``. Each output block is checked while it is still in
+    cache, one slot at a time in place and all fresh rows at once; a
+    non-finite element raises ``DivergenceError(step_index)``, the same
+    verdict as a whole-array check of the finished outputs. A state written
+    in place is then left partly written.
     """
     olds = [slot.data for slot in slots]
     in_place = all(old.flags.writeable for old in olds)
-    dim = grad.size
-    outs = olds if in_place else [np.empty(dim, grad.dtype) for _ in slots]
+    dim, dtype = grad.size, grad.dtype
+    fresh = None if in_place else np.empty((len(olds), dim), dtype)
+    outs = olds if in_place else list(fresh)
+    checked = outs if in_place else (fresh,)  # the arrays whose blocks are checked
     inputs = [*olds, grad]
-    width = min(dim, _BLOCK)
-    scratch = [np.empty(width, grad.dtype), np.empty(width, grad.dtype)]
-    finite = np.empty(width, dtype=bool)
-    ins, blocks = inputs, outs
-    for lo in range(0, dim, width):
-        hi = lo + width
-        if hi > dim:  # last, partial block
-            scratch = [buf[: dim - lo] for buf in scratch]
-            finite = finite[: dim - lo]
-        if width < dim:
-            ins = [arr[lo:hi] for arr in inputs]
-            blocks = [arr[lo:hi] for arr in outs]
-        kernel(ins, blocks, scratch)
-        for block in blocks:
-            # count_nonzero is a fraction of the cost of .all() on small blocks.
-            if np.count_nonzero(np.isfinite(block, out=finite)) < finite.size:
+    if dim <= _BLOCK:  # one block: no views, no check buffer
+        scratch = np.empty((2, dim), dtype)
+        # Two indexings; unpacking the array would raise and catch an IndexError.
+        kernel(inputs, outs, (scratch[0], scratch[1]))
+        for out in checked:
+            if np.count_nonzero(np.isfinite(out)) < out.size:
                 raise DivergenceError(step_index)
+    else:
+        scratch = np.empty((2, _BLOCK), dtype)
+        finite = np.empty((*checked[0].shape[:-1], _BLOCK), dtype=bool)
+        for lo in range(0, dim, _BLOCK):
+            hi = min(lo + _BLOCK, dim)
+            if hi - lo < _BLOCK:  # last, partial block
+                scratch, finite = scratch[:, : hi - lo], finite[..., : hi - lo]
+            kernel([arr[lo:hi] for arr in inputs], [arr[lo:hi] for arr in outs],
+                   (scratch[0], scratch[1]))
+            for out in checked:
+                # count_nonzero is a fraction of the cost of .all() on small blocks.
+                if np.count_nonzero(np.isfinite(out[..., lo:hi], out=finite)) < finite.size:
+                    raise DivergenceError(step_index)
     return slots if in_place else [ParamVector._wrap(out) for out in outs]
 
 

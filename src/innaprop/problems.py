@@ -214,8 +214,14 @@ class Problem:
 # Element budget of one chunk of a stacked evaluation: the cells of a
 # (cells, dim) parameter array are evaluated a chunk at a time, so that the
 # largest intermediate of a chunk holds about this many elements however
-# many cells there are.
-_BLOCK = 1 << 13
+# many cells there are. 1 << 16 f64 elements are 512 KiB per intermediate:
+# the default 81-cell grid's test metric and minibatch gradient take one
+# chunk each and its full-batch loss two (17, 5 and 3 chunks at 1 << 13),
+# for 0.5 MB more peak RSS. At 1 << 17 the loss takes one chunk, but its
+# 81 x 180 x 8 hidden activations alone are 0.93 MB, and the grid's peak RSS
+# rose by 1.0 MB. A chunk holds at least one cell. Not to be confused with
+# ``optimizers._BLOCK``, the block of an optimizer step.
+_CHUNK = 1 << 16
 
 # numpy adds fewer than this many elements left to right, and pairwise from
 # this many on; it is a fact of numpy's sum, not a setting.
@@ -248,7 +254,7 @@ def _over_cells(fn, cell_size: Callable[[Optional[np.ndarray]], int]):
         if arr.ndim == 1:
             out = fn(arr[None], batch)[0]
             return float(out) if out.ndim == 0 else out
-        step = max(1, _BLOCK // cell_size(batch))
+        step = max(1, _CHUNK // cell_size(batch))
         if len(arr) <= step:
             return fn(arr, batch)
         return np.concatenate([fn(arr[lo:lo + step], batch)

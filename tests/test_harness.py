@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from innaprop.errors import ConfigError, ContractViolation
+import innaprop.harness.config as config_module
 import innaprop.harness.runner as runner
 from innaprop.harness.cli import main
 from innaprop.harness.config import (
@@ -48,6 +49,15 @@ from innaprop.optimizers import (
 )
 from innaprop.problems import make_problem
 from innaprop.schedulers import lr_at
+
+
+def bench_tracing():
+    """``benchmarks/tracing.py``, loaded by path as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 MINIMAL = {"problem": "rosenbrock", "optimizer": "innaprop", "alpha": 0.1,
@@ -125,6 +135,39 @@ class TestConfig:
             "adamw-bias_correction"])
     def test_bad_optimizer_value_rejected(self, tmp_path, capsys, change, match):
         self._rejected_before_compute(tmp_path, {**MINIMAL, **change}, match)
+
+    @pytest.mark.parametrize("change", [
+        {"alpha": 2.0, "lr": 0.5},
+        # the warm-up ramp emits 1.0 * 2 / 4 = 1 / alpha at step 2
+        {"alpha": 2.0, "beta": 1.5, "lr": 1.0, "schedule": "linear_warmup", "t_warmup": 4},
+    ], ids=["constant", "linear_warmup_step_2"])
+    def test_singular_momentum_coefficient_rejected(self, tmp_path, capsys, change):
+        raw = {**MINIMAL, "optimizer": "innaprop_momentum", **change}
+        self._rejected_before_compute(tmp_path, raw, "singular coefficient")
+
+    def test_grid_with_a_singular_momentum_cell_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MINIMAL, "optimizer": "innaprop_momentum", "lr": 0.5}),
+                        encoding="utf-8")
+        assert main(["grid", "--config", str(path), "--alphas", "0.1", "2.0",
+                     "--betas", "0.9", "--out", str(tmp_path / "grid")]) == 2
+        assert not (tmp_path / "grid").exists()
+
+    def test_singular_check_reads_the_schedule_only_when_it_can_bite(self, monkeypatch):
+        # alpha * max lr < 1 keeps 1 - alpha * gamma above 0 at every step,
+        # so no step size is looked at; otherwise each of the run's steps is.
+        calls = []
+
+        def counted(spec, k):
+            calls.append(k)
+            return lr_at(spec, k)
+
+        monkeypatch.setattr(config_module, "lr_at", counted)
+        parse_config_dict({**MINIMAL, "optimizer": "innaprop_momentum"})
+        assert calls == []
+        parse_config_dict({**MINIMAL, "optimizer": "innaprop_momentum", "alpha": 1.0,
+                           "beta": 12.0, "lr": 10.0, "steps": 5})
+        assert calls == [1, 2, 3, 4, 5]
 
     def test_t_decay_only_on_cosine_warmup(self, tmp_path, capsys):
         raw = {**MINIMAL, "schedule": "cosine", "t_decay": 5}
@@ -625,14 +668,21 @@ class TestGrid:
 
     def test_default_grid_bytes_match_benchmark_reference(self, tmp_path, capsys):
         # The benchmark's grid_cifar workload at config seed 0: all 81 cell
-        # CSVs and grid.csv, against the sha256s it checks its runs with.
+        # CSVs and grid.csv, against the sha256s it checks its runs with,
+        # and its 81 x 200 step calls, the count behind its steps_per_s.
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
         want = json.loads(path.read_text(encoding="utf-8"))["grid_cifar"]["0"]["grid"]
         out = tmp_path / "grid"
-        assert main(["grid", "--config", "preset:cifar_small", "--seed", "0",
-                     "--out", str(out)]) == 0
+        tracing = bench_tracing()
+        tracer = tracing.Tracer(record=False).install()
+        try:
+            assert main(["grid", "--config", "preset:cifar_small", "--seed", "0",
+                         "--out", str(out)]) == 0
+        finally:
+            tracer.uninstall()
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
         assert len(want) == 82 and got == want
+        assert tracer.counts()[tracing.STEP] == 16_200
 
 
 class TestSweep:
@@ -702,6 +752,29 @@ class TestLockStep:
                 assert cell == rows_to_csv(rows), (a, b)
         diverging = base is self.DIVERGING or base is self.KERNEL_DIVERGING
         assert statuses == ({"ok", "diverged"} if diverging else {"ok"})
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("base,key,values,statuses", [
+        (DIVERGING, "beta", [0.5, 4.0], ["ok", "diverged@"]),
+        ({**DIVERGING, "beta": 4.0}, "lr", [1e-3, 0.05], ["ok", "diverged@"]),
+        (MLP, "lr", [1e-4, 1e-3, 0.5], ["ok", "ok", "ok"]),
+        ({**MLP, "precision": "f32"}, "alpha", [0.1, 2.0], ["ok", "ok"]),
+        (KERNEL_DIVERGING, "beta", [0.0901, 0.9], ["diverged@", "ok"]),
+    ], ids=["diverged_no_metric", "lr_lanes_diverged", "lr_lanes_metric", "tiny_mlp_f32",
+            "innaprop_f32_kernel_overflow"])
+    def test_streamed_cell_csv_equals_rows_to_csv(self, tmp_path, base, key, values, statuses):
+        # run_experiment writes each cell's CSV from CellResults.csv_texts,
+        # which builds it column-wise; it must be rows_to_csv of the cell's rows.
+        configs = [replace(parse_config_dict(base), **{key: v}) for v in values]
+        tags = [f"cell{i}" for i in range(len(values))]
+        results = run_experiment(configs, out_dir=tmp_path, tag=tags)
+        texts = results.csv_texts()
+        for tag, status, (rows, summary) in zip(tags, statuses, results):
+            text = next(texts)
+            assert summary.status.startswith(status), tag
+            assert text == rows_to_csv(rows), tag
+            assert (tmp_path / f"{tag}.csv").read_text(encoding="utf-8") == text
+        assert next(texts, None) is None
 
     def test_adamw_lr_cells_equal_standalone_runs(self, tmp_path):
         # Every cell's AdamW state is written in place by its step; no cell
@@ -792,14 +865,6 @@ class TestBenchmarkHooks:
     harness.grid.cells) or of the step count behind steps_per_s."""
 
     @staticmethod
-    def _tracing():
-        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    @staticmethod
     def _grid(tmp_path, tracer, optimizer="innaprop"):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**MINIMAL, "optimizer": optimizer, "steps": 20}),
@@ -814,7 +879,7 @@ class TestBenchmarkHooks:
             tracer.uninstall()
 
     def test_traced_grid_reports_grid_and_run_metrics(self, tmp_path, capsys):
-        tracing = self._tracing()
+        tracing = bench_tracing()
         tracer = tracing.Tracer(record=True)
         self._grid(tmp_path, tracer)
         layers = tracing.layer_metrics(tracer.spans, 1, 1)
@@ -823,7 +888,7 @@ class TestBenchmarkHooks:
 
     @pytest.mark.parametrize("optimizer", ["innaprop", "innaprop_plain", "adamw"])
     def test_every_cell_step_is_counted(self, tmp_path, capsys, optimizer):
-        tracing = self._tracing()
+        tracing = bench_tracing()
         tracer = tracing.Tracer(record=False)
         self._grid(tmp_path, tracer, optimizer)
         assert tracer.counts()[tracing.STEP] == 4 * 20
@@ -831,7 +896,7 @@ class TestBenchmarkHooks:
     def test_check_steps_go_through_checks_globals(self):
         # check_all's steps_per_s counts the steps that the memory-reduction
         # check makes through the checks module's globals: 10 naive, 10 reduced.
-        tracing = self._tracing()
+        tracing = bench_tracing()
         quad = make_problem("quadratic", spectrum=(1.0, 10.0))
         theta0 = ParamVector(quad.init_theta(RngStream(1, 1).generator()))
         tracer = tracing.Tracer(record=False).install()
@@ -849,7 +914,7 @@ class TestBenchmarkHooks:
         # check_all's steps_per_s divides a fixed step count by the wall time,
         # so a suite must make the same step calls through the checks and
         # ode module globals, however it evaluates its problems.
-        tracing = self._tracing()
+        tracing = bench_tracing()
         tracer = tracing.Tracer(record=False).install()
         try:
             assert tracing.checks.run_suite(suite).passed
@@ -860,7 +925,7 @@ class TestBenchmarkHooks:
     def test_traced_run_reads_state_and_gradient_of_each_step(self, tmp_path, capsys):
         # The tracer reads the state and the gradient from a step's first two
         # positional arguments; a step called otherwise would lose its bytes.
-        tracing = self._tracing()
+        tracing = bench_tracing()
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**MINIMAL, "steps": 20}), encoding="utf-8")
         tracer = tracing.Tracer(record=True).install()

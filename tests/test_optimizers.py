@@ -598,8 +598,11 @@ class TestBlockedKernels:
         assert err.value.step == 7
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_only_in_v(self):
-        dim = _BLOCK + 1
+    @pytest.mark.parametrize("in_place", [False, True], ids=["fresh", "in_place"])
+    @pytest.mark.parametrize("dim", [1, _BLOCK + 1])
+    def test_nonfinite_only_in_v(self, dim, in_place):
+        # The one verdict covers every new slot: a fresh step checks its
+        # rows together, an in-place step each slot, in one block or several.
         cfg = InnapropConfig(alpha=0.1, beta=0.9)
         params = ReferenceParams()
         grad = np.ones(dim)
@@ -607,6 +610,8 @@ class TestBlockedKernels:
         g = ParamVector(grad)
         inna = replace(innaprop_init(cfg, ParamVector(np.ones(dim))), k=2)
         adamw = replace(reference_init("AdamW", ParamVector(np.ones(dim)), params), k=2)
+        if in_place:
+            inna, adamw = donatable(inna), donatable(adamw)
         for state, want, step in (
             (inna, whole_array_innaprop(inna, g, 0.01, cfg, 0.0, True),
              lambda s: innaprop_step(s, g, 0.01, cfg)),
@@ -714,6 +719,23 @@ class TestDonatedSteps:
             assert not any(arr.flags.writeable for arr in slot_arrays(new)), name
             assert_bitwise(slot_arrays(state), before)
             assert_bitwise(slot_arrays(new), slot_arrays(step(public, g, 0.01)))
+
+    @pytest.mark.parametrize("dim", [1, _BLOCK, _BLOCK + 1])
+    def test_fresh_slots_are_separate_read_only_rows(self, dim):
+        # A fresh step's new slots are the rows of one array: they share no
+        # memory with each other or with the input, and each is read-only.
+        rng = RngStream(dim, 9).generator()
+        theta0 = ParamVector(rng.standard_normal(dim))
+        g = ParamVector(rng.standard_normal(dim))
+        for name, (init, step) in blocked_steps(0.01, True).items():
+            state = init(theta0)
+            new = step(state, g, 0.01)
+            arrays, inputs = slot_arrays(new), [*slot_arrays(state), g.data]
+            assert len(arrays) == 3
+            for i, arr in enumerate(arrays):
+                assert not arr.flags.writeable, name
+                assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:]), name
+                assert not any(np.shares_memory(arr, other) for other in inputs), name
 
     def test_reference_init_gives_each_slot_its_own_array(self):
         theta0 = ParamVector([1.0, 2.0])

@@ -1,12 +1,16 @@
 """Objectives, datasets, samplers and their standing gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from innaprop.errors import ConfigError, ContractViolation, ParseError
 from innaprop.harness.checks import gradient_fidelity
+from innaprop.harness.config import build_problem, load_preset
 from innaprop.numerics import ParamVector, RngStream
 from innaprop.problems import (
+    _CHUNK,
     MiniBatchSampler,
     _last_axis,
     generate_synthetic,
@@ -221,13 +225,29 @@ class TestSamplerAndBatches:
 
 class TestStackedCells:
     """A (cells, dim) stack is evaluated in one call, bit for bit as each of
-    its rows on its own. 81 cells span several chunks of the stacked
-    evaluation on the dataset problems."""
+    its rows on its own, whether its cells take one chunk of the stacked
+    evaluation or several."""
 
     # The shipped problems, then tiny_mlp on a 3-class and a 9-class CSV: 3
     # logits are reduced a column at a time, 9 by numpy's own reduction.
     CASES = ("quadratic", "rosenbrock", "logistic_regression", "tiny_mlp",
              "tiny_mlp_3_classes", "tiny_mlp_9_classes")
+
+    @staticmethod
+    def _assert_rows(problem, theta, batches):
+        cells = len(theta)
+        for batch in batches:
+            losses, grads = problem.loss(theta, batch), problem.grad(theta, batch)
+            assert losses.shape == (cells,) and grads.shape == (cells, problem.dim)
+            for row, loss, g in zip(theta, losses, grads):
+                one = problem.loss(row, batch)
+                assert type(one) is float
+                assert np.float64(one).tobytes() == loss.tobytes()
+                assert problem.grad(row, batch).tobytes() == g.tobytes()
+        if problem.test_metric is not None:
+            metrics = problem.test_metric(theta)
+            assert metrics.shape == (cells,)
+            assert [problem.test_metric(row) for row in theta] == metrics.tolist()
 
     @pytest.mark.parametrize("cells", [1, 3, 81])
     @pytest.mark.parametrize("name", CASES)
@@ -243,18 +263,34 @@ class TestStackedCells:
         batches = [None]
         if problem.dataset is not None:
             batches.append(rng.integers(0, problem.dataset.n_train, 32))
-        for batch in batches:
-            losses, grads = problem.loss(theta, batch), problem.grad(theta, batch)
-            assert losses.shape == (cells,) and grads.shape == (cells, problem.dim)
-            for row, loss, g in zip(theta, losses, grads):
-                one = problem.loss(row, batch)
-                assert type(one) is float
-                assert np.float64(one).tobytes() == loss.tobytes()
-                assert problem.grad(row, batch).tobytes() == g.tobytes()
-        if problem.test_metric is not None:
-            metrics = problem.test_metric(theta)
-            assert metrics.shape == (cells,)
-            assert [problem.test_metric(row) for row in theta] == metrics.tolist()
+        self._assert_rows(problem, theta, batches)
+
+    def test_stack_over_several_chunks(self):
+        # The shipped tiny_mlp's full-batch loss and gradient hold 8 hidden
+        # units x 150 training rows = 1200 elements a cell, so a chunk takes
+        # _CHUNK // 1200 cells: one cell more than three chunks' worth spans
+        # four chunks.
+        problem = shipped_problems()[3]
+        assert problem.dataset.n_train == 150
+        cells = 3 * (_CHUNK // (8 * 150)) + 1
+        theta = 0.7 * RngStream(cells, 3).generator().standard_normal((cells, problem.dim))
+        self._assert_rows(problem, theta, [None])
+
+    def test_stacked_loss_peak_is_bounded_by_the_chunk(self):
+        # The default grid's problem: 8 hidden units x 180 training rows, so
+        # a chunk takes 45 cells and their hidden activations are 0.5 MB of
+        # f64. Unchunked, 400 cells' activations alone would be 4.6 MB.
+        problem = build_problem(load_preset("cifar_small"))
+        theta = 0.7 * RngStream(400, 4).generator().standard_normal((400, problem.dim))
+        want = problem.loss(theta)
+        tracemalloc.start()
+        try:
+            got = problem.loss(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < 2**20
 
     def test_f32_stack_evaluated_in_f64(self):
         problem = shipped_problems()[3]
