@@ -23,7 +23,10 @@ import numpy as np
 from ..errors import ConfigError
 from ..numerics import Precision, RngStream
 from ..problems import (
+    ACTIVATIONS,
     PROBLEM_KINDS,
+    SYNTHETIC_KINDS,
+    MiniBatchSampler,
     Problem,
     generate_synthetic,
     load_csv_dataset,
@@ -173,6 +176,15 @@ def validate_config(config: RunConfig):
         allowed = f"one of {', '.join(forms)}" if forms else "unset"
         raise ConfigError(f"key 'form' of optimizer {config.optimizer!r} must be {allowed}, "
                           f"not {config.form!r}")
+    for key, allowed in (("batch_order", MiniBatchSampler.ORDERS),
+                         ("activation", ACTIVATIONS)):
+        if getattr(config, key) not in allowed:
+            raise ConfigError(f"key {key!r} must be one of {', '.join(allowed)}, "
+                              f"not {getattr(config, key)!r}")
+    if (config.dataset is not None and not config.dataset.endswith(".csv")
+            and config.dataset not in SYNTHETIC_KINDS):
+        raise ConfigError(f"key 'dataset' must be a .csv path or one of "
+                          f"{', '.join(SYNTHETIC_KINDS)}, not {config.dataset!r}")
     if config.steps <= 0:
         raise ConfigError("key 'steps' must be positive")
     if config.log_every <= 0:

@@ -23,6 +23,7 @@ import numpy as np
 from ..errors import ContractViolation, DivergenceError
 from ..numerics import ParamVector, global_norm_clip
 from ..optimizers import (
+    _BLOCK,
     InnapropConfig,
     ReferenceParams,
     dinadam_init,
@@ -101,15 +102,23 @@ def rows_to_csv(rows: list[RunRow]) -> str:
 def _writable(state):
     """``state`` with every slot writable, so blocked steps write it in place.
 
-    Set once at setup, never per step. No slot may share memory with
-    another slot or another state; the rows of one array, as a fresh blocked
-    step makes its slots, count as separate slots.
+    Set once at setup, never per step. A state of at most
+    ``optimizers._BLOCK`` elements gets copies of its slots as the rows of
+    one writable ``(slots, dim)`` array, which a blocked step updates with
+    one kernel call and checks with one scan. A larger state keeps its own
+    slots, made writable: a copy would double its memory. No slot may share
+    memory with another slot or another state.
     """
-    for field in fields(state):
-        slot = getattr(state, field.name)
-        if isinstance(slot, ParamVector):
-            slot.data.flags.writeable = True
-    return state
+    names = [f.name for f in fields(state) if isinstance(getattr(state, f.name), ParamVector)]
+    if state.theta.dim > _BLOCK:
+        for name in names:
+            getattr(state, name).data.flags.writeable = True
+        return state
+    rows = {}
+    for name, row in zip(names, np.array([getattr(state, name).data for name in names])):
+        rows[name] = ParamVector._wrap(row)
+        row.flags.writeable = True
+    return replace(state, **rows)
 
 
 def _make_stepper(config: RunConfig, theta0: ParamVector):
@@ -194,6 +203,8 @@ class CellResults(Sequence):
     and one column per cell (one per distinct schedule for the lr), NaN
     where nothing was logged. Reading a cell builds its ``RunRow`` list;
     ``summary``, ``row_at`` and ``last_row`` read the arrays and build none.
+    A cell's summary and last row are built once, on first use, and every
+    later call returns the same object.
     """
 
     def __init__(self, configs, hashes, logged, lrs, lane, losses, metrics, ends,
@@ -201,6 +212,7 @@ class CellResults(Sequence):
         self._configs, self._hashes, self._logged = configs, hashes, logged
         self._lrs, self._lane, self._losses, self._metrics = lrs, lane, losses, metrics
         self._ends, self._wall_time_s = ends, wall_time_s
+        self._summaries, self._last_rows = {}, {}
 
     def __len__(self) -> int:
         return len(self._configs)
@@ -258,10 +270,17 @@ class CellResults(Sequence):
 
     def last_row(self, i: int) -> Optional[RunRow]:
         """Cell ``i``'s last ok row."""
-        ok = np.flatnonzero(np.isfinite(self._losses[:, i]))
-        return self._row(i, ok[-1]) if ok.size else None
+        if i not in self._last_rows:
+            ok = np.flatnonzero(np.isfinite(self._losses[:, i]))
+            self._last_rows[i] = self._row(i, ok[-1]) if ok.size else None
+        return self._last_rows[i]
 
     def summary(self, i: int) -> RunSummary:
+        if i not in self._summaries:
+            self._summaries[i] = self._summary(i)
+        return self._summaries[i]
+
+    def _summary(self, i: int) -> RunSummary:
         cfg, last = self._configs[i], self.last_row(i)
         ok = np.isfinite(self._losses[:, i])
         scores = self._metrics[ok, i].tolist() if self._metrics is not None else []
@@ -321,8 +340,8 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
     theta = ParamVector(
         base.init_scale * problem.init_theta(init_stream(base).generator()), precision
     )
-    # Each cell owns its state's arrays, made writable once; the first keeps
-    # theta itself.
+    # Each cell owns its state's arrays, made writable once (``_writable``);
+    # above optimizers._BLOCK the first keeps theta itself.
     states, step_fns = map(list, zip(*(
         _make_stepper(cfg, theta if i == 0 else ParamVector._wrap(theta.data.copy()))
         for i, cfg in enumerate(configs))))

@@ -60,7 +60,8 @@ class Trajectory:
 def _rhs(spec: DinFlowSpec, y: np.ndarray) -> np.ndarray:
     """Right-hand side of the flow at ``y``, the (2, p) f64 array with theta
     in row 0 and psi in row 1; one gradient call."""
-    th, ps = y
+    # Two indexings; unpacking the array would raise and catch an IndexError.
+    th, ps = y[0], y[1]
     drift = -(spec.alpha - 1.0 / spec.beta) * th - ps / spec.beta
     dy = np.empty_like(y)
     dy[1] = drift

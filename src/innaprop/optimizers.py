@@ -16,8 +16,11 @@ and ``0*inf`` and ``x*nan`` are NaN, so a non-finite gradient is rejected too.
 The blocked steps (``innaprop_step`` and the Adam/AdamW kinds of
 ``reference_step``) write the new slots over the old ones, block by block,
 when every slot of the given state is writable, as in the states the run
-loop owns; so a step holds one state, not two. A public state's slots are
-read-only, and it gets fresh slots.
+loop owns; so a step holds one state, not two. When those slots are the
+rows of one writable array, as the run loop gives a state of at most
+``_BLOCK`` elements, the step runs its kernel once on the rows, checks the
+array with one scan and returns the state without the per-slot bookkeeping.
+A public state's slots are read-only, and it gets fresh slots.
 
 Naming used throughout:
 
@@ -330,6 +333,34 @@ def _run_blocked(step_index: int, kernel, slots, grad: np.ndarray) -> list:
     return slots if in_place else [ParamVector._wrap(out) for out in outs]
 
 
+def _blocked_step(state, step_index: int, kernel, slots, grad: np.ndarray, *tags):
+    """The state after ``state`` from the blocked update ``kernel`` (see
+    ``_run_blocked``) over its three ``slots``; ``tags`` are the state's
+    fields before its slots, such as a ``ReferenceState``'s kind.
+
+    When the slots are the writable rows of one ``(3, dim)`` array of at
+    most ``_BLOCK`` elements a row, as the run loop owns them: the kernel
+    runs once on the rows, writing them in place, and one scan of the array
+    checks all three, raising ``DivergenceError(step_index)`` on a
+    non-finite element. The new state holds the same slots. Any other state
+    goes through ``_run_blocked`` and ``_advance``.
+    """
+    first, second, third = slots
+    x, y, z = first.data, second.data, third.data
+    block = x.base
+    if (block is None or y.base is not block or z.base is not block
+            or x.size > _BLOCK or block.shape != (3, x.size)
+            or not (x.flags.writeable and y.flags.writeable and z.flags.writeable)):
+        return _advance(state, step_index, *tags, *_run_blocked(step_index, kernel, slots, grad))
+    scratch = np.empty((2, x.size), x.dtype)
+    # Two indexings; unpacking the array would raise and catch an IndexError.
+    kernel((x, y, z, grad), (x, y, z), (scratch[0], scratch[1]))
+    # count_nonzero costs about half of .all() on small arrays.
+    if np.count_nonzero(np.isfinite(block)) < block.size:
+        raise DivergenceError(step_index)
+    return type(state)(*tags, first, second, third, step_index)
+
+
 def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     return g / (np.sqrt(v) + eps)
 
@@ -378,7 +409,7 @@ def innaprop_step(
     With ``weight_decay`` 0 and ``bias_correction`` off this is the
     constant-step recursion on the raw ``v``. The gradient must be evaluated
     at the pre-decay ``theta``. A state whose slots are all writable is
-    written in place (see ``_run_blocked``).
+    written in place (see ``_blocked_step``).
 
     The update runs through ``_run_blocked``: it evaluates the formulas above
     block by block, with the same ufuncs in the same order and the same
@@ -424,8 +455,7 @@ def innaprop_step(
         np.multiply(theta_rms, a, out=a)
         np.subtract(theta_new, a, out=theta_new)
 
-    slots = (state.theta, state.psi, state.v)
-    return _advance(state, step_index, *_run_blocked(step_index, kernel, slots, g.data))
+    return _blocked_step(state, step_index, kernel, (state.theta, state.psi, state.v), g.data)
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +722,9 @@ def reference_init(
     )
 
 
-def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay) -> list:
-    """New (theta, m, v) of Adam/AdamW; decay (when any) multiplies theta first.
+def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay):
+    """The Adam/AdamW state after ``state``; decay (when any) multiplies
+    theta first.
 
     Blocked like ``innaprop_step``, so it is bit-identical to the
     whole-array formulas, checks the new slots' finiteness itself and writes
@@ -729,7 +760,8 @@ def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay) -> 
         np.multiply(gamma, a, out=a)
         np.subtract(theta, a, out=theta_new)
 
-    return _run_blocked(step_index, kernel, (state.theta, state.m, state.v), grad)
+    return _blocked_step(state, step_index, kernel, (state.theta, state.m, state.v), grad,
+                         state.kind)
 
 
 def reference_step(
@@ -752,7 +784,7 @@ def reference_step(
       with ``m_hat = m_new/(1 - beta1^(k+1))``.
 
     The Adam/AdamW kinds write the new slots over the old ones when all of
-    the state's slots are writable (see ``_run_blocked``); the other kinds
+    the state's slots are writable (see ``_blocked_step``); the other kinds
     always build fresh slots.
     """
     step_index = _begin(state, state.theta, g)
@@ -770,9 +802,8 @@ def reference_step(
         m_new = b1 * state.m.data + _rms(grad, v_new, eps)
         theta_new = state.theta.data - gamma_k * m_new
     elif kind in ("Adam", "AdamW"):
-        theta_new, m_new, v_new = _adam_family(
-            state, grad, gamma_k, params, step_index, decoupled_decay=(kind == "AdamW")
-        )
+        return _adam_family(state, grad, gamma_k, params, step_index,
+                            decoupled_decay=(kind == "AdamW"))
     else:  # NAdam; ReferenceState admits no other kind
         m_new = b1 * state.m.data + (1.0 - b1) * grad
         v_new = b2 * state.v.data + (1.0 - b2) * grad * grad

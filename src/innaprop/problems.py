@@ -64,6 +64,9 @@ def _split_indices(n: int, split_fraction: float, rng: np.random.Generator):
     return perm[:n_train], perm[n_train:]
 
 
+SYNTHETIC_KINDS = ("two_gaussians", "linear_regression")
+
+
 def generate_synthetic(kind: str, n: int, dim: int, seed: int,
                        split_fraction: float = 0.75, separation: float = 6.0,
                        noise: float = 0.0) -> Dataset:
@@ -241,6 +244,44 @@ def _last_axis(ufunc, z: np.ndarray) -> np.ndarray:
     return out
 
 
+# Rows from which a 2-wide last axis is handled one column at a time.
+# numpy's elementwise calls and argmax loop over such an axis one row at a
+# time. Measured on a 2-vCPU Xeon (numpy 2.4): columns cost about the same
+# as numpy's own call at 1024 rows, a third to a half of it at the default
+# grid's 81 x 180 rows, and two to three times as much at one cell's 32 to
+# 180 rows. With 3 to 7 columns they were slower up to 2048 rows, and
+# argmax by columns slower at every row count.
+_COLUMN_ROWS = 1024
+
+
+def _two_columns(z: np.ndarray) -> bool:
+    """Whether ``_by_columns`` and ``_argmax_last`` go by columns for ``z``."""
+    return z.shape[-1] == 2 and z.size >= 2 * _COLUMN_ROWS
+
+
+def _by_columns(ufunc, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b, out=out)``, bit for bit, for arrays that broadcast to
+    ``out``, where ``a`` has ``out``'s last axis; with ``_two_columns(out)``,
+    one call a column. A ``b`` with a last axis of one entry goes against
+    both columns."""
+    if not _two_columns(out):
+        return ufunc(a, b, out=out)
+    for c in (0, 1):
+        ufunc(a[..., c], b[..., 0 if b.shape[-1] == 1 else c], out=out[..., c])
+    return out
+
+
+def _argmax_last(z: np.ndarray) -> np.ndarray:
+    """``z.argmax(axis=-1)``: the index of each row's first maximum, or of
+    its first NaN if it has one; with ``_two_columns(z)``, from the two
+    columns. numpy moves to the second entry where it is not ``<=`` the
+    first, unless the first is NaN."""
+    if not _two_columns(z):
+        return z.argmax(axis=-1)
+    first, second = z[..., 0], z[..., 1]
+    return (~(second <= first) & (first == first)).astype(np.intp)
+
+
 def _over_cells(fn, cell_size: Callable[[Optional[np.ndarray]], int]):
     """Lift ``fn(cells, batch)``, written for a (cells, dim) f64 array and
     returning one result row per cell, to the ``Problem`` calling convention.
@@ -403,8 +444,11 @@ class _MlpLayout:
         ]
 
 
+ACTIVATIONS = ("tanh", "relu")
+
+
 def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Problem:
-    if activation not in ("tanh", "relu"):
+    if activation not in ACTIVATIONS:
         raise ContractViolation(f"unknown activation {activation!r}")
     y = dataset.labels
     if not np.all(np.isfinite(y) & (y >= 0) & (y == np.round(y))):
@@ -421,16 +465,20 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
 
     def _forward(params, x):
         """Every layer's output: ``x`` first, the logits last. One gemm per
-        cell, as ``x @ W`` broadcasts the shared rows over the cells."""
+        cell, as ``x @ W`` broadcasts the shared rows over the cells. The
+        logits' bias may go on by columns (``_by_columns``); a hidden
+        layer's stays a broadcast, which was faster at width 8."""
         acts = [x]
         for i, (w, b) in enumerate(params):
             z = acts[-1] @ w
-            z += b
             if i < len(params) - 1:
+                z += b
                 if activation == "tanh":
                     np.tanh(z, out=z)
                 else:
                     np.maximum(z, 0.0, out=z)
+            else:
+                _by_columns(np.add, z, b, out=z)
             acts.append(z)
         return acts
 
@@ -449,7 +497,8 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
         x, y, _ = _batch_xy(batch)
         rows = all_rows if batch is None else np.arange(y.size)
         logits = _forward(layout.unpack(theta), x)[-1]
-        shifted = logits - _last_axis(np.maximum, logits)[..., None]
+        shifted = _by_columns(np.subtract, logits, _last_axis(np.maximum, logits)[..., None],
+                              out=logits)
         logz = np.log(_last_axis(np.add, np.exp(shifted)))
         return (logz - shifted[:, rows, y]).sum(axis=-1) / y.size
 
@@ -458,10 +507,10 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
         params = layout.unpack(theta)
         acts = _forward(params, x)
         logits = acts[-1]
-        shifted = logits - _last_axis(np.maximum, logits)[..., None]
+        shifted = _by_columns(np.subtract, logits, _last_axis(np.maximum, logits)[..., None],
+                              out=logits)
         ez = np.exp(shifted)
-        softmax = ez / _last_axis(np.add, ez)[..., None]
-        delta = softmax
+        delta = _by_columns(np.divide, ez, _last_axis(np.add, ez)[..., None], out=ez)  # softmax
         delta -= y_hot  # minus 1 at each row's label, minus 0 elsewhere: exact
         delta /= y.size
 
@@ -484,7 +533,7 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
 
     def test_metric(theta, batch):
         logits = _forward(layout.unpack(theta), x_test)[-1]
-        return (logits.argmax(axis=-1) == test_labels).sum(axis=-1) / test_labels.size
+        return (_argmax_last(logits) == test_labels).sum(axis=-1) / test_labels.size
 
     def init_theta(rng):
         theta0 = np.zeros(layout.dim)

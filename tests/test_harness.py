@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -47,7 +48,7 @@ from innaprop.optimizers import (
     reference_init,
     reference_step,
 )
-from innaprop.problems import make_problem
+from innaprop.problems import ACTIVATIONS, SYNTHETIC_KINDS, MiniBatchSampler, make_problem
 from innaprop.schedulers import lr_at
 
 
@@ -105,6 +106,21 @@ class TestConfig:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [("batch_order", "randomly"),
+                                           ("activation", "sigmoid"),
+                                           ("dataset", "three_moons")])
+    @pytest.mark.parametrize("problem", ["rosenbrock", "tiny_mlp"])
+    def test_unknown_choice_rejected(self, tmp_path, capsys, problem, key, value):
+        # Rejected whether or not the problem reads the key.
+        self._rejected_before_compute(tmp_path, {**MINIMAL, "problem": problem, key: value},
+                                      f"'{key}'")
+
+    def test_every_allowed_choice_accepted(self):
+        for key, allowed in (("batch_order", MiniBatchSampler.ORDERS),
+                             ("activation", ACTIVATIONS), ("dataset", SYNTHETIC_KINDS)):
+            for value in allowed:
+                assert getattr(parse_config_dict({**MINIMAL, key: value}), key) == value
 
     @pytest.mark.parametrize("problem", ["quadratic", "rosenbrock"])
     def test_batch_size_needs_a_dataset(self, tmp_path, capsys, problem):
@@ -481,6 +497,33 @@ class TestNonFiniteGradient:
         assert np.isnan(last.train_loss)
 
 
+class TestRunLoopMemory:
+    """The paper's memory claim in the run loop: a three-slot optimizer
+    holds its slots and one gradient beside the problem's own arrays."""
+
+    @pytest.mark.parametrize("optimizer", ["innaprop", "adamw"])
+    def test_peak_is_the_problem_the_slots_and_one_gradient(self, optimizer):
+        # Above optimizers._BLOCK the run loop keeps the state's own slots;
+        # a copy of them into one block would add three slots to the peak.
+        dim, slots = 200_000, 3
+        cfg = parse_config_dict({"problem": "quadratic", "dim": dim, "optimizer": optimizer,
+                                 "alpha": 0.1, "beta": 0.9, "lr": 1e-3, "steps": 3})
+        tracemalloc.start()
+        try:
+            problem = build_problem(cfg)
+            problem_bytes = tracemalloc.get_traced_memory()[0]
+            del problem
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rows, summary = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert summary.status == "ok" and len(rows) == 4
+        itemsize = np.dtype(np.float64).itemsize
+        assert peak <= problem_bytes + (slots + 1) * dim * itemsize + 2 * 2**20
+
+
 class TestRunCsvPinned:
     """Every optimizer's ``run.csv`` bytes in f32 and f64, without a clip and
     with ``grad_clip`` 0.05, on a converging config and on a diverging one,
@@ -659,6 +702,22 @@ class TestGrid:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
             standalone = run_experiment(replace(cfg, alpha=a, beta=0.9))[0]
             assert (out1 / name).read_text(encoding="utf-8") == rows_to_csv(standalone)
+
+    def test_each_cell_summary_and_last_row_built_once(self, tmp_path, monkeypatch):
+        # The cell JSONs and grid.csv read one summary and one last row a
+        # cell; the grid's short-horizon row is the only other row built.
+        calls = {"_summary": 0, "_row": 0}
+        for name in calls:
+            original = getattr(runner.CellResults, name)
+
+            def counted(self, *args, name=name, original=original):
+                calls[name] += 1
+                return original(self, *args)
+            monkeypatch.setattr(runner.CellResults, name, counted)
+        grid_search(parse_config_dict(self.BASE), alphas=[0.5, 2.0], betas=[0.9, 1.5],
+                    out_dir=tmp_path)
+        assert calls == {"_summary": 4, "_row": 8}
+        assert len(list(tmp_path.glob("cell_*.json"))) == 4
 
     def test_cell_matches_standalone_run(self):
         cfg = parse_config_dict(self.BASE)

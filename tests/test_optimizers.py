@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from innaprop.errors import ContractViolation, DivergenceError, WellPosednessError
+from innaprop.harness.runner import _writable
 from innaprop.numerics import ParamVector, Precision, RngStream, global_norm_clip
 from innaprop.optimizers import (
     _BLOCK,
@@ -758,3 +759,103 @@ class TestDonatedSteps:
         assert not any(np.shares_memory(a, b) for a in slot_arrays(new)
                        for b in slot_arrays(state))
         assert_bitwise(slot_arrays(state), before)
+
+
+# ---------------------------------------------------------------------------
+# Owned blocks: the run loop gives a state of at most _BLOCK elements its
+# slots as the rows of one writable array, which a blocked step writes in
+# place with one kernel call and checks with one scan
+# ---------------------------------------------------------------------------
+
+OWNED_DIMS = [1, 42, _BLOCK]
+
+
+def owned_block(state) -> np.ndarray:
+    """The one array whose rows are the state's slots, as the run loop owns them."""
+    block = state.theta.data.base
+    assert block.shape == (3, state.theta.dim) and block.flags.writeable
+    assert all(arr.base is block and arr.flags.writeable for arr in slot_arrays(state))
+    return block
+
+
+class TestOwnedBlock:
+    @pytest.mark.parametrize("dim", OWNED_DIMS)
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("bias_correction", [True, False])
+    def test_bitwise_equal_to_fresh_and_keeps_its_rows(self, dim, precision, weight_decay,
+                                                        bias_correction):
+        for name, (init, step) in blocked_steps(weight_decay, bias_correction).items():
+            rng = RngStream(dim, 10).generator()
+            fresh = init(ParamVector(rng.standard_normal(dim), precision))
+            owned = _writable(fresh)
+            block = owned_block(owned)
+            for k in range(3):
+                g = loop_gradient(rng, dim, precision, None)
+                gamma = 0.01 * (k + 1)
+                fresh = step(fresh, g, gamma)
+                rows = slot_arrays(owned)
+                owned = step(owned, g, gamma)
+                assert owned.k == fresh.k == k + 1
+                assert all(new is old for new, old in zip(slot_arrays(owned), rows)), name
+                assert owned_block(owned) is block
+                assert_bitwise(slot_arrays(owned), slot_arrays(fresh))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dim", OWNED_DIMS)
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_nonfinite_element_in_any_row_diverges(self, dim, row, bad):
+        rng = RngStream(dim, 11).generator()
+        theta0 = ParamVector(rng.standard_normal(dim))
+        g = ParamVector(rng.standard_normal(dim))
+        for name, (init, step) in blocked_steps(0.01, True).items():
+            state = _writable(step(init(theta0), g, 0.01))
+            owned_block(state)[row, -1] = bad
+            with pytest.raises(DivergenceError) as err:
+                step(state, g, 0.01)
+            assert err.value.step == 2, name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dim", OWNED_DIMS)
+    def test_nonfinite_only_in_the_last_row_diverges(self, dim):
+        # (1 - sigma) * g * g overflows in v alone; g / sqrt(inf) is 0.
+        grad = np.ones(dim)
+        grad[-1] = 1e200
+        g = ParamVector(grad)
+        for name, (init, step) in blocked_steps(0.0, True).items():
+            state = _writable(init(ParamVector(np.ones(dim))))
+            with pytest.raises(DivergenceError) as err:
+                step(state, g, 0.01)
+            assert err.value.step == 1, name
+            theta, second, v = slot_arrays(state)
+            assert np.isfinite(theta).all() and np.isfinite(second).all()
+            assert not np.isfinite(v[-1])
+
+    @pytest.mark.parametrize("dim", OWNED_DIMS)
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_block_with_a_read_only_row_gets_fresh_slots(self, dim, row):
+        rng = RngStream(dim, 12).generator()
+        theta0 = ParamVector(rng.standard_normal(dim))
+        g = ParamVector(rng.standard_normal(dim))
+        for name, (init, step) in blocked_steps(0.01, True).items():
+            public = step(init(theta0), g, 0.01)
+            state = _writable(public)
+            slot_arrays(state)[row].flags.writeable = False
+            before = [arr.copy() for arr in slot_arrays(state)]
+            new = step(state, g, 0.01)
+            assert state.k == 1 and new.k == 2
+            assert not any(np.shares_memory(a, b) for a in slot_arrays(new)
+                           for b in slot_arrays(state)), name
+            assert not any(arr.flags.writeable for arr in slot_arrays(new)), name
+            assert_bitwise(slot_arrays(state), before)
+            assert_bitwise(slot_arrays(new), slot_arrays(step(public, g, 0.01)))
+
+    def test_a_larger_state_keeps_its_own_slots(self):
+        # A copy into one block would double the state's memory.
+        for name, (init, _) in blocked_steps(0.01, True).items():
+            state = init(ParamVector(np.ones(_BLOCK + 1)))
+            arrays = slot_arrays(state)
+            assert _writable(state) is state
+            assert all(new is old and new.flags.writeable
+                       for new, old in zip(slot_arrays(state), arrays)), name

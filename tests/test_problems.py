@@ -12,7 +12,11 @@ from innaprop.numerics import ParamVector, RngStream
 from innaprop.problems import (
     _CHUNK,
     MiniBatchSampler,
+    _COLUMN_ROWS,
+    _argmax_last,
+    _by_columns,
     _last_axis,
+    _two_columns,
     generate_synthetic,
     load_csv_dataset,
     make_problem,
@@ -321,6 +325,68 @@ class TestLastAxis:
         self._same_bits(_last_axis(np.maximum, z), z.max(axis=-1))
         e = np.exp(z + rng.standard_normal(z.shape))
         self._same_bits(_last_axis(np.add, e), e.sum(axis=-1))
+
+
+def class_axis_values(width, shape, seed):
+    """A (*shape, width) array rounded to one decimal, so that most rows hold
+    ties, with signed zeros, +-inf and NaN in a few entries each."""
+    rng = RngStream(width, seed).generator()
+    z = np.round(rng.standard_normal((*shape, width)), 1)
+    z[rng.random(z.shape) < 0.05] = -0.0
+    z[rng.random(z.shape) < 0.03] = np.inf
+    z[rng.random(z.shape) < 0.03] = -np.inf
+    z[rng.random(z.shape) < 0.02] = np.nan
+    return z
+
+
+class TestClassAxisByColumns:
+    """The class-axis operations give numpy's own answer, bit for bit, at
+    every width and row count: by columns for two classes and at least
+    _COLUMN_ROWS rows, numpy's own call otherwise."""
+
+    def test_columns_only_for_two_classes_and_many_rows(self):
+        def columns(*shape):
+            return _two_columns(np.empty(shape))
+        assert columns(81, 60, 2) and columns(1, _COLUMN_ROWS, 2)
+        assert not columns(1, 180, 2) and not columns(1, _COLUMN_ROWS - 1, 2)
+        assert not any(columns(81, 60, width) for width in (1, *range(3, 13)))
+
+    @pytest.mark.parametrize("shape", [(1, 32), (81, 60)])
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_argmax_equals_numpy(self, width, shape):
+        z = class_axis_values(width, shape, shape[0])
+        got = _argmax_last(z)
+        assert got.dtype == np.intp and np.array_equal(got, z.argmax(axis=-1))
+
+    @pytest.mark.parametrize("rows", [4, _COLUMN_ROWS])
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_argmax_first_nan_and_first_tie(self, width, rows):
+        z = np.zeros((1, 4, width))
+        z[0, 0, -1] = np.nan  # a NaN in the last column wins
+        z[0, 1, 1:] = np.nan  # the first of several NaNs wins
+        z[0, 2, [0, -1]] = np.inf  # the first of tied maxima wins
+        z[0, 3, 1:] = -np.inf
+        z[0, 3, -1] = np.nan  # a NaN wins over a larger value before it
+        z = np.tile(z, (1, rows // 4, 1))
+        want = [width - 1, 1, 0, width - 1] * (rows // 4)
+        assert _argmax_last(z).tolist() == z.argmax(axis=-1).tolist() == [want]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(1, 32), (81, 60)])
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_broadcast_ops_equal_numpy(self, width, shape):
+        z = class_axis_values(width, shape, 7)
+        bias = class_axis_values(width, (shape[0], 1), 8)
+        column = class_axis_values(1, shape, 9)
+        for ufunc in (np.add, np.subtract, np.divide):
+            for a, b in ((z, bias), (z, column)):
+                want = ufunc(a, b)
+                TestLastAxis._same_bits(_by_columns(ufunc, a, b, out=np.empty_like(want)),
+                                        want)
+        # In place, as the logits' bias and shift are.
+        want = z + bias
+        assert _by_columns(np.add, z, bias, out=z) is z
+        TestLastAxis._same_bits(z, want)
 
 
 class TestShippedProblems:
