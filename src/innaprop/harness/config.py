@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -176,6 +177,13 @@ def validate_config(config: RunConfig):
         allowed = f"one of {', '.join(forms)}" if forms else "unset"
         raise ConfigError(f"key 'form' of optimizer {config.optimizer!r} must be {allowed}, "
                           f"not {config.form!r}")
+    for key in _FIELDS:
+        value = getattr(config, key)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"key {key!r} must be finite")
+    if config.dim is not None and config.dim <= 0:
+        raise ConfigError("key 'dim' must be positive")
     for key, allowed in (("batch_order", MiniBatchSampler.ORDERS),
                          ("activation", ACTIVATIONS)):
         if getattr(config, key) not in allowed:

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ContractViolation, DivergenceError
 from ..numerics import ParamVector, global_norm_clip
 from ..optimizers import (
-    _BLOCK,
+    _own,
     InnapropConfig,
     ReferenceParams,
     dinadam_init,
@@ -97,28 +97,6 @@ def csv_text(header: str, rows) -> str:
 def rows_to_csv(rows: list[RunRow]) -> str:
     return csv_text(CSV_HEADER, [(r.step, r.lr, r.train_loss, r.test_metric, r.status)
                                  for r in rows])
-
-
-def _writable(state):
-    """``state`` with every slot writable, so blocked steps write it in place.
-
-    Set once at setup, never per step. A state of at most
-    ``optimizers._BLOCK`` elements gets copies of its slots as the rows of
-    one writable ``(slots, dim)`` array, which a blocked step updates with
-    one kernel call and checks with one scan. A larger state keeps its own
-    slots, made writable: a copy would double its memory. No slot may share
-    memory with another slot or another state.
-    """
-    names = [f.name for f in fields(state) if isinstance(getattr(state, f.name), ParamVector)]
-    if state.theta.dim > _BLOCK:
-        for name in names:
-            getattr(state, name).data.flags.writeable = True
-        return state
-    rows = {}
-    for name, row in zip(names, np.array([getattr(state, name).data for name in names])):
-        rows[name] = ParamVector._wrap(row)
-        row.flags.writeable = True
-    return replace(state, **rows)
 
 
 def _make_stepper(config: RunConfig, theta0: ParamVector):
@@ -340,12 +318,12 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
     theta = ParamVector(
         base.init_scale * problem.init_theta(init_stream(base).generator()), precision
     )
-    # Each cell owns its state's arrays, made writable once (``_writable``);
-    # above optimizers._BLOCK the first keeps theta itself.
+    # Each cell owns its state's arrays, made writable once
+    # (``optimizers._own``); the first may keep theta itself.
     states, step_fns = map(list, zip(*(
         _make_stepper(cfg, theta if i == 0 else ParamVector._wrap(theta.data.copy()))
         for i, cfg in enumerate(configs))))
-    states = [_writable(state) for state in states]
+    states = [_own(state) for state in states]
 
     sampler = None
     if base.batch_size is not None:

@@ -5,7 +5,7 @@ Every optimizer here is a function ``(state, gradient, step size, params) ->
 new state``; states are plain immutable values, so runs can be replayed,
 forked, or executed concurrently. A public step checks its own scalar
 arguments, then calls ``_begin``, states its update over raw arrays and
-ends in ``_advance``; these two private helpers do the bookkeeping for every
+ends in ``_advance``; these private helpers do the bookkeeping for every
 step. ``_begin`` rejects a gradient whose dimension or precision differs from
 the state's with ``ContractViolation``. ``_advance`` aborts a non-finite
 result with ``DivergenceError`` carrying the offending step index instead of
@@ -14,13 +14,11 @@ input's class with ``k + 1``. Every rule reads the gradient into a new slot,
 and ``0*inf`` and ``x*nan`` are NaN, so a non-finite gradient is rejected too.
 
 The blocked steps (``innaprop_step`` and the Adam/AdamW kinds of
-``reference_step``) write the new slots over the old ones, block by block,
-when every slot of the given state is writable, as in the states the run
-loop owns; so a step holds one state, not two. When those slots are the
-rows of one writable array, as the run loop gives a state of at most
-``_BLOCK`` elements, the step runs its kernel once on the rows, checks the
-array with one scan and returns the state without the per-slot bookkeeping.
-A public state's slots are read-only, and it gets fresh slots.
+``reference_step``) end in ``_blocked_step`` instead, which runs the update
+block by block and builds the new state itself. When every slot of the given
+state is writable, as in the states the run loop owns (``_own``), it writes
+the new slots over the old ones, so a step holds one state, not two. A
+public state's slots are read-only, and it gets fresh slots.
 
 Naming used throughout:
 
@@ -34,7 +32,7 @@ Naming used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -258,14 +256,13 @@ def _begin(state, theta: ParamVector, g: ParamVector) -> int:
 
 def _advance(state, step_index: int, *fields):
     """The state after ``state``, of its class, at ``step_index``; every
-    public step ends here.
+    public step but the blocked ones ends here.
 
     ``fields`` are the new state's fields in the order its class declares
     them, all but the last, ``k``. Each raw ndarray among them is checked
     for finiteness, raising ``DivergenceError(step_index)``, and wrapped.
     Any other field passes through as it is: a ``ParamVector`` (a slot
-    carried over, or an output of ``_run_blocked``, already checked block by
-    block), ``None``, a kind or form tag, a rate.
+    carried over), ``None``, a kind or form tag, a rate.
     """
     for value in fields:
         # count_nonzero costs about half of .all() on small arrays.
@@ -276,88 +273,89 @@ def _advance(state, step_index: int, *fields):
                          for value in fields], step_index)
 
 
-# Elements per block of ``_run_blocked``. At f64 one block of each of the
+# Elements per block of ``_blocked_step``. At f64 one block of each of the
 # kernels' four inputs, three outputs and two scratch buffers is 1.1 MB, so a
 # block's working set stays in a 2 MB L2 cache while its ufuncs pass over it.
 _BLOCK = 16 * 1024
 
 
-def _run_blocked(step_index: int, kernel, slots, grad: np.ndarray) -> list:
-    """Evaluate an update ``kernel`` block by block over the state ``slots``
-    (``ParamVector``) and the raw gradient, all of one length and precision;
-    returns one new slot per old one.
+def _own(state):
+    """``state`` with every slot writable, as a run loop owns it, so that
+    blocked steps write it in place; made once at setup, never per step.
 
-    In place, when every one of ``slots`` is writable: writes each new slot
-    over its old one and returns ``slots`` itself; this is exact because
-    every kernel is elementwise and reads an input block before it writes
-    the output block over it. Otherwise (a public, read-only state, or one
-    with only some slots writable): the new slots are the rows of one fresh
-    ``(slots, dim)`` array, and ``slots`` are left alone.
-
-    ``kernel(ins, outs, scratch)`` receives aligned views of at most
-    ``_BLOCK`` elements (the arrays themselves when one block covers them),
-    and the two rows of one scratch array, and writes every output block
-    through ``out=``. Each output block is checked while it is still in
-    cache, one slot at a time in place and all fresh rows at once; a
-    non-finite element raises ``DivergenceError(step_index)``, the same
-    verdict as a whole-array check of the finished outputs. A state written
-    in place is then left partly written.
+    A state of at most ``_BLOCK`` elements gets copies of its slots as the
+    rows of one writable ``(slots, dim)`` array, which ``_blocked_step``
+    checks with one scan. A larger state keeps its own slots, made writable:
+    a copy would double its memory. No slot may share memory with another
+    slot or another state.
     """
-    olds = [slot.data for slot in slots]
-    in_place = all(old.flags.writeable for old in olds)
-    dim, dtype = grad.size, grad.dtype
-    fresh = None if in_place else np.empty((len(olds), dim), dtype)
-    outs = olds if in_place else list(fresh)
-    checked = outs if in_place else (fresh,)  # the arrays whose blocks are checked
-    inputs = [*olds, grad]
+    names = [f.name for f in fields(state) if isinstance(getattr(state, f.name), ParamVector)]
+    if state.theta.dim > _BLOCK:
+        for name in names:
+            getattr(state, name).data.flags.writeable = True
+        return state
+    rows = {}
+    for name, row in zip(names, np.array([getattr(state, name).data for name in names])):
+        rows[name] = ParamVector._wrap(row)
+        row.flags.writeable = True
+    return replace(state, **rows)
+
+
+def _blocked_step(state, step_index: int, kernel, slots, grad: np.ndarray, *tags):
+    """The state after ``state`` from the update ``kernel`` over its three
+    ``slots`` and the raw gradient, all of one length and precision; ``tags``
+    are the state's fields before its slots, such as a ``ReferenceState``'s
+    kind. Every blocked step ends here.
+
+    When every slot is writable, as in a state from ``_own``, the new slots
+    are the old ones, written in place: every kernel is elementwise and
+    reads an input block before it writes the output block over it.
+    Otherwise the new slots are the rows of one fresh ``(3, dim)`` array.
+
+    ``kernel(ins, outs, scratch)`` gets the arrays themselves when they have
+    at most ``_BLOCK`` elements, else aligned column blocks, and the two rows
+    of one scratch array; it writes through ``out=``. Each output block is
+    checked while in cache, by one scan when the new slots are the rows of
+    one array and one per slot otherwise: a non-finite element raises
+    ``DivergenceError(step_index)``, the verdict of a whole-array check, and
+    leaves a state written in place partly written.
+    """
+    first, second, third = slots
+    x, y, z = first.data, second.data, third.data
+    dim = x.size
+    in_place = x.flags.writeable and y.flags.writeable and z.flags.writeable
+    if in_place:
+        outs = x, y, z
+        rows = x.base  # one array when the slots are its rows, as ``_own`` lays them out
+        if rows is None or y.base is not rows or z.base is not rows or rows.shape != (3, dim):
+            rows = None
+    else:
+        rows = np.empty((3, dim), x.dtype)
+        outs = rows[0], rows[1], rows[2]
+    checked = outs if rows is None else (rows,)
     if dim <= _BLOCK:  # one block: no views, no check buffer
-        scratch = np.empty((2, dim), dtype)
+        scratch = np.empty((2, dim), x.dtype)
         # Two indexings; unpacking the array would raise and catch an IndexError.
-        kernel(inputs, outs, (scratch[0], scratch[1]))
+        kernel((x, y, z, grad), outs, (scratch[0], scratch[1]))
         for out in checked:
+            # count_nonzero costs about half of .all() on small arrays.
             if np.count_nonzero(np.isfinite(out)) < out.size:
                 raise DivergenceError(step_index)
     else:
-        scratch = np.empty((2, _BLOCK), dtype)
+        scratch = np.empty((2, _BLOCK), x.dtype)
         finite = np.empty((*checked[0].shape[:-1], _BLOCK), dtype=bool)
         for lo in range(0, dim, _BLOCK):
             hi = min(lo + _BLOCK, dim)
             if hi - lo < _BLOCK:  # last, partial block
                 scratch, finite = scratch[:, : hi - lo], finite[..., : hi - lo]
-            kernel([arr[lo:hi] for arr in inputs], [arr[lo:hi] for arr in outs],
-                   (scratch[0], scratch[1]))
+            kernel((x[lo:hi], y[lo:hi], z[lo:hi], grad[lo:hi]),
+                   (outs[0][lo:hi], outs[1][lo:hi], outs[2][lo:hi]), (scratch[0], scratch[1]))
             for out in checked:
-                # count_nonzero is a fraction of the cost of .all() on small blocks.
                 if np.count_nonzero(np.isfinite(out[..., lo:hi], out=finite)) < finite.size:
                     raise DivergenceError(step_index)
-    return slots if in_place else [ParamVector._wrap(out) for out in outs]
-
-
-def _blocked_step(state, step_index: int, kernel, slots, grad: np.ndarray, *tags):
-    """The state after ``state`` from the blocked update ``kernel`` (see
-    ``_run_blocked``) over its three ``slots``; ``tags`` are the state's
-    fields before its slots, such as a ``ReferenceState``'s kind.
-
-    When the slots are the writable rows of one ``(3, dim)`` array of at
-    most ``_BLOCK`` elements a row, as the run loop owns them: the kernel
-    runs once on the rows, writing them in place, and one scan of the array
-    checks all three, raising ``DivergenceError(step_index)`` on a
-    non-finite element. The new state holds the same slots. Any other state
-    goes through ``_run_blocked`` and ``_advance``.
-    """
-    first, second, third = slots
-    x, y, z = first.data, second.data, third.data
-    block = x.base
-    if (block is None or y.base is not block or z.base is not block
-            or x.size > _BLOCK or block.shape != (3, x.size)
-            or not (x.flags.writeable and y.flags.writeable and z.flags.writeable)):
-        return _advance(state, step_index, *tags, *_run_blocked(step_index, kernel, slots, grad))
-    scratch = np.empty((2, x.size), x.dtype)
-    # Two indexings; unpacking the array would raise and catch an IndexError.
-    kernel((x, y, z, grad), (x, y, z), (scratch[0], scratch[1]))
-    # count_nonzero costs about half of .all() on small arrays.
-    if np.count_nonzero(np.isfinite(block)) < block.size:
-        raise DivergenceError(step_index)
+    if not in_place:
+        first, second, third = (ParamVector._wrap(outs[0]), ParamVector._wrap(outs[1]),
+                                ParamVector._wrap(outs[2]))
     return type(state)(*tags, first, second, third, step_index)
 
 
@@ -409,12 +407,12 @@ def innaprop_step(
     With ``weight_decay`` 0 and ``bias_correction`` off this is the
     constant-step recursion on the raw ``v``. The gradient must be evaluated
     at the pre-decay ``theta``. A state whose slots are all writable is
-    written in place (see ``_blocked_step``).
+    written in place.
 
-    The update runs through ``_run_blocked``: it evaluates the formulas above
-    block by block, with the same ufuncs in the same order and the same
-    Python-float coefficients as the whole-array expressions, so its results
-    match them bit for bit in F32 and F64.
+    The update runs through ``_blocked_step``: it evaluates the formulas
+    above block by block, with the same ufuncs in the same order and the
+    same Python-float coefficients as the whole-array expressions, so its
+    results match them bit for bit in F32 and F64.
     """
     _guard_gamma(gamma_k, config.beta)
     step_index = _begin(state, state.theta, g)

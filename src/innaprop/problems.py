@@ -316,8 +316,8 @@ def _per_cell_float(theta: np.ndarray, out):
 
 def _quadratic(spectrum) -> Problem:
     a = np.asarray(spectrum, dtype=np.float64).reshape(-1)
-    if a.size == 0 or np.any(a <= 0):
-        raise ContractViolation("quadratic spectrum must be positive")
+    if a.size == 0 or not np.all((a > 0) & np.isfinite(a)):
+        raise ContractViolation("quadratic spectrum must be positive and finite")
 
     def loss(theta, batch=None):
         theta = np.asarray(theta, dtype=np.float64)

@@ -152,6 +152,25 @@ class TestConfig:
     def test_bad_optimizer_value_rejected(self, tmp_path, capsys, change, match):
         self._rejected_before_compute(tmp_path, {**MINIMAL, **change}, match)
 
+    @pytest.mark.parametrize("change,match", [
+        ({"problem": "quadratic", "dim": -1}, "'dim'"),
+        ({"problem": "quadratic", "dim": 0}, "'dim'"),
+        ({"problem": "rosenbrock", "dim": 0}, "'dim'"),
+        ({"problem": "tiny_mlp", "dim": 0}, "'dim'"),
+        ({"problem": "logistic_regression", "dim": 0}, "'dim'"),
+        ({"problem": "tiny_mlp", "separation": float("nan")}, "'separation'"),
+        ({"problem": "quadratic", "spectrum": [1.0, float("nan")]}, "'spectrum'"),
+        ({"problem": "quadratic", "spectrum": [float("inf"), 2.0]}, "'spectrum'"),
+        ({"lr": float("inf")}, "'lr'"),
+        ({"optimizer": "adamw", "weight_decay": float("inf")}, "'weight_decay'"),
+        ({"alpha": float("-inf")}, "'alpha'"),
+    ], ids=["quadratic-dim-negative", "quadratic-dim-zero", "rosenbrock-dim-zero",
+            "tiny_mlp-dim-zero", "logistic_regression-dim-zero", "separation-nan",
+            "spectrum-nan", "spectrum-inf", "lr-inf", "weight_decay-inf", "alpha-minus-inf"])
+    def test_nonpositive_dim_or_nonfinite_number_rejected(self, tmp_path, capsys, change,
+                                                          match):
+        self._rejected_before_compute(tmp_path, {**MINIMAL, **change}, match)
+
     @pytest.mark.parametrize("change", [
         {"alpha": 2.0, "lr": 0.5},
         # the warm-up ramp emits 1.0 * 2 / 4 = 1 / alpha at step 2
@@ -501,10 +520,11 @@ class TestRunLoopMemory:
     """The paper's memory claim in the run loop: a three-slot optimizer
     holds its slots and one gradient beside the problem's own arrays."""
 
-    @pytest.mark.parametrize("optimizer", ["innaprop", "adamw"])
+    @pytest.mark.parametrize("optimizer", ["innaprop", "innaprop_plain", "adam", "adamw"])
     def test_peak_is_the_problem_the_slots_and_one_gradient(self, optimizer):
-        # Above optimizers._BLOCK the run loop keeps the state's own slots;
-        # a copy of them into one block would add three slots to the peak.
+        # Every optimizer whose step ends in optimizers._blocked_step. Above
+        # optimizers._BLOCK the run loop keeps the state's own slots; a copy
+        # of them into one block would add three slots to the peak.
         dim, slots = 200_000, 3
         cfg = parse_config_dict({"problem": "quadratic", "dim": dim, "optimizer": optimizer,
                                  "alpha": 0.1, "beta": 0.9, "lr": 1e-3, "steps": 3})

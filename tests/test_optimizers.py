@@ -8,10 +8,10 @@ import pytest
 from mpmath import mp, mpf
 
 from innaprop.errors import ContractViolation, DivergenceError, WellPosednessError
-from innaprop.harness.runner import _writable
 from innaprop.numerics import ParamVector, Precision, RngStream, global_norm_clip
 from innaprop.optimizers import (
     _BLOCK,
+    _own,
     InnapropConfig,
     ReferenceParams,
     ReferenceState,
@@ -697,15 +697,16 @@ class TestDonatedSteps:
                 assert all(new is old for new, old in zip(slot_arrays(donated), owned)), name
                 assert_bitwise(slot_arrays(donated), slot_arrays(fresh))
 
+    @pytest.mark.parametrize("dim", [42, 2 * _BLOCK + 7])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("writable", [(), ("theta",), ("psi", "m", "v")],
                              ids=["read_only", "theta_only", "all_but_theta"])
-    def test_partly_writable_state_gets_fresh_slots_and_changes_nothing(self, weight_decay,
+    def test_partly_writable_state_gets_fresh_slots_and_changes_nothing(self, dim,
+                                                                        weight_decay,
                                                                         writable):
         # Only a state whose every slot is writable is written in place; a
         # public, read-only state or one with only some writable slots gets
         # fresh slots, the same as the public step's, and stays as it was.
-        dim = 2 * _BLOCK + 7
         rng = RngStream(7, 7).generator()
         theta0 = ParamVector(rng.standard_normal(dim))
         g = ParamVector(rng.standard_normal(dim))
@@ -762,9 +763,9 @@ class TestDonatedSteps:
 
 
 # ---------------------------------------------------------------------------
-# Owned blocks: the run loop gives a state of at most _BLOCK elements its
-# slots as the rows of one writable array, which a blocked step writes in
-# place with one kernel call and checks with one scan
+# Owned states: _own gives a state of at most _BLOCK elements its slots
+# as the rows of one writable array, which a blocked step writes in place
+# with one kernel call and checks with one scan
 # ---------------------------------------------------------------------------
 
 OWNED_DIMS = [1, 42, _BLOCK]
@@ -788,7 +789,7 @@ class TestOwnedBlock:
         for name, (init, step) in blocked_steps(weight_decay, bias_correction).items():
             rng = RngStream(dim, 10).generator()
             fresh = init(ParamVector(rng.standard_normal(dim), precision))
-            owned = _writable(fresh)
+            owned = _own(fresh)
             block = owned_block(owned)
             for k in range(3):
                 g = loop_gradient(rng, dim, precision, None)
@@ -802,16 +803,20 @@ class TestOwnedBlock:
                 assert_bitwise(slot_arrays(owned), slot_arrays(fresh))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("dim", OWNED_DIMS)
+    @pytest.mark.parametrize("dim", [*OWNED_DIMS, _BLOCK + 1, 2 * _BLOCK + 7])
     @pytest.mark.parametrize("row", [0, 1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_one_nonfinite_element_in_any_row_diverges(self, dim, row, bad):
+        # Above _BLOCK an owned state keeps separate slots, checked one by
+        # one, block by block; the bad element sits in the last, partial block.
         rng = RngStream(dim, 11).generator()
         theta0 = ParamVector(rng.standard_normal(dim))
         g = ParamVector(rng.standard_normal(dim))
         for name, (init, step) in blocked_steps(0.01, True).items():
-            state = _writable(step(init(theta0), g, 0.01))
-            owned_block(state)[row, -1] = bad
+            state = _own(step(init(theta0), g, 0.01))
+            if dim <= _BLOCK:
+                owned_block(state)
+            slot_arrays(state)[row][-1] = bad
             with pytest.raises(DivergenceError) as err:
                 step(state, g, 0.01)
             assert err.value.step == 2, name
@@ -824,7 +829,7 @@ class TestOwnedBlock:
         grad[-1] = 1e200
         g = ParamVector(grad)
         for name, (init, step) in blocked_steps(0.0, True).items():
-            state = _writable(init(ParamVector(np.ones(dim))))
+            state = _own(init(ParamVector(np.ones(dim))))
             with pytest.raises(DivergenceError) as err:
                 step(state, g, 0.01)
             assert err.value.step == 1, name
@@ -840,7 +845,7 @@ class TestOwnedBlock:
         g = ParamVector(rng.standard_normal(dim))
         for name, (init, step) in blocked_steps(0.01, True).items():
             public = step(init(theta0), g, 0.01)
-            state = _writable(public)
+            state = _own(public)
             slot_arrays(state)[row].flags.writeable = False
             before = [arr.copy() for arr in slot_arrays(state)]
             new = step(state, g, 0.01)
@@ -856,6 +861,6 @@ class TestOwnedBlock:
         for name, (init, _) in blocked_steps(0.01, True).items():
             state = init(ParamVector(np.ones(_BLOCK + 1)))
             arrays = slot_arrays(state)
-            assert _writable(state) is state
+            assert _own(state) is state
             assert all(new is old and new.flags.writeable
                        for new, old in zip(slot_arrays(state), arrays)), name

@@ -31,9 +31,10 @@ class TestQuadratic:
         np.testing.assert_array_equal(prob.grad(np.array([1.0, 1.0])), [1.0, 10.0])
         assert prob.loss(np.zeros(2)) == 0.0
 
-    def test_spectrum_must_be_positive(self):
+    @pytest.mark.parametrize("bad", [-2.0, 0.0, np.nan, np.inf])
+    def test_spectrum_must_be_positive_and_finite(self, bad):
         with pytest.raises(ContractViolation):
-            make_problem("quadratic", spectrum=(1.0, -2.0))
+            make_problem("quadratic", spectrum=(1.0, bad))
 
 
 class TestRosenbrock:
