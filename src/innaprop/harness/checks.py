@@ -21,6 +21,7 @@ import numpy as np
 from ..numerics import ParamVector, Precision, RngStream, fd_gradient
 from ..ode import DinFlowSpec, discretization_gap, din_rhs, richardson_ratio, rk4_integrate
 from ..optimizers import (
+    _own,
     InnapropConfig,
     ReferenceParams,
     dinadam_direct_init,
@@ -70,17 +71,23 @@ def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max()) / scale
 
 
-def _paired_max_dev(problem, n_steps, state_a, step_a, state_b, step_b) -> float:
-    """Advance two recursions side by side; each sees the gradient at its own
-    iterate, from one stacked ``problem.grad`` call on the two iterates, in
-    F64. Returns the max relative theta deviation over the run."""
+def _paired_max_dev(problem, n_steps, theta0, init_a, step_a, init_b, step_b) -> float:
+    """Advance two recursions side by side from ``theta0``; each sees the
+    gradient at its own iterate, from one stacked ``problem.grad`` call on
+    the two iterates, in F64. Returns the max relative theta deviation over
+    the run.
+
+    Each recursion owns its state, built by ``init(theta0)`` from its own
+    copy of ``theta0`` and made writable by ``_own``, so that its steps write
+    it in place; the caller's ``theta0`` is never written."""
+    state_a = _own(init_a(ParamVector._wrap(theta0.data.copy())))
+    state_b = _own(init_b(ParamVector._wrap(theta0.data.copy())))
     worst = 0.0
     for _ in range(n_steps):
-        ga, gb = ParamVector.adopt_rows(
-            problem.grad(np.array((_theta_of(state_a), _theta_of(state_b)), dtype=np.float64)),
-            Precision.F64)
-        state_a = step_a(state_a, ga)
-        state_b = step_b(state_b, gb)
+        grads = problem.grad(np.array((_theta_of(state_a), _theta_of(state_b)),
+                                      dtype=np.float64)).astype(np.float64, copy=False)
+        state_a = step_a(state_a, ParamVector._wrap(grads[0]))
+        state_b = step_b(state_b, ParamVector._wrap(grads[1]))
         worst = max(worst, _rel_dev(_theta_of(state_a), _theta_of(state_b)))
     return worst
 
@@ -102,9 +109,10 @@ def adam_equivalence_dev(problem: Problem, theta0: ParamVector, lam: float,
                          weight_decay=lam, bias_correction=True)
     params = ReferenceParams(beta1=0.0, beta2=0.999, epsilon=1e-8, weight_decay=lam)
     return _paired_max_dev(
-        problem, n_steps,
-        innaprop_init(cfg, theta0), lambda s, g: innaprop_step(s, g, 1e-3, cfg),
-        reference_init("AdamW", theta0, params), lambda s, g: reference_step(s, g, 1e-3, params),
+        problem, n_steps, theta0,
+        lambda th: innaprop_init(cfg, th), lambda s, g: innaprop_step(s, g, 1e-3, cfg),
+        lambda th: reference_init("AdamW", th, params),
+        lambda s, g: reference_step(s, g, 1e-3, params),
     )
 
 
@@ -113,9 +121,10 @@ def memory_reduction_dev(problem: Problem, theta0: ParamVector, n_steps: int = 5
     cfg = InnapropConfig(alpha=0.1, beta=0.9, sigma=0.999, epsilon=1e-8,
                          bias_correction=False)
     return _paired_max_dev(
-        problem, n_steps,
-        innaprop_naive_init(cfg, theta0), lambda s, g: innaprop_naive_step(s, g, 1e-3, cfg),
-        innaprop_init(cfg, theta0), lambda s, g: innaprop_step(s, g, 1e-3, cfg),
+        problem, n_steps, theta0,
+        lambda th: innaprop_naive_init(cfg, th),
+        lambda s, g: innaprop_naive_step(s, g, 1e-3, cfg),
+        lambda th: innaprop_init(cfg, th), lambda s, g: innaprop_step(s, g, 1e-3, cfg),
     )
 
 
@@ -125,10 +134,10 @@ def inna_rewrite_dev(n_steps: int = 100) -> float:
     theta0 = ParamVector([-1.2, 1.0])
     alpha, beta = 0.1, 0.9
     return _paired_max_dev(
-        problem, n_steps,
-        inna_init(alpha, beta, theta0),
+        problem, n_steps, theta0,
+        lambda th: inna_init(alpha, beta, th),
         lambda s, g: inna_step(s, g, 1e-3, alpha, beta, "classic"),
-        inna_init(alpha, beta, theta0),
+        lambda th: inna_init(alpha, beta, th),
         lambda s, g: inna_step(s, g, 1e-3, alpha, beta, "compact"),
     )
 
@@ -139,10 +148,10 @@ def momentum_forms_dev(n_steps: int = 200) -> float:
     theta0 = ParamVector([-1.2, 1.0])
     cfg = InnapropConfig(alpha=0.1, beta=0.9, sigma=0.999, epsilon=1e-8)
     return _paired_max_dev(
-        problem, n_steps,
-        innaprop_momentum_init(cfg, theta0, "direct"),
+        problem, n_steps, theta0,
+        lambda th: innaprop_momentum_init(cfg, th, "direct"),
         lambda s, g: innaprop_momentum_step(s, g, 1e-3, cfg),
-        innaprop_momentum_init(cfg, theta0, "reduced"),
+        lambda th: innaprop_momentum_init(cfg, th, "reduced"),
         lambda s, g: innaprop_momentum_step(s, g, 1e-3, cfg),
     )
 
@@ -153,10 +162,10 @@ def dinadam_reduction_dev(n_steps: int = 500) -> float:
     theta0 = ParamVector(problem.init_theta(RngStream(2, 0).generator()))
     params = ReferenceParams(beta1=0.9, beta2=0.999, epsilon=1e-8, bias_correction=False)
     return _paired_max_dev(
-        problem, n_steps,
-        dinadam_init(theta0, sigma1=0.9, sigma2=0.999),
+        problem, n_steps, theta0,
+        lambda th: dinadam_init(th, sigma1=0.9, sigma2=0.999),
         lambda s, g: dinadam_step(s, g, 1e-3, alpha=1.0, beta=0.0),
-        reference_init("Adam", theta0, params),
+        lambda th: reference_init("Adam", th, params),
         lambda s, g: reference_step(s, g, 1e-3, params),
     )
 
@@ -167,10 +176,10 @@ def dinadam_forms_dev(n_steps: int = 100) -> float:
     problem = make_problem("quadratic", spectrum=(1.0, 10.0))
     theta0 = ParamVector(problem.init_theta(RngStream(3, 0).generator()))
     return _paired_max_dev(
-        problem, n_steps,
-        dinadam_init(theta0, sigma1=0.9, sigma2=0.999),
+        problem, n_steps, theta0,
+        lambda th: dinadam_init(th, sigma1=0.9, sigma2=0.999),
         lambda s, g: dinadam_step(s, g, 1e-3, alpha=0.5, beta=0.7),
-        dinadam_direct_init(theta0, sigma1=0.9, sigma2=0.999),
+        lambda th: dinadam_direct_init(th, sigma1=0.9, sigma2=0.999),
         lambda s, g: dinadam_direct_step(s, g, 1e-3, alpha=0.5, beta=0.7),
     )
 
@@ -404,22 +413,27 @@ def _stagnation_run(precision: str) -> dict:
     theta0 = p["theta_base"] + 0.1 * rng.standard_normal(p["dim"])
     cfg = InnapropConfig(alpha=p["alpha"], beta=p["beta"], sigma=p["sigma"],
                          epsilon=1e-8, bias_correction=False)
-    state = innaprop_momentum_init(cfg, ParamVector(theta0, precision), "reduced")
+    # The loop owns its state (``_own``), so each step writes it in place.
+    state = _own(innaprop_momentum_init(cfg, ParamVector(theta0, precision), "reduced"))
+    dtype = precision.dtype
 
     warm = p["steps"] - p["window"]
     noop = total = 0
     window_losses = []
     m_window_start = None
     for k in range(p["steps"]):
-        g, = ParamVector.adopt_rows(problem.grad(state.theta.data)[None], precision)
-        prev_m = state.m.data
+        g = ParamVector._wrap(problem.grad(state.theta.data).astype(dtype, copy=False))
+        if k < warm:
+            state = innaprop_momentum_step(state, g, gamma, cfg)
+            continue
+        # The step overwrites m, so the window compares against a copy.
+        prev_m = state.m.data.copy()
         state = innaprop_momentum_step(state, g, gamma, cfg)
-        if k >= warm:
-            if m_window_start is None:
-                m_window_start = prev_m.copy()
-            noop += int(np.sum(state.m.data == prev_m))
-            total += prev_m.size
-            window_losses.append(problem.loss(state.theta.data))
+        if m_window_start is None:
+            m_window_start = prev_m
+        noop += int(np.sum(state.m.data == prev_m))
+        total += prev_m.size
+        window_losses.append(problem.loss(state.theta.data))
     losses = np.array(window_losses)
     return {
         "noop_fraction": noop / total,

@@ -75,21 +75,30 @@ def grid_search(base_config: RunConfig, alphas=None, betas=None,
     """One lock-step run of every (alpha, beta) cell; rows sorted by (alpha, beta).
 
     Every cell is validated up front, which rejects an inertial cell that is
-    not well-posed against the schedule; unstable cells that diverge at run
-    time are recorded with their step index.
+    not well-posed against the schedule, a repeated alpha or beta, and two
+    cells whose file names (``cell_a{alpha:g}_b{beta:g}``) coincide;
+    unstable cells that diverge at run time are recorded with their step
+    index.
     """
     alphas = tuple(alphas) if alphas is not None else DEFAULT_GRID
     betas = tuple(betas) if betas is not None else DEFAULT_GRID
     if not alphas or not betas:
         raise ConfigError("grid needs at least one alpha and one beta")
+    if len(set(alphas)) != len(alphas) or len(set(betas)) != len(betas):
+        raise ConfigError("duplicate alphas or betas in grid")
 
     cells = [(a, b) for a in alphas for b in betas]
+    # Each cell's files are named by its tag, so two cells must not share one.
+    tags = [f"cell_a{a:g}_b{b:g}" for a, b in cells]
+    if len(set(tags)) != len(tags):
+        shared = sorted({tag for tag in tags if tags.count(tag) > 1})
+        raise ConfigError(f"grid cells would share the file names {shared}; "
+                          "alphas and betas must differ in their first 6 significant digits")
     configs = [replace(base_config, alpha=a, beta=b) for a, b in cells]
     for cfg in configs:
         validate_config(cfg)
     short_step = snapshot_step(base_config)
 
-    tags = [f"cell_a{a:g}_b{b:g}" for a, b in cells]
     runs = run_experiment(configs, out_dir=out_dir, tag=tags)
     results = [_summarize_cell(a, b, runs, i, short_step) for i, (a, b) in enumerate(cells)]
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DivergenceError, DomainError
-from .numerics import ParamVector, Precision, RngStream
-from .optimizers import inna_init, inna_step
+from .numerics import ParamVector, RngStream
+from .optimizers import _own, inna_init, inna_step
 from .problems import Problem
 
 
@@ -62,10 +62,9 @@ def _rhs(spec: DinFlowSpec, y: np.ndarray) -> np.ndarray:
     in row 0 and psi in row 1; one gradient call."""
     # Two indexings; unpacking the array would raise and catch an IndexError.
     th, ps = y[0], y[1]
-    drift = -(spec.alpha - 1.0 / spec.beta) * th - ps / spec.beta
     dy = np.empty_like(y)
-    dy[1] = drift
-    np.subtract(drift, spec.beta * spec.problem.grad(th), out=dy[0])
+    drift = np.subtract(-(spec.alpha - 1.0 / spec.beta) * th, ps / spec.beta, dy[1])
+    np.subtract(drift, spec.beta * spec.problem.grad(th), dy[0])
     return dy
 
 
@@ -155,10 +154,14 @@ def discretization_gap(spec: DinFlowSpec, gamma: float, theta0: ParamVector | No
     flow = rk4_integrate(fine, theta0)
     flow_theta = flow.theta[::refine]
 
-    state = inna_init(spec.alpha, spec.beta, theta0)
+    # The loop owns its state (``_own``), built from its own copy of theta0,
+    # so each step writes it in place.
+    state = _own(inna_init(spec.alpha, spec.beta, ParamVector._wrap(theta0.data.copy())))
     gap = 0.0
     for k in range(1, n_steps + 1):
-        g, = ParamVector.adopt_rows(spec.problem.grad(state.theta.data)[None], Precision.F64)
+        g = ParamVector._wrap(spec.problem.grad(state.theta.data).astype(np.float64, copy=False))
         state = inna_step(state, g, gamma, spec.alpha, spec.beta)
-        gap = max(gap, float(np.linalg.norm(state.theta.data - flow_theta[k])))
+        d = state.theta.data - flow_theta[k]
+        # The Euclidean norm as np.linalg.norm computes it for a real vector.
+        gap = max(gap, float(np.sqrt(d.dot(d))))
     return gap

@@ -4,21 +4,23 @@ reference methods, written as pure step functions over explicit state.
 Every optimizer here is a function ``(state, gradient, step size, params) ->
 new state``; states are plain immutable values, so runs can be replayed,
 forked, or executed concurrently. A public step checks its own scalar
-arguments, then calls ``_begin``, states its update over raw arrays and
-ends in ``_advance``; these private helpers do the bookkeeping for every
-step. ``_begin`` rejects a gradient whose dimension or precision differs from
-the state's with ``ContractViolation``. ``_advance`` aborts a non-finite
-result with ``DivergenceError`` carrying the offending step index instead of
-silently propagating NaNs, and wraps the new arrays into a state of the
-input's class with ``k + 1``. Every rule reads the gradient into a new slot,
-and ``0*inf`` and ``x*nan`` are NaN, so a non-finite gradient is rejected too.
+arguments, then calls ``_begin``, which rejects a gradient whose dimension or
+precision differs from the state's with ``ContractViolation``.
 
-The blocked steps (``innaprop_step`` and the Adam/AdamW kinds of
-``reference_step``) end in ``_blocked_step`` instead, which runs the update
-block by block and builds the new state itself. When every slot of the given
-state is writable, as in the states the run loop owns (``_own``), it writes
-the new slots over the old ones, so a step holds one state, not two. A
-public state's slots are read-only, and it gets fresh slots.
+Every step but the two oracles of the equivalence checks then ends in
+``_blocked_step``, which runs the rule's update kernel block by block over
+the state's one to four slots and builds the new state itself. A
+non-finite new slot aborts the step with ``DivergenceError`` carrying the
+offending step index instead of silently propagating NaNs. Every rule reads
+the gradient into a new slot, and ``0*inf`` and ``x*nan`` are NaN, so a
+non-finite gradient is rejected too. When every slot of the given state is
+writable, as in the states a run loop or a check loop owns (``_own``), the
+new slots are written over the old ones, so a step holds one state, not
+two. A public state's slots are read-only, and it gets fresh slots.
+
+The oracles, ``innaprop_naive_step`` and ``dinadam_direct_step``, keep
+their whole-array expressions and end in ``_advance``, which checks and
+wraps the new arrays the same way.
 
 Naming used throughout:
 
@@ -32,7 +34,9 @@ Naming used throughout:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -147,14 +151,15 @@ class MomentumVariantState:
     gradient, since the update needs the previous scaled direction) or the
     reduced recursion (carries m-tilde only). With ``m0 = 0`` and no previous
     gradient the two are related by ``mtilde_k = m_k - (c/a) * rms_{k-1}`` and
-    both start at zero.
+    both start at zero. The slots come first, ``g_prev`` last among them, as
+    ``_blocked_step`` builds the state.
     """
 
     theta: ParamVector
     m: ParamVector
     v: ParamVector
-    form: str  # "direct" | "reduced"
     g_prev: Optional[ParamVector] = None  # direct form only
+    form: str = "reduced"  # "direct" | "reduced"
     k: int = 0
 
 
@@ -255,14 +260,14 @@ def _begin(state, theta: ParamVector, g: ParamVector) -> int:
 
 
 def _advance(state, step_index: int, *fields):
-    """The state after ``state``, of its class, at ``step_index``; every
-    public step but the blocked ones ends here.
+    """The state after ``state``, of its class, at ``step_index``; the
+    oracles' whole-array steps end here.
 
     ``fields`` are the new state's fields in the order its class declares
     them, all but the last, ``k``. Each raw ndarray among them is checked
     for finiteness, raising ``DivergenceError(step_index)``, and wrapped.
     Any other field passes through as it is: a ``ParamVector`` (a slot
-    carried over), ``None``, a kind or form tag, a rate.
+    carried over), a rate.
     """
     for value in fields:
         # count_nonzero costs about half of .all() on small arrays.
@@ -273,24 +278,34 @@ def _advance(state, step_index: int, *fields):
                          for value in fields], step_index)
 
 
-# Elements per block of ``_blocked_step``. At f64 one block of each of the
-# kernels' four inputs, three outputs and two scratch buffers is 1.1 MB, so a
+# Elements per block of ``_blocked_step``. At f64 one block of the largest
+# kernel's five inputs, four outputs and two scratch buffers is 1.4 MB, so a
 # block's working set stays in a 2 MB L2 cache while its ufuncs pass over it.
 _BLOCK = 16 * 1024
 
+# The rows of a ``(count, dim)`` array as a tuple of views, by count; an
+# itemgetter takes them faster than iterating the array.
+_ROWS = (None, lambda rows: (rows[0],), itemgetter(0, 1), itemgetter(0, 1, 2),
+         itemgetter(0, 1, 2, 3))
+
 
 def _own(state):
-    """``state`` with every slot writable, as a run loop owns it, so that
-    blocked steps write it in place; made once at setup, never per step.
+    """``state`` with every slot writable, as a run loop or a check loop
+    owns it, so that blocked steps write it in place; made once at setup,
+    never per step.
 
     A state of at most ``_BLOCK`` elements gets copies of its slots as the
     rows of one writable ``(slots, dim)`` array, which ``_blocked_step``
     checks with one scan. A larger state keeps its own slots, made writable:
-    a copy would double its memory. No slot may share memory with another
-    slot or another state.
+    a copy would double its memory. So the owner must own those arrays: a
+    state from ``*_init(theta0)`` holds ``theta0`` itself, and a loop that
+    owns it must build it from its own copy of ``theta0``. No slot that a
+    blocked step writes may share memory with another slot or another state.
+    The oracles' whole-array steps write no state, so owning one of their
+    states changes only its layout.
     """
     names = [f.name for f in fields(state) if isinstance(getattr(state, f.name), ParamVector)]
-    if state.theta.dim > _BLOCK:
+    if getattr(state, names[0]).dim > _BLOCK:
         for name in names:
             getattr(state, name).data.flags.writeable = True
         return state
@@ -301,62 +316,83 @@ def _own(state):
     return replace(state, **rows)
 
 
-def _blocked_step(state, step_index: int, kernel, slots, grad: np.ndarray, *tags):
-    """The state after ``state`` from the update ``kernel`` over its three
-    ``slots`` and the raw gradient, all of one length and precision; ``tags``
-    are the state's fields before its slots, such as a ``ReferenceState``'s
-    kind. Every blocked step ends here.
+# The two scratch rows of the last one-block step of the calling thread,
+# which its next step of the same length and dtype reuses: about 0.5 us of
+# a 15 us step at dim 42. A kernel leaves no value in them that a later call
+# reads, and runs no code that could step another state meanwhile. A larger
+# step allocates its block scratch per call: kept between calls, a 256 KB
+# buffer changed how the allocator served the megabyte arrays around a step
+# at dim 1e6, and the same numpy passes then ran at a different speed.
+_scratch = threading.local()
+
+
+def _blocked_step(state, step_index: int, kernel, slots, grad: np.ndarray, head=(), tail=()):
+    """The state after ``state`` from the update ``kernel`` over its one to
+    four ``slots`` and the raw gradient, all of one length and precision.
+    The new state is ``type(state)(*head, *new_slots, *tail, step_index)``:
+    ``head`` and ``tail`` are its other fields, such as a ``ReferenceState``'s
+    kind tag before its slots or a ``DinadamState``'s rates after them.
+    Every step but the oracles' ends here.
 
     When every slot is writable, as in a state from ``_own``, the new slots
     are the old ones, written in place: every kernel is elementwise and
-    reads an input block before it writes the output block over it.
-    Otherwise the new slots are the rows of one fresh ``(3, dim)`` array.
+    reads an input block, and every input its later writes overwrite, before
+    it writes the output block over it. Otherwise the new slots are the rows
+    of one fresh ``(slots, dim)`` array.
 
-    ``kernel(ins, outs, scratch)`` gets the arrays themselves when they have
-    at most ``_BLOCK`` elements, else aligned column blocks, and the two rows
-    of one scratch array; it writes through ``out=``. Each output block is
-    checked while in cache, by one scan when the new slots are the rows of
-    one array and one per slot otherwise: a non-finite element raises
+    ``kernel(ins, outs, scratch)`` gets the slots then the gradient as
+    ``ins``, the new slots as ``outs`` and two scratch rows: the arrays
+    themselves when they have at most ``_BLOCK`` elements, else aligned
+    column blocks. It writes through each ufunc's ``out`` argument, given by
+    position, which numpy parses faster than the keyword. Each output block
+    is checked while in cache, by one scan when the new slots are the rows
+    of one array and one per slot otherwise: a non-finite element raises
     ``DivergenceError(step_index)``, the verdict of a whole-array check, and
     leaves a state written in place partly written.
     """
-    first, second, third = slots
-    x, y, z = first.data, second.data, third.data
-    dim = x.size
-    in_place = x.flags.writeable and y.flags.writeable and z.flags.writeable
-    if in_place:
-        outs = x, y, z
-        rows = x.base  # one array when the slots are its rows, as ``_own`` lays them out
-        if rows is None or y.base is not rows or z.base is not rows or rows.shape != (3, dim):
+    arrays = [slot.data for slot in slots]
+    first = arrays[0]
+    count, dim = len(arrays), first.size
+    rows = first.base  # one array when the slots are its rows, as ``_own`` lays them out
+    for arr in arrays:
+        if not arr.flags.writeable:
+            rows = np.empty((count, dim), first.dtype)
+            outs = _ROWS[count](rows)
+            break
+        if arr.base is not rows:
             rows = None
     else:
-        rows = np.empty((3, dim), x.dtype)
-        outs = rows[0], rows[1], rows[2]
+        outs = arrays
+        if rows is not None and rows.shape != (count, dim):
+            rows = None
     checked = outs if rows is None else (rows,)
+    ins = [*arrays, grad]
     if dim <= _BLOCK:  # one block: no views, no check buffer
-        scratch = np.empty((2, dim), x.dtype)
-        # Two indexings; unpacking the array would raise and catch an IndexError.
-        kernel((x, y, z, grad), outs, (scratch[0], scratch[1]))
+        scratch = getattr(_scratch, "rows", None)
+        if scratch is None or scratch[0].size != dim or scratch[0].dtype is not first.dtype:
+            block = np.empty((2, dim), first.dtype)
+            # Two indexings; unpacking the array would raise and catch an IndexError.
+            scratch = _scratch.rows = block[0], block[1]
+        kernel(ins, outs, scratch)
         for out in checked:
             # count_nonzero costs about half of .all() on small arrays.
             if np.count_nonzero(np.isfinite(out)) < out.size:
                 raise DivergenceError(step_index)
     else:
-        scratch = np.empty((2, _BLOCK), x.dtype)
+        scratch = np.empty((2, _BLOCK), first.dtype)
         finite = np.empty((*checked[0].shape[:-1], _BLOCK), dtype=bool)
         for lo in range(0, dim, _BLOCK):
             hi = min(lo + _BLOCK, dim)
             if hi - lo < _BLOCK:  # last, partial block
                 scratch, finite = scratch[:, : hi - lo], finite[..., : hi - lo]
-            kernel((x[lo:hi], y[lo:hi], z[lo:hi], grad[lo:hi]),
-                   (outs[0][lo:hi], outs[1][lo:hi], outs[2][lo:hi]), (scratch[0], scratch[1]))
+            kernel([arr[lo:hi] for arr in ins], [out[lo:hi] for out in outs],
+                   (scratch[0], scratch[1]))
             for out in checked:
-                if np.count_nonzero(np.isfinite(out[..., lo:hi], out=finite)) < finite.size:
+                if np.count_nonzero(np.isfinite(out[..., lo:hi], finite)) < finite.size:
                     raise DivergenceError(step_index)
-    if not in_place:
-        first, second, third = (ParamVector._wrap(outs[0]), ParamVector._wrap(outs[1]),
-                                ParamVector._wrap(outs[2]))
-    return type(state)(*tags, first, second, third, step_index)
+    if outs is not arrays:
+        slots = map(ParamVector._wrap, outs)
+    return type(state)(*head, *slots, *tail, step_index)
 
 
 def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
@@ -433,25 +469,25 @@ def innaprop_step(
         theta_new, psi_new, v_new = outs
         a, b = scratch
         if weight_decay:
-            theta = np.multiply(decay, theta, out=theta_new)
+            theta = np.multiply(decay, theta, theta_new)
         # v_new = sigma * v + (1 - sigma) * grad * grad
-        np.multiply(sigma, v, out=v_new)
-        np.multiply(1.0 - sigma, grad, out=a)
-        np.multiply(a, grad, out=a)
-        np.add(v_new, a, out=v_new)
-        v_hat = np.divide(v_new, v_scale, out=b) if bias_correction else v_new
+        np.multiply(sigma, v, v_new)
+        np.multiply(1.0 - sigma, grad, a)
+        np.multiply(a, grad, a)
+        np.add(v_new, a, v_new)
+        v_hat = np.divide(v_new, v_scale, b) if bias_correction else v_new
         # psi_new = psi_keep * psi + psi_theta * theta
-        np.multiply(psi_keep, psi, out=psi_new)
-        np.add(psi_new, np.multiply(psi_theta, theta, out=a), out=psi_new)
+        np.multiply(psi_keep, psi, psi_new)
+        np.add(psi_new, np.multiply(psi_theta, theta, a), psi_new)
         # theta_new = theta_keep * theta - theta_psi * psi_new
         #             - theta_rms * (grad / (sqrt(v_hat) + eps))
-        np.multiply(theta_keep, theta, out=theta_new)
-        np.subtract(theta_new, np.multiply(theta_psi, psi_new, out=a), out=theta_new)
-        np.sqrt(v_hat, out=a)
-        np.add(a, eps, out=a)
-        np.divide(grad, a, out=a)
-        np.multiply(theta_rms, a, out=a)
-        np.subtract(theta_new, a, out=theta_new)
+        np.multiply(theta_keep, theta, theta_new)
+        np.subtract(theta_new, np.multiply(theta_psi, psi_new, a), theta_new)
+        np.sqrt(v_hat, a)
+        np.add(a, eps, a)
+        np.divide(grad, a, a)
+        np.multiply(theta_rms, a, a)
+        np.subtract(theta_new, a, theta_new)
 
     return _blocked_step(state, step_index, kernel, (state.theta, state.psi, state.v), g.data)
 
@@ -544,19 +580,41 @@ def inna_step(
         raise ContractViolation(f"unknown INNA form {form!r}")
     step_index = _begin(state, state.theta, g)
 
-    theta, psi, grad = state.theta.data, state.psi.data, g.data
+    gamma, alpha, beta = float(gamma), float(alpha), float(beta)
     if form == "classic":
-        drift = (1.0 / beta - alpha) * theta - psi / beta
-        psi_new = psi + gamma * drift
-        theta_new = theta + gamma * (drift - beta * grad)
+        drift_theta = 1.0 / beta - alpha
+
+        def kernel(ins, outs, scratch):
+            theta, psi, grad = ins
+            theta_new, psi_new = outs
+            a, b = scratch
+            # drift = drift_theta * theta - psi / beta
+            np.multiply(drift_theta, theta, a)
+            np.subtract(a, np.divide(psi, beta, b), a)
+            # psi_new = psi + gamma * drift
+            np.add(psi, np.multiply(gamma, a, b), psi_new)
+            # theta_new = theta + gamma * (drift - beta * grad)
+            np.subtract(a, np.multiply(beta, grad, b), a)
+            np.multiply(gamma, a, a)
+            np.add(theta, a, theta_new)
     else:
-        psi_new = (1.0 - gamma / beta) * psi + (gamma * (1.0 / beta - alpha)) * theta
-        theta_new = (
-            (1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma)) * theta
-            - (gamma / (beta - gamma)) * psi_new
-            - (gamma * beta) * grad
-        )
-    return _advance(state, step_index, theta_new, psi_new)
+        psi_keep, psi_theta = 1.0 - gamma / beta, gamma * (1.0 / beta - alpha)
+        theta_keep = 1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma)
+        theta_psi, theta_grad = gamma / (beta - gamma), gamma * beta
+
+        def kernel(ins, outs, scratch):
+            theta, psi, grad = ins
+            theta_new, psi_new = outs
+            a = scratch[0]
+            # psi_new = psi_keep * psi + psi_theta * theta
+            np.multiply(psi_keep, psi, psi_new)
+            np.add(psi_new, np.multiply(psi_theta, theta, a), psi_new)
+            # theta_new = theta_keep * theta - theta_psi * psi_new - theta_grad * grad
+            np.multiply(theta_keep, theta, theta_new)
+            np.subtract(theta_new, np.multiply(theta_psi, psi_new, a), theta_new)
+            np.subtract(theta_new, np.multiply(theta_grad, grad, a), theta_new)
+
+    return _blocked_step(state, step_index, kernel, (state.theta, state.psi), g.data)
 
 
 # ---------------------------------------------------------------------------
@@ -594,30 +652,70 @@ def innaprop_momentum_step(
     The gamma^2 factor in the mtilde increment is what starves the reduced
     form of precision in F32 once the accumulated mtilde dwarfs it.
     """
-    alpha, beta, sigma, eps = config.alpha, config.beta, config.sigma, config.epsilon
+    # Python floats take the state's precision in every ufunc below.
+    gamma, alpha, beta = float(gamma), float(config.alpha), float(config.beta)
+    sigma, eps = float(config.sigma), float(config.epsilon)
     a = 1.0 - alpha * gamma
     if a == 0.0:
         raise ContractViolation("singular coefficient: alpha * gamma == 1")
     step_index = _begin(state, state.theta, g)
 
-    grad = g.data
-    v_new = sigma * state.v.data + (1.0 - sigma) * grad * grad
-    rms_curr = _rms(grad, v_new, eps)
-
     if state.form == "direct":
-        rms_prev = _rms(state.g_prev.data, state.v.data, eps)
-        m_new = (
-            a * state.m.data
-            + (gamma * gamma) * rms_prev
-            + (beta * gamma) * (rms_curr - rms_prev)
-        )
-        theta_new = state.theta.data - m_new
-        g_prev = g
+        m_prev, m_diff = gamma * gamma, beta * gamma
+
+        def kernel(ins, outs, scratch):
+            theta, m, v, g_prev, grad = ins
+            theta_new, m_new, v_new, g_prev_new = outs
+            prev, curr = scratch
+            # prev = g_prev / (sqrt(v) + eps), before v and g_prev are overwritten
+            np.sqrt(v, prev)
+            np.add(prev, eps, prev)
+            np.divide(g_prev, prev, prev)
+            # v_new = sigma * v + (1 - sigma) * grad * grad
+            np.multiply(sigma, v, v_new)
+            np.multiply(1.0 - sigma, grad, curr)
+            np.multiply(curr, grad, curr)
+            np.add(v_new, curr, v_new)
+            # curr = grad / (sqrt(v_new) + eps)
+            np.sqrt(v_new, curr)
+            np.add(curr, eps, curr)
+            np.divide(grad, curr, curr)
+            # m_new = a * m + m_prev * prev + m_diff * (curr - prev)
+            np.subtract(curr, prev, curr)
+            np.multiply(m_diff, curr, curr)
+            np.multiply(m_prev, prev, prev)
+            np.multiply(a, m, m_new)
+            np.add(m_new, prev, m_new)
+            np.add(m_new, curr, m_new)
+            np.subtract(theta, m_new, theta_new)
+            g_prev_new[...] = grad
+
+        slots, tail = (state.theta, state.m, state.v, state.g_prev), (state.form,)
     else:
-        m_new = a * state.m.data + (gamma * gamma * (1.0 - alpha * beta) / a) * rms_curr
-        theta_new = state.theta.data - m_new - (gamma * (beta - gamma) / a) * rms_curr
-        g_prev = None
-    return _advance(state, step_index, theta_new, m_new, v_new, state.form, g_prev)
+        m_rms = gamma * gamma * (1.0 - alpha * beta) / a
+        theta_rms = gamma * (beta - gamma) / a
+
+        def kernel(ins, outs, scratch):
+            theta, m, v, grad = ins
+            theta_new, m_new, v_new = outs
+            r, b = scratch
+            # v_new = sigma * v + (1 - sigma) * grad * grad
+            np.multiply(sigma, v, v_new)
+            np.multiply(1.0 - sigma, grad, r)
+            np.multiply(r, grad, r)
+            np.add(v_new, r, v_new)
+            # r = grad / (sqrt(v_new) + eps)
+            np.sqrt(v_new, r)
+            np.add(r, eps, r)
+            np.divide(grad, r, r)
+            # m_new = a * m + m_rms * r; theta_new = theta - m_new - theta_rms * r
+            np.multiply(a, m, m_new)
+            np.add(m_new, np.multiply(m_rms, r, b), m_new)
+            np.subtract(theta, m_new, theta_new)
+            np.subtract(theta_new, np.multiply(theta_rms, r, b), theta_new)
+
+        slots, tail = (state.theta, state.m, state.v), (None, state.form)
+    return _blocked_step(state, step_index, kernel, slots, g.data, (), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +755,32 @@ def dinadam_step(
         raise ContractViolation("eta must be >= 0")
     step_index = _begin(state, state.theta, g)
 
-    s1, s2, grad = state.sigma1, state.sigma2, g.data
-    v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
-    mtilde_new = s1 * state.mtilde.data + (1.0 - s1 + beta * alpha * s1 - beta * alpha) * grad
-    theta_new = state.theta.data - eta * (mtilde_new + (alpha * beta) * grad) / (
-        np.sqrt(v_new) + epsilon
-    )
-    return _advance(state, step_index, theta_new, mtilde_new, v_new, s1, s2)
+    s1, s2 = float(state.sigma1), float(state.sigma2)
+    eta, alpha, beta, eps = float(eta), float(alpha), float(beta), float(epsilon)
+    m_grad, theta_grad = 1.0 - s1 + beta * alpha * s1 - beta * alpha, alpha * beta
+
+    def kernel(ins, outs, scratch):
+        theta, mtilde, v, grad = ins
+        theta_new, mtilde_new, v_new = outs
+        a, b = scratch
+        # v_new = s2 * v + (1 - s2) * grad * grad
+        np.multiply(s2, v, v_new)
+        np.multiply(1.0 - s2, grad, a)
+        np.multiply(a, grad, a)
+        np.add(v_new, a, v_new)
+        # mtilde_new = s1 * mtilde + m_grad * grad
+        np.multiply(s1, mtilde, mtilde_new)
+        np.add(mtilde_new, np.multiply(m_grad, grad, a), mtilde_new)
+        # theta_new = theta - eta * (mtilde_new + theta_grad * grad) / (sqrt(v_new) + eps)
+        np.add(mtilde_new, np.multiply(theta_grad, grad, a), a)
+        np.multiply(eta, a, a)
+        np.sqrt(v_new, b)
+        np.add(b, eps, b)
+        np.divide(a, b, a)
+        np.subtract(theta, a, theta_new)
+
+    return _blocked_step(state, step_index, kernel, (state.theta, state.mtilde, state.v), g.data,
+                         (), (state.sigma1, state.sigma2))
 
 
 def dinadam_direct_init(theta0: ParamVector, sigma1: float, sigma2: float) -> DinadamDirectState:
@@ -720,17 +837,70 @@ def reference_init(
     )
 
 
-def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay):
-    """The Adam/AdamW state after ``state``; decay (when any) multiplies
-    theta first.
+# Each reference kind's kernel, for ``_blocked_step``, from the kind, the step
+# size and ``params`` as Python floats, and the step index; each evaluates
+# the kind's formula (see ``reference_step``) with the same ufuncs, in the
+# same order, as the whole-array expression.
 
-    Blocked like ``innaprop_step``, so it is bit-identical to the
-    whole-array formulas, checks the new slots' finiteness itself and writes
-    them over a state's writable ones.
-    """
-    gamma, lam = float(gamma), float(params.weight_decay)
+
+def _sgd_kernel(kind, gamma, params, step_index):
+    def kernel(ins, outs, scratch):
+        theta, grad = ins
+        a = scratch[0]
+        # theta_new = theta - gamma * grad
+        np.subtract(theta, np.multiply(gamma, grad, a), outs[0])
+    return kernel
+
+
+def _momentum_kernel(kind, gamma, params, step_index):
+    b1, nesterov = float(params.beta1), kind == "Nesterov"
+
+    def kernel(ins, outs, scratch):
+        theta, m, grad = ins
+        theta_new, m_new = outs
+        a = scratch[0]
+        # m_new = b1 * m + grad
+        np.multiply(b1, m, m_new)
+        np.add(m_new, grad, m_new)
+        # theta_new = theta - gamma * step, step = m_new or grad + b1 * m_new
+        if nesterov:
+            np.add(grad, np.multiply(b1, m_new, a), a)
+            np.multiply(gamma, a, a)
+        else:
+            np.multiply(gamma, m_new, a)
+        np.subtract(theta, a, theta_new)
+    return kernel
+
+
+def _rmsprop_momentum_kernel(kind, gamma, params, step_index):
     b1, b2, eps = float(params.beta1), float(params.beta2), float(params.epsilon)
-    decays, decay = decoupled_decay and lam, 1.0 - lam * gamma
+
+    def kernel(ins, outs, scratch):
+        theta, m, v, grad = ins
+        theta_new, m_new, v_new = outs
+        a = scratch[0]
+        # v_new = b2 * v + (1 - b2) * grad * grad
+        np.multiply(b2, v, v_new)
+        np.multiply(1.0 - b2, grad, a)
+        np.multiply(a, grad, a)
+        np.add(v_new, a, v_new)
+        # m_new = b1 * m + grad / (sqrt(v_new) + eps)
+        np.sqrt(v_new, a)
+        np.add(a, eps, a)
+        np.divide(grad, a, a)
+        np.multiply(b1, m, m_new)
+        np.add(m_new, a, m_new)
+        # theta_new = theta - gamma * m_new
+        np.subtract(theta, np.multiply(gamma, m_new, a), theta_new)
+    return kernel
+
+
+def _adam_kernel(kind, gamma, params, step_index):
+    """Adam, or AdamW, whose decay (when any) multiplies theta first."""
+    lam = float(params.weight_decay)
+    b1, b2, eps = float(params.beta1), float(params.beta2), float(params.epsilon)
+    decays, decay = kind == "AdamW" and lam, 1.0 - lam * gamma
+    bias_correction = params.bias_correction
     m_scale, v_scale = 1.0 - b1 ** step_index, 1.0 - b2 ** step_index
 
     def kernel(ins, outs, scratch):
@@ -738,28 +908,76 @@ def _adam_family(state, grad, gamma, params, step_index, *, decoupled_decay):
         theta_new, m_new, v_new = outs
         a, b = scratch
         if decays:
-            theta = np.multiply(decay, theta, out=theta_new)
+            theta = np.multiply(decay, theta, theta_new)
         # m_new = b1 * m + (1 - b1) * grad; v_new = b2 * v + (1 - b2) * grad * grad
-        np.multiply(b1, m, out=m_new)
-        np.add(m_new, np.multiply(1.0 - b1, grad, out=a), out=m_new)
-        np.multiply(b2, v, out=v_new)
-        np.multiply(1.0 - b2, grad, out=a)
-        np.multiply(a, grad, out=a)
-        np.add(v_new, a, out=v_new)
-        if params.bias_correction:
-            m_hat = np.divide(m_new, m_scale, out=a)
-            v_hat = np.divide(v_new, v_scale, out=b)
+        np.multiply(b1, m, m_new)
+        np.add(m_new, np.multiply(1.0 - b1, grad, a), m_new)
+        np.multiply(b2, v, v_new)
+        np.multiply(1.0 - b2, grad, a)
+        np.multiply(a, grad, a)
+        np.add(v_new, a, v_new)
+        if bias_correction:
+            m_hat = np.divide(m_new, m_scale, a)
+            v_hat = np.divide(v_new, v_scale, b)
         else:
             m_hat, v_hat = m_new, v_new
         # theta_new = theta - gamma * (m_hat / (sqrt(v_hat) + eps))
-        np.sqrt(v_hat, out=b)
-        np.add(b, eps, out=b)
-        np.divide(m_hat, b, out=a)
-        np.multiply(gamma, a, out=a)
-        np.subtract(theta, a, out=theta_new)
+        np.sqrt(v_hat, b)
+        np.add(b, eps, b)
+        np.divide(m_hat, b, a)
+        np.multiply(gamma, a, a)
+        np.subtract(theta, a, theta_new)
+    return kernel
 
-    return _blocked_step(state, step_index, kernel, (state.theta, state.m, state.v), grad,
-                         state.kind)
+
+def _nadam_kernel(kind, gamma, params, step_index):
+    b1, b2, eps = float(params.beta1), float(params.beta2), float(params.epsilon)
+    m_scale, g_scale = 1.0 - b1 ** (step_index + 1), 1.0 - b1 ** step_index
+    v_scale = 1.0 - b2 ** step_index
+
+    def kernel(ins, outs, scratch):
+        theta, m, v, grad = ins
+        theta_new, m_new, v_new = outs
+        a, b = scratch
+        # m_new = b1 * m + (1 - b1) * grad; v_new = b2 * v + (1 - b2) * grad * grad
+        np.multiply(b1, m, m_new)
+        np.add(m_new, np.multiply(1.0 - b1, grad, a), m_new)
+        np.multiply(b2, v, v_new)
+        np.multiply(1.0 - b2, grad, a)
+        np.multiply(a, grad, a)
+        np.add(v_new, a, v_new)
+        # a = b1 * (m_new / m_scale) + (1 - b1) * (grad / g_scale)
+        np.divide(m_new, m_scale, a)
+        np.multiply(b1, a, a)
+        np.divide(grad, g_scale, b)
+        np.multiply(1.0 - b1, b, b)
+        np.add(a, b, a)
+        # theta_new = theta - gamma * (a / (sqrt(v_new / v_scale) + eps))
+        np.divide(v_new, v_scale, b)
+        np.sqrt(b, b)
+        np.add(b, eps, b)
+        np.divide(a, b, a)
+        np.multiply(gamma, a, a)
+        np.subtract(theta, a, theta_new)
+    return kernel
+
+
+_KERNEL_BUILDERS = {
+    "SGD": _sgd_kernel,
+    "Momentum": _momentum_kernel,
+    "Nesterov": _momentum_kernel,
+    "RMSpropMomentum": _rmsprop_momentum_kernel,
+    "Adam": _adam_kernel,
+    "AdamW": _adam_kernel,
+    "NAdam": _nadam_kernel,
+}
+
+# kind -> (kernel builder, slot count, the state's None fields after its
+# slots); a kind's slots lead: theta, then m, then v.
+_KERNEL_BY_KIND = {
+    kind: (_KERNEL_BUILDERS[kind], 1 + len(slots), (None,) * (2 - len(slots)))
+    for kind, slots in _SLOTS_BY_KIND.items()
+}
 
 
 def reference_step(
@@ -781,34 +999,11 @@ def reference_step(
       ``step = gamma*(beta1*m_hat + (1-beta1)*g/(1-beta1^k)) / (sqrt(v_hat)+eps)``
       with ``m_hat = m_new/(1 - beta1^(k+1))``.
 
-    The Adam/AdamW kinds write the new slots over the old ones when all of
-    the state's slots are writable (see ``_blocked_step``); the other kinds
-    always build fresh slots.
+    Every kind writes the new slots over the old ones when all of the
+    state's slots are writable (see ``_blocked_step``).
     """
     step_index = _begin(state, state.theta, g)
-    kind, grad = state.kind, g.data
-    b1, b2, eps = params.beta1, params.beta2, params.epsilon
-    m_new = v_new = None
-    if kind == "SGD":
-        theta_new = state.theta.data - gamma_k * grad
-    elif kind in ("Momentum", "Nesterov"):
-        m_new = b1 * state.m.data + grad
-        step = m_new if kind == "Momentum" else grad + b1 * m_new
-        theta_new = state.theta.data - gamma_k * step
-    elif kind == "RMSpropMomentum":
-        v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
-        m_new = b1 * state.m.data + _rms(grad, v_new, eps)
-        theta_new = state.theta.data - gamma_k * m_new
-    elif kind in ("Adam", "AdamW"):
-        return _adam_family(state, grad, gamma_k, params, step_index,
-                            decoupled_decay=(kind == "AdamW"))
-    else:  # NAdam; ReferenceState admits no other kind
-        m_new = b1 * state.m.data + (1.0 - b1) * grad
-        v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
-        m_hat = m_new / (1.0 - b1 ** (step_index + 1))
-        g_hat = grad / (1.0 - b1 ** step_index)
-        v_hat = v_new / (1.0 - b2 ** step_index)
-        theta_new = state.theta.data - gamma_k * (
-            (b1 * m_hat + (1.0 - b1) * g_hat) / (np.sqrt(v_hat) + eps)
-        )
-    return _advance(state, step_index, kind, theta_new, m_new, v_new)
+    kind = state.kind
+    build, count, tail = _KERNEL_BY_KIND[kind]
+    return _blocked_step(state, step_index, build(kind, float(gamma_k), params, step_index),
+                         (state.theta, state.m, state.v)[:count], g.data, (kind,), tail)

@@ -7,8 +7,11 @@ recursions side by side and bounding the relative trajectory deviation.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from innaprop.harness.checks import (
+    _paired_max_dev,
+    _rel_dev,
     adam_equivalence_dev,
     dinadam_forms_dev,
     dinadam_reduction_dev,
@@ -18,8 +21,11 @@ from innaprop.harness.checks import (
 )
 from innaprop.numerics import ParamVector, RngStream
 from innaprop.optimizers import (
+    _BLOCK,
     InnapropConfig,
     innaprop_init,
+    innaprop_momentum_init,
+    innaprop_momentum_step,
     innaprop_naive_init,
     innaprop_naive_step,
     innaprop_step,
@@ -118,3 +124,30 @@ def test_dinadam_reduces_to_adam_500_steps():
 
 def test_dinadam_direct_vs_mtilde_100_steps():
     assert dinadam_forms_dev(100) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, _BLOCK + 1])
+def test_paired_run_never_writes_the_callers_theta0(dim):
+    # Both recursions start from one shared theta0 and write their own states
+    # in place: as the rows of one block at dim 2, as their own separate
+    # slots above _BLOCK. The caller's vector stays as it was, read-only, and
+    # the deviation is that of the same pair stepped on public states.
+    quad = make_problem("quadratic", spectrum=np.linspace(1.0, 10.0, dim))
+    theta0 = ParamVector(np.linspace(-1.0, 1.5, dim))
+    before = theta0.data.copy()
+    cfg = InnapropConfig(alpha=0.1, beta=0.9, sigma=0.999)
+    pair = (lambda th: innaprop_momentum_init(cfg, th, "direct"),
+            lambda s, g: innaprop_momentum_step(s, g, 1e-3, cfg),
+            lambda th: innaprop_momentum_init(cfg, th, "reduced"),
+            lambda s, g: innaprop_momentum_step(s, g, 1e-3, cfg))
+    dev = _paired_max_dev(quad, 5, theta0, *pair)
+    assert not theta0.data.flags.writeable
+    assert np.array_equal(theta0.data, before)
+
+    init_a, step_a, init_b, step_b = pair
+    a, b, want = init_a(theta0), init_b(theta0), 0.0
+    for _ in range(5):
+        a = step_a(a, ParamVector(quad.grad(a.theta.data)))
+        b = step_b(b, ParamVector(quad.grad(b.theta.data)))
+        want = max(want, _rel_dev(a.theta.data, b.theta.data))
+    assert dev == want > 0.0

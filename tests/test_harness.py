@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from innaprop.errors import ConfigError, ContractViolation
+import innaprop.harness.checks as checks
 import innaprop.harness.config as config_module
 import innaprop.harness.runner as runner
 from innaprop.harness.cli import main
@@ -48,7 +49,13 @@ from innaprop.optimizers import (
     reference_init,
     reference_step,
 )
-from innaprop.problems import ACTIVATIONS, SYNTHETIC_KINDS, MiniBatchSampler, make_problem
+from innaprop.problems import (
+    ACTIVATIONS,
+    SYNTHETIC_KINDS,
+    MiniBatchSampler,
+    generate_synthetic,
+    make_problem,
+)
 from innaprop.schedulers import lr_at
 
 
@@ -517,17 +524,24 @@ class TestNonFiniteGradient:
 
 
 class TestRunLoopMemory:
-    """The paper's memory claim in the run loop: a three-slot optimizer
-    holds its slots and one gradient beside the problem's own arrays."""
+    """The paper's memory claim in the run loop: an optimizer holds its slots
+    and one gradient beside the problem's own arrays."""
 
-    @pytest.mark.parametrize("optimizer", ["innaprop", "innaprop_plain", "adam", "adamw"])
-    def test_peak_is_the_problem_the_slots_and_one_gradient(self, optimizer):
-        # Every optimizer whose step ends in optimizers._blocked_step. Above
-        # optimizers._BLOCK the run loop keeps the state's own slots; a copy
-        # of them into one block would add three slots to the peak.
-        dim, slots = 200_000, 3
+    @pytest.mark.parametrize("optimizer,form", [
+        pytest.param(name, form, id=name if form is None else f"{name}-{form}")
+        for name, (_, forms) in OPTIMIZERS.items() for form in forms or [None]])
+    def test_peak_is_the_problem_the_slots_and_one_gradient(self, optimizer, form):
+        # Every step ends in optimizers._blocked_step, which writes an owned
+        # state in place. Above optimizers._BLOCK the run loop keeps the
+        # state's own slots; a copy of them into one block would double them.
+        dim = 200_000
         cfg = parse_config_dict({"problem": "quadratic", "dim": dim, "optimizer": optimizer,
-                                 "alpha": 0.1, "beta": 0.9, "lr": 1e-3, "steps": 3})
+                                 "form": form, "alpha": 0.1, "beta": 0.9, "lr": 1e-3,
+                                 "steps": 3})
+        state, _ = runner._make_stepper(cfg, ParamVector([1.0, 2.0]))
+        slots = sum(isinstance(getattr(state, f.name), ParamVector) for f in fields(state))
+        assert slots == {"sgd": 1, "momentum": 2, "nesterov": 2, "inna": 2}.get(
+            optimizer, 4 if form == "direct" else 3)
         tracemalloc.start()
         try:
             problem = build_problem(cfg)
@@ -764,6 +778,31 @@ class TestGrid:
         assert tracer.counts()[tracing.STEP] == 16_200
 
 
+class TestGridFileNames:
+    """Each grid cell writes ``cell_a{alpha:g}_b{beta:g}.csv`` and ``.json``;
+    a grid whose cells would share a name is rejected before any compute."""
+
+    @pytest.mark.parametrize("alphas,betas", [
+        (["0.1234567", "0.1234568"], ["2.0"]),  # two alphas, one name
+        (["0.5", "0.5"], ["2.0"]),  # a repeated alpha
+        (["0.5"], ["2.0", "2.0000001"]),  # two betas, one name
+        (["0.5"], ["2.0", "2.0"]),  # a repeated beta
+    ])
+    def test_rejected_with_exit_two_and_no_output(self, tmp_path, capsys, alphas, betas):
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", "preset:cifar_small", "--alphas", *alphas,
+                     "--betas", *betas, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_shared_name_is_named(self):
+        cfg = parse_config_dict(TestGrid.BASE)
+        with pytest.raises(ConfigError, match="cell_a0.123457_b2"):
+            grid_search(cfg, alphas=[0.1234567, 0.1234568], betas=[2.0])
+        with pytest.raises(ConfigError, match="duplicate"):
+            grid_search(cfg, alphas=[0.5, 0.5], betas=[2.0])
+
+
 class TestSweep:
     BASE = {"problem": "quadratic", "spectrum": [1.0, 10.0], "optimizer": "adamw",
             "weight_decay": 0.0, "sigma": 0.9, "lr": 1e-3, "schedule": "constant",
@@ -911,7 +950,7 @@ class TestLockStep:
                  if isinstance(getattr(state, f.name), ParamVector)]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(slots) for b in slots[i + 1:])
 
-    @pytest.mark.parametrize("optimizer", ["innaprop", "innaprop_plain", "adam", "adamw"])
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
     def test_run_holds_one_state_and_one_gradient(self, monkeypatch, optimizer):
         # Each step writes the cell's new slots over its old ones, so every
         # gradient is taken at the same parameter array, and the previous
@@ -1016,6 +1055,62 @@ class TestBenchmarkHooks:
         assert layers[f"{tracing.STEP}.calls"] == 20
         # theta, psi and v read and written once, the gradient read once
         assert layers[f"{tracing.STEP}.bytes_moved_computed"] == 20 * 7 * 2 * 8
+
+
+class TestCheckMeasurementsPinned:
+    """Every number behind the check suites' reports, recorded before the
+    check loops owned their states and wrote them in place. The printed
+    report rounds to three digits, so its sha256 pin alone would not show a
+    change in the last bits; floats are compared by ``repr``."""
+
+    def test_stagnation_report(self):
+        assert repr(checks.stagnation_report()) == repr({
+            "f32": {"noop_fraction": 1.0, "window_strictly_decreasing": True,
+                    "m_frozen_over_window": True,
+                    "window_theta_mean_abs": 1.1117479801177979,
+                    "final_loss": 0.00014183419545554134},
+            "f64": {"noop_fraction": 0.0, "window_strictly_decreasing": True,
+                    "m_frozen_over_window": False,
+                    "window_theta_mean_abs": 1.1119518759812688,
+                    "final_loss": 0.0001415492717214282},
+        })
+
+    def test_ode_report(self):
+        assert repr(checks.ode_report()) == repr({
+            "richardson_ratio": 16.348317751321083,
+            "gap_ratio_1": 2.0364156121593227,
+            "gap_ratio_2": 2.0177847480077125,
+            "tiny_gap": 0.00013366624237260552,
+            "loss_start": 3.92,
+            "loss_end": 1.4840306106498456e-09,
+            "equilibrium_residual": 0.0,
+            "min_offequilibrium_residual": 1.760012766888732,
+        })
+
+    def test_equivalence_deviations(self):
+        # The nine measurements of equivalence_suite, with its arguments.
+        rosen = make_problem("rosenbrock", dim=2)
+        quad = make_problem("quadratic", spectrum=(1.0, 10.0))
+        data = generate_synthetic("two_gaussians", n=200, dim=2, seed=7)
+        mlp = make_problem("tiny_mlp", dataset=data, hidden=(8,), activation="tanh")
+        mlp_theta0 = ParamVector(mlp.init_theta(RngStream(5, 0).generator()))
+        quad_theta0 = ParamVector(quad.init_theta(RngStream(1, 1).generator()))
+        devs = [
+            checks.adam_equivalence_dev(rosen, ParamVector([-1.2, 1.0]), 0.0),
+            checks.adam_equivalence_dev(rosen, ParamVector([-1.2, 1.0]), 0.01),
+            checks.adam_equivalence_dev(mlp, mlp_theta0, 0.01),
+            checks.memory_reduction_dev(quad, quad_theta0),
+            checks.memory_reduction_dev(rosen, ParamVector([-1.2, 1.0])),
+            checks.inna_rewrite_dev(),
+            checks.momentum_forms_dev(),
+            checks.dinadam_reduction_dev(),
+            checks.dinadam_forms_dev(),
+        ]
+        assert repr(devs) == repr([
+            0.0, 0.0, 0.0, 1.7535277967214144e-11, 1.5461896812191254e-13,
+            6.058195197977388e-15, 8.079210205452966e-16, 1.1827323952860678e-16,
+            1.7577439141258913e-16,
+        ])
 
 
 class TestCli:

@@ -12,6 +12,7 @@ from innaprop.ode import (
     richardson_ratio,
     rk4_integrate,
 )
+from innaprop.optimizers import _BLOCK, inna_init, inna_step
 from innaprop.problems import Problem, make_problem
 
 QUAD = make_problem("quadratic", spectrum=(1.0, 10.0))
@@ -169,6 +170,27 @@ class TestDiscretizationGap:
     def test_zero_gradient_gap_is_exactly_zero(self):
         spec = DinFlowSpec(0.5, 0.9, flat_problem(), t_end=1.0, dt=1e-2)
         assert discretization_gap(spec, 0.05, ParamVector([1.0, -1.0])) == 0.0
+
+    @pytest.mark.parametrize("dim", [2, _BLOCK + 1])
+    def test_never_writes_the_callers_theta0(self, dim):
+        # The step loop owns its state and writes it in place: as the rows
+        # of one block at dim 2, as its own separate slots above _BLOCK. The
+        # caller's vector stays as it was, read-only, and the gap is that of
+        # the public steps' loop with np.linalg.norm.
+        quad = make_problem("quadratic", spectrum=np.linspace(1.0, 10.0, dim))
+        theta0 = ParamVector(np.linspace(-1.0, 1.5, dim))
+        before = theta0.data.copy()
+        spec = DinFlowSpec(0.5, 0.9, quad, t_end=0.02, dt=0.005)
+        gap = discretization_gap(spec, 0.005, theta0)
+        assert not theta0.data.flags.writeable
+        assert np.array_equal(theta0.data, before)
+
+        flow = rk4_integrate(spec, theta0)
+        state, want = inna_init(0.5, 0.9, theta0), 0.0
+        for k in range(1, 5):
+            state = inna_step(state, ParamVector(quad.grad(state.theta.data)), 0.005, 0.5, 0.9)
+            want = max(want, float(np.linalg.norm(state.theta.data - flow.theta[k])))
+        assert gap == want > 0.0
 
     def test_gamma_must_stay_below_beta(self):
         with pytest.raises(ContractViolation):

@@ -1,6 +1,8 @@
 """Spot values, fixed points, error contracts and state invariants for every
 update rule."""
 
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -644,6 +646,198 @@ class TestBlockedKernels:
 
 
 # ---------------------------------------------------------------------------
+# The rules that used to build whole-array temporaries, against those
+# expressions, kept here as reference formulas
+# ---------------------------------------------------------------------------
+
+
+def whole_array_rms(g, v, eps):
+    return g / (np.sqrt(v) + eps)
+
+
+def whole_array_inna(state, g, gamma, alpha, beta, form):
+    theta, psi, grad = state.theta.data, state.psi.data, g.data
+    if form == "classic":
+        drift = (1.0 / beta - alpha) * theta - psi / beta
+        return theta + gamma * (drift - beta * grad), psi + gamma * drift
+    psi_new = (1.0 - gamma / beta) * psi + (gamma * (1.0 / beta - alpha)) * theta
+    theta_new = (
+        (1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma)) * theta
+        - (gamma / (beta - gamma)) * psi_new
+        - (gamma * beta) * grad
+    )
+    return theta_new, psi_new
+
+
+def whole_array_momentum(state, g, gamma, cfg):
+    """Both forms; the direct form's last new slot is the gradient itself."""
+    alpha, beta, sigma, eps = cfg.alpha, cfg.beta, cfg.sigma, cfg.epsilon
+    a = 1.0 - alpha * gamma
+    grad = g.data
+    v_new = sigma * state.v.data + (1.0 - sigma) * grad * grad
+    rms_curr = whole_array_rms(grad, v_new, eps)
+    if state.form == "direct":
+        rms_prev = whole_array_rms(state.g_prev.data, state.v.data, eps)
+        m_new = (
+            a * state.m.data
+            + (gamma * gamma) * rms_prev
+            + (beta * gamma) * (rms_curr - rms_prev)
+        )
+        return state.theta.data - m_new, m_new, v_new, grad
+    m_new = a * state.m.data + (gamma * gamma * (1.0 - alpha * beta) / a) * rms_curr
+    theta_new = state.theta.data - m_new - (gamma * (beta - gamma) / a) * rms_curr
+    return theta_new, m_new, v_new
+
+
+def whole_array_dinadam(state, g, eta, alpha, beta, epsilon=1e-8):
+    s1, s2, grad = state.sigma1, state.sigma2, g.data
+    v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
+    mtilde_new = s1 * state.mtilde.data + (1.0 - s1 + beta * alpha * s1 - beta * alpha) * grad
+    theta_new = state.theta.data - eta * (mtilde_new + (alpha * beta) * grad) / (
+        np.sqrt(v_new) + epsilon
+    )
+    return theta_new, mtilde_new, v_new
+
+
+def whole_array_reference(state, g, gamma_k, params):
+    """Every reference kind but Adam/AdamW; the new slots that the kind has."""
+    kind, grad, k = state.kind, g.data, state.k + 1
+    b1, b2, eps = params.beta1, params.beta2, params.epsilon
+    if kind == "SGD":
+        return (state.theta.data - gamma_k * grad,)
+    if kind in ("Momentum", "Nesterov"):
+        m_new = b1 * state.m.data + grad
+        step = m_new if kind == "Momentum" else grad + b1 * m_new
+        return state.theta.data - gamma_k * step, m_new
+    if kind == "RMSpropMomentum":
+        v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
+        m_new = b1 * state.m.data + whole_array_rms(grad, v_new, eps)
+        return state.theta.data - gamma_k * m_new, m_new, v_new
+    assert kind == "NAdam"
+    m_new = b1 * state.m.data + (1.0 - b1) * grad
+    v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
+    m_hat = m_new / (1.0 - b1 ** (k + 1))
+    g_hat = grad / (1.0 - b1 ** k)
+    v_hat = v_new / (1.0 - b2 ** k)
+    theta_new = state.theta.data - gamma_k * (
+        (b1 * m_hat + (1.0 - b1) * g_hat) / (np.sqrt(v_hat) + eps)
+    )
+    return theta_new, m_new, v_new
+
+
+MOMENTUM_CFG = InnapropConfig(alpha=0.3, beta=0.9, sigma=0.99)
+MOVED_PARAMS = ReferenceParams(beta1=0.8, beta2=0.99)
+
+# name -> (init(theta0), step(state, g, gamma), reference(state, g, gamma)),
+# one entry per rule and form.
+MOVED = {
+    **{f"momentum_{form}": (
+        lambda th, form=form: innaprop_momentum_init(MOMENTUM_CFG, th, form),
+        lambda s, g, gamma: innaprop_momentum_step(s, g, gamma, MOMENTUM_CFG),
+        lambda s, g, gamma: whole_array_momentum(s, g, gamma, MOMENTUM_CFG))
+       for form in ("direct", "reduced")},
+    **{f"inna_{form}": (
+        lambda th: inna_init(0.5, 0.9, th),
+        lambda s, g, gamma, form=form: inna_step(s, g, gamma, 0.5, 0.9, form),
+        lambda s, g, gamma, form=form: whole_array_inna(s, g, gamma, 0.5, 0.9, form))
+       for form in ("classic", "compact")},
+    "dinadam": (lambda th: dinadam_init(th, sigma1=0.9, sigma2=0.99),
+                lambda s, g, gamma: dinadam_step(s, g, gamma, 0.5, 0.7),
+                lambda s, g, gamma: whole_array_dinadam(s, g, gamma, 0.5, 0.7)),
+    **{f"reference_{kind}": (
+        lambda th, kind=kind: reference_init(kind, th, MOVED_PARAMS),
+        lambda s, g, gamma: reference_step(s, g, gamma, MOVED_PARAMS),
+        lambda s, g, gamma: whole_array_reference(s, g, gamma, MOVED_PARAMS))
+       for kind in ("SGD", "Momentum", "Nesterov", "RMSpropMomentum", "NAdam")},
+}
+
+
+class TestMovedRules:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("layout", ["public", "owned", "donated"])
+    @pytest.mark.parametrize("dim", [2, 42, _BLOCK + 7])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("name", sorted(MOVED))
+    def test_bitwise_equal_to_whole_array(self, name, precision, dim, layout):
+        # Three steps, each against the whole-array formula on the same
+        # state; then a gradient with one non-finite element, in the last
+        # partial block above _BLOCK, which the formula carries into a new
+        # slot and the step rejects at its own index.
+        init, step, reference = MOVED[name]
+        rng = RngStream(dim, 13).generator()
+        state = init(ParamVector(rng.standard_normal(dim), precision))
+        if layout != "public":
+            state = _own(state) if layout == "owned" else donatable(state)
+        cls = type(state)
+        for k in range(3):
+            g = loop_gradient(rng, dim, precision, None)
+            gamma = 0.01 * (k + 1)
+            want = reference(state, g, gamma)
+            slots = slot_arrays(state)
+            state = step(state, g, gamma)
+            assert state.k == k + 1 and type(state) is cls
+            assert_bitwise(slot_arrays(state), want)
+            assert len(slot_arrays(state)) == len(want)
+            in_place = [new is old for new, old in zip(slot_arrays(state), slots)]
+            assert all(in_place) if layout != "public" else not any(in_place), name
+        grad = loop_gradient(rng, dim, precision, None).data.copy()
+        grad[-1] = np.nan
+        bad = ParamVector._wrap(grad)
+        assert not all(np.isfinite(arr).all() for arr in reference(state, bad, 0.01))
+        with pytest.raises(DivergenceError) as err:
+            step(state, bad, 0.01)
+        assert err.value.step == 4
+
+    @pytest.mark.parametrize("name", sorted(MOVED))
+    def test_owned_state_keeps_one_block_of_its_slots(self, name):
+        init, step, _ = MOVED[name]
+        rng = RngStream(3, 14).generator()
+        state = _own(init(ParamVector(rng.standard_normal(42))))
+        block = state.theta.data.base
+        assert block.shape == (len(slot_arrays(state)), 42)
+        for _ in range(3):
+            state = step(state, ParamVector(rng.standard_normal(42)), 0.01)
+            assert all(arr.base is block and arr.flags.writeable
+                       for arr in slot_arrays(state)), name
+
+
+def test_threads_stepping_their_own_states_match_one_thread():
+    # Each thread reuses its own scratch rows between one-block steps. Six
+    # states of one length, stepped from six threads at once with a short
+    # switch interval, come out bit for bit as when stepped one at a time.
+    count, start = 6, threading.Barrier(6)
+
+    def run(out, index, barrier=None):
+        init, step, _ = MOVED["momentum_reduced"]
+        rng = RngStream(index, 15).generator()
+        state = _own(init(ParamVector(rng.standard_normal(42))))
+        grads = [ParamVector(rng.standard_normal(42)) for _ in range(500)]
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        for g in grads:
+            state = step(state, g, 0.01)
+        out[index] = slot_arrays(state)
+
+    alone, together = {}, {}
+    for index in range(count):
+        run(alone, index)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(together, index, start))
+                   for index in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index in range(count):
+        assert_bitwise(together[index], alone[index])
+
+
+# ---------------------------------------------------------------------------
 # Donated states: given a state whose every slot is writable, the same kernel
 # writes the new slots over the old ones
 # ---------------------------------------------------------------------------
@@ -699,8 +893,7 @@ class TestDonatedSteps:
 
     @pytest.mark.parametrize("dim", [42, 2 * _BLOCK + 7])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @pytest.mark.parametrize("writable", [(), ("theta",), ("psi", "m", "v")],
-                             ids=["read_only", "theta_only", "all_but_theta"])
+    @pytest.mark.parametrize("writable", ["read_only", "theta_only", "all_but_theta"])
     def test_partly_writable_state_gets_fresh_slots_and_changes_nothing(self, dim,
                                                                         weight_decay,
                                                                         writable):
@@ -710,9 +903,17 @@ class TestDonatedSteps:
         rng = RngStream(7, 7).generator()
         theta0 = ParamVector(rng.standard_normal(dim))
         g = ParamVector(rng.standard_normal(dim))
-        for name, (init, step) in blocked_steps(weight_decay, True).items():
+        steps = {**blocked_steps(weight_decay, True),
+                 **{name: (init, step) for name, (init, step, _) in MOVED.items()}}
+        for name, (init, step) in steps.items():
             public = step(init(theta0), g, 0.01)
-            state = donatable(public, writable)
+            names = [f.name for f in fields(public) if isinstance(getattr(public, f.name),
+                                                                  ParamVector)]
+            writable_names = {"read_only": [], "theta_only": ["theta"],
+                              "all_but_theta": names[1:]}[writable]
+            if writable_names == names:  # SGD's one slot: the state is all writable
+                continue
+            state = donatable(public, writable_names)
             before = [arr.copy() for arr in slot_arrays(state)]
             new = step(state, g, 0.01)
             assert state.k == 1 and new.k == 2
@@ -744,23 +945,6 @@ class TestDonatedSteps:
         for kind in ("RMSpropMomentum", "Adam", "AdamW", "NAdam"):
             state = reference_init(kind, theta0)
             assert not np.shares_memory(state.m.data, state.v.data)
-
-    @pytest.mark.parametrize("kind", ["SGD", "Momentum", "Nesterov", "RMSpropMomentum",
-                                      "NAdam"])
-    def test_other_reference_kinds_give_a_writable_state_fresh_slots(self, kind):
-        # The whole-array kinds build fresh slots from any state, and leave
-        # a writable one as it was.
-        rng = RngStream(8, 8).generator()
-        public = reference_init(kind, ParamVector(rng.standard_normal(5)), PARAMS)
-        g = ParamVector(rng.standard_normal(5))
-        state = donatable(public)
-        before = [arr.copy() for arr in slot_arrays(state)]
-        new = reference_step(state, g, 0.01, PARAMS)
-        assert new == reference_step(public, g, 0.01, PARAMS)
-        assert not any(np.shares_memory(a, b) for a in slot_arrays(new)
-                       for b in slot_arrays(state))
-        assert_bitwise(slot_arrays(state), before)
-
 
 # ---------------------------------------------------------------------------
 # Owned states: _own gives a state of at most _BLOCK elements its slots
