@@ -3,13 +3,17 @@ reference methods, written as pure step functions over explicit state.
 
 Every optimizer here is a function ``(state, gradient, step size, params) ->
 new state``; states are plain immutable values, so runs can be replayed,
-forked, or executed concurrently. A public step checks its own scalar
-arguments, then calls ``_begin``, which rejects a gradient whose dimension or
-precision differs from the state's with ``ContractViolation``.
+forked, or executed concurrently. A public step checks its step size
+(``_guard_gamma``) and its other scalar arguments, then calls ``_begin``,
+which rejects a gradient whose dimension or precision differs from the
+state's with ``ContractViolation``.
 
 Every step but the two oracles of the equivalence checks then ends in
 ``_blocked_step``, which runs the rule's update kernel block by block over
-the state's one to four slots and builds the new state itself. A
+the state's one to four slots and builds the new state itself. A rule is
+one module-level ``kernel(ins, outs, scratch, c)`` and the tuple ``c`` of
+coefficients its public step computes; the reference kinds' rules are one
+table, ``_REFERENCE``. A
 non-finite new slot aborts the step with ``DivergenceError`` carrying the
 offending step index instead of silently propagating NaNs. Every rule reads
 the gradient into a new slot, and ``0*inf`` and ``x*nan`` are NaN, so a
@@ -34,6 +38,7 @@ Naming used throughout:
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, fields, replace
 from operator import itemgetter
@@ -192,17 +197,6 @@ class DinadamDirectState:
     k: int = 0
 
 
-_SLOTS_BY_KIND = {
-    "SGD": (),
-    "Momentum": ("m",),
-    "Nesterov": ("m",),
-    "RMSpropMomentum": ("m", "v"),
-    "Adam": ("m", "v"),
-    "AdamW": ("m", "v"),
-    "NAdam": ("m", "v"),
-}
-
-
 @dataclass(frozen=True)
 class ReferenceParams:
     """Hyperparameters for the reference update rules; unused fields ignored."""
@@ -229,15 +223,11 @@ class ReferenceState:
     k: int = 0
 
     def __post_init__(self):
-        if self.kind not in _SLOTS_BY_KIND:
+        rule = _REFERENCE.get(self.kind)
+        if rule is None:
             raise ContractViolation(f"unknown reference kind {self.kind!r}")
-        slots = _SLOTS_BY_KIND[self.kind]
-        for name in ("m", "v"):
-            have = getattr(self, name) is not None
-            if have != (name in slots):
-                raise ContractViolation(
-                    f"{self.kind} state must carry exactly the slots {slots}"
-                )
+        if (self.m is not None, self.v is not None) != ("m" in rule[0], "v" in rule[0]):
+            raise ContractViolation(f"{self.kind} state must carry exactly the slots {rule[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +316,7 @@ def _own(state):
 _scratch = threading.local()
 
 
-def _blocked_step(state, step_index: int, kernel, slots, grad: np.ndarray, head=(), tail=()):
+def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarray, head=(), tail=()):
     """The state after ``state`` from the update ``kernel`` over its one to
     four ``slots`` and the raw gradient, all of one length and precision.
     The new state is ``type(state)(*head, *new_slots, *tail, step_index)``:
@@ -340,13 +330,16 @@ def _blocked_step(state, step_index: int, kernel, slots, grad: np.ndarray, head=
     it writes the output block over it. Otherwise the new slots are the rows
     of one fresh ``(slots, dim)`` array.
 
-    ``kernel(ins, outs, scratch)`` gets the slots then the gradient as
-    ``ins``, the new slots as ``outs`` and two scratch rows: the arrays
+    ``kernel(ins, outs, scratch, coeffs)`` gets the slots then the gradient
+    as ``ins``, the new slots as ``outs`` and two scratch rows: the arrays
     themselves when they have at most ``_BLOCK`` elements, else aligned
-    column blocks. It writes through each ufunc's ``out`` argument, given by
-    position, which numpy parses faster than the keyword. Each output block
-    is checked while in cache, by one scan when the new slots are the rows
-    of one array and one per slot otherwise: a non-finite element raises
+    column blocks. ``coeffs``, the same for every block, is the tuple of
+    Python floats the public step computed, ``None`` where the kernel skips
+    a branch; a Python float takes the slots' precision in every ufunc. The
+    kernel writes through each ufunc's ``out`` argument, given by position,
+    which numpy parses faster than the keyword. Each output block is checked
+    while in cache, by one scan when the new slots are the rows of one array
+    and one per slot otherwise: a non-finite element raises
     ``DivergenceError(step_index)``, the verdict of a whole-array check, and
     leaves a state written in place partly written.
     """
@@ -373,7 +366,7 @@ def _blocked_step(state, step_index: int, kernel, slots, grad: np.ndarray, head=
             block = np.empty((2, dim), first.dtype)
             # Two indexings; unpacking the array would raise and catch an IndexError.
             scratch = _scratch.rows = block[0], block[1]
-        kernel(ins, outs, scratch)
+        kernel(ins, outs, scratch, coeffs)
         for out in checked:
             # count_nonzero costs about half of .all() on small arrays.
             if np.count_nonzero(np.isfinite(out)) < out.size:
@@ -386,7 +379,7 @@ def _blocked_step(state, step_index: int, kernel, slots, grad: np.ndarray, head=
             if hi - lo < _BLOCK:  # last, partial block
                 scratch, finite = scratch[:, : hi - lo], finite[..., : hi - lo]
             kernel([arr[lo:hi] for arr in ins], [out[lo:hi] for out in outs],
-                   (scratch[0], scratch[1]))
+                   (scratch[0], scratch[1]), coeffs)
             for out in checked:
                 if np.count_nonzero(np.isfinite(out[..., lo:hi], finite)) < finite.size:
                     raise DivergenceError(step_index)
@@ -399,13 +392,15 @@ def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     return g / (np.sqrt(v) + eps)
 
 
-def _guard_gamma(gamma: float, beta: float):
-    if gamma < 0:
-        raise ContractViolation("step size gamma must be >= 0")
-    if gamma >= beta:
-        raise WellPosednessError(
-            f"step size gamma={gamma} must stay below beta={beta}"
-        )
+def _guard_gamma(gamma: float, beta: Optional[float] = None):
+    """Every public step's step-size check, made before ``_begin``: a NaN,
+    infinite or negative step size raises ``ContractViolation`` (0 is valid:
+    a cosine schedule reaches it). Given ``beta``, as the rules that divide
+    by ``beta - gamma`` pass it, ``gamma >= beta`` raises ``WellPosednessError``."""
+    if not 0.0 <= gamma < math.inf:
+        raise ContractViolation(f"step size gamma/eta must be finite and >= 0, got {gamma}")
+    if beta is not None and gamma >= beta:
+        raise WellPosednessError(f"step size gamma={gamma} must stay below beta={beta}")
 
 
 def _psi0(alpha: float, beta: float, theta0: ParamVector) -> ParamVector:
@@ -452,44 +447,42 @@ def innaprop_step(
     """
     _guard_gamma(gamma_k, config.beta)
     step_index = _begin(state, state.theta, g)
-    bias_correction = config.bias_correction
-
-    # Python floats take the state's precision in every ufunc below.
     gamma, weight_decay = float(gamma_k), float(config.weight_decay)
-    alpha, beta, sigma, eps = (float(config.alpha), float(config.beta),
-                               float(config.sigma), float(config.epsilon))
-    decay = 1.0 - weight_decay * gamma
-    v_scale = 1.0 - sigma ** step_index
-    psi_keep, psi_theta = 1.0 - gamma / beta, gamma * (1.0 / beta - alpha)
-    theta_keep = 1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma)
-    theta_psi, theta_rms = gamma / (beta - gamma), gamma * beta
+    alpha, beta, sigma = float(config.alpha), float(config.beta), float(config.sigma)
+    coeffs = (1.0 - weight_decay * gamma if weight_decay else None, sigma,
+              1.0 - sigma ** step_index if config.bias_correction else None,
+              1.0 - gamma / beta, gamma * (1.0 / beta - alpha),
+              1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma), gamma / (beta - gamma),
+              float(config.epsilon), gamma * beta)
+    return _blocked_step(state, step_index, _innaprop_kernel, coeffs,
+                         (state.theta, state.psi, state.v), g.data)
 
-    def kernel(ins, outs, scratch):
-        theta, psi, v, grad = ins
-        theta_new, psi_new, v_new = outs
-        a, b = scratch
-        if weight_decay:
-            theta = np.multiply(decay, theta, theta_new)
-        # v_new = sigma * v + (1 - sigma) * grad * grad
-        np.multiply(sigma, v, v_new)
-        np.multiply(1.0 - sigma, grad, a)
-        np.multiply(a, grad, a)
-        np.add(v_new, a, v_new)
-        v_hat = np.divide(v_new, v_scale, b) if bias_correction else v_new
-        # psi_new = psi_keep * psi + psi_theta * theta
-        np.multiply(psi_keep, psi, psi_new)
-        np.add(psi_new, np.multiply(psi_theta, theta, a), psi_new)
-        # theta_new = theta_keep * theta - theta_psi * psi_new
-        #             - theta_rms * (grad / (sqrt(v_hat) + eps))
-        np.multiply(theta_keep, theta, theta_new)
-        np.subtract(theta_new, np.multiply(theta_psi, psi_new, a), theta_new)
-        np.sqrt(v_hat, a)
-        np.add(a, eps, a)
-        np.divide(grad, a, a)
-        np.multiply(theta_rms, a, a)
-        np.subtract(theta_new, a, theta_new)
 
-    return _blocked_step(state, step_index, kernel, (state.theta, state.psi, state.v), g.data)
+def _innaprop_kernel(ins, outs, scratch, c):
+    theta, psi, v, grad = ins
+    theta_new, psi_new, v_new = outs
+    a, b = scratch
+    decay, sigma, v_scale, psi_keep, psi_theta, theta_keep, theta_psi, eps, theta_rms = c
+    if decay is not None:
+        theta = np.multiply(decay, theta, theta_new)
+    # v_new = sigma * v + (1 - sigma) * grad * grad
+    np.multiply(sigma, v, v_new)
+    np.multiply(1.0 - sigma, grad, a)
+    np.multiply(a, grad, a)
+    np.add(v_new, a, v_new)
+    v_hat = v_new if v_scale is None else np.divide(v_new, v_scale, b)
+    # psi_new = psi_keep * psi + psi_theta * theta
+    np.multiply(psi_keep, psi, psi_new)
+    np.add(psi_new, np.multiply(psi_theta, theta, a), psi_new)
+    # theta_new = theta_keep * theta - theta_psi * psi_new
+    #             - theta_rms * (grad / (sqrt(v_hat) + eps))
+    np.multiply(theta_keep, theta, theta_new)
+    np.subtract(theta_new, np.multiply(theta_psi, psi_new, a), theta_new)
+    np.sqrt(v_hat, a)
+    np.add(a, eps, a)
+    np.divide(grad, a, a)
+    np.multiply(theta_rms, a, a)
+    np.subtract(theta_new, a, theta_new)
 
 
 # ---------------------------------------------------------------------------
@@ -574,47 +567,50 @@ def inna_step(
         raise ContractViolation("inna_step requires an INNA state")
     if not beta > 0:
         raise ContractViolation("beta must be > 0")
-    if form == "compact":
-        _guard_gamma(gamma, beta)
-    elif form != "classic":
+    if form not in ("classic", "compact"):
         raise ContractViolation(f"unknown INNA form {form!r}")
+    _guard_gamma(gamma, beta if form == "compact" else None)
     step_index = _begin(state, state.theta, g)
 
     gamma, alpha, beta = float(gamma), float(alpha), float(beta)
-    if form == "classic":
-        drift_theta = 1.0 / beta - alpha
-
-        def kernel(ins, outs, scratch):
-            theta, psi, grad = ins
-            theta_new, psi_new = outs
-            a, b = scratch
-            # drift = drift_theta * theta - psi / beta
-            np.multiply(drift_theta, theta, a)
-            np.subtract(a, np.divide(psi, beta, b), a)
-            # psi_new = psi + gamma * drift
-            np.add(psi, np.multiply(gamma, a, b), psi_new)
-            # theta_new = theta + gamma * (drift - beta * grad)
-            np.subtract(a, np.multiply(beta, grad, b), a)
-            np.multiply(gamma, a, a)
-            np.add(theta, a, theta_new)
+    if form == "compact":
+        kernel = _inna_compact_kernel
+        coeffs = (1.0 - gamma / beta, gamma * (1.0 / beta - alpha),
+                  1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma), gamma / (beta - gamma),
+                  gamma * beta)
     else:
-        psi_keep, psi_theta = 1.0 - gamma / beta, gamma * (1.0 / beta - alpha)
-        theta_keep = 1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma)
-        theta_psi, theta_grad = gamma / (beta - gamma), gamma * beta
+        kernel, coeffs = _inna_classic_kernel, (1.0 / beta - alpha, beta, gamma)
+    return _blocked_step(state, step_index, kernel, coeffs, (state.theta, state.psi), g.data)
 
-        def kernel(ins, outs, scratch):
-            theta, psi, grad = ins
-            theta_new, psi_new = outs
-            a = scratch[0]
-            # psi_new = psi_keep * psi + psi_theta * theta
-            np.multiply(psi_keep, psi, psi_new)
-            np.add(psi_new, np.multiply(psi_theta, theta, a), psi_new)
-            # theta_new = theta_keep * theta - theta_psi * psi_new - theta_grad * grad
-            np.multiply(theta_keep, theta, theta_new)
-            np.subtract(theta_new, np.multiply(theta_psi, psi_new, a), theta_new)
-            np.subtract(theta_new, np.multiply(theta_grad, grad, a), theta_new)
 
-    return _blocked_step(state, step_index, kernel, (state.theta, state.psi), g.data)
+def _inna_classic_kernel(ins, outs, scratch, c):
+    theta, psi, grad = ins
+    theta_new, psi_new = outs
+    a, b = scratch
+    drift_theta, beta, gamma = c
+    # drift = drift_theta * theta - psi / beta
+    np.multiply(drift_theta, theta, a)
+    np.subtract(a, np.divide(psi, beta, b), a)
+    # psi_new = psi + gamma * drift
+    np.add(psi, np.multiply(gamma, a, b), psi_new)
+    # theta_new = theta + gamma * (drift - beta * grad)
+    np.subtract(a, np.multiply(beta, grad, b), a)
+    np.multiply(gamma, a, a)
+    np.add(theta, a, theta_new)
+
+
+def _inna_compact_kernel(ins, outs, scratch, c):
+    theta, psi, grad = ins
+    theta_new, psi_new = outs
+    a = scratch[0]
+    psi_keep, psi_theta, theta_keep, theta_psi, theta_grad = c
+    # psi_new = psi_keep * psi + psi_theta * theta
+    np.multiply(psi_keep, psi, psi_new)
+    np.add(psi_new, np.multiply(psi_theta, theta, a), psi_new)
+    # theta_new = theta_keep * theta - theta_psi * psi_new - theta_grad * grad
+    np.multiply(theta_keep, theta, theta_new)
+    np.subtract(theta_new, np.multiply(theta_psi, psi_new, a), theta_new)
+    np.subtract(theta_new, np.multiply(theta_grad, grad, a), theta_new)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +648,7 @@ def innaprop_momentum_step(
     The gamma^2 factor in the mtilde increment is what starves the reduced
     form of precision in F32 once the accumulated mtilde dwarfs it.
     """
-    # Python floats take the state's precision in every ufunc below.
+    _guard_gamma(gamma)
     gamma, alpha, beta = float(gamma), float(config.alpha), float(config.beta)
     sigma, eps = float(config.sigma), float(config.epsilon)
     a = 1.0 - alpha * gamma
@@ -661,61 +657,64 @@ def innaprop_momentum_step(
     step_index = _begin(state, state.theta, g)
 
     if state.form == "direct":
-        m_prev, m_diff = gamma * gamma, beta * gamma
+        return _blocked_step(state, step_index, _momentum_direct_kernel,
+                             (sigma, eps, a, gamma * gamma, beta * gamma),
+                             (state.theta, state.m, state.v, state.g_prev), g.data, (),
+                             (state.form,))
+    return _blocked_step(state, step_index, _momentum_reduced_kernel,
+                         (sigma, eps, a, gamma * gamma * (1.0 - alpha * beta) / a,
+                          gamma * (beta - gamma) / a),
+                         (state.theta, state.m, state.v), g.data, (), (None, state.form))
 
-        def kernel(ins, outs, scratch):
-            theta, m, v, g_prev, grad = ins
-            theta_new, m_new, v_new, g_prev_new = outs
-            prev, curr = scratch
-            # prev = g_prev / (sqrt(v) + eps), before v and g_prev are overwritten
-            np.sqrt(v, prev)
-            np.add(prev, eps, prev)
-            np.divide(g_prev, prev, prev)
-            # v_new = sigma * v + (1 - sigma) * grad * grad
-            np.multiply(sigma, v, v_new)
-            np.multiply(1.0 - sigma, grad, curr)
-            np.multiply(curr, grad, curr)
-            np.add(v_new, curr, v_new)
-            # curr = grad / (sqrt(v_new) + eps)
-            np.sqrt(v_new, curr)
-            np.add(curr, eps, curr)
-            np.divide(grad, curr, curr)
-            # m_new = a * m + m_prev * prev + m_diff * (curr - prev)
-            np.subtract(curr, prev, curr)
-            np.multiply(m_diff, curr, curr)
-            np.multiply(m_prev, prev, prev)
-            np.multiply(a, m, m_new)
-            np.add(m_new, prev, m_new)
-            np.add(m_new, curr, m_new)
-            np.subtract(theta, m_new, theta_new)
-            g_prev_new[...] = grad
 
-        slots, tail = (state.theta, state.m, state.v, state.g_prev), (state.form,)
-    else:
-        m_rms = gamma * gamma * (1.0 - alpha * beta) / a
-        theta_rms = gamma * (beta - gamma) / a
+def _momentum_direct_kernel(ins, outs, scratch, c):
+    theta, m, v, g_prev, grad = ins
+    theta_new, m_new, v_new, g_prev_new = outs
+    prev, curr = scratch
+    sigma, eps, a, m_prev, m_diff = c
+    # prev = g_prev / (sqrt(v) + eps), before v and g_prev are overwritten
+    np.sqrt(v, prev)
+    np.add(prev, eps, prev)
+    np.divide(g_prev, prev, prev)
+    # v_new = sigma * v + (1 - sigma) * grad * grad
+    np.multiply(sigma, v, v_new)
+    np.multiply(1.0 - sigma, grad, curr)
+    np.multiply(curr, grad, curr)
+    np.add(v_new, curr, v_new)
+    # curr = grad / (sqrt(v_new) + eps)
+    np.sqrt(v_new, curr)
+    np.add(curr, eps, curr)
+    np.divide(grad, curr, curr)
+    # m_new = a * m + m_prev * prev + m_diff * (curr - prev)
+    np.subtract(curr, prev, curr)
+    np.multiply(m_diff, curr, curr)
+    np.multiply(m_prev, prev, prev)
+    np.multiply(a, m, m_new)
+    np.add(m_new, prev, m_new)
+    np.add(m_new, curr, m_new)
+    np.subtract(theta, m_new, theta_new)
+    g_prev_new[...] = grad
 
-        def kernel(ins, outs, scratch):
-            theta, m, v, grad = ins
-            theta_new, m_new, v_new = outs
-            r, b = scratch
-            # v_new = sigma * v + (1 - sigma) * grad * grad
-            np.multiply(sigma, v, v_new)
-            np.multiply(1.0 - sigma, grad, r)
-            np.multiply(r, grad, r)
-            np.add(v_new, r, v_new)
-            # r = grad / (sqrt(v_new) + eps)
-            np.sqrt(v_new, r)
-            np.add(r, eps, r)
-            np.divide(grad, r, r)
-            # m_new = a * m + m_rms * r; theta_new = theta - m_new - theta_rms * r
-            np.multiply(a, m, m_new)
-            np.add(m_new, np.multiply(m_rms, r, b), m_new)
-            np.subtract(theta, m_new, theta_new)
-            np.subtract(theta_new, np.multiply(theta_rms, r, b), theta_new)
 
-        slots, tail = (state.theta, state.m, state.v), (None, state.form)
-    return _blocked_step(state, step_index, kernel, slots, g.data, (), tail)
+def _momentum_reduced_kernel(ins, outs, scratch, c):
+    theta, m, v, grad = ins
+    theta_new, m_new, v_new = outs
+    r, b = scratch
+    sigma, eps, a, m_rms, theta_rms = c
+    # v_new = sigma * v + (1 - sigma) * grad * grad
+    np.multiply(sigma, v, v_new)
+    np.multiply(1.0 - sigma, grad, r)
+    np.multiply(r, grad, r)
+    np.add(v_new, r, v_new)
+    # r = grad / (sqrt(v_new) + eps)
+    np.sqrt(v_new, r)
+    np.add(r, eps, r)
+    np.divide(grad, r, r)
+    # m_new = a * m + m_rms * r; theta_new = theta - m_new - theta_rms * r
+    np.multiply(a, m, m_new)
+    np.add(m_new, np.multiply(m_rms, r, b), m_new)
+    np.subtract(theta, m_new, theta_new)
+    np.subtract(theta_new, np.multiply(theta_rms, r, b), theta_new)
 
 
 # ---------------------------------------------------------------------------
@@ -751,36 +750,37 @@ def dinadam_step(
     direct-form twin below enforces it. At alpha=1, beta=0 this is exactly
     Adam without bias correction.
     """
-    if not eta >= 0:
-        raise ContractViolation("eta must be >= 0")
+    _guard_gamma(eta)
     step_index = _begin(state, state.theta, g)
-
     s1, s2 = float(state.sigma1), float(state.sigma2)
-    eta, alpha, beta, eps = float(eta), float(alpha), float(beta), float(epsilon)
-    m_grad, theta_grad = 1.0 - s1 + beta * alpha * s1 - beta * alpha, alpha * beta
+    alpha, beta = float(alpha), float(beta)
+    coeffs = (s2, s1, 1.0 - s1 + beta * alpha * s1 - beta * alpha, alpha * beta, float(eta),
+              float(epsilon))
+    return _blocked_step(state, step_index, _dinadam_kernel, coeffs,
+                         (state.theta, state.mtilde, state.v), g.data, (),
+                         (state.sigma1, state.sigma2))
 
-    def kernel(ins, outs, scratch):
-        theta, mtilde, v, grad = ins
-        theta_new, mtilde_new, v_new = outs
-        a, b = scratch
-        # v_new = s2 * v + (1 - s2) * grad * grad
-        np.multiply(s2, v, v_new)
-        np.multiply(1.0 - s2, grad, a)
-        np.multiply(a, grad, a)
-        np.add(v_new, a, v_new)
-        # mtilde_new = s1 * mtilde + m_grad * grad
-        np.multiply(s1, mtilde, mtilde_new)
-        np.add(mtilde_new, np.multiply(m_grad, grad, a), mtilde_new)
-        # theta_new = theta - eta * (mtilde_new + theta_grad * grad) / (sqrt(v_new) + eps)
-        np.add(mtilde_new, np.multiply(theta_grad, grad, a), a)
-        np.multiply(eta, a, a)
-        np.sqrt(v_new, b)
-        np.add(b, eps, b)
-        np.divide(a, b, a)
-        np.subtract(theta, a, theta_new)
 
-    return _blocked_step(state, step_index, kernel, (state.theta, state.mtilde, state.v), g.data,
-                         (), (state.sigma1, state.sigma2))
+def _dinadam_kernel(ins, outs, scratch, c):
+    theta, mtilde, v, grad = ins
+    theta_new, mtilde_new, v_new = outs
+    a, b = scratch
+    s2, s1, m_grad, theta_grad, eta, eps = c
+    # v_new = s2 * v + (1 - s2) * grad * grad
+    np.multiply(s2, v, v_new)
+    np.multiply(1.0 - s2, grad, a)
+    np.multiply(a, grad, a)
+    np.add(v_new, a, v_new)
+    # mtilde_new = s1 * mtilde + m_grad * grad
+    np.multiply(s1, mtilde, mtilde_new)
+    np.add(mtilde_new, np.multiply(m_grad, grad, a), mtilde_new)
+    # theta_new = theta - eta * (mtilde_new + theta_grad * grad) / (sqrt(v_new) + eps)
+    np.add(mtilde_new, np.multiply(theta_grad, grad, a), a)
+    np.multiply(eta, a, a)
+    np.sqrt(v_new, b)
+    np.add(b, eps, b)
+    np.divide(a, b, a)
+    np.subtract(theta, a, theta_new)
 
 
 def dinadam_direct_init(theta0: ParamVector, sigma1: float, sigma2: float) -> DinadamDirectState:
@@ -803,6 +803,7 @@ def dinadam_direct_step(
         m_{k+1} = sigma1*m_k + (1-sigma1)*g_k + beta*alpha*sigma1*(g_k - g_{k-1})
         theta_{k+1} = theta_k - eta * m_{k+1} / (sqrt(v_{k+1}) + eps)
     """
+    _guard_gamma(eta)
     step_index = _begin(state, state.theta, g)
 
     s1, s2, grad = state.sigma1, state.sigma2, g.data
@@ -825,159 +826,11 @@ def reference_init(
     kind: str, theta0: ParamVector, params: Optional[ReferenceParams] = None
 ) -> ReferenceState:
     """State with exactly the slots the chosen update rule needs."""
-    slots = _SLOTS_BY_KIND.get(kind)
-    if slots is None:
+    rule = _REFERENCE.get(kind)
+    if rule is None:
         raise ContractViolation(f"unknown reference kind {kind!r}")
     # Each slot gets its own zeros, so an owner may make them writable.
-    return ReferenceState(
-        kind=kind,
-        theta=theta0,
-        m=ParamVector.zeros_like(theta0) if "m" in slots else None,
-        v=ParamVector.zeros_like(theta0) if "v" in slots else None,
-    )
-
-
-# Each reference kind's kernel, for ``_blocked_step``, from the kind, the step
-# size and ``params`` as Python floats, and the step index; each evaluates
-# the kind's formula (see ``reference_step``) with the same ufuncs, in the
-# same order, as the whole-array expression.
-
-
-def _sgd_kernel(kind, gamma, params, step_index):
-    def kernel(ins, outs, scratch):
-        theta, grad = ins
-        a = scratch[0]
-        # theta_new = theta - gamma * grad
-        np.subtract(theta, np.multiply(gamma, grad, a), outs[0])
-    return kernel
-
-
-def _momentum_kernel(kind, gamma, params, step_index):
-    b1, nesterov = float(params.beta1), kind == "Nesterov"
-
-    def kernel(ins, outs, scratch):
-        theta, m, grad = ins
-        theta_new, m_new = outs
-        a = scratch[0]
-        # m_new = b1 * m + grad
-        np.multiply(b1, m, m_new)
-        np.add(m_new, grad, m_new)
-        # theta_new = theta - gamma * step, step = m_new or grad + b1 * m_new
-        if nesterov:
-            np.add(grad, np.multiply(b1, m_new, a), a)
-            np.multiply(gamma, a, a)
-        else:
-            np.multiply(gamma, m_new, a)
-        np.subtract(theta, a, theta_new)
-    return kernel
-
-
-def _rmsprop_momentum_kernel(kind, gamma, params, step_index):
-    b1, b2, eps = float(params.beta1), float(params.beta2), float(params.epsilon)
-
-    def kernel(ins, outs, scratch):
-        theta, m, v, grad = ins
-        theta_new, m_new, v_new = outs
-        a = scratch[0]
-        # v_new = b2 * v + (1 - b2) * grad * grad
-        np.multiply(b2, v, v_new)
-        np.multiply(1.0 - b2, grad, a)
-        np.multiply(a, grad, a)
-        np.add(v_new, a, v_new)
-        # m_new = b1 * m + grad / (sqrt(v_new) + eps)
-        np.sqrt(v_new, a)
-        np.add(a, eps, a)
-        np.divide(grad, a, a)
-        np.multiply(b1, m, m_new)
-        np.add(m_new, a, m_new)
-        # theta_new = theta - gamma * m_new
-        np.subtract(theta, np.multiply(gamma, m_new, a), theta_new)
-    return kernel
-
-
-def _adam_kernel(kind, gamma, params, step_index):
-    """Adam, or AdamW, whose decay (when any) multiplies theta first."""
-    lam = float(params.weight_decay)
-    b1, b2, eps = float(params.beta1), float(params.beta2), float(params.epsilon)
-    decays, decay = kind == "AdamW" and lam, 1.0 - lam * gamma
-    bias_correction = params.bias_correction
-    m_scale, v_scale = 1.0 - b1 ** step_index, 1.0 - b2 ** step_index
-
-    def kernel(ins, outs, scratch):
-        theta, m, v, grad = ins
-        theta_new, m_new, v_new = outs
-        a, b = scratch
-        if decays:
-            theta = np.multiply(decay, theta, theta_new)
-        # m_new = b1 * m + (1 - b1) * grad; v_new = b2 * v + (1 - b2) * grad * grad
-        np.multiply(b1, m, m_new)
-        np.add(m_new, np.multiply(1.0 - b1, grad, a), m_new)
-        np.multiply(b2, v, v_new)
-        np.multiply(1.0 - b2, grad, a)
-        np.multiply(a, grad, a)
-        np.add(v_new, a, v_new)
-        if bias_correction:
-            m_hat = np.divide(m_new, m_scale, a)
-            v_hat = np.divide(v_new, v_scale, b)
-        else:
-            m_hat, v_hat = m_new, v_new
-        # theta_new = theta - gamma * (m_hat / (sqrt(v_hat) + eps))
-        np.sqrt(v_hat, b)
-        np.add(b, eps, b)
-        np.divide(m_hat, b, a)
-        np.multiply(gamma, a, a)
-        np.subtract(theta, a, theta_new)
-    return kernel
-
-
-def _nadam_kernel(kind, gamma, params, step_index):
-    b1, b2, eps = float(params.beta1), float(params.beta2), float(params.epsilon)
-    m_scale, g_scale = 1.0 - b1 ** (step_index + 1), 1.0 - b1 ** step_index
-    v_scale = 1.0 - b2 ** step_index
-
-    def kernel(ins, outs, scratch):
-        theta, m, v, grad = ins
-        theta_new, m_new, v_new = outs
-        a, b = scratch
-        # m_new = b1 * m + (1 - b1) * grad; v_new = b2 * v + (1 - b2) * grad * grad
-        np.multiply(b1, m, m_new)
-        np.add(m_new, np.multiply(1.0 - b1, grad, a), m_new)
-        np.multiply(b2, v, v_new)
-        np.multiply(1.0 - b2, grad, a)
-        np.multiply(a, grad, a)
-        np.add(v_new, a, v_new)
-        # a = b1 * (m_new / m_scale) + (1 - b1) * (grad / g_scale)
-        np.divide(m_new, m_scale, a)
-        np.multiply(b1, a, a)
-        np.divide(grad, g_scale, b)
-        np.multiply(1.0 - b1, b, b)
-        np.add(a, b, a)
-        # theta_new = theta - gamma * (a / (sqrt(v_new / v_scale) + eps))
-        np.divide(v_new, v_scale, b)
-        np.sqrt(b, b)
-        np.add(b, eps, b)
-        np.divide(a, b, a)
-        np.multiply(gamma, a, a)
-        np.subtract(theta, a, theta_new)
-    return kernel
-
-
-_KERNEL_BUILDERS = {
-    "SGD": _sgd_kernel,
-    "Momentum": _momentum_kernel,
-    "Nesterov": _momentum_kernel,
-    "RMSpropMomentum": _rmsprop_momentum_kernel,
-    "Adam": _adam_kernel,
-    "AdamW": _adam_kernel,
-    "NAdam": _nadam_kernel,
-}
-
-# kind -> (kernel builder, slot count, the state's None fields after its
-# slots); a kind's slots lead: theta, then m, then v.
-_KERNEL_BY_KIND = {
-    kind: (_KERNEL_BUILDERS[kind], 1 + len(slots), (None,) * (2 - len(slots)))
-    for kind, slots in _SLOTS_BY_KIND.items()
-}
+    return ReferenceState(kind, theta0, *[ParamVector.zeros_like(theta0) for _ in rule[0]])
 
 
 def reference_step(
@@ -1002,8 +855,153 @@ def reference_step(
     Every kind writes the new slots over the old ones when all of the
     state's slots are writable (see ``_blocked_step``).
     """
+    _guard_gamma(gamma_k)
     step_index = _begin(state, state.theta, g)
     kind = state.kind
-    build, count, tail = _KERNEL_BY_KIND[kind]
-    return _blocked_step(state, step_index, build(kind, float(gamma_k), params, step_index),
-                         (state.theta, state.m, state.v)[:count], g.data, (kind,), tail)
+    slots, kernel, coefficients = _REFERENCE[kind]
+    count = len(slots)
+    return _blocked_step(state, step_index, kernel,
+                         coefficients(kind, float(gamma_k), params, step_index),
+                         (state.theta, state.m, state.v)[:1 + count], g.data, (kind,),
+                         (None, None)[count:])
+
+
+def _sgd_kernel(ins, outs, scratch, c):
+    theta, grad = ins
+    # theta_new = theta - gamma * grad
+    np.subtract(theta, np.multiply(c[0], grad, scratch[0]), outs[0])
+
+
+def _sgd_coefficients(kind, gamma, params, k):
+    return (gamma,)
+
+
+def _momentum_kernel(ins, outs, scratch, c):
+    theta, m, grad = ins
+    theta_new, m_new = outs
+    a = scratch[0]
+    b1, gamma, look = c
+    # m_new = b1 * m + grad
+    np.multiply(b1, m, m_new)
+    np.add(m_new, grad, m_new)
+    # theta_new = theta - gamma * (m_new, or grad + look * m_new for Nesterov)
+    if look is None:
+        np.multiply(gamma, m_new, a)
+    else:
+        np.add(grad, np.multiply(look, m_new, a), a)
+        np.multiply(gamma, a, a)
+    np.subtract(theta, a, theta_new)
+
+
+def _momentum_coefficients(kind, gamma, params, k):
+    b1 = float(params.beta1)
+    return b1, gamma, b1 if kind == "Nesterov" else None
+
+
+def _rmsprop_momentum_kernel(ins, outs, scratch, c):
+    theta, m, v, grad = ins
+    theta_new, m_new, v_new = outs
+    a = scratch[0]
+    b1, b2, eps, gamma = c
+    # v_new = b2 * v + (1 - b2) * grad * grad
+    np.multiply(b2, v, v_new)
+    np.multiply(1.0 - b2, grad, a)
+    np.multiply(a, grad, a)
+    np.add(v_new, a, v_new)
+    # m_new = b1 * m + grad / (sqrt(v_new) + eps)
+    np.sqrt(v_new, a)
+    np.add(a, eps, a)
+    np.divide(grad, a, a)
+    np.multiply(b1, m, m_new)
+    np.add(m_new, a, m_new)
+    # theta_new = theta - gamma * m_new
+    np.subtract(theta, np.multiply(gamma, m_new, a), theta_new)
+
+
+def _rmsprop_momentum_coefficients(kind, gamma, params, k):
+    return float(params.beta1), float(params.beta2), float(params.epsilon), gamma
+
+
+def _adam_kernel(ins, outs, scratch, c):
+    theta, m, v, grad = ins
+    theta_new, m_new, v_new = outs
+    a, b = scratch
+    decay, b1, b2, m_scale, v_scale, eps, gamma = c
+    if decay is not None:
+        theta = np.multiply(decay, theta, theta_new)
+    # m_new = b1 * m + (1 - b1) * grad; v_new = b2 * v + (1 - b2) * grad * grad
+    np.multiply(b1, m, m_new)
+    np.add(m_new, np.multiply(1.0 - b1, grad, a), m_new)
+    np.multiply(b2, v, v_new)
+    np.multiply(1.0 - b2, grad, a)
+    np.multiply(a, grad, a)
+    np.add(v_new, a, v_new)
+    if m_scale is None:
+        m_hat, v_hat = m_new, v_new
+    else:
+        m_hat = np.divide(m_new, m_scale, a)
+        v_hat = np.divide(v_new, v_scale, b)
+    # theta_new = theta - gamma * (m_hat / (sqrt(v_hat) + eps))
+    np.sqrt(v_hat, b)
+    np.add(b, eps, b)
+    np.divide(m_hat, b, a)
+    np.multiply(gamma, a, a)
+    np.subtract(theta, a, theta_new)
+
+
+def _adam_coefficients(kind, gamma, params, k):
+    """Adam, or AdamW, whose decay (when any) multiplies theta first."""
+    lam, b1, b2 = float(params.weight_decay), float(params.beta1), float(params.beta2)
+    corrects = params.bias_correction
+    return (1.0 - lam * gamma if kind == "AdamW" and lam else None, b1, b2,
+            1.0 - b1 ** k if corrects else None, 1.0 - b2 ** k if corrects else None,
+            float(params.epsilon), gamma)
+
+
+def _nadam_kernel(ins, outs, scratch, c):
+    theta, m, v, grad = ins
+    theta_new, m_new, v_new = outs
+    a, b = scratch
+    b1, b2, m_scale, g_scale, v_scale, eps, gamma = c
+    # m_new = b1 * m + (1 - b1) * grad; v_new = b2 * v + (1 - b2) * grad * grad
+    np.multiply(b1, m, m_new)
+    np.add(m_new, np.multiply(1.0 - b1, grad, a), m_new)
+    np.multiply(b2, v, v_new)
+    np.multiply(1.0 - b2, grad, a)
+    np.multiply(a, grad, a)
+    np.add(v_new, a, v_new)
+    # a = b1 * (m_new / m_scale) + (1 - b1) * (grad / g_scale)
+    np.divide(m_new, m_scale, a)
+    np.multiply(b1, a, a)
+    np.divide(grad, g_scale, b)
+    np.multiply(1.0 - b1, b, b)
+    np.add(a, b, a)
+    # theta_new = theta - gamma * (a / (sqrt(v_new / v_scale) + eps))
+    np.divide(v_new, v_scale, b)
+    np.sqrt(b, b)
+    np.add(b, eps, b)
+    np.divide(a, b, a)
+    np.multiply(gamma, a, a)
+    np.subtract(theta, a, theta_new)
+
+
+def _nadam_coefficients(kind, gamma, params, k):
+    b1, b2 = float(params.beta1), float(params.beta2)
+    return (b1, b2, 1.0 - b1 ** (k + 1), 1.0 - b1 ** k, 1.0 - b2 ** k, float(params.epsilon),
+            gamma)
+
+
+# The reference kinds, as ``ReferenceState``, ``reference_init`` and
+# ``reference_step`` read them: kind -> (its slots after theta, m before v;
+# its kernel; its coefficients(kind, gamma, params, k) as Python floats).
+# Each kernel evaluates the kind's formula (see ``reference_step``) with the
+# same ufuncs, in the same order, as the whole-array expression.
+_REFERENCE = {
+    "SGD": ((), _sgd_kernel, _sgd_coefficients),
+    "Momentum": (("m",), _momentum_kernel, _momentum_coefficients),
+    "Nesterov": (("m",), _momentum_kernel, _momentum_coefficients),
+    "RMSpropMomentum": (("m", "v"), _rmsprop_momentum_kernel, _rmsprop_momentum_coefficients),
+    "Adam": (("m", "v"), _adam_kernel, _adam_coefficients),
+    "AdamW": (("m", "v"), _adam_kernel, _adam_coefficients),
+    "NAdam": (("m", "v"), _nadam_kernel, _nadam_coefficients),
+}

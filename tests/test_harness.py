@@ -487,6 +487,23 @@ class TestKeysRead:
         for form in forms[1:]:
             assert csv(form=form) != plain
 
+    def test_readme_table_matches(self):
+        # README's optimizer/key table, one row per optimizer or pair of
+        # optimizers, an "x" in each column of a key the optimizer reads.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = iter(readme.read_text(encoding="utf-8").splitlines())
+        header = next(line for line in lines if line.startswith("| optimizer |"))
+        keys = [cell.strip(" `") for cell in header.split("|")[2:-1]]
+        assert next(lines).startswith("|---")
+        table = {}
+        for line in lines:
+            if not line.startswith("|"):
+                break
+            names, *marks = [cell.strip() for cell in line.split("|")[1:-1]]
+            for name in names.split(","):
+                table[name.strip(" `")] = {key for key, mark in zip(keys, marks) if mark == "x"}
+        assert table == self.READ
+
 
 class TestNonFiniteGradient:
     @pytest.mark.parametrize("precision,bad", [("f64", np.inf), ("f64", np.nan),
@@ -776,6 +793,20 @@ class TestGrid:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
         assert len(want) == 82 and got == want
         assert tracer.counts()[tracing.STEP] == 16_200
+
+    def test_preset_step_calls_pinned(self, tmp_path, capsys):
+        # The benchmark's presets workload runs each shipped preset once; its
+        # steps_per_s counts their 200 + 5,000 + 2,000 step calls, made
+        # through runner's step globals.
+        tracing = bench_tracing()
+        tracer = tracing.Tracer(record=False).install()
+        try:
+            for name in preset_names():
+                assert main(["run", "--config", f"preset:{name}", "--seed", "0",
+                             "--out", str(tmp_path / name)]) == 0
+        finally:
+            tracer.uninstall()
+        assert tracer.counts()[tracing.STEP] == 7_200
 
 
 class TestGridFileNames:

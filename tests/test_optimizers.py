@@ -477,6 +477,21 @@ def test_nonfinite_gradient_diverges_and_changes_nothing(name, precision, bad, g
     assert_bitwise(slot_arrays(state), before)
 
 
+@pytest.mark.parametrize("gamma", [-0.01, np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(EVERY_STEP))
+def test_bad_step_size_rejected_before_the_gradient(name, gamma):
+    # A negative step size would step uphill, and a NaN or infinite one is
+    # the caller's error, not a divergence of the rule. Every step rejects
+    # it before it looks at the gradient, here one of the wrong dimension,
+    # and an owned state keeps its slots.
+    init, step = EVERY_STEP[name]
+    state = _own(init(ParamVector([1.0, -2.0, 0.5])))
+    before = [arr.copy() for arr in slot_arrays(state)]
+    with pytest.raises(ContractViolation, match="step size"):
+        step(state, ParamVector([0.5]), gamma)
+    assert_bitwise(slot_arrays(state), before)
+
+
 # ---------------------------------------------------------------------------
 # Blocked kernels against the whole-array formulas
 # ---------------------------------------------------------------------------
