@@ -42,7 +42,7 @@ def _load_config(args):
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    rows, summary = run_experiment(cfg, out_dir=args.out, tag="run")
+    summary = run_experiment([cfg], out_dir=args.out, tag=["run"]).summary(0)
     print(f"status={summary.status} steps={summary.steps_run} "
           f"final_train_loss={summary.final_train_loss} "
           f"best_test_metric={summary.best_test_metric}")

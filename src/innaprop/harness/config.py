@@ -184,6 +184,10 @@ def validate_config(config: RunConfig):
             raise ConfigError(f"key {key!r} must be finite")
     if config.dim is not None and config.dim <= 0:
         raise ConfigError("key 'dim' must be positive")
+    if (config.problem == "quadratic" and config.dim is not None
+            and config.spectrum is not None and config.dim != len(config.spectrum)):
+        raise ConfigError(f"key 'dim' ({config.dim}) must equal the length of 'spectrum' "
+                          f"({len(config.spectrum)})")
     for key, allowed in (("batch_order", MiniBatchSampler.ORDERS),
                          ("activation", ACTIVATIONS)):
         if getattr(config, key) not in allowed:
@@ -230,6 +234,11 @@ def validate_config(config: RunConfig):
     if config.optimizer in INERTIAL_KINDS:
         if config.alpha is None or config.beta is None:
             raise ConfigError(f"optimizer {config.optimizer!r} needs keys 'alpha' and 'beta'")
+        if config.alpha < 0:
+            raise ConfigError("key 'alpha' must be >= 0")
+        # beta = 0 is DINAdam's Adam limit; the others need beta above gamma.
+        if config.optimizer == "dinadam" and config.beta < 0:
+            raise ConfigError("key 'beta' must be >= 0")
     schedule = build_schedule(config)
     if config.optimizer in INERTIAL_KINDS and config.optimizer != "dinadam":
         if not stays_below(schedule, config.beta):

@@ -180,7 +180,8 @@ class CellResults(Sequence):
     The logged numbers stay in compact arrays with one row per logged step
     and one column per cell (one per distinct schedule for the lr), NaN
     where nothing was logged. Reading a cell builds its ``RunRow`` list;
-    ``summary``, ``row_at`` and ``last_row`` read the arrays and build none.
+    ``summary`` reads the arrays and builds no row, and ``row_at`` and
+    ``last_row`` build only the row they return.
     A cell's summary and last row are built once, on first use, and every
     later call returns the same object.
     """
@@ -259,8 +260,8 @@ class CellResults(Sequence):
         return self._summaries[i]
 
     def _summary(self, i: int) -> RunSummary:
-        cfg, last = self._configs[i], self.last_row(i)
-        ok = np.isfinite(self._losses[:, i])
+        cfg, ok = self._configs[i], np.isfinite(self._losses[:, i])
+        last = np.flatnonzero(ok)
         scores = self._metrics[ok, i].tolist() if self._metrics is not None else []
         status, steps_run = "ok", cfg.steps
         if self._ends[i] is not None:
@@ -271,7 +272,7 @@ class CellResults(Sequence):
             config_hash=self._hashes[i],
             status=status,
             steps_run=steps_run,
-            final_train_loss=last.train_loss if last else None,
+            final_train_loss=float(self._losses[last[-1], i]) if last.size else None,
             best_test_metric=max(scores) if scores else None,
             wall_time_s=self._wall_time_s,
         )

@@ -13,7 +13,12 @@ Every step but the two oracles of the equivalence checks then ends in
 the state's one to four slots and builds the new state itself. A rule is
 one module-level ``kernel(ins, outs, scratch, c)`` and the tuple ``c`` of
 coefficients its public step computes; the reference kinds' rules are one
-table, ``_REFERENCE``. A
+table, ``_REFERENCE``. RMSprop's two steps are written once, for every
+adaptive kernel: ``_second_moment`` updates the squared-gradient average
+and ``_over_rms`` divides by ``sqrt(v) + eps``. The adaptive rules are built
+from the plain ones, as the paper builds INNAprop from INNA: the INNAprop
+kernel is INNA's compact kernel on the scaled gradient, with the same
+coefficients, and the RMSpropMomentum kernel is Momentum's on it. A
 non-finite new slot aborts the step with ``DivergenceError`` carrying the
 offending step index instead of silently propagating NaNs. Every rule reads
 the gradient into a new slot, and ``0*inf`` and ``x*nan`` are NaN, so a
@@ -392,6 +397,23 @@ def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     return g / (np.sqrt(v) + eps)
 
 
+def _second_moment(rate, v, grad, v_new, tmp):
+    """RMSprop's average ``v_new = rate * v + (1 - rate) * grad * grad``,
+    through ``tmp``; every adaptive kernel updates its ``v`` here."""
+    np.multiply(rate, v, v_new)
+    np.multiply(1.0 - rate, grad, tmp)
+    np.multiply(tmp, grad, tmp)
+    np.add(v_new, tmp, v_new)
+
+
+def _over_rms(num, v, eps, den, out):
+    """RMSprop's scaling ``out = num / (sqrt(v) + eps)``, with
+    ``sqrt(v) + eps`` computed in ``den``; returns ``out``."""
+    np.sqrt(v, den)
+    np.add(den, eps, den)
+    return np.divide(num, den, out)
+
+
 def _guard_gamma(gamma: float, beta: Optional[float] = None):
     """Every public step's step-size check, made before ``_begin``: a NaN,
     infinite or negative step size raises ``ContractViolation`` (0 is valid:
@@ -438,7 +460,9 @@ def innaprop_step(
     With ``weight_decay`` 0 and ``bias_correction`` off this is the
     constant-step recursion on the raw ``v``. The gradient must be evaluated
     at the pre-decay ``theta``. A state whose slots are all writable is
-    written in place.
+    written in place. After the decay this is, bit for bit,
+    ``inna_step(form="compact")`` on ``g / (sqrt(v_hat) + eps)``: INNA with
+    RMSprop's scaling, as the kernel computes it.
 
     The update runs through ``_blocked_step``: it evaluates the formulas
     above block by block, with the same ufuncs in the same order and the
@@ -448,41 +472,28 @@ def innaprop_step(
     _guard_gamma(gamma_k, config.beta)
     step_index = _begin(state, state.theta, g)
     gamma, weight_decay = float(gamma_k), float(config.weight_decay)
-    alpha, beta, sigma = float(config.alpha), float(config.beta), float(config.sigma)
+    sigma = float(config.sigma)
     coeffs = (1.0 - weight_decay * gamma if weight_decay else None, sigma,
               1.0 - sigma ** step_index if config.bias_correction else None,
-              1.0 - gamma / beta, gamma * (1.0 / beta - alpha),
-              1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma), gamma / (beta - gamma),
-              float(config.epsilon), gamma * beta)
+              float(config.epsilon),
+              _inna_compact_coefficients(gamma, float(config.alpha), float(config.beta)))
     return _blocked_step(state, step_index, _innaprop_kernel, coeffs,
                          (state.theta, state.psi, state.v), g.data)
 
 
 def _innaprop_kernel(ins, outs, scratch, c):
+    """INNA's compact step on RMSprop's scaled gradient, which it keeps in
+    scratch row 1; ``_inna_compact_kernel`` uses only row 0."""
     theta, psi, v, grad = ins
     theta_new, psi_new, v_new = outs
-    a, b = scratch
-    decay, sigma, v_scale, psi_keep, psi_theta, theta_keep, theta_psi, eps, theta_rms = c
+    rms = scratch[1]
+    decay, sigma, v_scale, eps, inna = c
     if decay is not None:
         theta = np.multiply(decay, theta, theta_new)
-    # v_new = sigma * v + (1 - sigma) * grad * grad
-    np.multiply(sigma, v, v_new)
-    np.multiply(1.0 - sigma, grad, a)
-    np.multiply(a, grad, a)
-    np.add(v_new, a, v_new)
-    v_hat = v_new if v_scale is None else np.divide(v_new, v_scale, b)
-    # psi_new = psi_keep * psi + psi_theta * theta
-    np.multiply(psi_keep, psi, psi_new)
-    np.add(psi_new, np.multiply(psi_theta, theta, a), psi_new)
-    # theta_new = theta_keep * theta - theta_psi * psi_new
-    #             - theta_rms * (grad / (sqrt(v_hat) + eps))
-    np.multiply(theta_keep, theta, theta_new)
-    np.subtract(theta_new, np.multiply(theta_psi, psi_new, a), theta_new)
-    np.sqrt(v_hat, a)
-    np.add(a, eps, a)
-    np.divide(grad, a, a)
-    np.multiply(theta_rms, a, a)
-    np.subtract(theta_new, a, theta_new)
+    _second_moment(sigma, v, grad, v_new, rms)
+    v_hat = v_new if v_scale is None else np.divide(v_new, v_scale, rms)
+    _over_rms(grad, v_hat, eps, rms, rms)
+    _inna_compact_kernel((theta, psi, rms), (theta_new, psi_new), scratch, inna)
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +585,7 @@ def inna_step(
 
     gamma, alpha, beta = float(gamma), float(alpha), float(beta)
     if form == "compact":
-        kernel = _inna_compact_kernel
-        coeffs = (1.0 - gamma / beta, gamma * (1.0 / beta - alpha),
-                  1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma), gamma / (beta - gamma),
-                  gamma * beta)
+        kernel, coeffs = _inna_compact_kernel, _inna_compact_coefficients(gamma, alpha, beta)
     else:
         kernel, coeffs = _inna_classic_kernel, (1.0 / beta - alpha, beta, gamma)
     return _blocked_step(state, step_index, kernel, coeffs, (state.theta, state.psi), g.data)
@@ -597,6 +605,14 @@ def _inna_classic_kernel(ins, outs, scratch, c):
     np.subtract(a, np.multiply(beta, grad, b), a)
     np.multiply(gamma, a, a)
     np.add(theta, a, theta_new)
+
+
+def _inna_compact_coefficients(gamma, alpha, beta):
+    """``_inna_compact_kernel``'s coefficients, which ``innaprop_step``
+    shares."""
+    return (1.0 - gamma / beta, gamma * (1.0 / beta - alpha),
+            1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma), gamma / (beta - gamma),
+            gamma * beta)
 
 
 def _inna_compact_kernel(ins, outs, scratch, c):
@@ -672,19 +688,10 @@ def _momentum_direct_kernel(ins, outs, scratch, c):
     theta_new, m_new, v_new, g_prev_new = outs
     prev, curr = scratch
     sigma, eps, a, m_prev, m_diff = c
-    # prev = g_prev / (sqrt(v) + eps), before v and g_prev are overwritten
-    np.sqrt(v, prev)
-    np.add(prev, eps, prev)
-    np.divide(g_prev, prev, prev)
-    # v_new = sigma * v + (1 - sigma) * grad * grad
-    np.multiply(sigma, v, v_new)
-    np.multiply(1.0 - sigma, grad, curr)
-    np.multiply(curr, grad, curr)
-    np.add(v_new, curr, v_new)
-    # curr = grad / (sqrt(v_new) + eps)
-    np.sqrt(v_new, curr)
-    np.add(curr, eps, curr)
-    np.divide(grad, curr, curr)
+    # prev, the previous scaled gradient, before v and g_prev are overwritten
+    _over_rms(g_prev, v, eps, prev, prev)
+    _second_moment(sigma, v, grad, v_new, curr)
+    _over_rms(grad, v_new, eps, curr, curr)
     # m_new = a * m + m_prev * prev + m_diff * (curr - prev)
     np.subtract(curr, prev, curr)
     np.multiply(m_diff, curr, curr)
@@ -701,15 +708,8 @@ def _momentum_reduced_kernel(ins, outs, scratch, c):
     theta_new, m_new, v_new = outs
     r, b = scratch
     sigma, eps, a, m_rms, theta_rms = c
-    # v_new = sigma * v + (1 - sigma) * grad * grad
-    np.multiply(sigma, v, v_new)
-    np.multiply(1.0 - sigma, grad, r)
-    np.multiply(r, grad, r)
-    np.add(v_new, r, v_new)
-    # r = grad / (sqrt(v_new) + eps)
-    np.sqrt(v_new, r)
-    np.add(r, eps, r)
-    np.divide(grad, r, r)
+    _second_moment(sigma, v, grad, v_new, r)
+    _over_rms(grad, v_new, eps, r, r)
     # m_new = a * m + m_rms * r; theta_new = theta - m_new - theta_rms * r
     np.multiply(a, m, m_new)
     np.add(m_new, np.multiply(m_rms, r, b), m_new)
@@ -766,21 +766,14 @@ def _dinadam_kernel(ins, outs, scratch, c):
     theta_new, mtilde_new, v_new = outs
     a, b = scratch
     s2, s1, m_grad, theta_grad, eta, eps = c
-    # v_new = s2 * v + (1 - s2) * grad * grad
-    np.multiply(s2, v, v_new)
-    np.multiply(1.0 - s2, grad, a)
-    np.multiply(a, grad, a)
-    np.add(v_new, a, v_new)
+    _second_moment(s2, v, grad, v_new, a)
     # mtilde_new = s1 * mtilde + m_grad * grad
     np.multiply(s1, mtilde, mtilde_new)
     np.add(mtilde_new, np.multiply(m_grad, grad, a), mtilde_new)
     # theta_new = theta - eta * (mtilde_new + theta_grad * grad) / (sqrt(v_new) + eps)
     np.add(mtilde_new, np.multiply(theta_grad, grad, a), a)
     np.multiply(eta, a, a)
-    np.sqrt(v_new, b)
-    np.add(b, eps, b)
-    np.divide(a, b, a)
-    np.subtract(theta, a, theta_new)
+    np.subtract(theta, _over_rms(a, v_new, eps, b, a), theta_new)
 
 
 def dinadam_direct_init(theta0: ParamVector, sigma1: float, sigma2: float) -> DinadamDirectState:
@@ -844,7 +837,8 @@ def reference_step(
       (heavy-ball form); Nesterov steps ``theta -= gamma*(g + beta1*m_new)``
       with the same accumulator.
     * RMSpropMomentum: ``v <- beta2*v + (1-beta2)*g^2``, then
-      ``m <- beta1*m + g/(sqrt(v)+eps)``, ``theta -= gamma*m``.
+      ``m <- beta1*m + g/(sqrt(v)+eps)``, ``theta -= gamma*m``: Momentum on
+      the scaled gradient.
     * Adam/AdamW bias-correct both moments with ``1 - beta^k`` at call k;
       AdamW applies decoupled decay ``theta <- (1 - lambda*gamma)*theta``
       before the update, with the gradient taken at pre-decay theta.
@@ -899,27 +893,20 @@ def _momentum_coefficients(kind, gamma, params, k):
 
 
 def _rmsprop_momentum_kernel(ins, outs, scratch, c):
+    """Momentum on RMSprop's scaled gradient, which it keeps in scratch
+    row 1; ``_momentum_kernel`` uses only row 0."""
     theta, m, v, grad = ins
     theta_new, m_new, v_new = outs
-    a = scratch[0]
-    b1, b2, eps, gamma = c
-    # v_new = b2 * v + (1 - b2) * grad * grad
-    np.multiply(b2, v, v_new)
-    np.multiply(1.0 - b2, grad, a)
-    np.multiply(a, grad, a)
-    np.add(v_new, a, v_new)
-    # m_new = b1 * m + grad / (sqrt(v_new) + eps)
-    np.sqrt(v_new, a)
-    np.add(a, eps, a)
-    np.divide(grad, a, a)
-    np.multiply(b1, m, m_new)
-    np.add(m_new, a, m_new)
-    # theta_new = theta - gamma * m_new
-    np.subtract(theta, np.multiply(gamma, m_new, a), theta_new)
+    rms = scratch[1]
+    b2, eps, momentum = c
+    _second_moment(b2, v, grad, v_new, rms)
+    _over_rms(grad, v_new, eps, rms, rms)
+    _momentum_kernel((theta, m, rms), (theta_new, m_new), scratch, momentum)
 
 
 def _rmsprop_momentum_coefficients(kind, gamma, params, k):
-    return float(params.beta1), float(params.beta2), float(params.epsilon), gamma
+    return (float(params.beta2), float(params.epsilon),
+            _momentum_coefficients(kind, gamma, params, k))
 
 
 def _adam_kernel(ins, outs, scratch, c):
@@ -929,22 +916,17 @@ def _adam_kernel(ins, outs, scratch, c):
     decay, b1, b2, m_scale, v_scale, eps, gamma = c
     if decay is not None:
         theta = np.multiply(decay, theta, theta_new)
-    # m_new = b1 * m + (1 - b1) * grad; v_new = b2 * v + (1 - b2) * grad * grad
+    # m_new = b1 * m + (1 - b1) * grad
     np.multiply(b1, m, m_new)
     np.add(m_new, np.multiply(1.0 - b1, grad, a), m_new)
-    np.multiply(b2, v, v_new)
-    np.multiply(1.0 - b2, grad, a)
-    np.multiply(a, grad, a)
-    np.add(v_new, a, v_new)
+    _second_moment(b2, v, grad, v_new, a)
     if m_scale is None:
         m_hat, v_hat = m_new, v_new
     else:
         m_hat = np.divide(m_new, m_scale, a)
         v_hat = np.divide(v_new, v_scale, b)
     # theta_new = theta - gamma * (m_hat / (sqrt(v_hat) + eps))
-    np.sqrt(v_hat, b)
-    np.add(b, eps, b)
-    np.divide(m_hat, b, a)
+    _over_rms(m_hat, v_hat, eps, b, a)
     np.multiply(gamma, a, a)
     np.subtract(theta, a, theta_new)
 
@@ -963,13 +945,10 @@ def _nadam_kernel(ins, outs, scratch, c):
     theta_new, m_new, v_new = outs
     a, b = scratch
     b1, b2, m_scale, g_scale, v_scale, eps, gamma = c
-    # m_new = b1 * m + (1 - b1) * grad; v_new = b2 * v + (1 - b2) * grad * grad
+    # m_new = b1 * m + (1 - b1) * grad
     np.multiply(b1, m, m_new)
     np.add(m_new, np.multiply(1.0 - b1, grad, a), m_new)
-    np.multiply(b2, v, v_new)
-    np.multiply(1.0 - b2, grad, a)
-    np.multiply(a, grad, a)
-    np.add(v_new, a, v_new)
+    _second_moment(b2, v, grad, v_new, a)
     # a = b1 * (m_new / m_scale) + (1 - b1) * (grad / g_scale)
     np.divide(m_new, m_scale, a)
     np.multiply(b1, a, a)
@@ -977,10 +956,7 @@ def _nadam_kernel(ins, outs, scratch, c):
     np.multiply(1.0 - b1, b, b)
     np.add(a, b, a)
     # theta_new = theta - gamma * (a / (sqrt(v_new / v_scale) + eps))
-    np.divide(v_new, v_scale, b)
-    np.sqrt(b, b)
-    np.add(b, eps, b)
-    np.divide(a, b, a)
+    _over_rms(a, np.divide(v_new, v_scale, b), eps, b, a)
     np.multiply(gamma, a, a)
     np.subtract(theta, a, theta_new)
 

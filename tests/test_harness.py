@@ -178,6 +178,24 @@ class TestConfig:
                                                           match):
         self._rejected_before_compute(tmp_path, {**MINIMAL, **change}, match)
 
+    @pytest.mark.parametrize("optimizer,key", [
+        ("innaprop", "alpha"), ("innaprop_plain", "alpha"), ("innaprop_momentum", "alpha"),
+        ("inna", "alpha"), ("dinadam", "alpha"), ("dinadam", "beta"),
+    ])
+    def test_negative_inertial_pair_rejected(self, tmp_path, capsys, optimizer, key):
+        raw = {**MINIMAL, "optimizer": optimizer, key: -1.0}
+        self._rejected_before_compute(tmp_path, raw, f"'{key}'")
+
+    def test_zero_alpha_and_dinadam_zero_beta_accepted(self):
+        # beta = 0 is DINAdam's Adam limit.
+        assert parse_config_dict({**MINIMAL, "alpha": 0.0}).alpha == 0.0
+        assert parse_config_dict({**MINIMAL, "optimizer": "dinadam", "beta": 0.0}).beta == 0.0
+
+    def test_quadratic_dim_disagreeing_with_spectrum_rejected(self, tmp_path, capsys):
+        raw = {**MINIMAL, "problem": "quadratic", "dim": 5, "spectrum": [1.0, 2.0]}
+        self._rejected_before_compute(tmp_path, raw, "'dim'")
+        assert parse_config_dict({**raw, "dim": 2}).dim == 2
+
     @pytest.mark.parametrize("change", [
         {"alpha": 2.0, "lr": 0.5},
         # the warm-up ramp emits 1.0 * 2 / 4 = 1 / alpha at step 2
@@ -1159,6 +1177,30 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "run.csv").exists()
         assert "status=ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("change", [{}, TestRunCsvPinned.CONFIGS["diverging"]],
+                             ids=["converging", "diverging"])
+    def test_run_builds_no_rows_and_writes_what_run_experiment_writes(
+            self, tmp_path, capsys, monkeypatch, change):
+        cfg = self._write_cfg(tmp_path, change)
+        summary = run_experiment(parse_config(cfg), out_dir=tmp_path / "api")[1]
+        built = []
+        row = runner.RunRow
+        monkeypatch.setattr(runner, "RunRow",
+                            lambda *args, **kwargs: built.append(args) or row(*args, **kwargs))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert built == []
+        assert capsys.readouterr().out == (
+            f"status={summary.status} steps={summary.steps_run} "
+            f"final_train_loss={summary.final_train_loss} "
+            f"best_test_metric={summary.best_test_metric}\n")
+        assert (tmp_path / "out" / "run.csv").read_bytes() == (
+            tmp_path / "api" / "run.csv").read_bytes()
+        records = [json.loads((tmp_path / out / "run.json").read_text(encoding="utf-8"))
+                   for out in ("api", "out")]
+        for record in records:
+            record.pop("wall_time_s")
+        assert records[0] == records[1]
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

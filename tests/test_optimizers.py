@@ -15,6 +15,7 @@ from innaprop.optimizers import (
     _BLOCK,
     _own,
     InnapropConfig,
+    InnaState,
     ReferenceParams,
     ReferenceState,
     dinadam_direct_init,
@@ -814,6 +815,53 @@ class TestMovedRules:
             state = step(state, ParamVector(rng.standard_normal(42)), 0.01)
             assert all(arr.base is block and arr.flags.writeable
                        for arr in slot_arrays(state)), name
+
+
+@pytest.mark.parametrize("layout", ["public", "owned"])
+@pytest.mark.parametrize("dim", [2, 42, _BLOCK + 7])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_adaptive_rules_are_plain_rules_on_the_rms_scaled_gradient(precision, dim, layout):
+    # The paper's construction, bit for bit through the public steps: with
+    # and without decay and bias correction, INNAprop's theta and psi are
+    # INNA's compact step from the decayed theta and the same psi on
+    # g / (sqrt(v_hat) + eps), and its v is RMSprop's average of g^2.
+    # RMSpropMomentum is Momentum on the same scaled gradient.
+    rng = RngStream(dim, 16).generator()
+    theta0 = rng.standard_normal(dim)
+
+    def start(state):
+        return _own(state) if layout == "owned" else state
+
+    def scaled(g, v_hat, eps):
+        return ParamVector._wrap(g.data / (np.sqrt(v_hat) + eps))
+
+    configs = (CFG, PLAIN_CFG)
+    states = [start(innaprop_init(cfg, ParamVector(theta0, precision))) for cfg in configs]
+    rms_state = start(reference_init("RMSpropMomentum", ParamVector(theta0, precision)))
+    for k in (1, 2, 3):
+        g = loop_gradient(rng, dim, precision, None)
+        gamma = 0.01 * k
+        for i, cfg in enumerate(configs):
+            theta, psi, v = (slot.data.copy() for slot in (states[i].theta, states[i].psi,
+                                                           states[i].v))
+            new = states[i] = innaprop_step(states[i], g, gamma, cfg)
+            v_new = cfg.sigma * v + (1.0 - cfg.sigma) * g.data * g.data
+            assert_bitwise([new.v.data], [v_new])
+            if cfg.weight_decay:
+                theta = (1.0 - cfg.weight_decay * gamma) * theta
+            v_hat = v_new / (1.0 - cfg.sigma ** k) if cfg.bias_correction else v_new
+            inna = inna_step(InnaState(ParamVector._wrap(theta), ParamVector._wrap(psi)),
+                             scaled(g, v_hat, cfg.epsilon), gamma, cfg.alpha, cfg.beta,
+                             form="compact")
+            assert_bitwise([new.theta.data, new.psi.data], [inna.theta.data, inna.psi.data])
+        theta, m, v = (slot.data.copy() for slot in (rms_state.theta, rms_state.m, rms_state.v))
+        rms_state = reference_step(rms_state, g, gamma, MOVED_PARAMS)
+        b2 = MOVED_PARAMS.beta2
+        v_new = b2 * v + (1.0 - b2) * g.data * g.data
+        plain = reference_step(
+            ReferenceState("Momentum", ParamVector._wrap(theta), ParamVector._wrap(m)),
+            scaled(g, v_new, MOVED_PARAMS.epsilon), gamma, MOVED_PARAMS)
+        assert_bitwise(slot_arrays(rms_state), [plain.theta.data, plain.m.data, v_new])
 
 
 def test_threads_stepping_their_own_states_match_one_thread():
