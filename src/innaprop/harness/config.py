@@ -269,10 +269,19 @@ def emit_config(config: RunConfig) -> dict:
 
 def content_hash(config: RunConfig) -> str:
     """sha1 of the inputs: the emitted config, then the bytes of a ``.csv``
-    dataset file. A synthetic dataset is fully named by the config."""
-    digest = hashlib.sha1(json.dumps(emit_config(config), sort_keys=True).encode())
+    dataset file, read now. A synthetic dataset is fully named by the config."""
+    source = None
     if config.dataset is not None and config.dataset.endswith(".csv"):
-        digest.update(Path(config.dataset).read_bytes())
+        source = Path(config.dataset).read_bytes()
+    return _hash_inputs(config, source)
+
+
+def _hash_inputs(config: RunConfig, source: Optional[bytes]) -> str:
+    """``content_hash`` of ``config`` with ``source`` as the dataset file's
+    bytes, such as those a run parsed (``Dataset.source``), or ``None``."""
+    digest = hashlib.sha1(json.dumps(emit_config(config), sort_keys=True).encode())
+    if source is not None:
+        digest.update(source)
     return digest.hexdigest()
 
 

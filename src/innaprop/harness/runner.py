@@ -40,12 +40,12 @@ from ..optimizers import (
 from ..problems import MiniBatchSampler
 from ..schedulers import lr_at
 from .config import (
+    _hash_inputs,
     OPTIMIZERS,
     RunConfig,
     batch_stream,
     build_problem,
     build_schedule,
-    content_hash,
     emit_config,
     init_stream,
     precision_of,
@@ -393,8 +393,10 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
                 j += 1
     wall_time_s = time.perf_counter() - started
 
-    results = CellResults(configs, [content_hash(cfg) for cfg in configs], logged, lrs,
-                          lane, losses, metrics, ends, wall_time_s)
+    # The dataset bytes the run trained on, read once by ``build_problem``.
+    source = problem.dataset.source if problem.dataset is not None else None
+    results = CellResults(configs, [_hash_inputs(cfg, source) for cfg in configs], logged,
+                          lrs, lane, losses, metrics, ends, wall_time_s)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

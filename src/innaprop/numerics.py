@@ -126,7 +126,9 @@ def global_norm_clip(g: ParamVector, max_norm: float) -> ParamVector:
     """
     if not max_norm > 0:
         raise ContractViolation("max_norm must be positive")
-    norm = float(np.linalg.norm(g.data))
+    # What np.linalg.norm computes for a real vector, without its wrapper;
+    # np.sqrt, not math.sqrt, which rounds an f32 norm differently.
+    norm = float(np.sqrt(g.data.dot(g.data)))
     if norm <= max_norm * (1.0 + _CLIP_SLACK):
         return g
     return ParamVector._wrap(np.asarray(g.data * (max_norm / norm), dtype=g.data.dtype))

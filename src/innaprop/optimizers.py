@@ -12,20 +12,26 @@ Every step but the two oracles of the equivalence checks then ends in
 ``_blocked_step``, which runs the rule's update kernel block by block over
 the state's one to four slots and builds the new state itself. A rule is
 one module-level ``kernel(ins, outs, scratch, c)`` and the tuple ``c`` of
-coefficients its public step computes; the reference kinds' rules are one
-table, ``_REFERENCE``. RMSprop's two steps are written once, for every
-adaptive kernel: ``_second_moment`` updates the squared-gradient average
-and ``_over_rms`` divides by ``sqrt(v) + eps``. The adaptive rules are built
-from the plain ones, as the paper builds INNAprop from INNA: the INNAprop
-kernel is INNA's compact kernel on the scaled gradient, with the same
-coefficients, and the RMSpropMomentum kernel is Momentum's on it. A
-non-finite new slot aborts the step with ``DivergenceError`` carrying the
-offending step index instead of silently propagating NaNs. Every rule reads
-the gradient into a new slot, and ``0*inf`` and ``x*nan`` are NaN, so a
-non-finite gradient is rejected too. When every slot of the given state is
+coefficients its public step computes as Python floats, ``1 - rate`` among
+them: a kernel takes its coefficients as ready operands and does no
+arithmetic on them. A tuple that repeats the thread's last one for the
+kernel bit for bit reaches it cast once to 0-d arrays of the slots' dtype,
+which give the same bits at a lower cost per ufunc call (``_operands``).
+The reference kinds' rules are one table, ``_REFERENCE``. RMSprop's two
+steps are written once, for every adaptive kernel: ``_second_moment``
+updates the squared-gradient average and ``_over_rms`` divides by
+``sqrt(v) + eps``. The adaptive rules are built from the plain ones, as the
+paper builds INNAprop from INNA: the INNAprop kernel is INNA's compact
+kernel on the scaled gradient, with the same coefficients, and the
+RMSpropMomentum kernel is Momentum's on it. A non-finite new slot aborts
+the step with ``DivergenceError`` carrying the offending step index instead
+of silently propagating NaNs. Every rule reads the gradient into a new slot,
+and ``0*inf`` and ``x*nan`` are NaN, so a non-finite gradient is rejected
+too. When every slot of the given state is
 writable, as in the states a run loop or a check loop owns (``_own``), the
 new slots are written over the old ones, so a step holds one state, not
-two. A public state's slots are read-only, and it gets fresh slots.
+two, and the new state is built without re-running its class's checks. A
+public state's slots are read-only, and it gets fresh slots.
 
 The oracles, ``innaprop_naive_step`` and ``dinadam_direct_step``, keep
 their whole-array expressions and end in ``_advance``, which checks and
@@ -245,11 +251,12 @@ def _begin(state, theta: ParamVector, g: ParamVector) -> int:
     dimension and precision; returns the new state's step index ``k + 1``.
     Every public step calls it after its scalar guards, before any arithmetic.
     """
-    if g.dim != theta.dim:
+    grad, data = g.data, theta.data
+    if grad.size != data.size:
         raise ContractViolation(
             f"gradient dimension {g.dim} does not match state dimension {theta.dim}"
         )
-    if g.data.dtype != theta.data.dtype:
+    if grad.dtype != data.dtype:
         raise ContractViolation("gradient precision must match the state precision")
     return state.k + 1
 
@@ -311,14 +318,67 @@ def _own(state):
     return replace(state, **rows)
 
 
-# The two scratch rows of the last one-block step of the calling thread,
-# which its next step of the same length and dtype reuses: about 0.5 us of
-# a 15 us step at dim 42. A kernel leaves no value in them that a later call
+# Per thread: ``rows``, the two scratch rows of the last one-block step,
+# which the next step of the same length and dtype reuses: about 0.5 us of a
+# 15 us step at dim 42. A kernel leaves no value in them that a later call
 # reads, and runs no code that could step another state meanwhile. A larger
 # step allocates its block scratch per call: kept between calls, a 256 KB
 # buffer changed how the allocator served the megabyte arrays around a step
 # at dim 1e6, and the same numpy passes then ran at a different speed.
+# And ``last``, the last coefficients of each kernel (see ``_operands``).
 _scratch = threading.local()
+
+
+def _cast(coeffs, dtype):
+    """``coeffs`` with each float a 0-d array of ``dtype``, nested tuples
+    alike; ``None`` stays."""
+    return tuple(c if c is None else _cast(c, dtype) if type(c) is tuple else np.array(c, dtype)
+                 for c in coeffs)
+
+
+def _zero_signs(coeffs) -> list:
+    """The signs of the zeros among the floats of ``coeffs``, in order: all
+    that tells apart two float tuples that compare equal."""
+    signs = []
+    for c in coeffs:
+        if type(c) is tuple:
+            signs += _zero_signs(c)
+        elif c == 0.0:  # None != 0.0
+            signs.append(math.copysign(1.0, c))
+    return signs
+
+
+def _operands(kernel, coeffs, dtype):
+    """The coefficients ``kernel`` gets from ``_blocked_step``: ``coeffs``
+    as they are, or, when they repeat the calling thread's last
+    coefficients for ``kernel`` and ``dtype`` bit for bit, those cast once
+    to 0-d arrays of ``dtype``.
+
+    A 0-d operand of the slots' dtype gives the bits of the Python float it
+    was cast from, under NEP 50, and saves about 0.3-0.5 us per ufunc call
+    at dims 2-64. A check loop's constant step size without bias correction
+    repeats its tuple, and pays one cast per kernel; a run loop's step size
+    or step index changes every call, and it pays one comparison and casts
+    nothing: a cast per call costs about what it saves. ``==`` takes -0.0
+    for 0.0, and the cosine schedule's last step size 0 gives ``psi_theta``
+    either sign, so the signs of zeros are compared too.
+    """
+    last = getattr(_scratch, "last", None)
+    if last is None:
+        last = _scratch.last = {}
+    seen = last.get(kernel)
+    if seen is not None and seen[1] is dtype and seen[0] == coeffs:
+        cast, signs = seen[2], seen[3]
+        if cast is None:  # the first repeat
+            signs = _zero_signs(coeffs)
+            if signs == _zero_signs(seen[0]):
+                cast = _cast(coeffs, dtype)
+                last[kernel] = (coeffs, dtype, cast, signs)
+                return cast
+        elif not signs or _zero_signs(coeffs) == signs:
+            return cast
+    last[kernel] = (coeffs, dtype, None, None)
+    return coeffs
 
 
 def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarray, head=(), tail=()):
@@ -338,15 +398,22 @@ def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarra
     ``kernel(ins, outs, scratch, coeffs)`` gets the slots then the gradient
     as ``ins``, the new slots as ``outs`` and two scratch rows: the arrays
     themselves when they have at most ``_BLOCK`` elements, else aligned
-    column blocks. ``coeffs``, the same for every block, is the tuple of
-    Python floats the public step computed, ``None`` where the kernel skips
-    a branch; a Python float takes the slots' precision in every ufunc. The
-    kernel writes through each ufunc's ``out`` argument, given by position,
-    which numpy parses faster than the keyword. Each output block is checked
+    column blocks. ``coeffs`` is the tuple of Python floats the public step
+    computed, ``None`` where the kernel skips a branch, or, when it repeats
+    the thread's last tuple for the kernel, that tuple cast once to 0-d
+    arrays of the slots' dtype (``_operands``); either takes the slots'
+    precision in every ufunc and gives the same bits. The kernel does no
+    arithmetic on them, only applies them, the same for every block. It
+    writes through each ufunc's ``out`` argument, given by position, which
+    numpy parses faster than the keyword. Each output block is checked
     while in cache, by one scan when the new slots are the rows of one array
     and one per slot otherwise: a non-finite element raises
     ``DivergenceError(step_index)``, the verdict of a whole-array check, and
     leaves a state written in place partly written.
+
+    A state written in place gets a successor built without its class's
+    ``__init__``: the same slot objects and other fields, at ``step_index``,
+    since they passed its checks when the state was built.
     """
     arrays = [slot.data for slot in slots]
     first = arrays[0]
@@ -365,6 +432,7 @@ def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarra
             rows = None
     checked = outs if rows is None else (rows,)
     ins = [*arrays, grad]
+    coeffs = _operands(kernel, coeffs, first.dtype)
     if dim <= _BLOCK:  # one block: no views, no check buffer
         scratch = getattr(_scratch, "rows", None)
         if scratch is None or scratch[0].size != dim or scratch[0].dtype is not first.dtype:
@@ -388,20 +456,23 @@ def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarra
             for out in checked:
                 if np.count_nonzero(np.isfinite(out[..., lo:hi], finite)) < finite.size:
                     raise DivergenceError(step_index)
-    if outs is not arrays:
-        slots = map(ParamVector._wrap, outs)
-    return type(state)(*head, *slots, *tail, step_index)
+    if outs is arrays:
+        successor = object.__new__(type(state))
+        successor.__dict__.update(state.__dict__, k=step_index)
+        return successor
+    return type(state)(*head, *map(ParamVector._wrap, outs), *tail, step_index)
 
 
 def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     return g / (np.sqrt(v) + eps)
 
 
-def _second_moment(rate, v, grad, v_new, tmp):
-    """RMSprop's average ``v_new = rate * v + (1 - rate) * grad * grad``,
-    through ``tmp``; every adaptive kernel updates its ``v`` here."""
+def _second_moment(rate, fresh, v, grad, v_new, tmp):
+    """RMSprop's average ``v_new = rate * v + fresh * grad * grad``, with
+    ``fresh = 1 - rate`` computed by the caller's coefficients, through
+    ``tmp``; every adaptive kernel updates its ``v`` here."""
     np.multiply(rate, v, v_new)
-    np.multiply(1.0 - rate, grad, tmp)
+    np.multiply(fresh, grad, tmp)
     np.multiply(tmp, grad, tmp)
     np.add(v_new, tmp, v_new)
 
@@ -466,14 +537,14 @@ def innaprop_step(
 
     The update runs through ``_blocked_step``: it evaluates the formulas
     above block by block, with the same ufuncs in the same order and the
-    same Python-float coefficients as the whole-array expressions, so its
-    results match them bit for bit in F32 and F64.
+    same coefficients, rounded to the state's precision, as the whole-array
+    expressions, so its results match them bit for bit in F32 and F64.
     """
     _guard_gamma(gamma_k, config.beta)
     step_index = _begin(state, state.theta, g)
     gamma, weight_decay = float(gamma_k), float(config.weight_decay)
     sigma = float(config.sigma)
-    coeffs = (1.0 - weight_decay * gamma if weight_decay else None, sigma,
+    coeffs = (1.0 - weight_decay * gamma if weight_decay else None, sigma, 1.0 - sigma,
               1.0 - sigma ** step_index if config.bias_correction else None,
               float(config.epsilon),
               _inna_compact_coefficients(gamma, float(config.alpha), float(config.beta)))
@@ -487,10 +558,10 @@ def _innaprop_kernel(ins, outs, scratch, c):
     theta, psi, v, grad = ins
     theta_new, psi_new, v_new = outs
     rms = scratch[1]
-    decay, sigma, v_scale, eps, inna = c
+    decay, sigma, fresh, v_scale, eps, inna = c
     if decay is not None:
         theta = np.multiply(decay, theta, theta_new)
-    _second_moment(sigma, v, grad, v_new, rms)
+    _second_moment(sigma, fresh, v, grad, v_new, rms)
     v_hat = v_new if v_scale is None else np.divide(v_new, v_scale, rms)
     _over_rms(grad, v_hat, eps, rms, rms)
     _inna_compact_kernel((theta, psi, rms), (theta_new, psi_new), scratch, inna)
@@ -674,11 +745,11 @@ def innaprop_momentum_step(
 
     if state.form == "direct":
         return _blocked_step(state, step_index, _momentum_direct_kernel,
-                             (sigma, eps, a, gamma * gamma, beta * gamma),
+                             (sigma, 1.0 - sigma, eps, a, gamma * gamma, beta * gamma),
                              (state.theta, state.m, state.v, state.g_prev), g.data, (),
                              (state.form,))
     return _blocked_step(state, step_index, _momentum_reduced_kernel,
-                         (sigma, eps, a, gamma * gamma * (1.0 - alpha * beta) / a,
+                         (sigma, 1.0 - sigma, eps, a, gamma * gamma * (1.0 - alpha * beta) / a,
                           gamma * (beta - gamma) / a),
                          (state.theta, state.m, state.v), g.data, (), (None, state.form))
 
@@ -687,10 +758,10 @@ def _momentum_direct_kernel(ins, outs, scratch, c):
     theta, m, v, g_prev, grad = ins
     theta_new, m_new, v_new, g_prev_new = outs
     prev, curr = scratch
-    sigma, eps, a, m_prev, m_diff = c
+    sigma, fresh, eps, a, m_prev, m_diff = c
     # prev, the previous scaled gradient, before v and g_prev are overwritten
     _over_rms(g_prev, v, eps, prev, prev)
-    _second_moment(sigma, v, grad, v_new, curr)
+    _second_moment(sigma, fresh, v, grad, v_new, curr)
     _over_rms(grad, v_new, eps, curr, curr)
     # m_new = a * m + m_prev * prev + m_diff * (curr - prev)
     np.subtract(curr, prev, curr)
@@ -707,8 +778,8 @@ def _momentum_reduced_kernel(ins, outs, scratch, c):
     theta, m, v, grad = ins
     theta_new, m_new, v_new = outs
     r, b = scratch
-    sigma, eps, a, m_rms, theta_rms = c
-    _second_moment(sigma, v, grad, v_new, r)
+    sigma, fresh, eps, a, m_rms, theta_rms = c
+    _second_moment(sigma, fresh, v, grad, v_new, r)
     _over_rms(grad, v_new, eps, r, r)
     # m_new = a * m + m_rms * r; theta_new = theta - m_new - theta_rms * r
     np.multiply(a, m, m_new)
@@ -754,8 +825,8 @@ def dinadam_step(
     step_index = _begin(state, state.theta, g)
     s1, s2 = float(state.sigma1), float(state.sigma2)
     alpha, beta = float(alpha), float(beta)
-    coeffs = (s2, s1, 1.0 - s1 + beta * alpha * s1 - beta * alpha, alpha * beta, float(eta),
-              float(epsilon))
+    coeffs = (s2, 1.0 - s2, s1, 1.0 - s1 + beta * alpha * s1 - beta * alpha, alpha * beta,
+              float(eta), float(epsilon))
     return _blocked_step(state, step_index, _dinadam_kernel, coeffs,
                          (state.theta, state.mtilde, state.v), g.data, (),
                          (state.sigma1, state.sigma2))
@@ -765,8 +836,8 @@ def _dinadam_kernel(ins, outs, scratch, c):
     theta, mtilde, v, grad = ins
     theta_new, mtilde_new, v_new = outs
     a, b = scratch
-    s2, s1, m_grad, theta_grad, eta, eps = c
-    _second_moment(s2, v, grad, v_new, a)
+    s2, fresh, s1, m_grad, theta_grad, eta, eps = c
+    _second_moment(s2, fresh, v, grad, v_new, a)
     # mtilde_new = s1 * mtilde + m_grad * grad
     np.multiply(s1, mtilde, mtilde_new)
     np.add(mtilde_new, np.multiply(m_grad, grad, a), mtilde_new)
@@ -898,28 +969,28 @@ def _rmsprop_momentum_kernel(ins, outs, scratch, c):
     theta, m, v, grad = ins
     theta_new, m_new, v_new = outs
     rms = scratch[1]
-    b2, eps, momentum = c
-    _second_moment(b2, v, grad, v_new, rms)
+    b2, fresh, eps, momentum = c
+    _second_moment(b2, fresh, v, grad, v_new, rms)
     _over_rms(grad, v_new, eps, rms, rms)
     _momentum_kernel((theta, m, rms), (theta_new, m_new), scratch, momentum)
 
 
 def _rmsprop_momentum_coefficients(kind, gamma, params, k):
-    return (float(params.beta2), float(params.epsilon),
-            _momentum_coefficients(kind, gamma, params, k))
+    b2 = float(params.beta2)
+    return b2, 1.0 - b2, float(params.epsilon), _momentum_coefficients(kind, gamma, params, k)
 
 
 def _adam_kernel(ins, outs, scratch, c):
     theta, m, v, grad = ins
     theta_new, m_new, v_new = outs
     a, b = scratch
-    decay, b1, b2, m_scale, v_scale, eps, gamma = c
+    decay, b1, m_fresh, b2, v_fresh, m_scale, v_scale, eps, gamma = c
     if decay is not None:
         theta = np.multiply(decay, theta, theta_new)
     # m_new = b1 * m + (1 - b1) * grad
     np.multiply(b1, m, m_new)
-    np.add(m_new, np.multiply(1.0 - b1, grad, a), m_new)
-    _second_moment(b2, v, grad, v_new, a)
+    np.add(m_new, np.multiply(m_fresh, grad, a), m_new)
+    _second_moment(b2, v_fresh, v, grad, v_new, a)
     if m_scale is None:
         m_hat, v_hat = m_new, v_new
     else:
@@ -935,7 +1006,7 @@ def _adam_coefficients(kind, gamma, params, k):
     """Adam, or AdamW, whose decay (when any) multiplies theta first."""
     lam, b1, b2 = float(params.weight_decay), float(params.beta1), float(params.beta2)
     corrects = params.bias_correction
-    return (1.0 - lam * gamma if kind == "AdamW" and lam else None, b1, b2,
+    return (1.0 - lam * gamma if kind == "AdamW" and lam else None, b1, 1.0 - b1, b2, 1.0 - b2,
             1.0 - b1 ** k if corrects else None, 1.0 - b2 ** k if corrects else None,
             float(params.epsilon), gamma)
 
@@ -944,16 +1015,16 @@ def _nadam_kernel(ins, outs, scratch, c):
     theta, m, v, grad = ins
     theta_new, m_new, v_new = outs
     a, b = scratch
-    b1, b2, m_scale, g_scale, v_scale, eps, gamma = c
+    b1, m_fresh, b2, v_fresh, m_scale, g_scale, v_scale, eps, gamma = c
     # m_new = b1 * m + (1 - b1) * grad
     np.multiply(b1, m, m_new)
-    np.add(m_new, np.multiply(1.0 - b1, grad, a), m_new)
-    _second_moment(b2, v, grad, v_new, a)
+    np.add(m_new, np.multiply(m_fresh, grad, a), m_new)
+    _second_moment(b2, v_fresh, v, grad, v_new, a)
     # a = b1 * (m_new / m_scale) + (1 - b1) * (grad / g_scale)
     np.divide(m_new, m_scale, a)
     np.multiply(b1, a, a)
     np.divide(grad, g_scale, b)
-    np.multiply(1.0 - b1, b, b)
+    np.multiply(m_fresh, b, b)
     np.add(a, b, a)
     # theta_new = theta - gamma * (a / (sqrt(v_new / v_scale) + eps))
     _over_rms(a, np.divide(v_new, v_scale, b), eps, b, a)
@@ -963,8 +1034,8 @@ def _nadam_kernel(ins, outs, scratch, c):
 
 def _nadam_coefficients(kind, gamma, params, k):
     b1, b2 = float(params.beta1), float(params.beta2)
-    return (b1, b2, 1.0 - b1 ** (k + 1), 1.0 - b1 ** k, 1.0 - b2 ** k, float(params.epsilon),
-            gamma)
+    return (b1, 1.0 - b1, b2, 1.0 - b2, 1.0 - b1 ** (k + 1), 1.0 - b1 ** k, 1.0 - b2 ** k,
+            float(params.epsilon), gamma)
 
 
 # The reference kinds, as ``ReferenceState``, ``reference_init`` and

@@ -11,7 +11,8 @@ check.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import io
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +34,8 @@ class Dataset:
     labels: np.ndarray  # (n,)
     train_idx: np.ndarray
     test_idx: np.ndarray
+    # The file bytes a CSV dataset was parsed from, which its content hash covers.
+    source: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
@@ -106,9 +109,12 @@ def load_csv_dataset(path, label_column: str, split_fraction: float = 0.75,
     """Parse a numeric CSV with a header row into a split dataset.
 
     Malformed cells raise ``ParseError`` naming the row and column; a missing
-    label column raises ``ConfigError``.
+    label column raises ``ConfigError``. The file is read once, and the
+    dataset keeps the bytes it parsed as ``source``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        source = fh.read()
+    with io.StringIO(source.decode("utf-8"), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -142,7 +148,8 @@ def load_csv_dataset(path, label_column: str, split_fraction: float = 0.75,
         labels = labels.astype(np.int64).astype(np.float64)
     rng = RngStream(seed, 0).generator()
     train_idx, test_idx = _split_indices(len(rows), split_fraction, rng)
-    return Dataset(features=features, labels=labels, train_idx=train_idx, test_idx=test_idx)
+    return Dataset(features=features, labels=labels, train_idx=train_idx, test_idx=test_idx,
+                   source=source)
 
 
 class MiniBatchSampler:

@@ -673,6 +673,29 @@ class TestContentHash:
         path.write_bytes(bytes(data))
         assert content_hash(cfg) != before
 
+    def test_run_records_the_hash_of_the_bytes_it_trained_on(self, tmp_path, monkeypatch):
+        # The dataset file changes after build_problem read it: run.json
+        # records the hash of the bytes the run parsed and trained on.
+        path = tmp_path / "data.csv"
+        path.write_text("x,y,label\n0.5,1.0,0\n1.5,-2.0,1\n2.5,0.25,0\n3.5,4.0,1\n",
+                        encoding="utf-8")
+        cfg = parse_config_dict({"problem": "logistic_regression", "dataset": str(path),
+                                 "label_column": "label", "optimizer": "adamw", "steps": 5})
+        trained = content_hash(cfg)
+        build = runner.build_problem
+
+        def build_then_edit(config):
+            problem = build(config)
+            data = bytearray(path.read_bytes())
+            data[data.index(b"2.5")] = ord("7")
+            path.write_bytes(bytes(data))
+            return problem
+
+        monkeypatch.setattr(runner, "build_problem", build_then_edit)
+        run_experiment(cfg, out_dir=tmp_path / "out")
+        recorded = json.loads((tmp_path / "out" / "run.json").read_text())["config_hash"]
+        assert recorded == trained != content_hash(cfg)
+
 
 class TestDatasetProblems:
     @pytest.mark.parametrize("n_classes,sha256", [
@@ -1104,6 +1127,29 @@ class TestBenchmarkHooks:
         assert layers[f"{tracing.STEP}.calls"] == 20
         # theta, psi and v read and written once, the gradient read once
         assert layers[f"{tracing.STEP}.bytes_moved_computed"] == 20 * 7 * 2 * 8
+
+
+def test_repeated_coefficients_are_cast_once_per_kernel_and_precision(monkeypatch):
+    # The instability loop repeats its reduced-momentum coefficients on
+    # every step, so the tuple is cast once in each precision. A preset run
+    # changes its step size or its bias correction on every step, so it
+    # never casts.
+    import innaprop.optimizers as optimizers
+
+    casts = []
+    cast = optimizers._cast
+
+    def counted(coeffs, dtype):
+        casts.append(np.dtype(dtype).name)
+        return cast(coeffs, dtype)
+
+    monkeypatch.setattr(optimizers, "_cast", counted)
+    assert checks.run_suite("instability").passed
+    assert sorted(casts) == ["float32", "float64"]
+    casts.clear()
+    for name in preset_names():
+        run_experiment(load_preset(name))
+    assert casts == []
 
 
 class TestCheckMeasurementsPinned:

@@ -81,6 +81,30 @@ class TestGlobalNormClip:
         with pytest.raises(ContractViolation):
             global_norm_clip(ParamVector([1.0]), 0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("kind", ["random", "zero", "overflow", "nan"])
+    def test_bitwise_equal_to_clipping_by_linalg_norm(self, kind, precision):
+        # The clip's norm is np.linalg.norm's, bit for bit: each bound below
+        # either rescales by it or sits on it, where one ulp decides.
+        dtype = Precision.of(precision).dtype
+        x = RngStream(3, 0).generator().standard_normal(33).astype(dtype)
+        if kind == "zero":
+            x[:] = 0.0
+        elif kind == "overflow":
+            x *= np.finfo(dtype).max / 4  # finite, but the dot overflows
+        elif kind == "nan":
+            x[5] = np.nan
+        norm = float(np.linalg.norm(x))
+        g = ParamVector._wrap(x)
+        for bound in (0.3, 0.5 * norm, norm, np.nextafter(norm, 0.0)):
+            if not bound > 0 or not np.isfinite(bound):
+                continue
+            want = x if norm <= bound * (1.0 + 1e-12) else x * (bound / norm)
+            got = global_norm_clip(g, bound).data
+            assert got.dtype == x.dtype
+            assert got.tobytes() == np.asarray(want, dtype=x.dtype).tobytes()
+
 
 class TestRngStream:
     def test_same_key_same_sequence(self):

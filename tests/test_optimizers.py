@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+import innaprop.optimizers as optimizers
 from innaprop.errors import ContractViolation, DivergenceError, WellPosednessError
 from innaprop.numerics import ParamVector, Precision, RngStream, global_norm_clip
 from innaprop.optimizers import (
     _BLOCK,
     _own,
     InnapropConfig,
+    InnapropState,
     InnaState,
     ReferenceParams,
     ReferenceState,
@@ -1111,3 +1113,162 @@ class TestOwnedBlock:
             assert _own(state) is state
             assert all(new is old and new.flags.writeable
                        for new, old in zip(slot_arrays(state), arrays)), name
+
+
+# ---------------------------------------------------------------------------
+# Kernel operands: a kernel only applies its coefficients, and a repeated
+# coefficient tuple reaches it cast once to the slots' dtype
+# ---------------------------------------------------------------------------
+
+# Every public step that runs through the blocked driver; together they use
+# every blocked kernel, and each branch a coefficient ``None`` skips.
+BLOCKED_STEPS = sorted(set(EVERY_STEP) - {"innaprop_naive", "dinadam_direct"})
+
+
+class Untouchable(float):
+    """A float whose Python arithmetic raises: a kernel may only hand it to
+    numpy, which reads it as an f64 scalar."""
+
+    def _refuse(self, *args):
+        raise AssertionError("arithmetic on a coefficient inside a kernel")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __pow__ = __rpow__ = __neg__ = __abs__ = _refuse
+
+
+def untouchable(coeffs):
+    return tuple(c if c is None else untouchable(c) if type(c) is tuple else Untouchable(c)
+                 for c in coeffs)
+
+
+def test_blocked_steps_cover_every_kernel(monkeypatch):
+    kernels = set()
+    blocked = optimizers._blocked_step
+
+    def spy(state, step_index, kernel, *args):
+        kernels.add(kernel.__name__)
+        return blocked(state, step_index, kernel, *args)
+
+    monkeypatch.setattr(optimizers, "_blocked_step", spy)
+    for name in BLOCKED_STEPS:
+        init, step = EVERY_STEP[name]
+        step(init(vec(1.0, -2.0)), vec(0.5, 0.25))
+    assert kernels == {name for name in dir(optimizers) if name.endswith("_kernel")}
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("name", BLOCKED_STEPS)
+def test_kernel_runs_on_coefficients_it_cannot_compute_with(name, precision, monkeypatch):
+    # The second step of each rule, all branches on that its config takes,
+    # is replayed through its kernel with coefficients whose arithmetic
+    # raises. In f64 the kernel's result is the step's, bit for bit.
+    init, step = EVERY_STEP[name]
+    rng = RngStream(5, 17).generator()
+    state = step(init(ParamVector(rng.standard_normal(42), precision)),
+                 ParamVector(rng.standard_normal(42), precision))
+    calls = []
+    blocked = optimizers._blocked_step
+
+    def capture(state, step_index, kernel, coeffs, slots, grad, *rest):
+        calls.append((kernel, coeffs, [slot.data.copy() for slot in slots], grad.copy()))
+        return blocked(state, step_index, kernel, coeffs, slots, grad, *rest)
+
+    monkeypatch.setattr(optimizers, "_blocked_step", capture)
+    state = step(state, ParamVector(rng.standard_normal(42), precision))
+    (kernel, coeffs, slots, grad), = calls
+    outs = [np.empty_like(slot) for slot in slots]
+    scratch = (np.empty_like(grad), np.empty_like(grad))
+    kernel([*slots, grad], outs, scratch, untouchable(coeffs))
+    if precision == "f64":
+        assert_bitwise(outs, slot_arrays(state))
+
+
+@pytest.mark.parametrize("layout", ["public", "owned"])
+@pytest.mark.parametrize("dim", [2, 42, 100_000])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("name", BLOCKED_STEPS)
+def test_slot_typed_coefficients_give_the_bits_of_python_floats(name, precision, dim, layout,
+                                                                  monkeypatch):
+    # Three steps with every coefficient passed as a Python float, then the
+    # same three with every coefficient a 0-d array of the slots' dtype; at
+    # 100,000 elements the kernel runs over several blocks.
+    init, step = EVERY_STEP[name]
+    runs = []
+    for operands in (lambda kernel, coeffs, dtype: coeffs,
+                     lambda kernel, coeffs, dtype: optimizers._cast(coeffs, dtype)):
+        monkeypatch.setattr(optimizers, "_operands", operands)
+        rng = RngStream(dim, 18).generator()
+        state = init(ParamVector(rng.standard_normal(dim), precision))
+        if layout == "owned":
+            state = _own(state)
+        for k in range(3):
+            state = step(state, ParamVector(rng.standard_normal(dim), precision), 0.01 * (k + 1))
+        runs.append(slot_arrays(state))
+    assert_bitwise(runs[1], runs[0])
+
+
+def test_repeated_coefficients_keep_the_sign_of_zero():
+    # At step size 0, INNAprop's psi_theta = 0 * (1/beta - alpha) is -0.0
+    # for alpha > 1/beta and +0.0 otherwise, and the two coefficient tuples
+    # compare equal under ==. With psi at -0.0 that sign reaches psi_new:
+    # -0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0. Stepped alternately, each
+    # state must still get its own coefficients.
+    configs = [InnapropConfig(alpha=alpha, beta=0.9, weight_decay=0.0, bias_correction=False)
+               for alpha in (2.0, 0.5)]
+    g = ParamVector(np.linspace(-1.0, 1.0, 8))
+
+    def run(indices):
+        states = {i: _own(InnapropState(ParamVector(np.linspace(0.5, 1.5, 8)),
+                                        ParamVector._wrap(np.full(8, -0.0)),
+                                        ParamVector(np.zeros(8))))
+                  for i in indices}
+        for _ in range(4):
+            for i in indices:
+                states[i] = innaprop_step(states[i], g, 0.0, configs[i])
+        return {i: slot_arrays(state) for i, state in states.items()}
+
+    alone = {i: run([i])[i] for i in (0, 1)}
+    assert np.signbit(alone[0][1]).all() and not np.signbit(alone[1][1]).any()
+    together = run([0, 1])
+    for i in (0, 1):
+        assert_bitwise(together[i], alone[i])
+
+
+def test_threads_interleaving_rules_and_dtypes_match_their_standalone_runs():
+    # Each thread keeps its own last coefficients per kernel. Four threads
+    # step in lock-step, one step each between barriers, at a constant step
+    # size, so every kernel repeats its coefficients: the same kernel in two
+    # dtypes, and two other rules.
+    cases = [("innaprop_plain", "f32"), ("innaprop_plain", "f64"),
+             ("momentum_reduced", "f32"), ("reference_SGD", "f64")]
+    barrier = threading.Barrier(len(cases))
+
+    def run(out, index, lockstep=False):
+        name, precision = cases[index]
+        init, step = EVERY_STEP[name]
+        rng = RngStream(index, 19).generator()
+        state = _own(init(ParamVector(rng.standard_normal(42), precision)))
+        grads = [ParamVector(rng.standard_normal(42), precision) for _ in range(50)]
+        for g in grads:
+            if lockstep:
+                barrier.wait(timeout=60)
+            state = step(state, g)
+        out[index] = slot_arrays(state)
+
+    alone, together = {}, {}
+    for index in range(len(cases)):
+        run(alone, index)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(together, index, True))
+                   for index in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index in range(len(cases)):
+        assert_bitwise(together[index], alone[index])
