@@ -15,6 +15,7 @@ pass/fail reports for the command line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -67,8 +68,9 @@ class SuiteReport:
 
 
 def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(float(np.abs(b).max()), 1e-30)
-    return float(np.abs(a - b).max()) / scale
+    # np.maximum.reduce is what .max() calls, without its Python wrapper.
+    scale = max(float(np.maximum.reduce(np.abs(b))), 1e-30)
+    return float(np.maximum.reduce(np.abs(a - b))) / scale
 
 
 def _paired_max_dev(problem, n_steps, theta0, init_a, step_a, init_b, step_b) -> float:
@@ -82,18 +84,20 @@ def _paired_max_dev(problem, n_steps, theta0, init_a, step_a, init_b, step_b) ->
     it in place; the caller's ``theta0`` is never written."""
     state_a = _own(init_a(ParamVector._wrap(theta0.data.copy())))
     state_b = _own(init_b(ParamVector._wrap(theta0.data.copy())))
+    theta_a, theta_b = _theta_of(state_a), _theta_of(state_b)
     worst = 0.0
     for _ in range(n_steps):
-        grads = problem.grad(np.array((_theta_of(state_a), _theta_of(state_b)),
+        grads = problem.grad(np.array((theta_a(state_a), theta_b(state_b)),
                                       dtype=np.float64)).astype(np.float64, copy=False)
         state_a = step_a(state_a, ParamVector._wrap(grads[0]))
         state_b = step_b(state_b, ParamVector._wrap(grads[1]))
-        worst = max(worst, _rel_dev(_theta_of(state_a), _theta_of(state_b)))
+        worst = max(worst, _rel_dev(theta_a(state_a), theta_b(state_b)))
     return worst
 
 
-def _theta_of(state) -> np.ndarray:
-    return state.theta_curr.data if hasattr(state, "theta_curr") else state.theta.data
+def _theta_of(state):
+    """The getter of the parameter array of states of ``state``'s class."""
+    return attrgetter("theta_curr.data" if hasattr(state, "theta_curr") else "theta.data")
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +397,15 @@ _STAGNATION = dict(
 
 
 def _slope_problem(slope: float) -> Problem:
+    # Both build exp(-slope * theta) in one new f64 array, in place.
     def loss(theta, batch=None):
-        return float(np.sum(np.exp(-slope * np.asarray(theta, dtype=np.float64))) / slope)
+        e = np.multiply(-slope, theta, dtype=np.float64)
+        # np.add.reduce over every axis is np.sum without its Python wrapper.
+        return float(np.add.reduce(np.exp(e, e), None) / slope)
 
     def grad(theta, batch=None):
-        return -np.exp(-slope * np.asarray(theta, dtype=np.float64))
+        e = np.multiply(-slope, theta, dtype=np.float64)
+        return np.negative(np.exp(e, e), e)
 
     def init_theta(rng):
         return np.full(1, 0.0)
@@ -431,12 +439,12 @@ def _stagnation_run(precision: str) -> dict:
         state = innaprop_momentum_step(state, g, gamma, cfg)
         if m_window_start is None:
             m_window_start = prev_m
-        noop += int(np.sum(state.m.data == prev_m))
+        noop += np.count_nonzero(state.m.data == prev_m)
         total += prev_m.size
         window_losses.append(problem.loss(state.theta.data))
     losses = np.array(window_losses)
     return {
-        "noop_fraction": noop / total,
+        "noop_fraction": int(noop) / total,  # count_nonzero's numpy integers
         "window_strictly_decreasing": bool(np.all(np.diff(losses) < 0)),
         "m_frozen_over_window": bool(np.array_equal(state.m.data, m_window_start)),
         "window_theta_mean_abs": float(np.mean(np.abs(state.theta.data))),

@@ -110,15 +110,22 @@ class RunConfig:
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 _LIST_FIELDS = {"spectrum", "hidden"}
+_NULLABLE = {name for name, f in _FIELDS.items() if f.default is None}
 
 
 def _coerce(key: str, value):
     if value is None:
+        if key not in _NULLABLE:
+            raise ConfigError(f"key {key!r} must not be null")
         return None
     if key in _LIST_FIELDS:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"key {key!r} must be a list")
-        return tuple(float(v) if key == "spectrum" else int(v) for v in value)
+        # spectrum holds numbers, hidden integers, and neither booleans:
+        # int() would truncate a fractional width.
+        kind, number = ("numbers", (int, float)) if key == "spectrum" else ("integers", int)
+        if not isinstance(value, (list, tuple)) or any(
+                isinstance(v, bool) or not isinstance(v, number) for v in value):
+            raise ConfigError(f"key {key!r} must be a list of {kind}")
+        return tuple(float(v) for v in value) if key == "spectrum" else tuple(value)
     if key in ("bias_correction",):
         if not isinstance(value, bool):
             raise ConfigError(f"key {key!r} must be a boolean")
@@ -144,8 +151,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     data = dict(raw)
     if "beta2" in data:
-        beta2 = data.pop("beta2")
-        if "sigma" in data and float(data["sigma"]) != float(beta2):
+        beta2 = _coerce("beta2", data.pop("beta2"))
+        if "sigma" in data and _coerce("sigma", data["sigma"]) != beta2:
             raise ConfigError("keys 'sigma' and 'beta2' are aliases but disagree")
         data["sigma"] = beta2
     cleaned = {}
@@ -184,6 +191,13 @@ def validate_config(config: RunConfig):
             raise ConfigError(f"key {key!r} must be finite")
     if config.dim is not None and config.dim <= 0:
         raise ConfigError("key 'dim' must be positive")
+    if config.problem == "rosenbrock" and config.dim == 1:
+        raise ConfigError("key 'dim' must be at least 2 for problem 'rosenbrock'")
+    if config.spectrum is not None and not config.spectrum:
+        raise ConfigError("key 'spectrum' must not be empty")
+    for key in ("spectrum", "hidden"):
+        if any(v <= 0 for v in getattr(config, key) or ()):
+            raise ConfigError(f"key {key!r} must hold positive values")
     if (config.problem == "quadratic" and config.dim is not None
             and config.spectrum is not None and config.dim != len(config.spectrum)):
         raise ConfigError(f"key 'dim' ({config.dim}) must equal the length of 'spectrum' "
@@ -197,6 +211,10 @@ def validate_config(config: RunConfig):
             and config.dataset not in SYNTHETIC_KINDS):
         raise ConfigError(f"key 'dataset' must be a .csv path or one of "
                           f"{', '.join(SYNTHETIC_KINDS)}, not {config.dataset!r}")
+    if (config.dataset == "linear_regression"
+            and config.problem not in ("quadratic", "rosenbrock")):
+        raise ConfigError(f"key 'dataset' 'linear_regression' has real targets, and problem "
+                          f"{config.problem!r} needs class labels")
     if config.steps <= 0:
         raise ConfigError("key 'steps' must be positive")
     if config.log_every <= 0:
@@ -218,6 +236,9 @@ def validate_config(config: RunConfig):
     if (config.bias_correction and config.sigma == 1.0
             and config.optimizer in ("innaprop", "adam", "adamw")):
         raise ConfigError("key 'bias_correction' is undefined at sigma = 1")
+    if config.optimizer == "nadam" and config.sigma == 1.0:
+        raise ConfigError("key 'sigma' must be below 1 for optimizer 'nadam', which "
+                          "bias-corrects whatever 'bias_correction' says")
     if config.batch_size is not None:
         if config.batch_size <= 0:
             raise ConfigError("key 'batch_size' must be positive")

@@ -35,12 +35,6 @@ class Precision(enum.Enum):
             raise ContractViolation(f"unknown precision {value!r}") from None
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    # setflags is several times cheaper than assigning arr.flags.writeable.
-    arr.setflags(write=False)
-    return arr
-
-
 class ParamVector:
     """Immutable 1-D vector of reals in a fixed precision (F32 or F64).
 
@@ -63,13 +57,16 @@ class ParamVector:
             raise ContractViolation("ParamVector must have at least one element")
         if np.count_nonzero(np.isfinite(arr)) < arr.size:
             raise DomainError("ParamVector elements must be finite")
-        self.data = _freeze(arr)
+        # setflags is several times cheaper than assigning arr.flags.writeable.
+        arr.setflags(write=False)
+        self.data = arr
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "ParamVector":
         # Internal fast path: trusts that arr is 1-D, f32/f64 and owned; no scan.
         vec = object.__new__(cls)
-        vec.data = _freeze(arr)
+        arr.setflags(write=False)
+        vec.data = arr
         return vec
 
     @classmethod

@@ -15,6 +15,7 @@ drifts from the flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,15 +58,22 @@ class Trajectory:
         return problem.loss(self.theta)
 
 
-def _rhs(spec: DinFlowSpec, y: np.ndarray) -> np.ndarray:
-    """Right-hand side of the flow at ``y``, the (2, p) f64 array with theta
-    in row 0 and psi in row 1; one gradient call."""
-    # Two indexings; unpacking the array would raise and catch an IndexError.
-    th, ps = y[0], y[1]
-    dy = np.empty_like(y)
-    drift = np.subtract(-(spec.alpha - 1.0 / spec.beta) * th, ps / spec.beta, dy[1])
-    np.subtract(drift, spec.beta * spec.problem.grad(th), dy[0])
-    return dy
+def _flow(spec: DinFlowSpec):
+    """The right-hand side of the flow of ``spec`` as a function of ``y``,
+    the (2, p) f64 array with theta in row 0 and psi in row 1; one gradient
+    call. Its coefficients and the gradient are looked up here, once per
+    integration, not once per call."""
+    drift_theta, beta, grad = -(spec.alpha - 1.0 / spec.beta), spec.beta, spec.problem.grad
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        # Two indexings; unpacking the array would raise and catch an IndexError.
+        th, ps = y[0], y[1]
+        dy = np.empty(y.shape)  # f64, as y; empty_like adds a dispatch
+        drift = np.subtract(drift_theta * th, ps / beta, dy[1])
+        np.subtract(drift, beta * grad(th), dy[0])
+        return dy
+
+    return rhs
 
 
 def din_rhs(theta: ParamVector, psi: ParamVector, spec: DinFlowSpec):
@@ -74,7 +82,7 @@ def din_rhs(theta: ParamVector, psi: ParamVector, spec: DinFlowSpec):
     Raises ``DomainError`` when the gradient, and with it ``dtheta``, is not
     finite.
     """
-    dtheta, dpsi = _rhs(spec, np.array((theta.data, psi.data), dtype=np.float64))
+    dtheta, dpsi = _flow(spec)(np.array((theta.data, psi.data), dtype=np.float64))
     if np.count_nonzero(np.isfinite(dtheta)) < dtheta.size:
         raise DomainError("non-finite gradient in din_rhs")
     return ParamVector(dtheta), ParamVector(dpsi)
@@ -106,12 +114,14 @@ def rk4_integrate(spec: DinFlowSpec, theta0: ParamVector, psi0: ParamVector | No
     states = np.empty((2, n_steps + 1, th.size))
     states[:, 0] = y
 
+    rhs = _flow(spec)
+    half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k1 is (0.5 * h) * k1
     for k in range(1, n_steps + 1):
-        k1 = _rhs(spec, y)
-        k2 = _rhs(spec, y + 0.5 * h * k1)
-        k3 = _rhs(spec, y + 0.5 * h * k2)
-        k4 = _rhs(spec, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(y)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
+        k4 = rhs(y + h * k3)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if np.count_nonzero(np.isfinite(y)) < y.size:
             raise DivergenceError(k)
         states[:, k] = y
@@ -156,12 +166,14 @@ def discretization_gap(spec: DinFlowSpec, gamma: float, theta0: ParamVector | No
 
     # The loop owns its state (``_own``), built from its own copy of theta0,
     # so each step writes it in place.
-    state = _own(inna_init(spec.alpha, spec.beta, ParamVector._wrap(theta0.data.copy())))
+    alpha, beta, grad = spec.alpha, spec.beta, spec.problem.grad
+    state = _own(inna_init(alpha, beta, ParamVector._wrap(theta0.data.copy())))
     gap = 0.0
     for k in range(1, n_steps + 1):
-        g = ParamVector._wrap(spec.problem.grad(state.theta.data).astype(np.float64, copy=False))
-        state = inna_step(state, g, gamma, spec.alpha, spec.beta)
+        g = ParamVector._wrap(grad(state.theta.data).astype(np.float64, copy=False))
+        state = inna_step(state, g, gamma, alpha, beta)
         d = state.theta.data - flow_theta[k]
-        # The Euclidean norm as np.linalg.norm computes it for a real vector.
-        gap = max(gap, float(np.sqrt(d.dot(d))))
+        # The Euclidean norm as np.linalg.norm computes it for a real vector;
+        # math.sqrt rounds correctly, as np.sqrt does in f64.
+        gap = max(gap, math.sqrt(d.dot(d)))
     return gap

@@ -381,6 +381,25 @@ def _operands(kernel, coeffs, dtype):
     return coeffs
 
 
+class _Layout(tuple):
+    """An owned one-block state's layout, as ``_blocked_step`` decided it at
+    the state's first step in place: ``(arrays, checked, dtype, dim)``, the
+    slot arrays it writes in place, the arrays its scan covers (one, the
+    block, when the slots are its rows), their dtype and their length.
+
+    The in-place successors carry it in their instance ``__dict__`` as
+    ``_layout``, not as a field, so that equality, ``repr``, ``fields()`` and
+    ``dataclasses.replace`` copies, which decide their layout again, are as
+    without it. A copy by ``copy.deepcopy`` or ``pickle`` has new arrays, and
+    its layout becomes ``None``, so it decides again too.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(None), ()
+
+
 def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarray, head=(), tail=()):
     """The state after ``state`` from the update ``kernel`` over its one to
     four ``slots`` and the raw gradient, all of one length and precision.
@@ -393,7 +412,10 @@ def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarra
     are the old ones, written in place: every kernel is elementwise and
     reads an input block, and every input its later writes overwrite, before
     it writes the output block over it. Otherwise the new slots are the rows
-    of one fresh ``(slots, dim)`` array.
+    of one fresh ``(slots, dim)`` array. A state of at most ``_BLOCK``
+    elements written in place decides this once: its successors carry the
+    decision (``_Layout``), so a slot made read-only after its first step in
+    place makes the kernel raise numpy's ``ValueError``.
 
     ``kernel(ins, outs, scratch, coeffs)`` gets the slots then the gradient
     as ``ins``, the new slots as ``outs`` and two scratch rows: the arrays
@@ -415,28 +437,35 @@ def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarra
     ``__init__``: the same slot objects and other fields, at ``step_index``,
     since they passed its checks when the state was built.
     """
-    arrays = [slot.data for slot in slots]
-    first = arrays[0]
-    count, dim = len(arrays), first.size
-    rows = first.base  # one array when the slots are its rows, as ``_own`` lays them out
-    for arr in arrays:
-        if not arr.flags.writeable:
-            rows = np.empty((count, dim), first.dtype)
-            outs = _ROWS[count](rows)
-            break
-        if arr.base is not rows:
-            rows = None
+    layout = state.__dict__.get("_layout")
+    if layout is None:
+        arrays = [slot.data for slot in slots]
+        first = arrays[0]
+        count, dim, dtype = len(arrays), first.size, first.dtype
+        rows = first.base  # one array when the slots are its rows, as ``_own`` lays them out
+        for arr in arrays:
+            if not arr.flags.writeable:
+                rows = np.empty((count, dim), dtype)
+                outs = _ROWS[count](rows)
+                break
+            if arr.base is not rows:
+                rows = None
+        else:
+            outs = arrays
+            if rows is not None and rows.shape != (count, dim):
+                rows = None
+        checked = outs if rows is None else (rows,)
+        if outs is arrays and dim <= _BLOCK:
+            layout = _Layout((arrays, checked, dtype, dim))
     else:
-        outs = arrays
-        if rows is not None and rows.shape != (count, dim):
-            rows = None
-    checked = outs if rows is None else (rows,)
+        outs, checked, dtype, dim = layout
+        arrays = outs
     ins = [*arrays, grad]
-    coeffs = _operands(kernel, coeffs, first.dtype)
+    coeffs = _operands(kernel, coeffs, dtype)
     if dim <= _BLOCK:  # one block: no views, no check buffer
         scratch = getattr(_scratch, "rows", None)
-        if scratch is None or scratch[0].size != dim or scratch[0].dtype is not first.dtype:
-            block = np.empty((2, dim), first.dtype)
+        if scratch is None or scratch[0].size != dim or scratch[0].dtype is not dtype:
+            block = np.empty((2, dim), dtype)
             # Two indexings; unpacking the array would raise and catch an IndexError.
             scratch = _scratch.rows = block[0], block[1]
         kernel(ins, outs, scratch, coeffs)
@@ -445,7 +474,7 @@ def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarra
             if np.count_nonzero(np.isfinite(out)) < out.size:
                 raise DivergenceError(step_index)
     else:
-        scratch = np.empty((2, _BLOCK), first.dtype)
+        scratch = np.empty((2, _BLOCK), dtype)
         finite = np.empty((*checked[0].shape[:-1], _BLOCK), dtype=bool)
         for lo in range(0, dim, _BLOCK):
             hi = min(lo + _BLOCK, dim)
@@ -458,7 +487,11 @@ def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarra
                     raise DivergenceError(step_index)
     if outs is arrays:
         successor = object.__new__(type(state))
-        successor.__dict__.update(state.__dict__, k=step_index)
+        # Item by item: update() with keywords first builds a dict of them.
+        new = successor.__dict__
+        new.update(state.__dict__)
+        new["k"] = step_index
+        new["_layout"] = layout
         return successor
     return type(state)(*head, *map(ParamVector._wrap, outs), *tail, step_index)
 
@@ -742,15 +775,16 @@ def innaprop_momentum_step(
     if a == 0.0:
         raise ContractViolation("singular coefficient: alpha * gamma == 1")
     step_index = _begin(state, state.theta, g)
+    keep = None if a == 1.0 else a  # 1.0 * m is m: the kernel skips the product
 
     if state.form == "direct":
         return _blocked_step(state, step_index, _momentum_direct_kernel,
-                             (sigma, 1.0 - sigma, eps, a, gamma * gamma, beta * gamma),
+                             (sigma, 1.0 - sigma, eps, keep, gamma * gamma, beta * gamma),
                              (state.theta, state.m, state.v, state.g_prev), g.data, (),
                              (state.form,))
     return _blocked_step(state, step_index, _momentum_reduced_kernel,
-                         (sigma, 1.0 - sigma, eps, a, gamma * gamma * (1.0 - alpha * beta) / a,
-                          gamma * (beta - gamma) / a),
+                         (sigma, 1.0 - sigma, eps, keep,
+                          gamma * gamma * (1.0 - alpha * beta) / a, gamma * (beta - gamma) / a),
                          (state.theta, state.m, state.v), g.data, (), (None, state.form))
 
 
@@ -758,17 +792,18 @@ def _momentum_direct_kernel(ins, outs, scratch, c):
     theta, m, v, g_prev, grad = ins
     theta_new, m_new, v_new, g_prev_new = outs
     prev, curr = scratch
-    sigma, fresh, eps, a, m_prev, m_diff = c
+    sigma, fresh, eps, keep, m_prev, m_diff = c
     # prev, the previous scaled gradient, before v and g_prev are overwritten
     _over_rms(g_prev, v, eps, prev, prev)
     _second_moment(sigma, fresh, v, grad, v_new, curr)
     _over_rms(grad, v_new, eps, curr, curr)
-    # m_new = a * m + m_prev * prev + m_diff * (curr - prev)
+    # m_new = keep * m + m_prev * prev + m_diff * (curr - prev)
     np.subtract(curr, prev, curr)
     np.multiply(m_diff, curr, curr)
     np.multiply(m_prev, prev, prev)
-    np.multiply(a, m, m_new)
-    np.add(m_new, prev, m_new)
+    if keep is not None:
+        m = np.multiply(keep, m, m_new)
+    np.add(m, prev, m_new)
     np.add(m_new, curr, m_new)
     np.subtract(theta, m_new, theta_new)
     g_prev_new[...] = grad
@@ -778,12 +813,13 @@ def _momentum_reduced_kernel(ins, outs, scratch, c):
     theta, m, v, grad = ins
     theta_new, m_new, v_new = outs
     r, b = scratch
-    sigma, fresh, eps, a, m_rms, theta_rms = c
+    sigma, fresh, eps, keep, m_rms, theta_rms = c
     _second_moment(sigma, fresh, v, grad, v_new, r)
     _over_rms(grad, v_new, eps, r, r)
-    # m_new = a * m + m_rms * r; theta_new = theta - m_new - theta_rms * r
-    np.multiply(a, m, m_new)
-    np.add(m_new, np.multiply(m_rms, r, b), m_new)
+    # m_new = keep * m + m_rms * r; theta_new = theta - m_new - theta_rms * r
+    if keep is not None:
+        m = np.multiply(keep, m, m_new)
+    np.add(m, np.multiply(m_rms, r, b), m_new)
     np.subtract(theta, m_new, theta_new)
     np.subtract(theta_new, np.multiply(theta_rms, r, b), theta_new)
 

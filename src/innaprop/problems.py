@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -108,9 +109,10 @@ def load_csv_dataset(path, label_column: str, split_fraction: float = 0.75,
                      seed: int = 0) -> Dataset:
     """Parse a numeric CSV with a header row into a split dataset.
 
-    Malformed cells raise ``ParseError`` naming the row and column; a missing
-    label column raises ``ConfigError``. The file is read once, and the
-    dataset keeps the bytes it parsed as ``source``.
+    Malformed cells, non-numeric or non-finite (``nan``, ``inf``), raise
+    ``ParseError`` naming the row and column; a missing label column raises
+    ``ConfigError``. The file is read once, and the dataset keeps the bytes
+    it parsed as ``source``.
     """
     with open(path, "rb") as fh:
         source = fh.read()
@@ -133,11 +135,16 @@ def load_csv_dataset(path, label_column: str, split_fraction: float = 0.75,
             parsed = []
             for col, cell in zip(header, row):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(
                         f"{path}: row {lineno}, column {col!r}: non-numeric cell {cell.strip()!r}"
                     ) from None
+                # float() reads 'nan' and 'inf', which no step could train on.
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col!r}: non-finite cell {cell.strip()!r}")
+                parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows")

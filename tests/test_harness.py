@@ -163,6 +163,7 @@ class TestConfig:
         ({"problem": "quadratic", "dim": -1}, "'dim'"),
         ({"problem": "quadratic", "dim": 0}, "'dim'"),
         ({"problem": "rosenbrock", "dim": 0}, "'dim'"),
+        ({"problem": "rosenbrock", "dim": 1}, "'dim'"),
         ({"problem": "tiny_mlp", "dim": 0}, "'dim'"),
         ({"problem": "logistic_regression", "dim": 0}, "'dim'"),
         ({"problem": "tiny_mlp", "separation": float("nan")}, "'separation'"),
@@ -172,8 +173,9 @@ class TestConfig:
         ({"optimizer": "adamw", "weight_decay": float("inf")}, "'weight_decay'"),
         ({"alpha": float("-inf")}, "'alpha'"),
     ], ids=["quadratic-dim-negative", "quadratic-dim-zero", "rosenbrock-dim-zero",
-            "tiny_mlp-dim-zero", "logistic_regression-dim-zero", "separation-nan",
-            "spectrum-nan", "spectrum-inf", "lr-inf", "weight_decay-inf", "alpha-minus-inf"])
+            "rosenbrock-dim-one", "tiny_mlp-dim-zero", "logistic_regression-dim-zero",
+            "separation-nan", "spectrum-nan", "spectrum-inf", "lr-inf", "weight_decay-inf",
+            "alpha-minus-inf"])
     def test_nonpositive_dim_or_nonfinite_number_rejected(self, tmp_path, capsys, change,
                                                           match):
         self._rejected_before_compute(tmp_path, {**MINIMAL, **change}, match)
@@ -185,6 +187,44 @@ class TestConfig:
     def test_negative_inertial_pair_rejected(self, tmp_path, capsys, optimizer, key):
         raw = {**MINIMAL, "optimizer": optimizer, key: -1.0}
         self._rejected_before_compute(tmp_path, raw, f"'{key}'")
+
+    @pytest.mark.parametrize("change,match", [
+        ({"problem": "quadratic", "spectrum": ["a", 1.0]}, "'spectrum'"),
+        ({"problem": "quadratic", "spectrum": [True, 1.0]}, "'spectrum'"),
+        ({"problem": "quadratic", "spectrum": [[1.0], 2.0]}, "'spectrum'"),
+        ({"problem": "quadratic", "spectrum": [-1.0, 2.0]}, "'spectrum'"),
+        ({"problem": "quadratic", "spectrum": []}, "'spectrum'"),
+        ({"problem": "tiny_mlp", "hidden": ["x"]}, "'hidden'"),
+        ({"problem": "tiny_mlp", "hidden": [2.7]}, "'hidden'"),
+        ({"problem": "tiny_mlp", "hidden": [8, 2.0]}, "'hidden'"),
+        ({"problem": "tiny_mlp", "hidden": [True]}, "'hidden'"),
+        ({"problem": "tiny_mlp", "hidden": [0]}, "'hidden'"),
+        ({"problem": "tiny_mlp", "hidden": None}, "'hidden'"),
+        ({"steps": None}, "'steps'"),
+        ({"beta2": "fast"}, "'beta2'"),
+        ({"beta2": 0.9, "sigma": "fast"}, "'sigma'"),
+    ], ids=["spectrum-string", "spectrum-bool", "spectrum-list", "spectrum-negative",
+            "spectrum-empty", "hidden-string", "hidden-fraction", "hidden-float",
+            "hidden-bool", "hidden-zero", "hidden-null", "steps-null", "beta2-string",
+            "sigma-string-beside-beta2"])
+    def test_bad_list_element_or_null_rejected(self, tmp_path, capsys, change, match):
+        # Each raised ValueError or TypeError, or was truncated or run, before.
+        self._rejected_before_compute(tmp_path, {**MINIMAL, **change}, match)
+
+    def test_list_keys_keep_their_elements(self):
+        cfg = parse_config_dict({**MINIMAL, "problem": "quadratic", "spectrum": [1, 2.5],
+                                 "hidden": [16, 4]})
+        assert cfg.spectrum == (1.0, 2.5) and type(cfg.spectrum[0]) is float
+        assert cfg.hidden == (16, 4)
+        assert parse_config_dict(emit_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("bias_correction", [True, False])
+    def test_nadam_at_sigma_one_rejected(self, tmp_path, capsys, bias_correction):
+        # NAdam divides by 1 - sigma^k whatever 'bias_correction' says.
+        raw = {**MINIMAL, "optimizer": "nadam", "sigma": 1.0,
+               "bias_correction": bias_correction}
+        self._rejected_before_compute(tmp_path, raw, "'sigma'")
+        assert parse_config_dict({**raw, "sigma": 0.999}).optimizer == "nadam"
 
     def test_zero_alpha_and_dinadam_zero_beta_accepted(self):
         # beta = 0 is DINAdam's Adam limit.
@@ -598,9 +638,12 @@ class TestRunCsvPinned:
     with ``grad_clip`` 0.05, on a converging config and on a diverging one,
     so that ``diverged@k`` rows are pinned too. In the diverging config
     ``sigma`` 1 keeps ``v`` at zero, so the scaled steps grow fast; most
-    runs end in ``diverged@k`` (nadam's bias correction divides 0 by 0 at
-    step 1), twelve of them after a non-finite f32 gradient, and the clipped
-    f64 runs but nadam's stay ok."""
+    runs end in ``diverged@k``, and the clipped f64 runs stay ok. NAdam
+    bias-corrects at every ``bias_correction``, so it is rejected at
+    ``sigma`` 1 (its correction would divide 0 by 0 at step 1); it runs the
+    diverging config at ``sigma`` 0.999 and ``lr`` 1e6 instead, where its
+    unclipped f32 run diverges at step 2. That pin was recorded with the
+    code from before the rejection."""
 
     CONFIGS = {
         "converging": {"problem": "rosenbrock", "alpha": 0.1, "beta": 0.9, "lr": 1e-3,
@@ -609,6 +652,7 @@ class TestRunCsvPinned:
                       "weight_decay": 0.03, "sigma": 1.0, "bias_correction": False,
                       "steps": 30, "log_every": 1},
     }
+    OVERRIDES = {("diverging", "nadam"): {"sigma": 0.999, "lr": 1e6}}
     # sha256 over the four run.csv files of (f32, f64) x (no clip, clip 0.05).
     SHA256 = {
         ("converging", "adam"): "15b49da2814441345c6bdd2ced3ec88350a641a087b63538ff03384042f41888",
@@ -631,7 +675,7 @@ class TestRunCsvPinned:
         ("diverging", "innaprop_momentum"): "664cdd3dde32407a757e21ae5958e5a20a556b44a9c204194daa3a91ac152675",
         ("diverging", "innaprop_plain"): "4bc9b19fd722e63704277581fea7299f86613c623848e8c6297418db12d69a53",
         ("diverging", "momentum"): "c2f92a0163db11546fe8e15dcb97f13141ef2c3ee5a59d89649e9865e34ec9dc",
-        ("diverging", "nadam"): "f14a45fb0da62e150fe63f9520613ce472584d924a3eedba4bd337e7961013dc",
+        ("diverging", "nadam"): "e5504199e659e7865b837d2373778427c840251f8c3dc5c2010f5b9e4703082d",
         ("diverging", "nesterov"): "7a7f426504fddd35c07071a58dc84726c9db0cd9dc8fd4685e57e473cda44073",
         ("diverging", "rmsprop_momentum"): "6a554d59df48790757e005a20dcb76e584b3036f2675c1dabf56d6da3615284d",
         ("diverging", "sgd"): "152996bcfe3b64857f1dc8d4ac7ac98d5582e148fc2683a437390ed4f0cf3f35",
@@ -643,11 +687,50 @@ class TestRunCsvPinned:
         for precision in ("f32", "f64"):
             for clip in (None, 0.05):
                 cfg = parse_config_dict({**self.CONFIGS[config], "optimizer": optimizer,
+                                         **self.OVERRIDES.get((config, optimizer), {}),
                                          "precision": precision, "grad_clip": clip})
                 out = tmp_path / f"{precision}_{clip}"
                 run_experiment(cfg, out_dir=out)
                 digest.update((out / "run.csv").read_bytes())
         assert digest.hexdigest() == self.SHA256[(config, optimizer)]
+
+
+class TestCsvCells:
+    """A CSV dataset with a non-finite cell is rejected before any compute:
+    CLI exit 2, no output directory. A finite one trains as before."""
+
+    @staticmethod
+    def _run(tmp_path, problem, extra_row=None) -> tuple:
+        rows = [f"{0.1 * i},{1.0 - 0.2 * i},{i % 2}" for i in range(12)]
+        data = tmp_path / "data.csv"
+        if extra_row is not None:
+            rows.append(extra_row)
+        data.write_text("x0,x1,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        raw = {"problem": problem, "dataset": str(data), "label_column": "y",
+               "optimizer": "adamw", "steps": 5}
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        return main(["run", "--config", str(path), "--out", str(out)]), out, raw
+
+    @pytest.mark.parametrize("row,column", [("nan,0.3,1", "x0"), ("0.5,inf,0", "x1"),
+                                            ("0.5,0.3,-Infinity", "y")])
+    def test_non_finite_cell_rejected(self, tmp_path, capsys, row, column):
+        # It used to train to diverged@1, with no step-0 row in run.csv.
+        code, out, _ = self._run(tmp_path, "logistic_regression", row)
+        assert (code, out.exists()) == (2, False)
+        assert f"row 14, column {column!r}: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem,digest", [
+        ("logistic_regression", "b6a5b8359b05cf6efea77c34c29df08d90e699f1947e39ace226a36d23fd629d"),
+        ("tiny_mlp", "af0e7831726f71b32306dee2802b1bedbe83c6fa968fc6bdb9eeaa9e477b5cd9"),
+    ])
+    def test_finite_csv_run_unchanged(self, tmp_path, capsys, problem, digest):
+        # run.csv sha256 recorded before non-finite cells were rejected.
+        code, out, raw = self._run(tmp_path, problem)
+        assert code == 0
+        assert hashlib.sha256((out / "run.csv").read_bytes()).hexdigest() == digest
+        recorded = json.loads((out / "run.json").read_text())["config_hash"]
+        assert recorded == content_hash(parse_config_dict(raw))
 
 
 class TestContentHash:

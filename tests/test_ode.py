@@ -1,5 +1,7 @@
 """Continuous-flow layer: right-hand side, integrator order, discretization gap."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,29 @@ class TestStackedRk4:
             with pytest.raises(DivergenceError) as err:
                 rk4_integrate(spec, theta0)
         assert err.value.step == blew_up
+
+
+class TestRk4Pinned:
+    """The sha256 of every ``theta`` and ``psi`` sample of two trajectories,
+    recorded before the right-hand side hoisted its coefficients: one at
+    p = 2 (``ode_report``'s decay spec) and one at p = 4, where Rosenbrock's
+    gradient couples the coordinates. ``ode_report``'s own pins pass through
+    ratios and maxima, which need not move when one sample does."""
+
+    @pytest.mark.parametrize("spec,theta0,theta_sha,psi_sha", [
+        (DinFlowSpec(1.0, 1.0, QUAD, t_end=10.0, dt=0.01), [1.2, -0.8],
+         "1563bc4958820dea9a99392c2af892a7f8d20f06f1e45160096e8927bd930aa9",
+         "523c4cf50fb2356c6eccba41d7a401c666b91e5418b9a318b3ba502b030d950e"),
+        (DinFlowSpec(0.5, 0.9, make_problem("rosenbrock", dim=4), t_end=1.0, dt=1e-3),
+         [-1.2, 1.0, -1.2, 1.0],
+         "bd150e2e6643d28bb3c30535e3b4e79e162ceb0d2b3d3e5d7f441196fed3e849",
+         "d66e2f570f78dcfe1544ca9433645e8dac7d40016b97e6ea25052ba038bdcb3c"),
+    ], ids=["decay_p2", "rosenbrock_p4"])
+    def test_trajectory_bytes(self, spec, theta0, theta_sha, psi_sha):
+        traj = rk4_integrate(spec, ParamVector(theta0))
+        assert traj.theta.shape == traj.psi.shape == (1001, len(theta0))
+        assert hashlib.sha256(traj.theta.tobytes()).hexdigest() == theta_sha
+        assert hashlib.sha256(traj.psi.tobytes()).hexdigest() == psi_sha
 
 
 class TestDiscretizationGap:

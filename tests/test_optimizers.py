@@ -1,6 +1,8 @@
 """Spot values, fixed points, error contracts and state invariants for every
 update rule."""
 
+import copy
+import pickle
 import sys
 import threading
 from dataclasses import fields, replace
@@ -749,11 +751,13 @@ MOVED_PARAMS = ReferenceParams(beta1=0.8, beta2=0.99)
 # name -> (init(theta0), step(state, g, gamma), reference(state, g, gamma)),
 # one entry per rule and form.
 MOVED = {
-    **{f"momentum_{form}": (
-        lambda th, form=form: innaprop_momentum_init(MOMENTUM_CFG, th, form),
-        lambda s, g, gamma: innaprop_momentum_step(s, g, gamma, MOMENTUM_CFG),
-        lambda s, g, gamma: whole_array_momentum(s, g, gamma, MOMENTUM_CFG))
-       for form in ("direct", "reduced")},
+    # At alpha 0 the momentum kernels skip the product 1.0 * m.
+    **{f"momentum_{form}{suffix}": (
+        lambda th, form=form, cfg=cfg: innaprop_momentum_init(cfg, th, form),
+        lambda s, g, gamma, cfg=cfg: innaprop_momentum_step(s, g, gamma, cfg),
+        lambda s, g, gamma, cfg=cfg: whole_array_momentum(s, g, gamma, cfg))
+       for form in ("direct", "reduced")
+       for suffix, cfg in (("", MOMENTUM_CFG), ("_alpha0", replace(MOMENTUM_CFG, alpha=0.0)))},
     **{f"inna_{form}": (
         lambda th: inna_init(0.5, 0.9, th),
         lambda s, g, gamma, form=form: inna_step(s, g, gamma, 0.5, 0.9, form),
@@ -1113,6 +1117,113 @@ class TestOwnedBlock:
             assert _own(state) is state
             assert all(new is old and new.flags.writeable
                        for new, old in zip(slot_arrays(state), arrays)), name
+
+
+# ---------------------------------------------------------------------------
+# Recorded layout: a one-block state decides its layout at its first step
+# in place; its successors carry the decision outside their fields
+# ---------------------------------------------------------------------------
+
+# Every public step that runs through the blocked driver.
+DRIVEN_STEPS = sorted(set(EVERY_STEP) - {"innaprop_naive", "dinadam_direct"})
+
+
+def owned_run(name, steps, dim=42):
+    """An owned state of step ``name`` after ``steps`` steps in place, the
+    block its slots are rows of, and the generator of its gradients."""
+    init, step = EVERY_STEP[name]
+    rng = RngStream(dim, 23).generator()
+    state = _own(init(ParamVector(rng.standard_normal(dim))))
+    block = slot_arrays(state)[0].base
+    for _ in range(steps):
+        state = step(state, ParamVector(rng.standard_normal(dim)))
+    return state, block, rng
+
+
+class TestRecordedLayout:
+    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    def test_successors_carry_the_layout_and_keep_the_block(self, name):
+        state, block, rng = owned_run(name, 0)
+        assert "_layout" not in vars(state)
+        arrays = slot_arrays(state)
+        for k in range(1, 4):
+            state = EVERY_STEP[name][1](state, ParamVector(rng.standard_normal(42)))
+            slots, checked, dtype, dim = vars(state)["_layout"]
+            assert state.k == k and (dtype, dim) == (np.float64, 42)
+            assert all(a is b for a, b in zip(slot_arrays(state), arrays))
+            assert list(slots) == arrays and checked[0] is block and len(checked) == 1
+
+    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    def test_equality_repr_and_fields_are_unchanged(self, name):
+        state, _, _ = owned_run(name, 2)
+        twin = replace(state)  # built by __init__: no layout
+        assert "_layout" in vars(state) and "_layout" not in vars(twin)
+        assert state == twin and repr(state) == repr(twin)
+        assert "_layout" not in [f.name for f in fields(state)]
+
+    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    def test_replace_copy_decides_again(self, name):
+        step = EVERY_STEP[name][1]
+        state, block, rng = owned_run(name, 2)
+        g = ParamVector(rng.standard_normal(42))
+        want = slot_arrays(step(replace(state, theta=ParamVector(state.theta.data)), g))
+        # A public theta: fresh, read-only slots, and the block is not written.
+        before = block.copy()
+        fresh = step(replace(state, theta=ParamVector(state.theta.data)), g)
+        assert np.array_equal(block, before)
+        assert not any(np.shares_memory(arr, block) or arr.flags.writeable
+                       for arr in slot_arrays(fresh)), name
+        # Every slot writable, as today: written in place.
+        owned = step(replace(state, k=state.k), g)
+        assert all(arr.base is block for arr in slot_arrays(owned)), name
+        assert_bitwise(slot_arrays(fresh), want)
+        assert_bitwise(slot_arrays(owned), want)
+
+    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    def test_read_only_before_the_first_step_gets_fresh_slots(self, name):
+        step = EVERY_STEP[name][1]
+        state, block, rng = owned_run(name, 0)
+        slot_arrays(state)[-1].flags.writeable = False
+        new = step(state, ParamVector(rng.standard_normal(42)))
+        assert "_layout" not in vars(new)
+        assert not any(np.shares_memory(arr, block) for arr in slot_arrays(new)), name
+
+    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    def test_a_slot_made_read_only_after_the_decision_raises(self, name):
+        state, _, rng = owned_run(name, 2)
+        slot_arrays(state)[0].flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            EVERY_STEP[name][1](state, ParamVector(rng.standard_normal(42)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    def test_recorded_scan_still_diverges(self, name):
+        state, _, rng = owned_run(name, 2)
+        slot_arrays(state)[-1][-1] = np.nan
+        with pytest.raises(DivergenceError) as err:
+            EVERY_STEP[name][1](state, ParamVector(rng.standard_normal(42)))
+        assert err.value.step == 3
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda state: pickle.loads(pickle.dumps(state))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    def test_copies(self, name, copier):
+        # A shallow copy shares the slots and their layout; a deep copy or a
+        # pickled one has new arrays, and decides its layout again.
+        step = EVERY_STEP[name][1]
+        state, block, rng = owned_run(name, 2)
+        twin = copier(state)
+        g = ParamVector(rng.standard_normal(42))
+        before = block.copy()
+        got = slot_arrays(step(twin, g))
+        if copier is copy.copy:
+            assert vars(twin)["_layout"] is vars(state)["_layout"]
+            assert all(arr.base is block for arr in got)
+            return
+        assert vars(twin)["_layout"] is None and np.array_equal(block, before)
+        assert not any(np.shares_memory(arr, block) for arr in got)
+        assert_bitwise(got, slot_arrays(step(state, g)))
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ class TestCsvLoading:
         with pytest.raises(ParseError, match=r"row 3.*'b'"):
             load_csv_dataset(path, "y")
 
+    @pytest.mark.parametrize("cell,row,column", [("nan", 3, "b"), ("inf", 2, "a"),
+                                                 ("-inf", 3, "y"), (" NaN ", 2, "y"),
+                                                 ("Infinity", 3, "a")])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, row, column):
+        cells = [["1", "2", "0"], ["3", "4", "1"]]
+        cells[row - 2]["aby".index(column)] = cell
+        path = self._write(tmp_path, "a,b,y\n" + "".join(",".join(r) + "\n" for r in cells))
+        with pytest.raises(ParseError, match=rf"row {row}, column '{column}': non-finite"):
+            load_csv_dataset(path, "y")
+
     def test_missing_label_column(self, tmp_path):
         path = self._write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(ConfigError, match="label column"):
