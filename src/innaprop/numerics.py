@@ -109,6 +109,18 @@ class ParamVector:
     def __hash__(self):
         return hash((self.data.dtype.str, self.data.tobytes()))
 
+    def __reduce__(self):
+        # Under every pickle protocol and ``copy.deepcopy``, whose copies of
+        # ``data`` are writable: restored read-only, with the same dtype.
+        return type(self)._wrap, (self.data,)
+
+    def __copy__(self):
+        # Shares ``data`` with its flags as they are; ``_wrap`` would make an
+        # owner's writable slot read-only.
+        vec = object.__new__(type(self))
+        vec.data = self.data
+        return vec
+
 
 # Norm slack treated as "already clipped"; keeps clipping bitwise idempotent
 # while staying far inside the documented one-ulp tolerance on the bound.

@@ -58,20 +58,23 @@ class Trajectory:
         return problem.loss(self.theta)
 
 
-def _flow(spec: DinFlowSpec):
-    """The right-hand side of the flow of ``spec`` as a function of ``y``,
-    the (2, p) f64 array with theta in row 0 and psi in row 1; one gradient
-    call. Its coefficients and the gradient are looked up here, once per
-    integration, not once per call."""
-    drift_theta, beta, grad = -(spec.alpha - 1.0 / spec.beta), spec.beta, spec.problem.grad
+def _flow(spec: DinFlowSpec, p: int):
+    """The right-hand side of the flow of ``spec`` for p-length iterates:
+    ``rhs(th, ps, dth, dps)`` writes dtheta into ``dth`` and dpsi into ``dps``
+    with one gradient call. The coefficients, cast to 0-d f64 arrays, the
+    gradient function and one p-length scratch are made here, once per
+    integration, not once per call. A 0-d f64 array gives the same bits as
+    the Python float against f64 operands, without converting it per call."""
+    drift_theta = np.array(-(spec.alpha - 1.0 / spec.beta), dtype=np.float64)
+    beta = np.array(spec.beta, dtype=np.float64)
+    grad, tmp = spec.problem.grad, np.empty(p)
+    multiply, divide, subtract = np.multiply, np.divide, np.subtract
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        # Two indexings; unpacking the array would raise and catch an IndexError.
-        th, ps = y[0], y[1]
-        dy = np.empty(y.shape)  # f64, as y; empty_like adds a dispatch
-        drift = np.subtract(drift_theta * th, ps / beta, dy[1])
-        np.subtract(drift, beta * grad(th), dy[0])
-        return dy
+    def rhs(th, ps, dth, dps):
+        # drift_theta*th - ps/beta, then that minus beta*grad(th).
+        multiply(drift_theta, th, dps)
+        subtract(dps, divide(ps, beta, tmp), dps)
+        subtract(dps, multiply(beta, grad(th), tmp), dth)
 
     return rhs
 
@@ -82,7 +85,9 @@ def din_rhs(theta: ParamVector, psi: ParamVector, spec: DinFlowSpec):
     Raises ``DomainError`` when the gradient, and with it ``dtheta``, is not
     finite.
     """
-    dtheta, dpsi = _flow(spec)(np.array((theta.data, psi.data), dtype=np.float64))
+    y = np.array((theta.data, psi.data), dtype=np.float64)
+    dtheta, dpsi = np.empty(y.shape)
+    _flow(spec, y.shape[1])(y[0], y[1], dtheta, dpsi)
     if np.count_nonzero(np.isfinite(dtheta)) < dtheta.size:
         raise DomainError("non-finite gradient in din_rhs")
     return ParamVector(dtheta), ParamVector(dpsi)
@@ -101,32 +106,57 @@ def rk4_integrate(spec: DinFlowSpec, theta0: ParamVector, psi0: ParamVector | No
     ``psi0`` defaults to ``(1 - alpha*beta) * theta0``, the initialization
     under which critical points are equilibria of the flow. (theta, psi)
     advance as the two rows of one (2, p) array, so every stage is one set of
-    array operations for both.
+    array operations for both. Overflow on a diverging flow is reported as
+    ``DivergenceError`` at the first non-finite step, not as a warning.
     """
     n_steps = _step_count(spec.t_end, spec.dt)
     th = np.asarray(theta0.data, dtype=np.float64)
-    y = np.empty((2, th.size))
-    y[0] = th
-    y[1] = psi0.data if psi0 is not None else (1.0 - spec.alpha * spec.beta) * th
-    h = spec.dt
-    t = np.linspace(0.0, n_steps * h, n_steps + 1)
-    # states[0] holds theta and states[1] psi at every sample.
-    states = np.empty((2, n_steps + 1, th.size))
-    states[:, 0] = y
+    p = th.size
+    # Sample k is the contiguous (2, p) array samples[k], theta in row 0 and
+    # psi in row 1, which step k writes once; contiguous operands keep every
+    # ufunc on numpy's fast path. One copy at the end gives theta and psi
+    # their (N+1, p) C-contiguous layout; during that copy the trajectory is
+    # held twice.
+    samples = np.empty((n_steps + 1, 2, p))
+    samples[0, 0] = th
+    samples[0, 1] = psi0.data if psi0 is not None else (1.0 - spec.alpha * spec.beta) * th
+    t = np.linspace(0.0, n_steps * spec.dt, n_steps + 1)
 
-    rhs = _flow(spec)
-    half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k1 is (0.5 * h) * k1
-    for k in range(1, n_steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + half * k1)
-        k3 = rhs(y + half * k2)
-        k4 = rhs(y + h * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.count_nonzero(np.isfinite(y)) < y.size:
-            raise DivergenceError(k)
-        states[:, k] = y
+    # Made once per integration: the coefficients as 0-d f64 arrays, the
+    # (4, 2, p) stages K, the stage input Y, the stage sum and the row views
+    # of each. 0.5 * h * k1 is (0.5 * h) * k1.
+    h, half, sixth, two = (np.array(c, dtype=np.float64)
+                           for c in (spec.dt, 0.5 * spec.dt, spec.dt / 6.0, 2.0))
+    K, Y, total = np.empty((4, 2, p)), np.empty((2, p)), np.empty((2, p))
+    k1, k2, k3, _ = K
+    (k1t, k1p), (k2t, k2p), (k3t, k3p), (k4t, k4p) = K
+    middle, (y_th, y_ps) = K[1:3], Y
+    rhs, multiply, add, add_reduce = _flow(spec, p), np.multiply, np.add, np.add.reduce
+    isfinite, count_nonzero, size = np.isfinite, np.count_nonzero, 2 * p
 
-    return Trajectory(t=t, theta=states[0], psi=states[1])
+    rows = zip(samples, samples[:, 0], samples[:, 1])
+    y, y0, y1 = next(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (nxt, nxt0, nxt1) in enumerate(rows, 1):
+            rhs(y0, y1, k1t, k1p)
+            add(y, multiply(half, k1, Y), Y)
+            rhs(y_th, y_ps, k2t, k2p)
+            add(y, multiply(half, k2, Y), Y)
+            rhs(y_th, y_ps, k3t, k3p)
+            add(y, multiply(h, k3, Y), Y)
+            rhs(y_th, y_ps, k4t, k4p)
+            # k1 + 2*k2 + 2*k3 + k4: one product for both middle stages, then
+            # one reduction over the stage axis. That is K's outer axis, so
+            # numpy adds the four rows left to right, as the expression does;
+            # it sums pairwise only along an inner loop of 8 or more elements.
+            multiply(two, middle, middle)
+            add(y, multiply(sixth, add_reduce(K, 0, out=total), total), nxt)
+            if count_nonzero(isfinite(nxt)) < size:
+                raise DivergenceError(k)
+            y, y0, y1 = nxt, nxt0, nxt1
+
+    theta, psi = np.ascontiguousarray(samples.transpose(1, 0, 2))
+    return Trajectory(t=t, theta=theta, psi=psi)
 
 
 def richardson_ratio(spec: DinFlowSpec, theta0: ParamVector) -> float:
@@ -169,11 +199,14 @@ def discretization_gap(spec: DinFlowSpec, gamma: float, theta0: ParamVector | No
     alpha, beta, grad = spec.alpha, spec.beta, spec.problem.grad
     state = _own(inna_init(alpha, beta, ParamVector._wrap(theta0.data.copy())))
     gap = 0.0
-    for k in range(1, n_steps + 1):
-        g = ParamVector._wrap(grad(state.theta.data).astype(np.float64, copy=False))
-        state = inna_step(state, g, gamma, alpha, beta)
-        d = state.theta.data - flow_theta[k]
-        # The Euclidean norm as np.linalg.norm computes it for a real vector;
-        # math.sqrt rounds correctly, as np.sqrt does in f64.
-        gap = max(gap, math.sqrt(d.dot(d)))
+    # A diverging recursion is reported by the step's DivergenceError, not
+    # by overflow warnings first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            g = ParamVector._wrap(grad(state.theta.data).astype(np.float64, copy=False))
+            state = inna_step(state, g, gamma, alpha, beta)
+            d = state.theta.data - flow_theta[k]
+            # The Euclidean norm as np.linalg.norm computes it for a real
+            # vector; math.sqrt rounds correctly, as np.sqrt does in f64.
+            gap = max(gap, math.sqrt(d.dot(d)))
     return gap

@@ -359,9 +359,10 @@ def _rosenbrock(dim: int = 2) -> Problem:
     def grad(theta, batch=None):
         x = np.asarray(theta, dtype=np.float64)
         head, tail = x[..., :-1], x[..., 1:]
+        gap = tail - head ** 2
         g = np.zeros_like(x)
-        g[..., :-1] = -400.0 * head * (tail - head ** 2) - 2.0 * (1.0 - head)
-        g[..., 1:] += 200.0 * (tail - head ** 2)
+        g[..., :-1] = -400.0 * head * gap - 2.0 * (1.0 - head)
+        g[..., 1:] += 200.0 * gap
         return g
 
     def init_theta(rng):

@@ -1,4 +1,5 @@
-"""A seeded, bounded random search over ``parse_config_dict`` inputs.
+"""A seeded, bounded random search over ``parse_config_dict`` inputs, and
+over the grid and sweep overrides of the command line.
 
 Every generated config is either rejected before any compute, by
 ``ConfigError`` from parsing or ``ParseError`` from reading its CSV dataset
@@ -10,6 +11,7 @@ which ``validate_config`` must reject instead.
 """
 
 import json
+import math
 import random
 
 from innaprop.errors import ConfigError, ParseError
@@ -136,3 +138,71 @@ def test_every_config_is_rejected_before_compute_or_round_trips_and_runs(tmp_pat
     assert 20 <= ran <= len(generated) - 20
     assert len(generated) == RANDOM_CASES + 2 * len(OPTIMIZERS) + len(BAD_LISTS)
 
+
+
+# Grid and sweep overrides: each list is drawn from usual values and unusual
+# ones, given as the command line spells them ("1e400" parses to inf; "-inf"
+# and "-1e-3" read as options to argparse). The last unusual value of each is
+# a near-collision: a distinct float within one part in 1e9 of a usual one,
+# with the same 6-significant-digit file name.
+OVERRIDES = {
+    "--alphas": (["0", "0.1", "0.5", "1"],
+                 ["nan", "inf", "-inf", "-0.1", "1e400", "-0", repr(0.1 * (1 + 1e-9))]),
+    "--betas": (["0.5", "0.9", "1.5"],
+                ["nan", "inf", "0", "-0.5", "1e400", "-0", repr(0.9 * (1 + 1e-9))]),
+    "--lrs": (["1e-4", "1e-3", "0.01", "0.05"],
+              ["nan", "inf", "0", "-1e-3", "1e400", "1e-300", "0.9", "5", "-0",
+               repr(0.01 * (1 + 1e-9))]),
+}
+
+OVERRIDE_CASES = 60
+
+
+def override_values(rng: random.Random, flag: str) -> list:
+    """One to three distinct usual values for ``flag``, each replaced by an
+    unusual one at times, and at times a repeat of one of them appended."""
+    usual, unusual = OVERRIDES[flag]
+    values = [rng.choice(unusual) if rng.random() < 0.25 else v
+              for v in rng.sample(usual, rng.randint(1, 3))]
+    if rng.random() < 0.1:
+        values.append(rng.choice(values))
+    return values
+
+
+def override_cases() -> list:
+    """(command, {flag: values}) pairs, sweeps and grids in turn."""
+    rng = random.Random(20261019)
+    out = []
+    for i in range(OVERRIDE_CASES):
+        command, flags = ("sweep", ("--lrs",)) if i % 2 else ("grid", ("--alphas", "--betas"))
+        out.append((command, {flag: override_values(rng, flag) for flag in flags}))
+    return out
+
+
+def test_every_grid_and_sweep_override_is_rejected_before_compute_or_runs(tmp_path, capsys):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(BASE), encoding="utf-8")
+    ran = rejected = 0
+    for i, (command, overrides) in enumerate(override_cases()):
+        out = tmp_path / f"out{i}"
+        argv = [command, "--config", str(path), "--out", str(out),
+                *(arg for flag, values in overrides.items() for arg in (flag, *values))]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: "-inf" and "-1e-3" read as options
+            code = exc.code
+        if code == 2:
+            assert not out.exists(), argv
+            rejected += 1
+            continue
+        assert code == 0, argv
+        ran += 1
+        header, *rows = [line.split(",") for line in
+                         (out / f"{command}.csv").read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == math.prod(len(values) for values in overrides.values()), argv
+        for row in rows:
+            status = row[header.index("status")]
+            assert status == "ok" or (status.startswith("diverged@")
+                                      and int(status[len("diverged@"):]) >= 2), (status, argv)
+    # The search reaches both outcomes.
+    assert ran >= 10 and rejected >= 10, (ran, rejected)

@@ -1,6 +1,8 @@
 """Vectors, clipping, deterministic randomness, finite differences."""
 
 import concurrent.futures
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -39,6 +41,25 @@ class TestParamVector:
         v = ParamVector([1.0, 2.0])
         with pytest.raises(ValueError):
             v.data[0] = 5.0
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_read_only_under_every_protocol(self, precision, protocol):
+        v = ParamVector([1.0, -2.5, 3e-8], precision)
+        twin = pickle.loads(pickle.dumps(v, protocol=protocol))
+        assert twin == v and twin.data.dtype == v.data.dtype
+        assert not twin.data.flags.writeable
+
+    def test_copies(self):
+        # A shallow copy shares the data as it is, writable or not; a deep
+        # copy has its own data, read-only.
+        owned = np.array([1.0, 2.0])
+        v = ParamVector._wrap(owned)
+        owned.setflags(write=True)
+        shallow, deep = copy.copy(v), copy.deepcopy(v)
+        assert shallow.data is owned and owned.flags.writeable
+        assert deep == v and not np.shares_memory(deep.data, owned)
+        assert not deep.data.flags.writeable
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_adopt_rows_takes_every_row_over_unscanned(self):

@@ -1,6 +1,7 @@
 """Continuous-flow layer: right-hand side, integrator order, discretization gap."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from innaprop.ode import (
     rk4_integrate,
 )
 from innaprop.optimizers import _BLOCK, inna_init, inna_step
-from innaprop.problems import Problem, make_problem
+from innaprop.problems import Problem, generate_synthetic, make_problem
 
 QUAD = make_problem("quadratic", spectrum=(1.0, 10.0))
 
@@ -122,13 +123,23 @@ def two_array_rk4(spec, theta0):
     return np.linspace(0.0, n_steps * h, n_steps + 1), np.array(thetas), np.array(psis), None
 
 
+MLP = make_problem("tiny_mlp", dataset=generate_synthetic("two_gaussians", n=200, dim=2, seed=7))
+
+
 class TestStackedRk4:
     @pytest.mark.parametrize("problem,alpha,beta,theta0", [
         (QUAD, 0.5, 0.9, [1.2, -0.8]),
         (QUAD, 1.0, 1.0, [0.3, 2.0]),
+        (make_problem("quadratic", spectrum=(3.0,)), 0.5, 0.9, [1.5]),
+        # Past numpy's 8-element threshold for pairwise sums.
+        (make_problem("quadratic", spectrum=tuple(np.linspace(0.5, 12.0, 9))), 0.5, 0.9,
+         list(np.linspace(-1.0, 1.0, 9))),
         (make_problem("rosenbrock", dim=2), 0.1, 0.9, [-1.2, 1.0]),
         (make_problem("rosenbrock", dim=5), 0.5, 0.7, [0.5, -0.3, 1.1, 0.8, -1.0]),
-    ])
+        # A gradient through matmul, at p = 42.
+        (MLP, 0.5, 0.9, list(MLP.init_theta(RngStream(5, 0).generator()))),
+    ], ids=["quad_p2", "quad_p2_unit", "quad_p1", "quad_p9", "rosenbrock_p2",
+            "rosenbrock_p5", "tiny_mlp_p42"])
     def test_bitwise_equal_to_two_array_loop(self, problem, alpha, beta, theta0):
         spec = DinFlowSpec(alpha, beta, problem, t_end=0.5, dt=1e-3)
         traj = rk4_integrate(spec, ParamVector(theta0))
@@ -136,6 +147,7 @@ class TestStackedRk4:
         assert blew_up is None
         for got, want in ((traj.t, t), (traj.theta, thetas), (traj.psi, psis)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert traj.theta.flags.c_contiguous and traj.psi.flags.c_contiguous
 
     @pytest.mark.parametrize("problem,t_end,dt,theta0", [
         # A step past RK4's stability bound: the state grows geometrically
@@ -149,7 +161,11 @@ class TestStackedRk4:
         theta0 = ParamVector(theta0)
         with np.errstate(over="ignore", invalid="ignore"):
             _, _, _, blew_up = two_array_rk4(spec, theta0)
-            assert blew_up is not None
+        assert blew_up is not None
+        # The overflow on the way is reported by the DivergenceError alone:
+        # a floating-point warning would raise here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as err:
                 rk4_integrate(spec, theta0)
         assert err.value.step == blew_up
@@ -191,6 +207,18 @@ class TestDiscretizationGap:
 
     def test_small_step_regression_bound(self):
         assert discretization_gap(self.SPEC, 1e-4, self.THETA0) < 1e-3
+
+    def test_diverging_recursion_raises_without_warnings(self):
+        # A stable flow from a huge start, and a recursion at gamma close to
+        # beta that overflows within a dozen steps: the DivergenceError is
+        # the one report, with no floating-point warning before it.
+        quad = make_problem("quadratic", spectrum=(300.0, 1.0))
+        spec = DinFlowSpec(0.1, 0.9, quad, t_end=17.0, dt=0.0085)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                discretization_gap(spec, 0.85, ParamVector([1e280, 1.0]))
+        assert err.value.step == 12
 
     def test_zero_gradient_gap_is_exactly_zero(self):
         spec = DinFlowSpec(0.5, 0.9, flat_problem(), t_end=1.0, dt=1e-2)

@@ -1141,6 +1141,27 @@ def owned_run(name, steps, dim=42):
 
 
 class TestRecordedLayout:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("name", sorted(EVERY_STEP))
+    def test_every_state_pickles_under_every_protocol(self, name, precision, protocol):
+        init, step = EVERY_STEP[name]
+        rng = RngStream(42, 24).generator()
+        state = step(init(ParamVector(rng.standard_normal(42), precision)),
+                     ParamVector(rng.standard_normal(42), precision))
+        twin = pickle.loads(pickle.dumps(state, protocol=protocol))
+        assert type(twin) is type(state) and twin == state
+        for got, want in zip(slot_arrays(twin), slot_arrays(state)):
+            assert got.dtype == want.dtype and not got.flags.writeable
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    def test_owned_state_pickles_without_its_layout(self, name, protocol):
+        state, block, _ = owned_run(name, 2)
+        twin = pickle.loads(pickle.dumps(state, protocol=protocol))
+        assert twin == state and vars(twin)["_layout"] is None
+        assert not any(np.shares_memory(arr, block) for arr in slot_arrays(twin))
+
     @pytest.mark.parametrize("name", DRIVEN_STEPS)
     def test_successors_carry_the_layout_and_keep_the_block(self, name):
         state, block, rng = owned_run(name, 0)

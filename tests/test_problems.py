@@ -68,6 +68,18 @@ class TestRosenbrock:
         an = prob.grad(point)
         assert np.max(np.abs(fd - an)) / np.max(np.abs(an)) < 1e-6
 
+    @pytest.mark.parametrize("shape", [(2,), (5,), (3, 2), (4, 5)])
+    def test_gradient_bytes_match_the_two_expression_formula(self, shape):
+        # The gradient as written before ``tail - head**2`` was computed once
+        # per call: the same ufuncs on the same operands give the same bytes.
+        x = RngStream(15, shape[-1]).generator().uniform(-2.0, 2.0, shape)
+        head, tail = x[..., :-1], x[..., 1:]
+        want = np.zeros_like(x)
+        want[..., :-1] = -400.0 * head * (tail - head ** 2) - 2.0 * (1.0 - head)
+        want[..., 1:] += 200.0 * (tail - head ** 2)
+        got = make_problem("rosenbrock", dim=shape[-1]).grad(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestGradientFidelity:
     def test_all_shipped_problems(self):
