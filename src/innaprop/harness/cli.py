@@ -9,6 +9,7 @@ Subcommands: ``run`` (one experiment), ``grid`` ((alpha, beta) search),
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -102,8 +103,25 @@ def _cmd_ode(args) -> int:
     return EXIT_OK
 
 
+# A token that float() reads and that begins with "-": "-0.5", "-1e-3",
+# "-inf", "-nan". argparse's own pattern takes only plain ones such as "-1"
+# and "-0.5" for values and the rest for options, so "--lrs 0.01 -1e-3"
+# stopped at argparse; as values, they reach the library's own checks.
+_NEGATIVE_NUMBER = re.compile(
+    r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads every ``_NEGATIVE_NUMBER`` token as
+    a value; its subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="innaprop",
         description="Inertial-Newton optimizer experiments and verification suites.",
     )

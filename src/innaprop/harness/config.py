@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -377,10 +377,3 @@ def load_preset(name: str) -> RunConfig:
     if not candidate.is_file():
         raise ConfigError(f"unknown preset {name!r}; shipped: {preset_names()}")
     return parse_config_dict(json.loads(candidate.read_text(encoding="utf-8")))
-
-
-def with_optimizer(config: RunConfig, optimizer: str, **overrides) -> RunConfig:
-    """Swap the optimizer while reusing schedule, decay and sigma settings."""
-    cfg = replace(config, optimizer=optimizer, **overrides)
-    validate_config(cfg)
-    return cfg

@@ -70,6 +70,15 @@ def _summarize_cell(alpha, beta, results: CellResults, i: int, short_step) -> Gr
     )
 
 
+def _distinct_tags(tags: list, what: str, values: str):
+    """Reject tags that coincide: a tag names a cell's files and its line of
+    output, so two cells must not share one."""
+    if len(set(tags)) != len(tags):
+        shared = sorted({tag for tag in tags if tags.count(tag) > 1})
+        raise ConfigError(f"{what} would share the names {shared}; "
+                          f"{values} must differ in their first 6 significant digits")
+
+
 def grid_search(base_config: RunConfig, alphas=None, betas=None,
                 out_dir=None) -> GridResult:
     """One lock-step run of every (alpha, beta) cell; rows sorted by (alpha, beta).
@@ -88,12 +97,8 @@ def grid_search(base_config: RunConfig, alphas=None, betas=None,
         raise ConfigError("duplicate alphas or betas in grid")
 
     cells = [(a, b) for a in alphas for b in betas]
-    # Each cell's files are named by its tag, so two cells must not share one.
     tags = [f"cell_a{a:g}_b{b:g}" for a, b in cells]
-    if len(set(tags)) != len(tags):
-        shared = sorted({tag for tag in tags if tags.count(tag) > 1})
-        raise ConfigError(f"grid cells would share the file names {shared}; "
-                          "alphas and betas must differ in their first 6 significant digits")
+    _distinct_tags(tags, "grid cells", "alphas and betas")
     configs = [replace(base_config, alpha=a, beta=b) for a, b in cells]
     for cfg in configs:
         validate_config(cfg)
@@ -119,17 +124,24 @@ class SweepRow:
 
 
 def lr_sweep(base_config: RunConfig, lrs=None, out_dir=None) -> list[SweepRow]:
-    """One lock-step run of every candidate initial learning rate."""
+    """One lock-step run of every candidate initial learning rate.
+
+    Every rate is validated up front, which rejects a repeated rate, a rate
+    that is not positive, and two rates whose names (``lr{v:g}``, as the
+    command line prints them) coincide.
+    """
     lrs = tuple(lrs) if lrs is not None else DEFAULT_LR_SWEEP
     if len(set(lrs)) != len(lrs):
         raise ConfigError("duplicate learning rates in sweep list")
     if any(not v > 0 for v in lrs):
         raise ConfigError("learning rates must be positive")
+    tags = [f"lr{v:g}" for v in lrs]
+    _distinct_tags(tags, "sweep cells", "learning rates")
     configs = [replace(base_config, lr=v) for v in lrs]
     for cfg in configs:
         validate_config(cfg)
 
-    runs = run_experiment(configs, tag=[f"lr{v:g}" for v in lrs])
+    runs = run_experiment(configs, tag=tags)
     rows = []
     for i, cfg in enumerate(configs):
         last, summary = runs.last_row(i), runs.summary(i)

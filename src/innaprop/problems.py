@@ -212,11 +212,12 @@ class Problem:
     is one vector of ``dim`` entries, or a ``(cells, dim)`` stack of them:
     a vector gives a float loss and metric and a ``(dim,)`` gradient, a stack
     gives ``(cells,)`` losses and metrics and a ``(cells, dim)`` gradient.
-    Each cell's numbers are bit for bit those of its own 1-D call, because
-    every operation maps cells to cells with the same BLAS call per cell and
-    reduces along the last axis only. ``grad`` returns a fresh array, which
-    the run loop takes over without a copy. ``test_metric`` is None when
-    there is no test split to measure.
+    A vector is evaluated as it is, with no cells axis, and so is a one-row
+    stack. Each row of a stack gives bit for bit the numbers of its own 1-D
+    call, because every operation maps cells to cells with the same BLAS
+    call per cell and reduces along the last axis only. ``grad`` returns a
+    fresh array, which the run loop takes over without a copy.
+    ``test_metric`` is None when there is no test split to measure.
     """
 
     name: str
@@ -297,18 +298,23 @@ def _argmax_last(z: np.ndarray) -> np.ndarray:
 
 
 def _over_cells(fn, cell_size: Callable[[Optional[np.ndarray]], int]):
-    """Lift ``fn(cells, batch)``, written for a (cells, dim) f64 array and
-    returning one result row per cell, to the ``Problem`` calling convention.
+    """Lift ``fn(theta, batch)``, written for a (..., dim) f64 array and
+    returning one result per vector, to the ``Problem`` calling convention.
 
-    ``cell_size(batch)`` is the size of a cell's largest intermediate; it sets
-    how many cells make one chunk. A 1-D parameter vector is evaluated as a
-    one-cell view and answers with its row: a float for a per-cell scalar.
+    A 1-D parameter vector, or the row of a one-row stack, goes to ``fn`` as
+    it is: no cells axis, so 2-D activations. A per-vector scalar comes back
+    a float for a vector. Only a real stack is cut into chunks, and each of
+    its rows gives bit for bit its vector's numbers; ``cell_size(batch)`` is
+    the size of a cell's largest intermediate, and it sets how many cells
+    make a chunk.
     """
     def lifted(theta, batch=None):
         arr = np.asarray(theta, dtype=np.float64)
         if arr.ndim == 1:
-            out = fn(arr[None], batch)[0]
+            out = fn(arr, batch)
             return float(out) if out.ndim == 0 else out
+        if len(arr) == 1:
+            return fn(arr[0], batch)[None]
         step = max(1, _CHUNK // cell_size(batch))
         if len(arr) <= step:
             return fn(arr, batch)
@@ -385,7 +391,9 @@ def _logistic_regression(dataset: Dataset) -> Problem:
         raise ContractViolation("logistic_regression needs labels in {0, 1}")
     d = dataset.dim
     x_train, y_train = dataset.train_xy()
-    sign = 2.0 * y_train - 1.0
+    # Each margin is taken with the sign -1 for label 1 and +1 for label 0,
+    # negated once here (exactly) and not on every call.
+    flip = -(2.0 * y_train - 1.0)
 
     def cell_size(batch):
         return x_train.shape[0] if batch is None else batch.size
@@ -393,24 +401,26 @@ def _logistic_regression(dataset: Dataset) -> Problem:
     def _margins(x, theta):
         # One gemv per cell: a single (cells, d) @ (d, n) gemm would round
         # differently from the 1-D call's gemv.
-        return (x @ theta[:, :d, None])[..., 0] + theta[:, d, None]
+        return (x @ theta[..., :d, None])[..., 0] + theta[..., d, None]
 
     def _batch(batch):
+        # The features are gathered on their own, contiguous: OpenBLAS's
+        # gemv rounds a strided view of wider rows differently.
         if batch is None:
-            return x_train, sign
-        return x_train[batch], sign[batch]
+            return x_train, flip
+        return x_train.take(batch, 0), flip.take(batch)
 
     def loss(theta, batch):
-        x, s = _batch(batch)
-        return np.logaddexp(0.0, -s * _margins(x, theta)).sum(axis=-1) / s.size
+        x, f = _batch(batch)
+        return np.logaddexp(0.0, f * _margins(x, theta)).sum(axis=-1) / f.size
 
     def grad(theta, batch):
-        x, s = _batch(batch)
+        x, f = _batch(batch)
         z = _margins(x, theta)
-        dz = -s * _sigmoid(-s * z) / z.shape[-1]
-        g = np.empty((len(theta), d + 1))
-        g[:, :d] = (x.T @ dz[..., None])[..., 0]
-        g[:, d] = dz.sum(axis=-1)
+        dz = f * _sigmoid(f * z) / z.shape[-1]
+        g = np.empty(theta.shape)
+        np.matmul(x.T, dz[..., None], out=g[..., :d, None])
+        np.add.reduce(dz, axis=-1, out=g[..., d])
         return g
 
     x_test, y_test = dataset.test_xy()
@@ -446,17 +456,15 @@ class _MlpLayout:
             offset += fan_in * fan_out
             b = slice(offset, offset + fan_out)
             offset += fan_out
-            self.slices.append((w, b, fan_in, fan_out))
+            self.slices.append((w, b, (fan_in, fan_out)))
         self.dim = offset
 
     def unpack(self, theta):
-        """Per-layer (W, b) views of a (cells, dim) array: W is
-        (cells, fan_in, fan_out) and b is (cells, 1, fan_out)."""
-        cells = len(theta)
-        return [
-            (theta[:, w].reshape(cells, fan_in, fan_out), theta[:, None, b])
-            for w, b, fan_in, fan_out in self.slices
-        ]
+        """Per-layer (W, b) views of a (..., dim) array: W is
+        (..., fan_in, fan_out) and b is (..., 1, fan_out)."""
+        lead = theta.shape[:-1]
+        return [(theta[..., w].reshape(lead + shape), theta[..., None, b])
+                for w, b, shape in self.slices]
 
 
 ACTIVATIONS = ("tanh", "relu")
@@ -477,70 +485,80 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
         raise ContractViolation("layer widths must be positive")
     layout = _MlpLayout(widths)
     widest = max(widths[1:])
+    tanh = activation == "tanh"
 
     def _forward(params, x):
         """Every layer's output: ``x`` first, the logits last. One gemm per
-        cell, as ``x @ W`` broadcasts the shared rows over the cells. The
-        logits' bias may go on by columns (``_by_columns``); a hidden
-        layer's stays a broadcast, which was faster at width 8."""
+        cell, as ``x @ W`` broadcasts the shared rows over the cells (one in
+        all for a vector, which has no cells axis). The logits' bias may go
+        on by columns (``_by_columns``); a hidden layer's stays a broadcast,
+        which was faster at width 8."""
         acts = [x]
-        for i, (w, b) in enumerate(params):
+        for w, b in params[:-1]:
             z = acts[-1] @ w
-            if i < len(params) - 1:
-                z += b
-                if activation == "tanh":
-                    np.tanh(z, out=z)
-                else:
-                    np.maximum(z, 0.0, out=z)
+            z += b
+            if tanh:
+                np.tanh(z, out=z)
             else:
-                _by_columns(np.add, z, b, out=z)
+                np.maximum(z, 0.0, out=z)
             acts.append(z)
+        w, b = params[-1]
+        z = acts[-1] @ w
+        acts.append(_by_columns(np.add, z, b, out=z))
         return acts
 
     one_hot = np.eye(n_classes)[labels]
     all_rows = np.arange(labels.size)  # the full batch's row index, built once
 
-    def _batch_xy(batch):
-        if batch is None:
-            return x_train, labels, one_hot
-        return x_train[batch], labels[batch], one_hot[batch]
-
     def cell_size(batch):
         return widest * (x_train.shape[0] if batch is None else batch.size)
 
     def loss(theta, batch):
-        x, y, _ = _batch_xy(batch)
-        rows = all_rows if batch is None else np.arange(y.size)
+        if batch is None:
+            x, y, rows = x_train, labels, all_rows
+        else:
+            x, y, rows = x_train.take(batch, 0), labels.take(batch), np.arange(batch.size)
         logits = _forward(layout.unpack(theta), x)[-1]
         shifted = _by_columns(np.subtract, logits, _last_axis(np.maximum, logits)[..., None],
                               out=logits)
         logz = np.log(_last_axis(np.add, np.exp(shifted)))
-        return (logz - shifted[:, rows, y]).sum(axis=-1) / y.size
+        return (logz - shifted[..., rows, y]).sum(axis=-1) / y.size
 
     def grad(theta, batch):
-        x, y, y_hot = _batch_xy(batch)
+        # The labels only as one-hot rows, their one use here; x is gathered
+        # on its own, contiguous, as in logistic regression's ``_batch`` (a
+        # product with d = 1 or a layer of width 1 goes through gemv).
+        if batch is None:
+            x, y_hot = x_train, one_hot
+        else:
+            x, y_hot = x_train.take(batch, 0), one_hot.take(batch, 0)
         params = layout.unpack(theta)
         acts = _forward(params, x)
-        logits = acts[-1]
-        shifted = _by_columns(np.subtract, logits, _last_axis(np.maximum, logits)[..., None],
-                              out=logits)
-        ez = np.exp(shifted)
-        delta = _by_columns(np.divide, ez, _last_axis(np.add, ez)[..., None], out=ez)  # softmax
+        z = acts[-1]  # the logits, shifted, exponentiated and normalized in place
+        _by_columns(np.subtract, z, _last_axis(np.maximum, z)[..., None], out=z)
+        np.exp(z, out=z)
+        delta = _by_columns(np.divide, z, _last_axis(np.add, z)[..., None], out=z)  # softmax
         delta -= y_hot  # minus 1 at each row's label, minus 0 elsewhere: exact
-        delta /= y.size
+        delta /= len(y_hot)
 
-        g = np.zeros((len(theta), layout.dim))
-        for i in reversed(range(len(params))):
-            w, _ = params[i]
-            w_sl, b_sl, fan_in, fan_out = layout.slices[i]
-            g[:, w_sl] = (acts[i].swapaxes(-1, -2) @ delta).reshape(len(theta), -1)
-            g[:, b_sl] = delta.sum(axis=-2)
+        # Each layer's gradient is written straight into its slices of g, and
+        # a hidden layer's activations, read for the last time, become its
+        # derivative in place. acts[0] is x, the training rows themselves.
+        g = np.empty(theta.shape)
+        lead = theta.shape[:-1]
+        for i in range(len(params) - 1, -1, -1):
+            w_sl, b_sl, shape = layout.slices[i]
+            np.matmul(acts[i].swapaxes(-1, -2), delta, out=g[..., w_sl].reshape(lead + shape))
+            np.add.reduce(delta, axis=-2, out=g[..., b_sl])
             if i > 0:
-                upstream = delta @ w.swapaxes(-1, -2)
-                if activation == "tanh":
-                    delta = upstream * (1.0 - acts[i] ** 2)
+                upstream = delta @ params[i][0].swapaxes(-1, -2)
+                a = acts[i]
+                if tanh:  # upstream * (1 - a**2)
+                    np.multiply(a, a, out=a)
+                    np.subtract(1.0, a, out=a)
+                    delta = np.multiply(upstream, a, out=upstream)
                 else:  # relu: its output is > 0 exactly where its input is
-                    delta = upstream * (acts[i] > 0)
+                    delta = np.multiply(upstream, a > 0, out=upstream)
         return g
 
     x_test, y_test = dataset.test_xy()
@@ -552,7 +570,7 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
 
     def init_theta(rng):
         theta0 = np.zeros(layout.dim)
-        for w_sl, b_sl, fan_in, fan_out in layout.slices:
+        for w_sl, _, (fan_in, fan_out) in layout.slices:
             lim = 1.0 / np.sqrt(fan_in)
             theta0[w_sl] = rng.uniform(-lim, lim, fan_in * fan_out)
         return theta0

@@ -23,7 +23,7 @@ from innaprop.harness.checks import (
     schedulers_suite,
     stagnation_report,
 )
-from innaprop.harness.config import parse_config_dict, with_optimizer
+from innaprop.harness.config import parse_config_dict, validate_config
 from innaprop.harness.grid import grid_search
 from innaprop.harness.runner import rows_to_csv, run_experiment
 from innaprop.numerics import ParamVector, RngStream
@@ -256,7 +256,8 @@ def test_criterion_10_protocol_scale():
     started = time.perf_counter()
     base = parse_config_dict(PROTOCOL)
 
-    adam_cfg = with_optimizer(base, "adamw")
+    adam_cfg = replace(base, optimizer="adamw")
+    validate_config(adam_cfg)
     adam_rows, adam_summary = run_experiment(adam_cfg)
     short_step = 40
     adam_short = next(r for r in adam_rows if r.step == short_step and r.status == "ok")
@@ -320,7 +321,8 @@ def test_cross_op_consistency_grid_cell_equals_standalone_adamw():
     # run at beta1 = 0 on the same seed and problem.
     base = parse_config_dict({**PROTOCOL, "steps": 80, "log_every": 10})
     grid = grid_search(base, alphas=[1.0], betas=[1.0])
-    adam_cfg = with_optimizer(base, "adamw", beta1=0.0)
+    adam_cfg = replace(base, optimizer="adamw", beta1=0.0)
+    validate_config(adam_cfg)
     _, adam_summary = run_experiment(adam_cfg)
     cell = grid.cells[0]
     rel = abs(cell.final_train_loss - adam_summary.final_train_loss) / max(

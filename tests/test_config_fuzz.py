@@ -14,6 +14,8 @@ import json
 import math
 import random
 
+import pytest
+
 from innaprop.errors import ConfigError, ParseError
 from innaprop.harness.cli import main
 from innaprop.harness.config import OPTIMIZERS, build_problem, emit_config, parse_config_dict
@@ -142,9 +144,9 @@ def test_every_config_is_rejected_before_compute_or_round_trips_and_runs(tmp_pat
 
 # Grid and sweep overrides: each list is drawn from usual values and unusual
 # ones, given as the command line spells them ("1e400" parses to inf; "-inf"
-# and "-1e-3" read as options to argparse). The last unusual value of each is
-# a near-collision: a distinct float within one part in 1e9 of a usual one,
-# with the same 6-significant-digit file name.
+# and "-1e-3" look like options, but the command line reads them as values).
+# The last unusual value of each is a near-collision: a distinct float within
+# one part in 1e9 of a usual one, with the same 6-significant-digit name.
 OVERRIDES = {
     "--alphas": (["0", "0.1", "0.5", "1"],
                  ["nan", "inf", "-inf", "-0.1", "1e400", "-0", repr(0.1 * (1 + 1e-9))]),
@@ -187,12 +189,10 @@ def test_every_grid_and_sweep_override_is_rejected_before_compute_or_runs(tmp_pa
         out = tmp_path / f"out{i}"
         argv = [command, "--config", str(path), "--out", str(out),
                 *(arg for flag, values in overrides.items() for arg in (flag, *values))]
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse: "-inf" and "-1e-3" read as options
-            code = exc.code
+        code = main(argv)  # argparse's own exit would raise SystemExit here
+        err = capsys.readouterr().err
         if code == 2:
-            assert not out.exists(), argv
+            assert err.startswith("config error: ") and not out.exists(), (argv, err)
             rejected += 1
             continue
         assert code == 0, argv
@@ -206,3 +206,37 @@ def test_every_grid_and_sweep_override_is_rejected_before_compute_or_runs(tmp_pa
                                       and int(status[len("diverged@"):]) >= 2), (status, argv)
     # The search reaches both outcomes.
     assert ran >= 10 and rejected >= 10, (ran, rejected)
+
+
+# Values that look like options: each reaches the library's own check, which
+# rejects it with its own message. argparse's own pattern would take "-1e-3",
+# "-inf" and "-NaN" for options and stop with "unrecognized arguments" or
+# "expected at least one argument".
+OPTION_LIKE = [
+    ("sweep", ["--lrs", "0.01", "-1e-3"], "learning rates must be positive"),
+    ("sweep", ["--lrs", "-inf"], "learning rates must be positive"),
+    ("grid", ["--alphas", "-inf", "--betas", "0.9"], "key 'alpha' must be finite"),
+    ("grid", ["--alphas", "0.1", "--betas", "-0.5"], "beta=-0.5"),
+    ("grid", ["--alphas", "-1e-3", "--betas", "0.9"], "key 'alpha' must be >= 0"),
+    ("grid", ["--alphas", "-NaN", "--betas", "0.9"], "key 'alpha' must be finite"),
+    # Two rates with one printed name, lr0.01.
+    ("sweep", ["--lrs", "0.01", repr(0.01 * (1 + 1e-9))], "['lr0.01']"),
+]
+
+
+def test_option_like_values_reach_the_library_check(tmp_path, capsys):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(BASE), encoding="utf-8")
+    for i, (command, args, message) in enumerate(OPTION_LIKE):
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", str(path), "--out", str(out), *args]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, (args, err)
+        assert not out.exists(), args
+
+
+def test_an_option_is_still_an_option(capsys):
+    # "-h" is not a number: it still asks for help, after a list value too.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", "preset:cifar_small", "--lrs", "0.01", "-h"])
+    assert exc.value.code == 0 and "usage: innaprop sweep" in capsys.readouterr().out

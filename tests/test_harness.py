@@ -17,6 +17,7 @@ import pytest
 from innaprop.errors import ConfigError, ContractViolation
 import innaprop.harness.checks as checks
 import innaprop.harness.config as config_module
+import innaprop.harness.grid as grid_module
 import innaprop.harness.runner as runner
 from innaprop.harness.cli import main
 from innaprop.harness.config import (
@@ -30,7 +31,7 @@ from innaprop.harness.config import (
     parse_config,
     parse_config_dict,
     preset_names,
-    with_optimizer,
+    validate_config,
 )
 from innaprop.harness.grid import (
     DEFAULT_GRID,
@@ -294,7 +295,8 @@ class TestConfig:
     def test_protocol_fidelity_on_optimizer_swap(self):
         cfg = parse_config_dict({**MINIMAL, "sigma": 0.99, "weight_decay": 0.1,
                                  "schedule": "cosine", "t_max": 200})
-        paired = with_optimizer(cfg, "adamw")
+        paired = replace(cfg, optimizer="adamw")
+        validate_config(paired)
         assert paired.sigma == cfg.sigma
         assert paired.weight_decay == cfg.weight_decay
         assert paired.schedule == cfg.schedule and paired.t_max == cfg.t_max
@@ -401,7 +403,9 @@ class TestRunExperiment:
             "lr": 1e-3, "steps": 120, "batch_size": 16, "log_every": 10, "seed": 4,
         })
         rows_ip, _ = run_experiment(base)
-        rows_aw, _ = run_experiment(with_optimizer(base, "adamw", beta1=0.0))
+        adamw = replace(base, optimizer="adamw", beta1=0.0)
+        validate_config(adamw)
+        rows_aw, _ = run_experiment(adamw)
         assert len(rows_ip) == len(rows_aw)
         for a, b in zip(rows_ip, rows_aw):
             assert a.step == b.step
@@ -969,6 +973,17 @@ class TestSweep:
     def test_duplicates_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             lr_sweep(parse_config_dict(self.BASE), lrs=[1e-3, 1e-3])
+
+    def test_rates_with_one_name_rejected_before_any_compute(self, tmp_path, monkeypatch):
+        # 0.01 and 0.0100000001 are distinct rates with one name, lr0.01:
+        # the sweep printed two "lr=0.01" lines with different losses.
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(grid_module, "run_experiment", no_compute)
+        with pytest.raises(ConfigError, match=r"\['lr0.01'\]"):
+            lr_sweep(parse_config_dict(self.BASE), lrs=[1e-3, 0.01, 0.0100000001],
+                     out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
 
     def test_interior_optimum_on_shipped_conditioning(self):
         rows = lr_sweep(parse_config_dict(self.BASE))

@@ -1,5 +1,6 @@
 """Objectives, datasets, samplers and their standing gradient checks."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from innaprop.errors import ConfigError, ContractViolation, ParseError
 from innaprop.harness.checks import gradient_fidelity
-from innaprop.harness.config import build_problem, load_preset
+from innaprop.harness.config import build_problem, load_preset, parse_config_dict
+from innaprop.harness.runner import run_experiment
 from innaprop.numerics import ParamVector, RngStream
 from innaprop.problems import (
     _CHUNK,
@@ -253,12 +255,24 @@ class TestSamplerAndBatches:
 class TestStackedCells:
     """A (cells, dim) stack is evaluated in one call, bit for bit as each of
     its rows on its own, whether its cells take one chunk of the stacked
-    evaluation or several."""
+    evaluation or several. At one cell this holds a one-row stack to its
+    vector: both are evaluated without a cells axis."""
 
     # The shipped problems, then tiny_mlp on a 3-class and a 9-class CSV: 3
-    # logits are reduced a column at a time, 9 by numpy's own reduction.
+    # logits are reduced a column at a time, 9 by numpy's own reduction;
+    # last a relu tiny_mlp with two hidden layers on the 3-class CSV.
     CASES = ("quadratic", "rosenbrock", "logistic_regression", "tiny_mlp",
-             "tiny_mlp_3_classes", "tiny_mlp_9_classes")
+             "tiny_mlp_3_classes", "tiny_mlp_9_classes", "tiny_mlp_relu_3_classes")
+
+    @classmethod
+    def _problem(cls, class_csv, name):
+        index = cls.CASES.index(name)
+        if index < 4:
+            return shipped_problems()[index]
+        dataset = load_csv_dataset(class_csv(int(name.split("_")[-2])), "y")
+        if "relu" in name:
+            return make_problem("tiny_mlp", dataset=dataset, hidden=(8, 5), activation="relu")
+        return make_problem("tiny_mlp", dataset=dataset)
 
     @staticmethod
     def _assert_rows(problem, theta, batches):
@@ -279,18 +293,42 @@ class TestStackedCells:
     @pytest.mark.parametrize("cells", [1, 3, 81])
     @pytest.mark.parametrize("name", CASES)
     def test_stack_equals_row_by_row(self, class_csv, name, cells):
-        index = self.CASES.index(name)
-        if index < 4:
-            problem = shipped_problems()[index]
-        else:
-            n_classes = int(name.split("_")[2])
-            problem = make_problem("tiny_mlp", dataset=load_csv_dataset(class_csv(n_classes), "y"))
-        rng = RngStream(cells, index).generator()
+        problem = self._problem(class_csv, name)
+        rng = RngStream(cells, self.CASES.index(name)).generator()
         theta = 0.7 * rng.standard_normal((cells, problem.dim))
         batches = [None]
         if problem.dataset is not None:
             batches.append(rng.integers(0, problem.dataset.n_train, 32))
         self._assert_rows(problem, theta, batches)
+
+    # sha256 over run.csv in f32 then f64 for runs no shipped preset covers,
+    # recorded before a vector was evaluated without a cells axis: a relu
+    # tiny_mlp with minibatches on the 3-class CSV, and a full-batch
+    # logistic regression.
+    RUN_CSV = {
+        "tiny_mlp_relu_3_classes": (
+            {"problem": "tiny_mlp", "activation": "relu", "hidden": [8, 5],
+             "label_column": "y", "batch_size": 16, "alpha": 0.5, "beta": 0.5, "lr": 0.01,
+             "steps": 60, "log_every": 4},
+            "29828822a38a379498f0493bbc44c550483d6e2d4f047b86749801c471848839"),
+        "logistic_full_batch": (
+            {"problem": "logistic_regression", "dataset": "two_gaussians", "dim": 3,
+             "n_samples": 120, "separation": 2.0, "alpha": 0.5, "beta": 0.5, "lr": 0.05,
+             "steps": 60, "log_every": 4},
+            "9df2f0b6d847213a82fdcb201a3083bdff6d1c3a3e81f9b16d5b42cb93fdd3f8"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUN_CSV))
+    def test_run_csv_pinned(self, tmp_path, class_csv, name):
+        raw, want = self.RUN_CSV[name]
+        if raw["problem"] == "tiny_mlp":
+            raw = {**raw, "dataset": str(class_csv(3))}
+        digest = hashlib.sha256()
+        for precision in ("f32", "f64"):
+            out = tmp_path / precision
+            run_experiment(parse_config_dict({**raw, "precision": precision}), out_dir=out)
+            digest.update((out / "run.csv").read_bytes())
+        assert digest.hexdigest() == want
 
     def test_stack_over_several_chunks(self):
         # The shipped tiny_mlp's full-batch loss and gradient hold 8 hidden
@@ -324,6 +362,80 @@ class TestStackedCells:
         theta = RngStream(3, 1).generator().standard_normal((3, problem.dim))
         low = theta.astype(np.float32)
         np.testing.assert_array_equal(problem.grad(low), problem.grad(low.astype(np.float64)))
+
+
+def reference_mlp_grad(theta, x, labels, widths, activation):
+    """The tiny_mlp gradient written plainly: contiguous rows, a fresh array
+    for every intermediate, the same ufuncs in the same order. numpy's own
+    max and sum give the bits of ``_last_axis`` (``TestLastAxis``)."""
+    params, offset = [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        w = theta[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        params.append((w, theta[None, offset:offset + fan_out]))
+        offset += fan_out
+    acts = [x]
+    for i, (w, b) in enumerate(params):
+        z = acts[-1] @ w + b
+        if i < len(params) - 1:
+            z = np.tanh(z) if activation == "tanh" else np.maximum(z, 0.0)
+        acts.append(z)
+    shifted = acts[-1] - acts[-1].max(axis=-1)[:, None]
+    ez = np.exp(shifted)
+    delta = (ez / ez.sum(axis=-1)[:, None] - np.eye(widths[-1])[labels]) / labels.size
+    parts = []  # each layer's (W, b) gradient, last layer first
+    for i in reversed(range(len(params))):
+        parts[:0] = [(acts[i].T @ delta).reshape(-1), delta.sum(axis=0)]
+        if i > 0:
+            upstream = delta @ params[i][0].T
+            if activation == "tanh":
+                delta = upstream * (1.0 - acts[i] ** 2)
+            else:
+                delta = upstream * (acts[i] > 0)
+    return np.concatenate(parts)
+
+
+def reference_logistic_grad(theta, x, labels):
+    d = x.shape[1]
+    s = 2.0 * labels - 1.0
+    z = x @ theta[:d] + theta[d]
+    e = np.exp(-np.abs(-s * z))
+    dz = -s * (np.where(-s * z >= 0, 1.0, e) / (1.0 + e)) / z.size
+    return np.concatenate([x.T @ dz, [dz.sum()]])
+
+
+class TestGradientBytes:
+    """Each gradient gives the bytes of its plain reference, for one vector,
+    full batch and minibatch, at the shapes where BLAS takes another path:
+    one feature, a layer of width 1, no hidden layer, one-row batches."""
+
+    @pytest.mark.parametrize("hidden", [(8,), (1,), (4, 1), (1, 3), ()])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_tiny_mlp(self, dim, activation, hidden):
+        data = generate_synthetic("two_gaussians", n=90, dim=dim, seed=dim)
+        problem = make_problem("tiny_mlp", dataset=data, hidden=hidden, activation=activation)
+        x_train, y_train = data.train_xy()
+        widths = [dim, *hidden, 2]
+        rng = RngStream(dim, len(hidden)).generator()
+        for batch in (None, rng.integers(0, data.n_train, 32), rng.integers(0, data.n_train, 1)):
+            rows = slice(None) if batch is None else batch
+            theta = 0.7 * rng.standard_normal(problem.dim)
+            want = reference_mlp_grad(theta, x_train[rows], y_train[rows].astype(np.int64),
+                                      widths, activation)
+            assert problem.grad(theta, batch).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_logistic_regression(self, dim):
+        data = generate_synthetic("two_gaussians", n=90, dim=dim, seed=dim)
+        problem = make_problem("logistic_regression", dataset=data)
+        x_train, y_train = data.train_xy()
+        rng = RngStream(dim, 9).generator()
+        for batch in (None, rng.integers(0, data.n_train, 32), rng.integers(0, data.n_train, 1)):
+            rows = slice(None) if batch is None else batch
+            theta = 0.7 * rng.standard_normal(problem.dim)
+            want = reference_logistic_grad(theta, x_train[rows], y_train[rows])
+            assert problem.grad(theta, batch).tobytes() == want.tobytes()
 
 
 class TestLastAxis:
