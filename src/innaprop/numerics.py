@@ -38,8 +38,9 @@ class Precision(enum.Enum):
 class ParamVector:
     """Immutable 1-D vector of reals in a fixed precision (F32 or F64).
 
-    The run loop is the one owner that makes vectors writable: it does so
-    once, for the slots of the optimizer states it owns.
+    Only the owners of optimizer states make vectors writable: the run loop
+    and the check loops, ``ode.discretization_gap`` among them, each once,
+    through ``optimizers._own``, for the slots of the states it steps.
 
     The dimension is set at construction; an optimizer step rejects a
     gradient whose dimension or precision differs from its state's. The

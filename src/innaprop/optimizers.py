@@ -14,9 +14,9 @@ the state's one to four slots and builds the new state itself. A rule is
 one module-level ``kernel(ins, outs, scratch, c)`` and the tuple ``c`` of
 coefficients its public step computes as Python floats, ``1 - rate`` among
 them: a kernel takes its coefficients as ready operands and does no
-arithmetic on them. A tuple that repeats the thread's last one for the
-kernel bit for bit reaches it cast once to 0-d arrays of the slots' dtype,
-which give the same bits at a lower cost per ufunc call (``_operands``).
+arithmetic on them. A tuple that repeats an owned state's last one bit for
+bit reaches the kernel cast once to 0-d arrays of the slots' dtype, which
+give the same bits at a lower cost per ufunc call (``_operands``).
 The reference kinds' rules are one table, ``_REFERENCE``. RMSprop's two
 steps are written once, for every adaptive kernel: ``_second_moment``
 updates the squared-gradient average and ``_over_rms`` divides by
@@ -27,11 +27,12 @@ RMSpropMomentum kernel is Momentum's on it. A non-finite new slot aborts
 the step with ``DivergenceError`` carrying the offending step index instead
 of silently propagating NaNs. Every rule reads the gradient into a new slot,
 and ``0*inf`` and ``x*nan`` are NaN, so a non-finite gradient is rejected
-too. When every slot of the given state is
-writable, as in the states a run loop or a check loop owns (``_own``), the
-new slots are written over the old ones, so a step holds one state, not
-two, and the new state is built without re-running its class's checks. A
-public state's slots are read-only, and it gets fresh slots.
+too. A state that a run loop or a check loop owns carries the record
+``_own`` made for it (``_Owned``): its slots, its scan, its scratch rows and
+its last coefficients. Its new slots are written over the old ones, so a
+step holds one state, not two, and the new state is built without
+re-running its class's checks. Every other state, as every public one, gets
+fresh slots.
 
 The oracles, ``innaprop_naive_step`` and ``dinadam_direct_step``, keep
 their whole-array expressions and end in ``_advance``, which checks and
@@ -50,7 +51,6 @@ Naming used throughout:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 from typing import Optional
@@ -291,42 +291,62 @@ _ROWS = (None, lambda rows: (rows[0],), itemgetter(0, 1), itemgetter(0, 1, 2),
          itemgetter(0, 1, 2, 3))
 
 
+class _Owned:
+    """What ``_own`` decides for a state, once, for it and its in-place
+    successors: ``arrays``, the slot arrays its steps write in place;
+    ``checked``, the arrays their finiteness scan covers (the block, when
+    there is one); ``scratch``, two kernel rows when it has at most
+    ``_BLOCK`` elements, else ``None``; ``last``, its last coefficients,
+    their cast and the signs of their zeros (``_operands``). It rides in the
+    state's instance ``__dict__`` as ``_owned``, not as a field: equality,
+    ``repr`` and ``fields()`` are as without it, and a ``dataclasses.replace``
+    copy, built by ``__init__``, has none. A copy by ``copy.deepcopy`` or
+    ``pickle`` has new, read-only arrays, and its record becomes ``None``.
+    """
+
+    __slots__ = ("arrays", "checked", "scratch", "last")
+
+    def __init__(self, arrays, checked, scratch):
+        self.arrays, self.checked, self.scratch, self.last = arrays, checked, scratch, None
+
+    def __reduce__(self):
+        return type(None), ()
+
+
 def _own(state):
-    """``state`` with every slot writable, as a run loop or a check loop
-    owns it, so that blocked steps write it in place; made once at setup,
-    never per step.
+    """``state`` owned, as a run loop or a check loop owns it: its slots
+    writable and an ``_Owned`` record in its ``__dict__``, so that blocked
+    steps write it and its successors in place; made once at setup, never
+    per step. Only such a state is written in place.
 
     A state of at most ``_BLOCK`` elements gets copies of its slots as the
     rows of one writable ``(slots, dim)`` array, which ``_blocked_step``
-    checks with one scan. A larger state keeps its own slots, made writable:
-    a copy would double its memory. So the owner must own those arrays: a
-    state from ``*_init(theta0)`` holds ``theta0`` itself, and a loop that
-    owns it must build it from its own copy of ``theta0``. No slot that a
-    blocked step writes may share memory with another slot or another state.
-    The oracles' whole-array steps write no state, so owning one of their
-    states changes only its layout.
+    checks with one scan, and two scratch rows of its own. A larger state
+    keeps its own slots, made writable, and is returned itself: a copy would
+    double its memory. So the owner must own those arrays: a state from
+    ``*_init(theta0)`` holds ``theta0`` itself, and a loop that owns it must
+    build it from its own copy of ``theta0``. No slot that a blocked step
+    writes may share memory with another slot or another state. The oracles'
+    whole-array steps write no state, so owning one of their states changes
+    only its layout.
     """
     names = [f.name for f in fields(state) if isinstance(getattr(state, f.name), ParamVector)]
-    if getattr(state, names[0]).dim > _BLOCK:
-        for name in names:
-            getattr(state, name).data.flags.writeable = True
-        return state
-    rows = {}
-    for name, row in zip(names, np.array([getattr(state, name).data for name in names])):
-        rows[name] = ParamVector._wrap(row)
-        row.flags.writeable = True
-    return replace(state, **rows)
-
-
-# Per thread: ``rows``, the two scratch rows of the last one-block step,
-# which the next step of the same length and dtype reuses: about 0.5 us of a
-# 15 us step at dim 42. A kernel leaves no value in them that a later call
-# reads, and runs no code that could step another state meanwhile. A larger
-# step allocates its block scratch per call: kept between calls, a 256 KB
-# buffer changed how the allocator served the megabyte arrays around a step
-# at dim 1e6, and the same numpy passes then ran at a different speed.
-# And ``last``, the last coefficients of each kernel (see ``_operands``).
-_scratch = threading.local()
+    arrays = [getattr(state, name).data for name in names]
+    if arrays[0].size > _BLOCK:
+        for arr in arrays:
+            arr.flags.writeable = True
+        checked, scratch = arrays, None
+    else:
+        block = np.array(arrays)
+        # A list, not ``_ROWS``: the naive oracle's state has five slots.
+        arrays = list(block)
+        state = replace(state, **{name: ParamVector._wrap(row) for name, row in zip(names, arrays)})
+        for row in arrays:
+            row.flags.writeable = True
+        rows = np.empty((2, block.shape[1]), block.dtype)
+        checked, scratch = (block,), (rows[0], rows[1])
+    state.__dict__["_owned"] = _Owned(arrays, checked, scratch)
+    return state
 
 
 def _cast(coeffs, dtype):
@@ -348,133 +368,94 @@ def _zero_signs(coeffs) -> list:
     return signs
 
 
-def _operands(kernel, coeffs, dtype):
-    """The coefficients ``kernel`` gets from ``_blocked_step``: ``coeffs``
-    as they are, or, when they repeat the calling thread's last
-    coefficients for ``kernel`` and ``dtype`` bit for bit, those cast once
-    to 0-d arrays of ``dtype``.
+def _operands(owned, coeffs):
+    """The coefficients an owned state's kernel gets from ``_blocked_step``:
+    ``coeffs`` as they are, or, when they repeat the state's last
+    coefficients bit for bit, those cast once to 0-d arrays of its dtype.
 
     A 0-d operand of the slots' dtype gives the bits of the Python float it
     was cast from, under NEP 50, and saves about 0.3-0.5 us per ufunc call
     at dims 2-64. A check loop's constant step size without bias correction
-    repeats its tuple, and pays one cast per kernel; a run loop's step size
+    repeats its tuple, and pays one cast per state; a run loop's step size
     or step index changes every call, and it pays one comparison and casts
     nothing: a cast per call costs about what it saves. ``==`` takes -0.0
     for 0.0, and the cosine schedule's last step size 0 gives ``psi_theta``
     either sign, so the signs of zeros are compared too.
     """
-    last = getattr(_scratch, "last", None)
-    if last is None:
-        last = _scratch.last = {}
-    seen = last.get(kernel)
-    if seen is not None and seen[1] is dtype and seen[0] == coeffs:
-        cast, signs = seen[2], seen[3]
+    last = owned.last
+    if last is not None and last[0] == coeffs:
+        _, cast, signs = last
         if cast is None:  # the first repeat
             signs = _zero_signs(coeffs)
-            if signs == _zero_signs(seen[0]):
-                cast = _cast(coeffs, dtype)
-                last[kernel] = (coeffs, dtype, cast, signs)
+            if signs == _zero_signs(last[0]):
+                cast = _cast(coeffs, owned.arrays[0].dtype)
+                owned.last = (coeffs, cast, signs)
                 return cast
         elif not signs or _zero_signs(coeffs) == signs:
             return cast
-    last[kernel] = (coeffs, dtype, None, None)
+    owned.last = (coeffs, None, None)
     return coeffs
-
-
-class _Layout(tuple):
-    """An owned one-block state's layout, as ``_blocked_step`` decided it at
-    the state's first step in place: ``(arrays, checked, dtype, dim)``, the
-    slot arrays it writes in place, the arrays its scan covers (one, the
-    block, when the slots are its rows), their dtype and their length.
-
-    The in-place successors carry it in their instance ``__dict__`` as
-    ``_layout``, not as a field, so that equality, ``repr``, ``fields()`` and
-    ``dataclasses.replace`` copies, which decide their layout again, are as
-    without it. A copy by ``copy.deepcopy`` or ``pickle`` has new arrays, and
-    its layout becomes ``None``, so it decides again too.
-    """
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return type(None), ()
 
 
 def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarray, head=(), tail=()):
     """The state after ``state`` from the update ``kernel`` over its one to
     four ``slots`` and the raw gradient, all of one length and precision.
-    The new state is ``type(state)(*head, *new_slots, *tail, step_index)``:
-    ``head`` and ``tail`` are its other fields, such as a ``ReferenceState``'s
-    kind tag before its slots or a ``DinadamState``'s rates after them.
     Every step but the oracles' ends here.
 
-    When every slot is writable, as in a state from ``_own``, the new slots
-    are the old ones, written in place: every kernel is elementwise and
-    reads an input block, and every input its later writes overwrite, before
-    it writes the output block over it. Otherwise the new slots are the rows
-    of one fresh ``(slots, dim)`` array. A state of at most ``_BLOCK``
-    elements written in place decides this once: its successors carry the
-    decision (``_Layout``), so a slot made read-only after its first step in
-    place makes the kernel raise numpy's ``ValueError``.
+    A state from ``_own``, or an in-place successor of one, carries its
+    ``_Owned`` record, and its new slots are the old ones, written in place:
+    every kernel is elementwise and reads an input block, and every input
+    its later writes overwrite, before it writes the output block over it.
+    Its successor is built without its class's ``__init__``: the same slot
+    objects, record and other fields, at ``step_index``, since they passed
+    its checks when the state was built. A slot made read-only makes the
+    kernel raise numpy's ``ValueError``. Any other state gets fresh slots,
+    the rows of one new ``(slots, dim)`` array, in the new state
+    ``type(state)(*head, *new_slots, *tail, step_index)``: ``head`` and
+    ``tail`` are its other fields, such as a ``ReferenceState``'s kind tag
+    before its slots or a ``DinadamState``'s rates after them.
 
     ``kernel(ins, outs, scratch, coeffs)`` gets the slots then the gradient
     as ``ins``, the new slots as ``outs`` and two scratch rows: the arrays
     themselves when they have at most ``_BLOCK`` elements, else aligned
     column blocks. ``coeffs`` is the tuple of Python floats the public step
-    computed, ``None`` where the kernel skips a branch, or, when it repeats
-    the thread's last tuple for the kernel, that tuple cast once to 0-d
-    arrays of the slots' dtype (``_operands``); either takes the slots'
-    precision in every ufunc and gives the same bits. The kernel does no
-    arithmetic on them, only applies them, the same for every block. It
-    writes through each ufunc's ``out`` argument, given by position, which
-    numpy parses faster than the keyword. Each output block is checked
-    while in cache, by one scan when the new slots are the rows of one array
-    and one per slot otherwise: a non-finite element raises
-    ``DivergenceError(step_index)``, the verdict of a whole-array check, and
-    leaves a state written in place partly written.
-
-    A state written in place gets a successor built without its class's
-    ``__init__``: the same slot objects and other fields, at ``step_index``,
-    since they passed its checks when the state was built.
+    computed, ``None`` where the kernel skips a branch, or, for an owned
+    state that repeats its last tuple, that tuple cast once to 0-d arrays
+    of the slots' dtype (``_operands``); either takes the slots' precision
+    in every ufunc and gives the same bits. The kernel does no arithmetic
+    on them, only applies them, the same for every block. It writes through
+    each ufunc's ``out`` argument, given by position, which numpy parses
+    faster than the keyword. Each output block is checked while in cache,
+    by one scan when the new slots are the rows of one array and one per
+    slot otherwise: a non-finite element raises
+    ``DivergenceError(step_index)``, the verdict of a whole-array check,
+    and leaves a state written in place partly written.
     """
-    layout = state.__dict__.get("_layout")
-    if layout is None:
-        arrays = [slot.data for slot in slots]
-        first = arrays[0]
-        count, dim, dtype = len(arrays), first.size, first.dtype
-        rows = first.base  # one array when the slots are its rows, as ``_own`` lays them out
-        for arr in arrays:
-            if not arr.flags.writeable:
-                rows = np.empty((count, dim), dtype)
-                outs = _ROWS[count](rows)
-                break
-            if arr.base is not rows:
-                rows = None
-        else:
-            outs = arrays
-            if rows is not None and rows.shape != (count, dim):
-                rows = None
-        checked = outs if rows is None else (rows,)
-        if outs is arrays and dim <= _BLOCK:
-            layout = _Layout((arrays, checked, dtype, dim))
+    owned = state.__dict__.get("_owned")
+    if owned is None:
+        rows = np.empty((len(slots), grad.size), grad.dtype)
+        ins = [slot.data for slot in slots] + [grad]
+        outs, checked, scratch = _ROWS[len(slots)](rows), (rows,), None
     else:
-        outs, checked, dtype, dim = layout
-        arrays = outs
-    ins = [*arrays, grad]
-    coeffs = _operands(kernel, coeffs, dtype)
+        outs, checked, scratch = owned.arrays, owned.checked, owned.scratch
+        ins = [*outs, grad]
+        coeffs = _operands(owned, coeffs)
+    dim = grad.size
     if dim <= _BLOCK:  # one block: no views, no check buffer
-        scratch = getattr(_scratch, "rows", None)
-        if scratch is None or scratch[0].size != dim or scratch[0].dtype is not dtype:
-            block = np.empty((2, dim), dtype)
+        if scratch is None:
+            rows = np.empty((2, dim), grad.dtype)
             # Two indexings; unpacking the array would raise and catch an IndexError.
-            scratch = _scratch.rows = block[0], block[1]
+            scratch = rows[0], rows[1]
         kernel(ins, outs, scratch, coeffs)
         for out in checked:
             # count_nonzero costs about half of .all() on small arrays.
             if np.count_nonzero(np.isfinite(out)) < out.size:
                 raise DivergenceError(step_index)
     else:
-        scratch = np.empty((2, _BLOCK), dtype)
+        # Per call: kept between calls, a 256 KB buffer changed how the
+        # allocator served the megabyte arrays around a step at dim 1e6,
+        # and the same numpy passes then ran at a different speed.
+        scratch = np.empty((2, _BLOCK), grad.dtype)
         finite = np.empty((*checked[0].shape[:-1], _BLOCK), dtype=bool)
         for lo in range(0, dim, _BLOCK):
             hi = min(lo + _BLOCK, dim)
@@ -485,15 +466,14 @@ def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarra
             for out in checked:
                 if np.count_nonzero(np.isfinite(out[..., lo:hi], finite)) < finite.size:
                     raise DivergenceError(step_index)
-    if outs is arrays:
-        successor = object.__new__(type(state))
-        # Item by item: update() with keywords first builds a dict of them.
-        new = successor.__dict__
-        new.update(state.__dict__)
-        new["k"] = step_index
-        new["_layout"] = layout
-        return successor
-    return type(state)(*head, *map(ParamVector._wrap, outs), *tail, step_index)
+    if owned is None:
+        return type(state)(*head, *map(ParamVector._wrap, outs), *tail, step_index)
+    successor = object.__new__(type(state))
+    # Item by item: update() with keywords first builds a dict of them.
+    new = successor.__dict__
+    new.update(state.__dict__)
+    new["k"] = step_index
+    return successor
 
 
 def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
@@ -563,10 +543,10 @@ def innaprop_step(
 
     With ``weight_decay`` 0 and ``bias_correction`` off this is the
     constant-step recursion on the raw ``v``. The gradient must be evaluated
-    at the pre-decay ``theta``. A state whose slots are all writable is
-    written in place. After the decay this is, bit for bit,
-    ``inna_step(form="compact")`` on ``g / (sqrt(v_hat) + eps)``: INNA with
-    RMSprop's scaling, as the kernel computes it.
+    at the pre-decay ``theta``. An owned state is written in place. After
+    the decay this is, bit for bit, ``inna_step(form="compact")`` on
+    ``g / (sqrt(v_hat) + eps)``: INNA with RMSprop's scaling, as the kernel
+    computes it.
 
     The update runs through ``_blocked_step``: it evaluates the formulas
     above block by block, with the same ufuncs in the same order and the
@@ -953,8 +933,8 @@ def reference_step(
       ``step = gamma*(beta1*m_hat + (1-beta1)*g/(1-beta1^k)) / (sqrt(v_hat)+eps)``
       with ``m_hat = m_new/(1 - beta1^(k+1))``.
 
-    Every kind writes the new slots over the old ones when all of the
-    state's slots are writable (see ``_blocked_step``).
+    Every kind writes an owned state's new slots over the old ones (see
+    ``_blocked_step``).
     """
     _guard_gamma(gamma_k)
     step_index = _begin(state, state.theta, g)

@@ -22,6 +22,7 @@ from innaprop.harness.checks import (
 from innaprop.numerics import ParamVector, RngStream
 from innaprop.optimizers import (
     _BLOCK,
+    _own,
     InnapropConfig,
     innaprop_init,
     innaprop_momentum_init,
@@ -72,18 +73,16 @@ def test_three_slot_step_allocates_only_its_slots():
     assert peak < 3 * dim * theta0.data.itemsize + 2 * 2**20
 
 
-def test_donated_step_allocates_only_scratch():
-    # A step given a state whose every slot is writable writes the new slots
-    # over the old ones: beyond the state it holds only two block scratch
-    # buffers.
+def test_owned_step_allocates_only_scratch():
+    # A step given an owned state (``_own``) writes the new slots over the
+    # old ones: beyond the state it holds only two block scratch buffers.
     dim = 10**6
     cfg = InnapropConfig(alpha=0.1, beta=0.9, weight_decay=0.01)
     rng = RngStream(4, 0).generator()
     theta0 = ParamVector(rng.standard_normal(dim))
     g = ParamVector(rng.standard_normal(dim))
-    state = innaprop_step(innaprop_init(cfg, theta0), g, 1e-3, cfg)
-    for slot in (state.theta, state.psi, state.v):
-        slot.data.flags.writeable = True
+    state = _own(innaprop_step(innaprop_init(cfg, theta0), g, 1e-3, cfg))
+    slots = (state.theta.data, state.psi.data, state.v.data)
     tracemalloc.start()
     try:
         state = innaprop_step(state, g, 1e-3, cfg)
@@ -91,6 +90,8 @@ def test_donated_step_allocates_only_scratch():
     finally:
         tracemalloc.stop()
     assert state.k == 2
+    assert all(new is old for new, old in zip((state.theta.data, state.psi.data,
+                                               state.v.data), slots))
     assert peak < 2 * 2**20
 
 

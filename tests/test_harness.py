@@ -1227,11 +1227,36 @@ class TestBenchmarkHooks:
         assert layers[f"{tracing.STEP}.bytes_moved_computed"] == 20 * 7 * 2 * 8
 
 
+def test_every_blocked_step_of_the_workloads_is_on_an_owned_state(monkeypatch):
+    # The run loop and the check loops own every state they step, so every
+    # blocked step of `check all`, a preset run and a 2 x 2 grid gets a
+    # state carrying the record that ``_own`` made for it, and writes it in
+    # place.
+    import innaprop.optimizers as optimizers
+
+    owned, unowned = [], []
+    blocked = optimizers._blocked_step
+
+    def spy(state, *args):
+        record = state.__dict__.get("_owned")
+        (owned if isinstance(record, optimizers._Owned) else unowned).append(type(state))
+        return blocked(state, *args)
+
+    monkeypatch.setattr(optimizers, "_blocked_step", spy)
+    for suite in sorted(checks.SUITES):
+        assert checks.run_suite(suite).passed
+    suites = len(owned)
+    run_experiment(load_preset("cifar_small"))
+    grid_search(load_preset("cifar_small"), alphas=[0.1, 0.5], betas=[0.9, 1.5])
+    assert unowned == []
+    assert (suites, len(owned)) == (67_400, 67_400 + 200 + 4 * 200)
+
+
 def test_repeated_coefficients_are_cast_once_per_kernel_and_precision(monkeypatch):
     # The instability loop repeats its reduced-momentum coefficients on
-    # every step, so the tuple is cast once in each precision. A preset run
-    # changes its step size or its bias correction on every step, so it
-    # never casts.
+    # every step, so each of its two states, one per precision, casts the
+    # tuple once. A preset run changes its step size or its bias correction
+    # on every step, so it never casts.
     import innaprop.optimizers as optimizers
 
     casts = []

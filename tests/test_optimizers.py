@@ -634,7 +634,7 @@ class TestBlockedKernels:
         inna = replace(innaprop_init(cfg, ParamVector(np.ones(dim))), k=2)
         adamw = replace(reference_init("AdamW", ParamVector(np.ones(dim)), params), k=2)
         if in_place:
-            inna, adamw = donatable(inna), donatable(adamw)
+            inna, adamw = _own(inna), _own(adamw)
         for state, want, step in (
             (inna, whole_array_innaprop(inna, g, 0.01, cfg, 0.0, True),
              lambda s: innaprop_step(s, g, 0.01, cfg)),
@@ -784,24 +784,32 @@ class TestMovedRules:
         # Three steps, each against the whole-array formula on the same
         # state; then a gradient with one non-finite element, in the last
         # partial block above _BLOCK, which the formula carries into a new
-        # slot and the step rejects at its own index.
+        # slot and the step rejects at its own index. Only the owned state
+        # is written in place: a "donated" one, whose slots were all made
+        # writable by hand, gets fresh slots as the public one does.
         init, step, reference = MOVED[name]
         rng = RngStream(dim, 13).generator()
         state = init(ParamVector(rng.standard_normal(dim), precision))
-        if layout != "public":
-            state = _own(state) if layout == "owned" else donatable(state)
+        if layout == "owned":
+            state = _own(state)
+        elif layout == "donated":
+            state = with_writable_slots(state, [f.name for f in fields(state) if
+                                                isinstance(getattr(state, f.name), ParamVector)])
         cls = type(state)
         for k in range(3):
             g = loop_gradient(rng, dim, precision, None)
             gamma = 0.01 * (k + 1)
             want = reference(state, g, gamma)
             slots = slot_arrays(state)
+            before = [arr.copy() for arr in slots]
             state = step(state, g, gamma)
             assert state.k == k + 1 and type(state) is cls
             assert_bitwise(slot_arrays(state), want)
             assert len(slot_arrays(state)) == len(want)
             in_place = [new is old for new, old in zip(slot_arrays(state), slots)]
-            assert all(in_place) if layout != "public" else not any(in_place), name
+            assert all(in_place) if layout == "owned" else not any(in_place), name
+            if layout != "owned":
+                assert_bitwise(slots, before)
         grad = loop_gradient(rng, dim, precision, None).data.copy()
         grad[-1] = np.nan
         bad = ParamVector._wrap(grad)
@@ -871,9 +879,10 @@ def test_adaptive_rules_are_plain_rules_on_the_rms_scaled_gradient(precision, di
 
 
 def test_threads_stepping_their_own_states_match_one_thread():
-    # Each thread reuses its own scratch rows between one-block steps. Six
-    # states of one length, stepped from six threads at once with a short
-    # switch interval, come out bit for bit as when stepped one at a time.
+    # Each owned state keeps its own scratch rows and last coefficients, so
+    # no step shares a buffer with another state's. Six states of one
+    # length, stepped from six threads at once with a short switch interval,
+    # come out bit for bit as when stepped one at a time.
     count, start = 6, threading.Barrier(6)
 
     def run(out, index, barrier=None):
@@ -907,19 +916,18 @@ def test_threads_stepping_their_own_states_match_one_thread():
 
 
 # ---------------------------------------------------------------------------
-# Donated states: given a state whose every slot is writable, the same kernel
-# writes the new slots over the old ones
+# Owned states: given a state from _own, the same kernel writes the new slots
+# over the old ones; any other state gets fresh slots, writable or not
 # ---------------------------------------------------------------------------
 
 
-def donatable(state, names=None):
-    """A copy of ``state`` that owns its slots, as the run loop makes them;
-    the slots in ``names`` (default: all) are writable."""
+def with_writable_slots(state, names):
+    """A copy of ``state`` with copies of its slots, those in ``names`` made
+    writable by hand: writable slots, but not an owned state."""
     slots = {f.name: ParamVector._wrap(getattr(state, f.name).data.copy())
              for f in fields(state) if isinstance(getattr(state, f.name), ParamVector)}
-    for name, slot in slots.items():
-        if names is None or name in names:
-            slot.data.flags.writeable = True
+    for name in names:
+        slots[name].data.flags.writeable = True
     return replace(state, **slots)
 
 
@@ -938,37 +946,37 @@ def blocked_steps(weight_decay, bias_correction):
     return steps
 
 
-class TestDonatedSteps:
+class TestOwnedSteps:
     @pytest.mark.parametrize("dim", BLOCK_DIMS)
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("bias_correction", [True, False])
     @pytest.mark.parametrize("grad_clip", [None, 1.0])
-    def test_donated_bitwise_equal_to_fresh(self, dim, precision, weight_decay,
-                                            bias_correction, grad_clip):
+    def test_owned_bitwise_equal_to_fresh(self, dim, precision, weight_decay,
+                                          bias_correction, grad_clip):
         for name, (init, step) in blocked_steps(weight_decay, bias_correction).items():
             rng = RngStream(dim, 6).generator()
-            fresh = init(ParamVector(rng.standard_normal(dim), precision))
-            donated = donatable(fresh)
+            theta0 = rng.standard_normal(dim)
+            fresh = init(ParamVector(theta0, precision))
+            owned = _own(init(ParamVector(theta0, precision)))
             for k in range(3):
                 g = loop_gradient(rng, dim, precision, grad_clip)
                 gamma = 0.01 * (k + 1)
                 fresh = step(fresh, g, gamma)
-                owned = slot_arrays(donated)
-                donated = step(donated, g, gamma)
-                assert donated.k == fresh.k == k + 1
-                assert all(new is old for new, old in zip(slot_arrays(donated), owned)), name
-                assert_bitwise(slot_arrays(donated), slot_arrays(fresh))
+                slots = slot_arrays(owned)
+                owned = step(owned, g, gamma)
+                assert owned.k == fresh.k == k + 1
+                assert all(new is old for new, old in zip(slot_arrays(owned), slots)), name
+                assert_bitwise(slot_arrays(owned), slot_arrays(fresh))
 
     @pytest.mark.parametrize("dim", [42, 2 * _BLOCK + 7])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @pytest.mark.parametrize("writable", ["read_only", "theta_only", "all_but_theta"])
-    def test_partly_writable_state_gets_fresh_slots_and_changes_nothing(self, dim,
-                                                                        weight_decay,
-                                                                        writable):
-        # Only a state whose every slot is writable is written in place; a
-        # public, read-only state or one with only some writable slots gets
-        # fresh slots, the same as the public step's, and stays as it was.
+    @pytest.mark.parametrize("writable", ["read_only", "theta_only", "all_but_theta", "all"])
+    def test_unowned_state_gets_fresh_slots_and_changes_nothing(self, dim, weight_decay,
+                                                                writable):
+        # Only a state from _own is written in place; any other state gets
+        # fresh slots, the same as the public step's, and stays as it was,
+        # whichever of its slots were made writable by hand.
         rng = RngStream(7, 7).generator()
         theta0 = ParamVector(rng.standard_normal(dim))
         g = ParamVector(rng.standard_normal(dim))
@@ -979,10 +987,8 @@ class TestDonatedSteps:
             names = [f.name for f in fields(public) if isinstance(getattr(public, f.name),
                                                                   ParamVector)]
             writable_names = {"read_only": [], "theta_only": ["theta"],
-                              "all_but_theta": names[1:]}[writable]
-            if writable_names == names:  # SGD's one slot: the state is all writable
-                continue
-            state = donatable(public, writable_names)
+                              "all_but_theta": names[1:], "all": names}[writable]
+            state = with_writable_slots(public, writable_names)
             before = [arr.copy() for arr in slot_arrays(state)]
             new = step(state, g, 0.01)
             assert state.k == 1 and new.k == 2
@@ -1092,22 +1098,17 @@ class TestOwnedBlock:
 
     @pytest.mark.parametrize("dim", OWNED_DIMS)
     @pytest.mark.parametrize("row", [0, 1, 2])
-    def test_block_with_a_read_only_row_gets_fresh_slots(self, dim, row):
+    def test_block_with_a_read_only_row_raises(self, dim, row):
+        # An owned state is written in place whatever its flags say: the
+        # kernel's write to a row made read-only raises numpy's ValueError.
         rng = RngStream(dim, 12).generator()
         theta0 = ParamVector(rng.standard_normal(dim))
         g = ParamVector(rng.standard_normal(dim))
         for name, (init, step) in blocked_steps(0.01, True).items():
-            public = step(init(theta0), g, 0.01)
-            state = _own(public)
+            state = _own(step(init(theta0), g, 0.01))
             slot_arrays(state)[row].flags.writeable = False
-            before = [arr.copy() for arr in slot_arrays(state)]
-            new = step(state, g, 0.01)
-            assert state.k == 1 and new.k == 2
-            assert not any(np.shares_memory(a, b) for a in slot_arrays(new)
-                           for b in slot_arrays(state)), name
-            assert not any(arr.flags.writeable for arr in slot_arrays(new)), name
-            assert_bitwise(slot_arrays(state), before)
-            assert_bitwise(slot_arrays(new), slot_arrays(step(public, g, 0.01)))
+            with pytest.raises(ValueError, match="read-only"):
+                step(state, g, 0.01)
 
     def test_a_larger_state_keeps_its_own_slots(self):
         # A copy into one block would double the state's memory.
@@ -1120,8 +1121,8 @@ class TestOwnedBlock:
 
 
 # ---------------------------------------------------------------------------
-# Recorded layout: a one-block state decides its layout at its first step
-# in place; its successors carry the decision outside their fields
+# Owned record: _own gives a state its record once; its successors carry it
+# outside their fields, and no other copy has it
 # ---------------------------------------------------------------------------
 
 # Every public step that runs through the blocked driver.
@@ -1140,7 +1141,7 @@ def owned_run(name, steps, dim=42):
     return state, block, rng
 
 
-class TestRecordedLayout:
+class TestOwnedRecord:
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("name", sorted(EVERY_STEP))
@@ -1156,63 +1157,56 @@ class TestRecordedLayout:
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     @pytest.mark.parametrize("name", DRIVEN_STEPS)
-    def test_owned_state_pickles_without_its_layout(self, name, protocol):
+    def test_owned_state_pickles_without_its_record(self, name, protocol):
         state, block, _ = owned_run(name, 2)
         twin = pickle.loads(pickle.dumps(state, protocol=protocol))
-        assert twin == state and vars(twin)["_layout"] is None
+        assert twin == state and vars(twin)["_owned"] is None
         assert not any(np.shares_memory(arr, block) for arr in slot_arrays(twin))
 
     @pytest.mark.parametrize("name", DRIVEN_STEPS)
-    def test_successors_carry_the_layout_and_keep_the_block(self, name):
+    def test_successors_carry_the_record_and_keep_the_block(self, name):
         state, block, rng = owned_run(name, 0)
-        assert "_layout" not in vars(state)
+        record = vars(state)["_owned"]
         arrays = slot_arrays(state)
+        assert list(record.arrays) == arrays
+        assert len(record.checked) == 1 and record.checked[0] is block
+        assert all(row.shape == (42,) and row.dtype == np.float64 for row in record.scratch)
+        assert not any(np.shares_memory(row, block) for row in record.scratch)
         for k in range(1, 4):
             state = EVERY_STEP[name][1](state, ParamVector(rng.standard_normal(42)))
-            slots, checked, dtype, dim = vars(state)["_layout"]
-            assert state.k == k and (dtype, dim) == (np.float64, 42)
+            assert state.k == k and vars(state)["_owned"] is record
             assert all(a is b for a, b in zip(slot_arrays(state), arrays))
-            assert list(slots) == arrays and checked[0] is block and len(checked) == 1
 
     @pytest.mark.parametrize("name", DRIVEN_STEPS)
     def test_equality_repr_and_fields_are_unchanged(self, name):
         state, _, _ = owned_run(name, 2)
-        twin = replace(state)  # built by __init__: no layout
-        assert "_layout" in vars(state) and "_layout" not in vars(twin)
+        twin = replace(state)  # built by __init__: no record
+        assert "_owned" in vars(state) and "_owned" not in vars(twin)
         assert state == twin and repr(state) == repr(twin)
-        assert "_layout" not in [f.name for f in fields(state)]
+        assert "_owned" not in [f.name for f in fields(state)]
 
     @pytest.mark.parametrize("name", DRIVEN_STEPS)
-    def test_replace_copy_decides_again(self, name):
+    def test_replace_copy_gets_fresh_slots(self, name):
+        # A copy without the record is not owned, though its slots are the
+        # block's writable rows: it gets fresh, read-only slots, and the
+        # block is not written.
         step = EVERY_STEP[name][1]
         state, block, rng = owned_run(name, 2)
         g = ParamVector(rng.standard_normal(42))
         want = slot_arrays(step(replace(state, theta=ParamVector(state.theta.data)), g))
-        # A public theta: fresh, read-only slots, and the block is not written.
         before = block.copy()
-        fresh = step(replace(state, theta=ParamVector(state.theta.data)), g)
-        assert np.array_equal(block, before)
-        assert not any(np.shares_memory(arr, block) or arr.flags.writeable
-                       for arr in slot_arrays(fresh)), name
-        # Every slot writable, as today: written in place.
-        owned = step(replace(state, k=state.k), g)
-        assert all(arr.base is block for arr in slot_arrays(owned)), name
-        assert_bitwise(slot_arrays(fresh), want)
-        assert_bitwise(slot_arrays(owned), want)
+        for twin in (replace(state, theta=ParamVector(state.theta.data)), replace(state)):
+            fresh = step(twin, g)
+            assert np.array_equal(block, before)
+            assert not any(np.shares_memory(arr, block) or arr.flags.writeable
+                           for arr in slot_arrays(fresh)), name
+            assert_bitwise(slot_arrays(fresh), want)
 
+    @pytest.mark.parametrize("steps", [0, 2])
     @pytest.mark.parametrize("name", DRIVEN_STEPS)
-    def test_read_only_before_the_first_step_gets_fresh_slots(self, name):
-        step = EVERY_STEP[name][1]
-        state, block, rng = owned_run(name, 0)
+    def test_a_slot_made_read_only_raises(self, name, steps):
+        state, _, rng = owned_run(name, steps)
         slot_arrays(state)[-1].flags.writeable = False
-        new = step(state, ParamVector(rng.standard_normal(42)))
-        assert "_layout" not in vars(new)
-        assert not any(np.shares_memory(arr, block) for arr in slot_arrays(new)), name
-
-    @pytest.mark.parametrize("name", DRIVEN_STEPS)
-    def test_a_slot_made_read_only_after_the_decision_raises(self, name):
-        state, _, rng = owned_run(name, 2)
-        slot_arrays(state)[0].flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
             EVERY_STEP[name][1](state, ParamVector(rng.standard_normal(42)))
 
@@ -1230,8 +1224,8 @@ class TestRecordedLayout:
                              ids=["copy", "deepcopy", "pickle"])
     @pytest.mark.parametrize("name", DRIVEN_STEPS)
     def test_copies(self, name, copier):
-        # A shallow copy shares the slots and their layout; a deep copy or a
-        # pickled one has new arrays, and decides its layout again.
+        # A shallow copy shares the slots and their record; a deep copy or a
+        # pickled one has new, read-only arrays and no record: fresh slots.
         step = EVERY_STEP[name][1]
         state, block, rng = owned_run(name, 2)
         twin = copier(state)
@@ -1239,10 +1233,10 @@ class TestRecordedLayout:
         before = block.copy()
         got = slot_arrays(step(twin, g))
         if copier is copy.copy:
-            assert vars(twin)["_layout"] is vars(state)["_layout"]
+            assert vars(twin)["_owned"] is vars(state)["_owned"]
             assert all(arr.base is block for arr in got)
             return
-        assert vars(twin)["_layout"] is None and np.array_equal(block, before)
+        assert vars(twin)["_owned"] is None and np.array_equal(block, before)
         assert not any(np.shares_memory(arr, block) for arr in got)
         assert_bitwise(got, slot_arrays(step(state, g)))
 
@@ -1325,10 +1319,16 @@ def test_slot_typed_coefficients_give_the_bits_of_python_floats(name, precision,
     # same three with every coefficient a 0-d array of the slots' dtype; at
     # 100,000 elements the kernel runs over several blocks.
     init, step = EVERY_STEP[name]
+    blocked = optimizers._blocked_step
+    monkeypatch.setattr(optimizers, "_operands", lambda owned, coeffs: coeffs)
     runs = []
-    for operands in (lambda kernel, coeffs, dtype: coeffs,
-                     lambda kernel, coeffs, dtype: optimizers._cast(coeffs, dtype)):
-        monkeypatch.setattr(optimizers, "_operands", operands)
+    for cast in (False, True):
+        def driven(state, step_index, kernel, coeffs, slots, grad, *rest, cast=cast):
+            if cast:
+                coeffs = optimizers._cast(coeffs, grad.dtype)
+            return blocked(state, step_index, kernel, coeffs, slots, grad, *rest)
+
+        monkeypatch.setattr(optimizers, "_blocked_step", driven)
         rng = RngStream(dim, 18).generator()
         state = init(ParamVector(rng.standard_normal(dim), precision))
         if layout == "owned":
@@ -1366,11 +1366,47 @@ def test_repeated_coefficients_keep_the_sign_of_zero():
         assert_bitwise(together[i], alone[i])
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_two_owned_states_of_one_kernel_cast_once_each(precision, monkeypatch):
+    # Each owned state keeps its own last coefficients. Two states of one
+    # kernel, stepped alternately, each at its own constant coefficients,
+    # cast their tuples once each, at their second steps, and come out bit
+    # for bit as when each is stepped alone.
+    rules = [(0.5, 0.9), (1.5, 0.7)]  # (alpha, beta) of each state
+    casts = []
+    cast = optimizers._cast
+
+    def counted(coeffs, dtype):
+        casts.append(coeffs)
+        return cast(coeffs, dtype)
+
+    monkeypatch.setattr(optimizers, "_cast", counted)
+
+    def run(indices):
+        rng = RngStream(3, 25).generator()
+        states = {i: _own(inna_init(*rules[i], ParamVector(np.linspace(-1.0, 1.0, 42),
+                                                           precision)))
+                  for i in indices}
+        for _ in range(5):
+            g = ParamVector(rng.standard_normal(42), precision)
+            for i in indices:
+                states[i] = inna_step(states[i], g, 0.01, *rules[i], form="compact")
+        return {i: slot_arrays(state) for i, state in states.items()}
+
+    alone = {i: run([i])[i] for i in (0, 1)}
+    assert len(casts) == 2
+    casts.clear()
+    together = run([0, 1])
+    assert len(casts) == 2 and casts[0] != casts[1]
+    for i in (0, 1):
+        assert_bitwise(together[i], alone[i])
+
+
 def test_threads_interleaving_rules_and_dtypes_match_their_standalone_runs():
-    # Each thread keeps its own last coefficients per kernel. Four threads
-    # step in lock-step, one step each between barriers, at a constant step
-    # size, so every kernel repeats its coefficients: the same kernel in two
-    # dtypes, and two other rules.
+    # Each owned state keeps its own last coefficients and their cast. Four
+    # threads step in lock-step, one step each between barriers, at a
+    # constant step size, so every state repeats its coefficients: the same
+    # kernel in two dtypes, and two other rules.
     cases = [("innaprop_plain", "f32"), ("innaprop_plain", "f64"),
              ("momentum_reduced", "f32"), ("reference_SGD", "f64")]
     barrier = threading.Barrier(len(cases))
