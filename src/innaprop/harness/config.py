@@ -169,7 +169,7 @@ def parse_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_config_dict(raw)
 

@@ -47,6 +47,9 @@ class ParamVector:
     constructor rejects a non-finite element (``DomainError``); a gradient
     taken over by ``adopt_rows`` may be non-finite, and the step it feeds
     rejects the result (``DivergenceError``).
+
+    A vector is unhashable, as is a state holding one: ``==`` takes ``-0.0``
+    for ``0.0``, and an owner rewrites its slots in place.
     """
 
     __slots__ = ("data",)
@@ -106,9 +109,6 @@ class ParamVector:
         if not isinstance(other, ParamVector):
             return NotImplemented
         return self.data.dtype == other.data.dtype and np.array_equal(self.data, other.data)
-
-    def __hash__(self):
-        return hash((self.data.dtype.str, self.data.tobytes()))
 
     def __reduce__(self):
         # Under every pickle protocol and ``copy.deepcopy``, whose copies of

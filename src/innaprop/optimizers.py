@@ -10,33 +10,33 @@ state's with ``ContractViolation``.
 
 Every step but the two oracles of the equivalence checks then ends in
 ``_blocked_step``, which runs the rule's update kernel block by block over
-the state's one to four slots and builds the new state itself. A rule is
-one module-level ``kernel(ins, outs, scratch, c)`` and the tuple ``c`` of
-coefficients its public step computes as Python floats, ``1 - rate`` among
-them: a kernel takes its coefficients as ready operands and does no
-arithmetic on them. A tuple that repeats an owned state's last one bit for
-bit reaches the kernel cast once to 0-d arrays of the slots' dtype, which
-give the same bits at a lower cost per ufunc call (``_operands``).
-The reference kinds' rules are one table, ``_REFERENCE``. RMSprop's two
-steps are written once, for every adaptive kernel: ``_second_moment``
-updates the squared-gradient average and ``_over_rms`` divides by
-``sqrt(v) + eps``. The adaptive rules are built from the plain ones, as the
-paper builds INNAprop from INNA: the INNAprop kernel is INNA's compact
-kernel on the scaled gradient, with the same coefficients, and the
-RMSpropMomentum kernel is Momentum's on it. A non-finite new slot aborts
-the step with ``DivergenceError`` carrying the offending step index instead
-of silently propagating NaNs. Every rule reads the gradient into a new slot,
+the state's one to four slots, which the step names, and builds the new
+state itself. A rule is one module-level ``kernel(ins, outs, scratch, c)``
+and the tuple ``c`` of coefficients its public step computes as Python
+floats, ``1 - rate`` among them: a kernel takes its coefficients as ready
+operands and does no arithmetic on them. A tuple that repeats an owned
+state's last one bit for bit reaches the kernel cast once to 0-d arrays of
+the slots' dtype, which give the same bits at a lower cost per ufunc call
+(``_operands``). The reference kinds' rules are one table, ``_REFERENCE``.
+RMSprop's two steps are written once, for every adaptive kernel:
+``_second_moment`` updates the squared-gradient average and ``_over_rms``
+divides by ``sqrt(v) + eps``. The adaptive rules are built from the plain
+ones, as the paper builds INNAprop from INNA: the INNAprop kernel is INNA's
+compact kernel on the scaled gradient, with the same coefficients, and the
+RMSpropMomentum kernel is Momentum's on it. A non-finite new slot aborts the
+step with ``DivergenceError`` carrying the offending step index instead of
+silently propagating NaNs. Every rule reads the gradient into a new slot,
 and ``0*inf`` and ``x*nan`` are NaN, so a non-finite gradient is rejected
 too. A state that a run loop or a check loop owns carries the record
 ``_own`` made for it (``_Owned``): its slots, its scan, its scratch rows and
 its last coefficients. Its new slots are written over the old ones, so a
-step holds one state, not two, and the new state is built without
-re-running its class's checks. Every other state, as every public one, gets
+step holds one state, not two. Every other state, as every public one, gets
 fresh slots.
 
 The oracles, ``innaprop_naive_step`` and ``dinadam_direct_step``, keep
 their whole-array expressions and end in ``_advance``, which checks and
-wraps the new arrays the same way.
+wraps the new arrays the same way. Both build a successor one way: a copy of
+the state's instance ``__dict__`` with the new ``k`` and the changed fields.
 
 Naming used throughout:
 
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -167,8 +166,7 @@ class MomentumVariantState:
     gradient, since the update needs the previous scaled direction) or the
     reduced recursion (carries m-tilde only). With ``m0 = 0`` and no previous
     gradient the two are related by ``mtilde_k = m_k - (c/a) * rms_{k-1}`` and
-    both start at zero. The slots come first, ``g_prev`` last among them, as
-    ``_blocked_step`` builds the state.
+    both start at zero.
     """
 
     theta: ParamVector
@@ -177,6 +175,13 @@ class MomentumVariantState:
     g_prev: Optional[ParamVector] = None  # direct form only
     form: str = "reduced"  # "direct" | "reduced"
     k: int = 0
+
+    def __post_init__(self):
+        if self.form not in ("direct", "reduced"):
+            raise ContractViolation(f"unknown momentum form {self.form!r}")
+        if (self.g_prev is not None) != (self.form == "direct"):
+            needs = "needs" if self.form == "direct" else "takes no"
+            raise ContractViolation(f"a {self.form} momentum state {needs} g_prev")
 
 
 @dataclass(frozen=True)
@@ -261,35 +266,30 @@ def _begin(state, theta: ParamVector, g: ParamVector) -> int:
     return state.k + 1
 
 
-def _advance(state, step_index: int, *fields):
-    """The state after ``state``, of its class, at ``step_index``; the
-    oracles' whole-array steps end here.
-
-    ``fields`` are the new state's fields in the order its class declares
-    them, all but the last, ``k``. Each raw ndarray among them is checked
-    for finiteness, raising ``DivergenceError(step_index)``, and wrapped.
-    Any other field passes through as it is: a ``ParamVector`` (a slot
-    carried over), a rate.
-    """
-    for value in fields:
+def _advance(state, step_index: int, **changes):
+    """The state after ``state`` at ``step_index``, with the fields
+    ``changes`` by name and every other field but ``_own``'s record carried
+    over; the oracles' whole-array steps end here. Each raw ndarray among
+    ``changes`` is checked for finiteness, raising
+    ``DivergenceError(step_index)``, and wrapped."""
+    for value in changes.values():
         # count_nonzero costs about half of .all() on small arrays.
         if type(value) is np.ndarray and np.count_nonzero(np.isfinite(value)) < value.size:
             raise DivergenceError(step_index)
-    # Positional, the cheapest construction; state objects are made every step.
-    return type(state)(*[ParamVector._wrap(value) if type(value) is np.ndarray else value
-                         for value in fields], step_index)
+    successor = object.__new__(type(state))
+    new = successor.__dict__
+    new.update(state.__dict__)
+    new.pop("_owned", None)
+    for name, value in changes.items():
+        new[name] = ParamVector._wrap(value) if type(value) is np.ndarray else value
+    new["k"] = step_index
+    return successor
 
 
 # Elements per block of ``_blocked_step``. At f64 one block of the largest
 # kernel's five inputs, four outputs and two scratch buffers is 1.4 MB, so a
 # block's working set stays in a 2 MB L2 cache while its ufuncs pass over it.
 _BLOCK = 16 * 1024
-
-# The rows of a ``(count, dim)`` array as a tuple of views, by count; an
-# itemgetter takes them faster than iterating the array.
-_ROWS = (None, lambda rows: (rows[0],), itemgetter(0, 1), itemgetter(0, 1, 2),
-         itemgetter(0, 1, 2, 3))
-
 
 class _Owned:
     """What ``_own`` decides for a state, once, for it and its in-place
@@ -338,7 +338,6 @@ def _own(state):
         checked, scratch = arrays, None
     else:
         block = np.array(arrays)
-        # A list, not ``_ROWS``: the naive oracle's state has five slots.
         arrays = list(block)
         state = replace(state, **{name: ParamVector._wrap(row) for name, row in zip(names, arrays)})
         for row in arrays:
@@ -397,23 +396,21 @@ def _operands(owned, coeffs):
     return coeffs
 
 
-def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarray, head=(), tail=()):
+def _blocked_step(state, step_index: int, kernel, coeffs, names, grad: np.ndarray):
     """The state after ``state`` from the update ``kernel`` over its one to
-    four ``slots`` and the raw gradient, all of one length and precision.
-    Every step but the oracles' ends here.
+    four slots, the fields ``names`` in its class's order, and the raw
+    gradient, all of one length and precision. Every step but the oracles'
+    ends here.
 
-    A state from ``_own``, or an in-place successor of one, carries its
-    ``_Owned`` record, and its new slots are the old ones, written in place:
-    every kernel is elementwise and reads an input block, and every input
-    its later writes overwrite, before it writes the output block over it.
-    Its successor is built without its class's ``__init__``: the same slot
-    objects, record and other fields, at ``step_index``, since they passed
-    its checks when the state was built. A slot made read-only makes the
-    kernel raise numpy's ``ValueError``. Any other state gets fresh slots,
-    the rows of one new ``(slots, dim)`` array, in the new state
-    ``type(state)(*head, *new_slots, *tail, step_index)``: ``head`` and
-    ``tail`` are its other fields, such as a ``ReferenceState``'s kind tag
-    before its slots or a ``DinadamState``'s rates after them.
+    The successor is a copy of the state's instance ``__dict__`` at
+    ``step_index``: its class's ``__init__`` checked every field when the
+    state was built. A state from ``_own``, or an in-place successor of one,
+    carries its ``_Owned`` record, and its new slots are the old ones,
+    written in place: every kernel is elementwise and reads an input block,
+    and every input its later writes overwrite, before it writes the output
+    block over it. A slot made read-only makes the kernel raise numpy's
+    ``ValueError``. Any other state gets fresh slots, the rows of one new
+    ``(slots, dim)`` array, set under ``names``.
 
     ``kernel(ins, outs, scratch, coeffs)`` gets the slots then the gradient
     as ``ins``, the new slots as ``outs`` and two scratch rows: the arrays
@@ -433,9 +430,10 @@ def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarra
     """
     owned = state.__dict__.get("_owned")
     if owned is None:
-        rows = np.empty((len(slots), grad.size), grad.dtype)
-        ins = [slot.data for slot in slots] + [grad]
-        outs, checked, scratch = _ROWS[len(slots)](rows), (rows,), None
+        rows = np.empty((len(names), grad.size), grad.dtype)
+        ins = [getattr(state, name).data for name in names] + [grad]
+        # Indexed: iterating the array takes its rows at about twice the cost.
+        outs, checked, scratch = [rows[i] for i in range(len(names))], (rows,), None
     else:
         outs, checked, scratch = owned.arrays, owned.checked, owned.scratch
         ins = [*outs, grad]
@@ -466,13 +464,14 @@ def _blocked_step(state, step_index: int, kernel, coeffs, slots, grad: np.ndarra
             for out in checked:
                 if np.count_nonzero(np.isfinite(out[..., lo:hi], finite)) < finite.size:
                     raise DivergenceError(step_index)
-    if owned is None:
-        return type(state)(*head, *map(ParamVector._wrap, outs), *tail, step_index)
     successor = object.__new__(type(state))
     # Item by item: update() with keywords first builds a dict of them.
     new = successor.__dict__
     new.update(state.__dict__)
     new["k"] = step_index
+    if owned is None:
+        for name, out in zip(names, outs):
+            new[name] = ParamVector._wrap(out)
     return successor
 
 
@@ -561,8 +560,8 @@ def innaprop_step(
               1.0 - sigma ** step_index if config.bias_correction else None,
               float(config.epsilon),
               _inna_compact_coefficients(gamma, float(config.alpha), float(config.beta)))
-    return _blocked_step(state, step_index, _innaprop_kernel, coeffs,
-                         (state.theta, state.psi, state.v), g.data)
+    return _blocked_step(state, step_index, _innaprop_kernel, coeffs, ("theta", "psi", "v"),
+                         g.data)
 
 
 def _innaprop_kernel(ins, outs, scratch, c):
@@ -627,7 +626,8 @@ def innaprop_naive_step(
             - (beta * gamma) * (rms_curr - rms_prev)
             - (gamma * gamma) * rms_prev
         )
-    return _advance(state, step_index, state.theta_curr, theta_next, g_curr, state.v_curr, v_next)
+    return _advance(state, step_index, theta_prev=state.theta_curr, theta_curr=theta_next,
+                    g_prev=g_curr, v_prev=state.v_curr, v_curr=v_next)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +672,7 @@ def inna_step(
         kernel, coeffs = _inna_compact_kernel, _inna_compact_coefficients(gamma, alpha, beta)
     else:
         kernel, coeffs = _inna_classic_kernel, (1.0 / beta - alpha, beta, gamma)
-    return _blocked_step(state, step_index, kernel, coeffs, (state.theta, state.psi), g.data)
+    return _blocked_step(state, step_index, kernel, coeffs, ("theta", "psi"), g.data)
 
 
 def _inna_classic_kernel(ins, outs, scratch, c):
@@ -721,8 +721,6 @@ def _inna_compact_kernel(ins, outs, scratch, c):
 def innaprop_momentum_init(
     config: InnapropConfig, theta0: ParamVector, form: str = "reduced"
 ) -> MomentumVariantState:
-    if form not in ("direct", "reduced"):
-        raise ContractViolation(f"unknown momentum form {form!r}")
     return MomentumVariantState(
         theta=theta0, m=ParamVector.zeros_like(theta0), v=ParamVector.zeros_like(theta0),
         form=form, g_prev=ParamVector.zeros_like(theta0) if form == "direct" else None,
@@ -760,12 +758,11 @@ def innaprop_momentum_step(
     if state.form == "direct":
         return _blocked_step(state, step_index, _momentum_direct_kernel,
                              (sigma, 1.0 - sigma, eps, keep, gamma * gamma, beta * gamma),
-                             (state.theta, state.m, state.v, state.g_prev), g.data, (),
-                             (state.form,))
+                             ("theta", "m", "v", "g_prev"), g.data)
     return _blocked_step(state, step_index, _momentum_reduced_kernel,
                          (sigma, 1.0 - sigma, eps, keep,
                           gamma * gamma * (1.0 - alpha * beta) / a, gamma * (beta - gamma) / a),
-                         (state.theta, state.m, state.v), g.data, (), (None, state.form))
+                         ("theta", "m", "v"), g.data)
 
 
 def _momentum_direct_kernel(ins, outs, scratch, c):
@@ -843,9 +840,8 @@ def dinadam_step(
     alpha, beta = float(alpha), float(beta)
     coeffs = (s2, 1.0 - s2, s1, 1.0 - s1 + beta * alpha * s1 - beta * alpha, alpha * beta,
               float(eta), float(epsilon))
-    return _blocked_step(state, step_index, _dinadam_kernel, coeffs,
-                         (state.theta, state.mtilde, state.v), g.data, (),
-                         (state.sigma1, state.sigma2))
+    return _blocked_step(state, step_index, _dinadam_kernel, coeffs, ("theta", "mtilde", "v"),
+                         g.data)
 
 
 def _dinadam_kernel(ins, outs, scratch, c):
@@ -894,7 +890,7 @@ def dinadam_direct_step(
         + (beta * alpha * s1) * (grad - state.g_prev.data)
     )
     theta_new = state.theta.data - eta * m_new / (np.sqrt(v_new) + epsilon)
-    return _advance(state, step_index, theta_new, m_new, v_new, g, s1, s2)
+    return _advance(state, step_index, theta=theta_new, m=m_new, v=v_new, g_prev=g)
 
 
 # ---------------------------------------------------------------------------
@@ -940,11 +936,9 @@ def reference_step(
     step_index = _begin(state, state.theta, g)
     kind = state.kind
     slots, kernel, coefficients = _REFERENCE[kind]
-    count = len(slots)
     return _blocked_step(state, step_index, kernel,
                          coefficients(kind, float(gamma_k), params, step_index),
-                         (state.theta, state.m, state.v)[:1 + count], g.data, (kind,),
-                         (None, None)[count:])
+                         ("theta", *slots), g.data)
 
 
 def _sgd_kernel(ins, outs, scratch, c):

@@ -111,12 +111,17 @@ def load_csv_dataset(path, label_column: str, split_fraction: float = 0.75,
 
     Malformed cells, non-numeric or non-finite (``nan``, ``inf``), raise
     ``ParseError`` naming the row and column; a missing label column raises
-    ``ConfigError``. The file is read once, and the dataset keeps the bytes
-    it parsed as ``source``.
+    ``ConfigError``; bytes that are not UTF-8 raise ``ParseError``, and a
+    byte-order mark is skipped. The file is read once, and the dataset keeps
+    the bytes it parsed as ``source``.
     """
     with open(path, "rb") as fh:
         source = fh.read()
-    with io.StringIO(source.decode("utf-8"), newline="") as fh:
+    try:
+        text = source.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

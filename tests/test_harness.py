@@ -1381,6 +1381,46 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("broken", ["config", "dataset"])
+    def test_non_utf8_input_exit_two(self, tmp_path, capsys, broken):
+        # Byte 0xe9 (Latin-1 e-acute) is not UTF-8; the run is refused
+        # before it makes its output directory.
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"x,y\n0.5,0\n1.5,1\n2.5,0\n3.5,1\n"
+                         + (b"4.5,1\xe9\n" if broken == "dataset" else b""))
+        raw = {"problem": "logistic_regression", "dataset": str(data), "label_column": "y",
+               "optimizer": "adamw", "steps": 5}
+        path = tmp_path / "cfg.json"
+        path.write_bytes(json.dumps(raw).encode()[:-1]
+                         + (b', "note": "caf\xe9"}' if broken == "config" else b"}"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert str(path if broken == "config" else data) in err and "0xe9" in err
+        assert not out.exists()
+
+    def test_csv_with_byte_order_mark_trains(self, tmp_path, capsys):
+        # A UTF-8 byte-order mark is not part of the first column's name: the
+        # run trains as on the file without it. The recorded content hash
+        # covers the bytes read, the mark included.
+        rows = "y,x1,x2\n" + "".join(f"{i % 2},{0.1 * i},{1.0 - 0.2 * i}\n" for i in range(12))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(rows, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+        outputs = {}
+        for data in (plain, marked):
+            raw = {"problem": "logistic_regression", "dataset": str(data),
+                   "label_column": "y", "optimizer": "adamw", "steps": 5}
+            path = tmp_path / f"{data.stem}.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            out = tmp_path / f"out_{data.stem}"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            record = json.loads((out / "run.json").read_text(encoding="utf-8"))
+            assert record["config_hash"] == content_hash(parse_config_dict(raw))
+            outputs[data.stem] = (out / "run.csv").read_bytes()
+        assert outputs["marked"] == outputs["plain"]
+
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 3
 

@@ -61,6 +61,16 @@ class TestParamVector:
         assert deep == v and not np.shares_memory(deep.data, owned)
         assert not deep.data.flags.writeable
 
+    def test_unhashable(self):
+        # Equal vectors may differ in their bytes (-0.0 == 0.0), and an
+        # owner rewrites a slot in place, so no hash could agree with ==.
+        # A state holding a vector is unhashable too.
+        assert ParamVector([0.0, 1.0]) == ParamVector([-0.0, 1.0])
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(ParamVector([0.0, 1.0]))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(reference_init("SGD", ParamVector([0.0, 1.0])))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_adopt_rows_takes_every_row_over_unscanned(self):
         # One read-only vector per row, never None: a non-finite row is the

@@ -20,6 +20,7 @@ from innaprop.optimizers import (
     InnapropConfig,
     InnapropState,
     InnaState,
+    MomentumVariantState,
     ReferenceParams,
     ReferenceState,
     dinadam_direct_init,
@@ -273,6 +274,25 @@ class TestMomentumVariant:
         assert np.all(state.m.data == 0.0)
         assert state.g_prev is None
 
+    @pytest.mark.parametrize("form,g_prev", [("bogus", False), ("bogus", True),
+                                             ("direct", False), ("reduced", True)])
+    def test_state_checks_its_form_and_g_prev(self, form, g_prev):
+        # The direct form carries the previous gradient and the reduced form
+        # does not; any other form is rejected. A successor copies every
+        # field it does not step, so a stray g_prev would be carried.
+        theta = vec(1.0, -1.0)
+        message = {"bogus": "unknown momentum form 'bogus'",
+                   "direct": "a direct momentum state needs g_prev",
+                   "reduced": "a reduced momentum state takes no g_prev"}[form]
+        with pytest.raises(ContractViolation, match=message):
+            MomentumVariantState(theta, ParamVector.zeros_like(theta),
+                                 ParamVector.zeros_like(theta),
+                                 ParamVector.zeros_like(theta) if g_prev else None, form)
+
+    def test_init_rejects_an_unknown_form(self):
+        with pytest.raises(ContractViolation, match="unknown momentum form 'bogus'"):
+            innaprop_momentum_init(InnapropConfig(alpha=0.1, beta=0.9), vec(1.0), "bogus")
+
 
 class TestDinadam:
     def test_alpha1_beta0_first_step_matches_adam_no_correction(self):
@@ -495,6 +515,36 @@ def test_bad_step_size_rejected_before_the_gradient(name, gamma):
     with pytest.raises(ContractViolation, match="step size"):
         step(state, ParamVector([0.5]), gamma)
     assert_bitwise(slot_arrays(state), before)
+
+
+@pytest.mark.parametrize("layout", ["public", "owned"])
+@pytest.mark.parametrize("name", sorted(EVERY_STEP))
+def test_successor_is_the_state_with_its_new_slots_at_the_next_index(name, layout):
+    # Every step builds its successor one way: each field it does not step
+    # is carried over (a reference kind, a momentum form, DINAdam's rates, a
+    # None g_prev), its slots are those the rule wrote, and k is k + 1. An
+    # owned state's successor of the blocked driver keeps its record; an
+    # oracle's successor has fresh slots and is not owned.
+    init, step = EVERY_STEP[name]
+    rng = RngStream(4, 26).generator()
+    state = init(ParamVector(rng.standard_normal(42)))
+    if layout == "owned":
+        state = _own(state)
+    record = vars(state).get("_owned") if name in BLOCKED_STEPS else None
+    for k in (1, 2):
+        new = step(state, ParamVector(rng.standard_normal(42)))
+        slots = {f.name: getattr(new, f.name) for f in fields(new)
+                 if isinstance(getattr(new, f.name), ParamVector)}
+        assert slots.keys() == {f.name for f in fields(state)
+                                if isinstance(getattr(state, f.name), ParamVector)}
+        want = replace(state, **slots, k=k)
+        assert type(new) is type(state) and new.k == k
+        for f in fields(want):
+            if f.name != "k":
+                assert getattr(new, f.name) is getattr(want, f.name), f.name
+        assert set(vars(new)) - {"_owned"} == {f.name for f in fields(new)}
+        assert vars(new).get("_owned") is record
+        state = new
 
 
 # ---------------------------------------------------------------------------
@@ -1295,9 +1345,10 @@ def test_kernel_runs_on_coefficients_it_cannot_compute_with(name, precision, mon
     calls = []
     blocked = optimizers._blocked_step
 
-    def capture(state, step_index, kernel, coeffs, slots, grad, *rest):
-        calls.append((kernel, coeffs, [slot.data.copy() for slot in slots], grad.copy()))
-        return blocked(state, step_index, kernel, coeffs, slots, grad, *rest)
+    def capture(state, step_index, kernel, coeffs, names, grad):
+        slots = [getattr(state, name).data.copy() for name in names]
+        calls.append((kernel, coeffs, slots, grad.copy()))
+        return blocked(state, step_index, kernel, coeffs, names, grad)
 
     monkeypatch.setattr(optimizers, "_blocked_step", capture)
     state = step(state, ParamVector(rng.standard_normal(42), precision))
