@@ -167,9 +167,11 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # JSON text is UTF-8; a leading byte-order mark, as some editors
+        # write, is dropped, as a CSV dataset's is.
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_config_dict(raw)
 

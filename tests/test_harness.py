@@ -1252,6 +1252,23 @@ def test_every_blocked_step_of_the_workloads_is_on_an_owned_state(monkeypatch):
     assert (suites, len(owned)) == (67_400, 67_400 + 200 + 4 * 200)
 
 
+def test_workloads_at_their_dims_start_no_thread(monkeypatch):
+    # A step of at most two blocks runs on the calling thread alone: `check
+    # all`, a preset run and a 2 x 2 grid never ask for the worker's pool.
+    import threading
+
+    import innaprop.optimizers as optimizers
+
+    asked = []
+    monkeypatch.setattr(optimizers, "_step_pool", lambda: asked.append(1))
+    threads = threading.active_count()
+    for suite in sorted(checks.SUITES):
+        assert checks.run_suite(suite).passed
+    run_experiment(load_preset("cifar_small"))
+    grid_search(load_preset("cifar_small"), alphas=[0.1, 0.5], betas=[0.9, 1.5])
+    assert asked == [] and threading.active_count() == threads
+
+
 def test_repeated_coefficients_are_cast_once_per_kernel_and_precision(monkeypatch):
     # The instability loop repeats its reduced-momentum coefficients on
     # every step, so each of its two states, one per precision, casts the
@@ -1420,6 +1437,45 @@ class TestCli:
             assert record["config_hash"] == content_hash(parse_config_dict(raw))
             outputs[data.stem] = (out / "run.csv").read_bytes()
         assert outputs["marked"] == outputs["plain"]
+
+    def test_config_with_byte_order_mark_trains(self, tmp_path):
+        # Some editors save UTF-8 with a leading byte-order mark; the run
+        # trains as on the file without it.
+        text = json.dumps({"problem": "rosenbrock", "optimizer": "innaprop", "alpha": 0.1,
+                           "beta": 0.9, "lr": 1e-3, "steps": 10})
+        outputs = {}
+        for name, data in (("plain", text.encode()), ("marked", b"\xef\xbb\xbf" + text.encode())):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"out_{name}"
+            path.write_bytes(data)
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            outputs[name] = (out / "run.csv").read_bytes()
+        assert outputs["marked"] == outputs["plain"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_large_run_same_bytes_on_one_cpu(self, tmp_path):
+        # Above two blocks a step shares its blocks with a worker thread,
+        # unless the process may run on one CPU only: the bytes are the same.
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"problem": "quadratic", "dim": 100_000,
+                                    "optimizer": "innaprop", "alpha": 0.1, "beta": 0.9,
+                                    "lr": 1e-3, "steps": 20, "log_every": 5}), encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        outputs = []
+        for pin in (one_cpu, None):
+            out = tmp_path / f"out_{len(outputs)}"
+            done = subprocess.run([sys.executable, "-m", "innaprop.harness.cli", "run",
+                                   "--config", str(path), "--out", str(out)],
+                                  env=env, preexec_fn=pin, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append((out / "run.csv").read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 7
 
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 3

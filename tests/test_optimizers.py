@@ -2,9 +2,11 @@
 update rule."""
 
 import copy
+import os
 import pickle
 import sys
 import threading
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -1491,3 +1493,229 @@ def test_threads_interleaving_rules_and_dtypes_match_their_standalone_runs():
     assert not any(thread.is_alive() for thread in threads)
     for index in range(len(cases)):
         assert_bitwise(together[index], alone[index])
+
+
+# ---------------------------------------------------------------------------
+# Two threads: a step of more than two blocks shares its blocks between the
+# calling thread and one worker thread, with the bits of one thread
+# ---------------------------------------------------------------------------
+
+THREAD_DIMS = [_BLOCK + 1, 2 * _BLOCK + 7, 4 * _BLOCK + 3]
+
+
+class Gate:
+    """A step's block offsets, handed out so that both threads run blocks:
+    the worker takes the first one, and its second waits for the caller's
+    first. ``taken`` records each offset with the thread that took it."""
+
+    def __init__(self, offsets, caller, taken):
+        self.offsets, self.caller, self.taken = offsets, caller, taken
+        self.worker_took, self.caller_took = threading.Event(), threading.Event()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        by_caller = threading.current_thread() is self.caller
+        # A timeout, not a hang, when the other thread never comes.
+        (self.worker_took if by_caller else self.caller_took).wait(
+            timeout=10 if by_caller or self.worker_took.is_set() else 0)
+        lo = next(self.offsets)
+        self.taken.append((lo, by_caller))
+        (self.caller_took if by_caller else self.worker_took).set()
+        return lo
+
+
+class SharingPool:
+    """The step driver's pool, one worker of its own, that gates each
+    step's blocks (``Gate``) unless ``gate`` is off, and keeps the worker's
+    futures."""
+
+    def __init__(self, gate=True):
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.pool, self.gate = ThreadPoolExecutor(1), gate
+        self.futures, self.taken = [], []
+
+    def submit(self, fn, *args):
+        job = args[-1]
+        if self.gate:
+            job[0] = Gate(job[0], threading.current_thread(), self.taken)
+        future = self.pool.submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def sharing(monkeypatch):
+    pool = SharingPool()
+    monkeypatch.setattr(optimizers, "_step_pool", lambda: pool)
+    yield pool
+    pool.pool.shutdown(cancel_futures=True)
+
+
+def running_ranges(monkeypatch) -> list:
+    """Counts the block ranges ``_blocked_step`` runs that have not yet
+    returned or raised, in a one-item list."""
+    running, run_blocks, lock = [0], optimizers._run_blocks, threading.Lock()
+
+    def counted(job):
+        with lock:
+            running[0] += 1
+        try:
+            run_blocks(job)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(optimizers, "_run_blocks", counted)
+    return running
+
+
+def stepped(name, precision, dim, layout, steps=2):
+    """The slot arrays of an ``EVERY_STEP`` state after ``steps`` steps on
+    fixed draws."""
+    init, step = EVERY_STEP[name]
+    rng = RngStream(dim, 27).generator()
+    state = init(ParamVector(rng.standard_normal(dim), precision))
+    if layout == "owned":
+        state = _own(state)
+    for _ in range(steps):
+        state = step(state, ParamVector(rng.standard_normal(dim), precision))
+    return slot_arrays(state)
+
+
+@pytest.mark.parametrize("dim", THREAD_DIMS)
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("name", BLOCKED_STEPS)
+def test_two_threads_give_the_bits_of_one(name, precision, dim, sharing, monkeypatch):
+    for layout in ("public", "owned"):
+        shared = stepped(name, precision, dim, layout)
+        threads = {by_caller for _, by_caller in sharing.taken}
+        sharing.taken.clear()
+        with monkeypatch.context() as serial:
+            serial.setattr(optimizers, "_step_pool", lambda: None)
+            assert_bitwise(shared, stepped(name, precision, dim, layout))
+        # At most two blocks start no thread; above, both threads ran blocks.
+        assert threads == (set() if dim <= 2 * _BLOCK else {True, False}), layout
+    assert len(sharing.futures) == (0 if dim <= 2 * _BLOCK else 4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("where", [0, 2 * _BLOCK + 5, 4 * _BLOCK + 2],
+                         ids=["first_block", "middle_block", "last_partial_block"])
+@pytest.mark.parametrize("layout", ["public", "owned"])
+@pytest.mark.parametrize("name", BLOCKED_STEPS)
+def test_nonfinite_block_ends_every_range(name, layout, where, sharing, monkeypatch):
+    # The verdict is the same from either thread: the worker takes the
+    # first block, the caller the second. The step raises it only once no
+    # range is left running.
+    init, step = EVERY_STEP[name]
+    dim = 4 * _BLOCK + 3
+    running = running_ranges(monkeypatch)
+    rng = RngStream(dim, 28).generator()
+    state = step(init(ParamVector(rng.standard_normal(dim))), ParamVector(rng.standard_normal(dim)))
+    if layout == "owned":
+        state = _own(state)
+    grad = rng.standard_normal(dim)
+    grad[where] = np.nan
+    with pytest.raises(DivergenceError) as err:
+        step(state, ParamVector._wrap(grad))
+    assert err.value.step == 2
+    assert running == [0]
+    assert all(future.done() for future in sharing.futures)
+
+
+def test_busy_worker_leaves_the_step_to_the_caller(monkeypatch):
+    # The worker is held on an event: the caller runs every block, and the
+    # range it queued for the worker is cancelled, not awaited.
+    pool, release = SharingPool(gate=False), threading.Event()
+    held = pool.pool.submit(release.wait, 60)
+    monkeypatch.setattr(optimizers, "_step_pool", lambda: pool)
+    try:
+        shared = stepped("innaprop", "f64", 4 * _BLOCK + 3, "owned")
+        assert len(pool.futures) == 2 and all(f.cancelled() for f in pool.futures)
+        assert not held.done()
+    finally:
+        release.set()
+        pool.pool.shutdown()
+    monkeypatch.setattr(optimizers, "_step_pool", lambda: None)
+    assert_bitwise(shared, stepped("innaprop", "f64", 4 * _BLOCK + 3, "owned"))
+
+
+def test_callers_sharing_the_worker_match_one_thread(monkeypatch):
+    # Four threads step states of their own, four blocks each, at once, with
+    # a short switch interval: their ranges queue on the one worker, which
+    # takes some and finds others cancelled. Each comes out bit for bit as
+    # when stepped alone on one thread.
+    names = ["innaprop", "momentum_direct", "reference_AdamW", "inna_classic"]
+    dim = 4 * _BLOCK + 3
+
+    def run(out, index):
+        out[index] = stepped(names[index], "f64", dim, "owned", steps=6)
+
+    monkeypatch.setattr(optimizers, "_step_pool", lambda: None)
+    alone, together = {}, {}
+    for index in range(len(names)):
+        run(alone, index)
+    pool = SharingPool(gate=False)
+    monkeypatch.setattr(optimizers, "_step_pool", lambda: pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(together, index))
+                   for index in range(len(names))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.pool.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(pool.futures) == 6 * len(names) and all(f.done() for f in pool.futures)
+    for index in range(len(names)):
+        assert_bitwise(together[index], alone[index])
+
+
+def test_worker_steps_in_the_callers_errstate(sharing):
+    # numpy's errstate is a context variable, which a new thread does not
+    # inherit: the worker runs its range in a copy of the caller's context.
+    # The worker takes the first block, where (1 - sigma) * g * g overflows.
+    cfg = InnapropConfig(alpha=0.1, beta=0.9)
+    dim = 10**6
+    grad = np.ones(dim)
+    grad[:_BLOCK] = 1e200
+    g = ParamVector(grad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = _own(innaprop_init(cfg, ParamVector(np.ones(dim))))
+            with pytest.raises(DivergenceError) as err:
+                innaprop_step(state, g, 0.01, cfg)
+            assert err.value.step == 1
+        with np.errstate(over="raise", invalid="ignore"):
+            state = _own(innaprop_init(cfg, ParamVector(np.ones(dim))))
+            with pytest.raises(FloatingPointError, match="overflow"):
+                innaprop_step(state, g, 0.01, cfg)
+    assert (0, False) in sharing.taken
+
+
+def test_step_pool_has_no_worker_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(optimizers, "_pool", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert optimizers._step_pool() is None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert optimizers._step_pool() is None and optimizers._pool is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_drops_the_parents_pool(monkeypatch):
+    # The parent's worker thread does not exist in a forked child, which
+    # makes a pool of its own on its first step of more than two blocks.
+    monkeypatch.setattr(optimizers, "_pool", object())
+    pid = os.fork()
+    if pid == 0:  # the child: exit at once, with the verdict as its status
+        os._exit(0 if optimizers._pool is None else 1)
+    assert os.waitpid(pid, 0)[1] == 0
