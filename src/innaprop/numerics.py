@@ -1,15 +1,20 @@
 """Dense vectors, precision control, gradient clipping, deterministic
-randomness and finite-difference gradient checks.
+randomness, finite-difference gradient checks and the block runner that
+shares large elementwise work with one worker thread.
 
 Everything downstream (optimizers, problems, the ODE layer) works on
 ``ParamVector`` values. Vectors are immutable after construction; all
-operations are pure functions, so independent runs can execute concurrently
-without any shared mutable state.
+operations are pure functions, so independent runs can execute
+concurrently. The one shared mutable state is the pool of ``share_blocks``'s
+worker thread, made on first use and used by every caller in the process;
+a call returns only once that thread has stopped working for it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,3 +192,106 @@ def fd_gradient(problem, theta: ParamVector, h: float = 1e-5) -> ParamVector:
     if np.count_nonzero(finite) < dim:
         raise DomainError(f"non-finite loss while probing coordinate {int(np.argmin(finite))}")
     return ParamVector((up - down) / (2.0 * h), theta.precision)
+
+
+# Elements per block of ``share_blocks`` and of an optimizer step. Above two
+# blocks the work is shared by the calling thread and one worker thread,
+# which pays only when each ufunc call covers this many elements or more: at
+# 16K the hand-off of the interpreter lock around each of a step block's ~23
+# numpy calls cost the whole gain. A step's two f64 scratch rows and check
+# buffer per thread are 0.55 MB; at 64K two threads' would break the 2 MiB
+# bound on an owned step's allocations.
+_BLOCK = 32 * 1024
+
+# The pool of ``share_blocks``'s worker thread, made by ``_block_pool`` on
+# the first call of more than two blocks; a forked child makes its own.
+_pool = None
+
+
+def _drop_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child has no worker thread: a range queued on the parent's
+    # pool would never run, and its cancelled item would hold its arrays.
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _block_pool():
+    """The pool of ``share_blocks``'s one worker thread, made on first use,
+    or ``None`` while this process may run on one CPU only, or once
+    interpreter shutdown has begun and no pool can be made. One worker: only
+    two CPUs were measured, and each more thread would add its scratch to an
+    optimizer step's allocations."""
+    global _pool
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    if _pool is None:
+        # Two first calls at once may each make one; the pool not kept
+        # ends its thread once its call lets go of it.
+        try:
+            from concurrent.futures import ThreadPoolExecutor
+        except RuntimeError:  # "can't register atexit after shutdown"
+            return None
+        _pool = ThreadPoolExecutor(1, "innaprop-blocks")
+    return _pool
+
+
+def share_blocks(run, dim: int, *args) -> None:
+    """``run(job)`` over the column blocks of ``dim`` elements, ``_BLOCK``
+    at a time, where ``job`` is the list ``[offsets, dim, *args]`` and
+    ``offsets`` an iterator of the blocks' first columns: ``run`` takes each
+    block's offset from it and works on that block's columns alone.
+
+    Above two blocks, and unless the process may run on one CPU only, the
+    calling thread and one worker thread (``_block_pool``) both call ``run``
+    on the one ``job``, so each runs the blocks it takes first. The work on
+    a block must not depend on the other blocks or on the thread: then the
+    result is that of one thread, whatever the timing. The worker runs in a
+    copy of the caller's context, so numpy's ``errstate`` is the caller's in
+    both. A range the worker has not started when the caller runs out of
+    blocks is cancelled, so a busy worker cannot hold the call; a started
+    one is waited for before the call returns or raises, so no thread writes
+    an output after it. A raise in either thread takes every offset left, so
+    the other stops after its current block, and it is the call's error. At
+    most two blocks, and once interpreter shutdown has begun, the pool
+    refusing new work, every block runs on the calling thread.
+    """
+    job = [iter(range(0, dim, _BLOCK)), dim, *args]
+    pool = _block_pool() if dim > 2 * _BLOCK else None
+    worker = None
+    if pool is not None:
+        try:
+            # In the caller's context: numpy's errstate is a context
+            # variable, which a new thread does not inherit.
+            worker = pool.submit(contextvars.copy_context().run, _drained, run, job)
+        except RuntimeError:  # "cannot schedule new futures after shutdown"
+            pass
+    if worker is None:
+        run(job)
+        return
+    try:
+        _drained(run, job)
+    finally:
+        # A range the worker has not started is dropped, not awaited; a
+        # started one is, so no thread writes an output after the call.
+        error = None if worker.cancel() else worker.exception()
+        # The pool's item outlives the call: it must not hold the arrays.
+        job.clear()
+    if error is not None:
+        raise error
+
+
+def _drained(run, job):
+    """``run(job)``; a raise first takes every offset left in ``job[0]``."""
+    try:
+        run(job)
+    finally:
+        for _ in job[0]:
+            pass

@@ -32,7 +32,8 @@ too. A state that a run loop or a check loop owns carries the record
 its last coefficients. Its new slots are written over the old ones, so a
 step holds one state, not two. Every other state, as every public one, gets
 fresh slots. A step of more than two blocks shares its blocks between the
-calling thread and one worker thread, with the bits of one thread.
+calling thread and one worker thread (``numerics.share_blocks``), with the
+bits of one thread.
 
 The oracles, ``innaprop_naive_step`` and ``dinadam_direct_step``, keep
 their whole-array expressions and end in ``_advance``, which checks and
@@ -51,16 +52,14 @@ Naming used throughout:
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractViolation, DivergenceError, WellPosednessError
-from .numerics import ParamVector
+from .numerics import _BLOCK, ParamVector, share_blocks
 
 __all__ = [
     "InnapropConfig",
@@ -289,51 +288,6 @@ def _advance(state, step_index: int, **changes):
     return successor
 
 
-# Elements per block of ``_blocked_step``. Above two blocks a step is shared
-# by the calling thread and one worker thread, which pays only when each
-# ufunc call covers this many elements or more: at 16K the hand-off of the
-# interpreter lock around each of a block's ~23 numpy calls cost the whole
-# gain. A thread's two f64 scratch rows and check buffer are 0.55 MB; at 64K
-# two threads' would break the 2 MiB bound on an owned step's allocations.
-_BLOCK = 32 * 1024
-
-# The pool of ``_blocked_step``'s worker thread, made by ``_step_pool`` on
-# the first step of more than two blocks; a forked child makes its own.
-_pool = None
-
-
-def _drop_pool():
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    # A forked child has no worker thread: a range queued on the parent's
-    # pool would never run, and its cancelled item would hold its arrays.
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _step_pool():
-    """The pool of ``_blocked_step``'s one worker thread, made on first
-    use, or ``None`` while this process may run on one CPU only. One
-    worker: only two CPUs were measured, and each more thread would add its
-    scratch to a step's allocations."""
-    global _pool
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return None
-    if _pool is None:
-        # Two first steps at once may each make one; the pool not kept
-        # ends its thread once its step lets go of it.
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(1, "innaprop-step")
-    return _pool
-
-
 class _Owned:
     """What ``_own`` decides for a state, once, for it and its in-place
     successors: ``arrays``, the slot arrays its steps write in place;
@@ -472,17 +426,14 @@ def _blocked_step(state, step_index: int, kernel, coeffs, names, grad: np.ndarra
     ``DivergenceError(step_index)``, the verdict of a whole-array check,
     and leaves a state written in place partly written.
 
-    Above two blocks, and unless the process may run on one CPU only, the
-    calling thread and one worker thread (``_step_pool``) take the blocks
-    from one shared iterator, each with scratch of its own. The blocks
-    touch disjoint columns, so the bits are those of one thread, whatever
-    the timing. The worker runs in a copy of the caller's context, so
-    numpy's ``errstate`` is the caller's in both. A range the worker has not
-    started when the caller runs out of blocks is cancelled, so a busy
-    worker cannot hold the step; a started one is waited for before the
-    step returns or raises, so no thread writes a slot after it. Either
-    thread's ``DivergenceError`` is the step's verdict. At most two blocks
-    run on the calling thread alone and start no thread.
+    Above one block the blocks go to ``numerics.share_blocks``: above two,
+    and unless the process may run on one CPU only, the calling thread and
+    one worker thread take them from one shared iterator, each with scratch
+    of its own. The blocks touch disjoint columns, so the bits are those of
+    one thread, whatever the timing, and no thread writes a slot after the
+    step returns or raises. Either thread's ``DivergenceError`` is the
+    step's verdict. At most two blocks run on the calling thread alone and
+    start no thread.
     """
     owned = state.__dict__.get("_owned")
     if owned is None:
@@ -506,24 +457,7 @@ def _blocked_step(state, step_index: int, kernel, coeffs, names, grad: np.ndarra
             if np.count_nonzero(np.isfinite(out)) < out.size:
                 raise DivergenceError(step_index)
     else:
-        job = [iter(range(0, dim, _BLOCK)), dim, kernel, ins, outs, checked, coeffs, step_index]
-        pool = _step_pool() if dim > 2 * _BLOCK else None
-        if pool is None:
-            _run_blocks(job)
-        else:
-            # In the caller's context: numpy's errstate is a context
-            # variable, which a new thread does not inherit.
-            worker = pool.submit(contextvars.copy_context().run, _run_blocks, job)
-            try:
-                _run_blocks(job)
-            finally:
-                # A range the worker has not started is dropped, not awaited;
-                # a started one is, so no thread writes a slot after the step.
-                error = None if worker.cancel() else worker.exception()
-                # The pool's item outlives the step: it must not hold the arrays.
-                job.clear()
-            if error is not None:
-                raise error
+        share_blocks(_run_blocks, dim, kernel, ins, outs, checked, coeffs, step_index)
     successor = object.__new__(type(state))
     # Item by item: update() with keywords first builds a dict of them.
     new = successor.__dict__
@@ -536,31 +470,25 @@ def _blocked_step(state, step_index: int, kernel, coeffs, names, grad: np.ndarra
 
 
 def _run_blocks(job):
-    """``_blocked_step``'s loop: the kernel and the finiteness scan on each
-    block whose offset the iterator ``blocks`` yields, with two scratch rows
-    and a check buffer of its own. The caller and the worker share one
-    ``job`` list, and so ``blocks``: each runs the blocks it takes first. A
-    raise exhausts ``blocks``, so the other thread stops after its current
-    block."""
+    """``_blocked_step``'s loop, run by ``share_blocks``: the kernel and the
+    finiteness scan on each block whose offset the iterator ``blocks``
+    yields, with two scratch rows and a check buffer of its own, as the
+    caller's or the worker's."""
     blocks, dim, kernel, ins, outs, checked, coeffs, step_index = job
     # Per call: kept between calls, a 256 KB buffer changed how the
     # allocator served the megabyte arrays around a step at dim 1e6,
     # and the same numpy passes then ran at a different speed.
     scratch = np.empty((2, _BLOCK), ins[-1].dtype)
     finite = np.empty((*checked[0].shape[:-1], _BLOCK), dtype=bool)
-    try:
-        for lo in blocks:
-            hi = min(lo + _BLOCK, dim)
-            if hi - lo < _BLOCK:  # last, partial block
-                scratch, finite = scratch[:, : hi - lo], finite[..., : hi - lo]
-            kernel([arr[lo:hi] for arr in ins], [out[lo:hi] for out in outs],
-                   (scratch[0], scratch[1]), coeffs)
-            for out in checked:
-                if np.count_nonzero(np.isfinite(out[..., lo:hi], finite)) < finite.size:
-                    raise DivergenceError(step_index)
-    finally:
-        for _ in blocks:
-            pass
+    for lo in blocks:
+        hi = min(lo + _BLOCK, dim)
+        if hi - lo < _BLOCK:  # last, partial block
+            scratch, finite = scratch[:, : hi - lo], finite[..., : hi - lo]
+        kernel([arr[lo:hi] for arr in ins], [out[lo:hi] for out in outs],
+               (scratch[0], scratch[1]), coeffs)
+        for out in checked:
+            if np.count_nonzero(np.isfinite(out[..., lo:hi], finite)) < finite.size:
+                raise DivergenceError(step_index)
 
 
 def _rms(g: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, ParseError
-from .numerics import RngStream
+from .numerics import _BLOCK, RngStream, share_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,8 @@ class Problem:
 # for 0.5 MB more peak RSS. At 1 << 17 the loss takes one chunk, but its
 # 81 x 180 x 8 hidden activations alone are 0.93 MB, and the grid's peak RSS
 # rose by 1.0 MB. A chunk holds at least one cell. Not to be confused with
-# ``optimizers._BLOCK``, the block of an optimizer step.
+# ``numerics._BLOCK``, the block of an optimizer step and of a large
+# quadratic gradient.
 _CHUNK = 1 << 16
 
 # numpy adds fewer than this many elements left to right, and pairwise from
@@ -348,13 +349,37 @@ def _quadratic(spectrum) -> Problem:
         theta = np.asarray(theta, dtype=np.float64)
         return _per_cell_float(theta, 0.5 * (a * theta * theta).sum(axis=-1))
 
-    def grad(theta, batch=None):
-        return a * np.asarray(theta, dtype=np.float64)
+    if a.size <= 2 * _BLOCK:
+        def grad(theta, batch=None):
+            return a * np.asarray(theta, dtype=np.float64)
+    else:
+        # Shared with the block runner's worker thread: one new output, and
+        # no whole-array f64 copy of the input (``_scaled_blocks``).
+        def grad(theta, batch=None):
+            x = np.asarray(theta)
+            out = np.empty(np.broadcast_shapes(a.shape, x.shape))
+            share_blocks(_scaled_blocks, a.size, a, np.broadcast_to(x, out.shape), out)
+            return out
 
     def init_theta(rng):
         return rng.standard_normal(a.size)
 
     return Problem(name="quadratic", dim=a.size, loss=loss, grad=grad, init_theta=init_theta)
+
+
+def _scaled_blocks(job):
+    """``out = a * x`` in f64 on the column blocks ``share_blocks`` hands
+    out, bit for bit as ``a * np.asarray(x, np.float64)``. An ``x`` of
+    another dtype is cast into each output block first, then multiplied in
+    place: the cast is the one ``np.asarray`` makes, and no ufunc call needs
+    a cast buffer of its own."""
+    blocks, _, a, x, out = job
+    src = x if x.dtype == out.dtype else out
+    for lo in blocks:
+        cols = slice(lo, lo + _BLOCK)
+        if src is out:
+            out[..., cols] = x[..., cols]
+        np.multiply(a[cols], src[..., cols], out[..., cols])
 
 
 def _rosenbrock(dim: int = 2) -> Problem:

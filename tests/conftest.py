@@ -1,8 +1,11 @@
 """Shared fixtures."""
 
 import math
+import threading
 
 import pytest
+
+import innaprop.numerics as numerics
 
 
 @pytest.fixture
@@ -19,3 +22,56 @@ def class_csv(tmp_path):
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
     return write
+
+
+class Gate:
+    """A ``share_blocks`` call's block offsets, handed out so that both
+    threads run blocks: the worker takes the first one, and its second waits
+    for the caller's first. ``taken`` records each offset with the thread
+    that took it."""
+
+    def __init__(self, offsets, caller, taken):
+        self.offsets, self.caller, self.taken = offsets, caller, taken
+        self.worker_took, self.caller_took = threading.Event(), threading.Event()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        by_caller = threading.current_thread() is self.caller
+        # A timeout, not a hang, when the other thread never comes.
+        (self.worker_took if by_caller else self.caller_took).wait(
+            timeout=10 if by_caller or self.worker_took.is_set() else 0)
+        lo = next(self.offsets)
+        self.taken.append((lo, by_caller))
+        (self.caller_took if by_caller else self.worker_took).set()
+        return lo
+
+
+class SharingPool:
+    """The block runner's pool, one worker of its own, that gates each
+    call's blocks (``Gate``) unless ``gate`` is off, and keeps the worker's
+    futures."""
+
+    def __init__(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.pool, self.gate = ThreadPoolExecutor(1), True
+        self.futures, self.taken = [], []
+
+    def submit(self, fn, *args):
+        job = args[-1]
+        if self.gate:
+            job[0] = Gate(job[0], threading.current_thread(), self.taken)
+        future = self.pool.submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def sharing(monkeypatch):
+    """A ``SharingPool`` that ``numerics.share_blocks`` uses for the test."""
+    pool = SharingPool()
+    monkeypatch.setattr(numerics, "_block_pool", lambda: pool)
+    yield pool
+    pool.pool.shutdown(cancel_futures=True)

@@ -1253,14 +1253,19 @@ def test_every_blocked_step_of_the_workloads_is_on_an_owned_state(monkeypatch):
 
 
 def test_workloads_at_their_dims_start_no_thread(monkeypatch):
-    # A step of at most two blocks runs on the calling thread alone: `check
-    # all`, a preset run and a 2 x 2 grid never ask for the worker's pool.
+    # A step of one block and a quadratic gradient of at most two run on the
+    # calling thread alone: `check all`, a preset run and a 2 x 2 grid never
+    # reach the block runner, nor ask for its pool.
     import threading
 
+    import innaprop.numerics as numerics
     import innaprop.optimizers as optimizers
+    import innaprop.problems as problems
 
     asked = []
-    monkeypatch.setattr(optimizers, "_step_pool", lambda: asked.append(1))
+    monkeypatch.setattr(numerics, "_block_pool", lambda: asked.append(1))
+    for module in (optimizers, problems):
+        monkeypatch.setattr(module, "share_blocks", lambda *args: asked.append(args))
     threads = threading.active_count()
     for suite in sorted(checks.SUITES):
         assert checks.run_suite(suite).passed
@@ -1452,9 +1457,14 @@ class TestCli:
         assert outputs["marked"] == outputs["plain"]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-    def test_large_run_same_bytes_on_one_cpu(self, tmp_path):
-        # Above two blocks a step shares its blocks with a worker thread,
-        # unless the process may run on one CPU only: the bytes are the same.
+    @pytest.mark.parametrize("command", [["run"],
+                                         ["grid", "--alphas", "0.1", "0.5", "--betas", "0.9"]],
+                             ids=["run", "grid"])
+    def test_large_run_same_bytes_on_one_cpu(self, tmp_path, command):
+        # Above two blocks a step and the quadratic's gradient, of one vector
+        # or of a grid's (cells, dim) stack, share their blocks with a worker
+        # thread, unless the process may run on one CPU only: the bytes are
+        # the same.
         path = tmp_path / "large.json"
         path.write_text(json.dumps({"problem": "quadratic", "dim": 100_000,
                                     "optimizer": "innaprop", "alpha": 0.1, "beta": 0.9,
@@ -1469,13 +1479,16 @@ class TestCli:
         outputs = []
         for pin in (one_cpu, None):
             out = tmp_path / f"out_{len(outputs)}"
-            done = subprocess.run([sys.executable, "-m", "innaprop.harness.cli", "run",
+            done = subprocess.run([sys.executable, "-m", "innaprop.harness.cli", *command,
                                    "--config", str(path), "--out", str(out)],
                                   env=env, preexec_fn=pin, capture_output=True, text=True,
                                   timeout=120)
             assert done.returncode == 0, done.stderr
-            outputs.append((out / "run.csv").read_bytes())
-        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 7
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+        csvs = outputs[0]
+        assert outputs[0] == outputs[1]
+        assert len(csvs) == (1 if command == ["run"] else 3)
+        assert all(data.count(b"\n") == 7 for name, data in csvs.items() if name != "grid.csv")
 
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 3

@@ -2,18 +2,26 @@
 
 import concurrent.futures
 import copy
+import os
 import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import innaprop.numerics as numerics
 from innaprop.errors import ContractViolation, DomainError
 from innaprop.numerics import (
+    _BLOCK,
     ParamVector,
     Precision,
     RngStream,
     fd_gradient,
     global_norm_clip,
+    share_blocks,
 )
 from innaprop.optimizers import ReferenceParams, reference_init, reference_step
 from innaprop.problems import make_problem, shipped_problems
@@ -238,3 +246,94 @@ class TestFdGradient:
                 want = self._per_probe_fd(prob, theta, 1e-5)
                 assert got.data.dtype == want.data.dtype
                 assert got.data.tobytes() == want.data.tobytes(), prob.name
+
+
+# ---------------------------------------------------------------------------
+# share_blocks: above two blocks, the caller and one worker thread take the
+# blocks from one iterator
+# ---------------------------------------------------------------------------
+
+
+def test_worker_error_ends_the_call_and_every_block(sharing):
+    # The Gate hands the worker the first block, where it raises, and the
+    # caller the second; the caller's next offset comes after the worker's
+    # range has ended, and there is none left.
+    dim, ran, caller = 8 * _BLOCK, [], threading.current_thread()
+
+    def run(job):
+        for lo in job[0]:
+            ran.append(lo)
+            if threading.current_thread() is not caller:
+                raise ValueError(f"block {lo}")
+            concurrent.futures.wait(sharing.futures, timeout=10)
+
+    with pytest.raises(ValueError, match="block 0"):
+        share_blocks(run, dim)
+    assert sorted(ran) == [0, _BLOCK]
+    assert [lo for lo, _ in sharing.taken] == list(range(0, dim, _BLOCK))
+
+
+def test_refused_worker_leaves_every_block_to_the_caller(monkeypatch):
+    # Once interpreter shutdown has begun, the pool takes no new work.
+    class Refusing:
+        def submit(self, *args):
+            raise RuntimeError("cannot schedule new futures after shutdown")
+
+    monkeypatch.setattr(numerics, "_block_pool", Refusing)
+    ran, dim = [], 4 * _BLOCK + 3
+    share_blocks(lambda job: ran.extend((lo, threading.current_thread()) for lo in job[0]), dim)
+    assert ran == [(lo, threading.current_thread()) for lo in range(0, dim, _BLOCK)]
+
+
+# Steps and quadratic gradients of 100,000 elements, more than two blocks,
+# after the interpreter's shutdown has begun: from a thread that steps on
+# once the main thread has returned, with the pool made before, and from an
+# atexit handler, where no pool can be made. Each prints its digest.
+SHUTDOWN_SCRIPT = """
+import atexit, hashlib, sys, threading
+import numpy as np
+from innaprop.numerics import ParamVector
+from innaprop.optimizers import InnapropConfig, innaprop_init, innaprop_step
+from innaprop.problems import make_problem
+
+def work():
+    dim, cfg = 100_000, InnapropConfig(alpha=0.1, beta=0.9)
+    prob = make_problem("quadratic", spectrum=np.linspace(0.5, 50.0, dim))
+    state = innaprop_init(cfg, ParamVector(np.linspace(-1.0, 1.0, dim)))
+    for _ in range(8):
+        state = innaprop_step(state, ParamVector(prob.grad(state.theta.data)), 0.01, cfg)
+    slots = (state.theta.data, state.psi.data, state.v.data)
+    print(hashlib.sha256(b"".join(s.tobytes() for s in slots)).hexdigest(), flush=True)
+
+def after_main():
+    threading.main_thread().join(timeout=60)
+    work()
+
+if sys.argv[1] == "thread":
+    work()
+    threading.Thread(target=after_main).start()
+elif sys.argv[1] == "atexit":
+    atexit.register(work)
+else:
+    work()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_blocks_after_shutdown_begins_run_on_the_caller(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    outputs = {}
+    for mode, pin in (("one_cpu", one_cpu), ("thread", None), ("atexit", None)):
+        done = subprocess.run([sys.executable, "-c", SHUTDOWN_SCRIPT, mode], env=env,
+                              preexec_fn=pin, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == "", (mode, done.stderr)
+        outputs[mode] = done.stdout.split()
+    (digest,) = outputs["one_cpu"]
+    assert outputs["thread"] == [digest, digest] and outputs["atexit"] == [digest]
+

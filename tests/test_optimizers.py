@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+import innaprop.numerics as numerics
 import innaprop.optimizers as optimizers
 from innaprop.errors import ContractViolation, DivergenceError, WellPosednessError
 from innaprop.numerics import ParamVector, Precision, RngStream, global_norm_clip
@@ -1503,57 +1504,6 @@ def test_threads_interleaving_rules_and_dtypes_match_their_standalone_runs():
 THREAD_DIMS = [_BLOCK + 1, 2 * _BLOCK + 7, 4 * _BLOCK + 3]
 
 
-class Gate:
-    """A step's block offsets, handed out so that both threads run blocks:
-    the worker takes the first one, and its second waits for the caller's
-    first. ``taken`` records each offset with the thread that took it."""
-
-    def __init__(self, offsets, caller, taken):
-        self.offsets, self.caller, self.taken = offsets, caller, taken
-        self.worker_took, self.caller_took = threading.Event(), threading.Event()
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        by_caller = threading.current_thread() is self.caller
-        # A timeout, not a hang, when the other thread never comes.
-        (self.worker_took if by_caller else self.caller_took).wait(
-            timeout=10 if by_caller or self.worker_took.is_set() else 0)
-        lo = next(self.offsets)
-        self.taken.append((lo, by_caller))
-        (self.caller_took if by_caller else self.worker_took).set()
-        return lo
-
-
-class SharingPool:
-    """The step driver's pool, one worker of its own, that gates each
-    step's blocks (``Gate``) unless ``gate`` is off, and keeps the worker's
-    futures."""
-
-    def __init__(self, gate=True):
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.pool, self.gate = ThreadPoolExecutor(1), gate
-        self.futures, self.taken = [], []
-
-    def submit(self, fn, *args):
-        job = args[-1]
-        if self.gate:
-            job[0] = Gate(job[0], threading.current_thread(), self.taken)
-        future = self.pool.submit(fn, *args)
-        self.futures.append(future)
-        return future
-
-
-@pytest.fixture
-def sharing(monkeypatch):
-    pool = SharingPool()
-    monkeypatch.setattr(optimizers, "_step_pool", lambda: pool)
-    yield pool
-    pool.pool.shutdown(cancel_futures=True)
-
-
 def running_ranges(monkeypatch) -> list:
     """Counts the block ranges ``_blocked_step`` runs that have not yet
     returned or raised, in a one-item list."""
@@ -1594,7 +1544,7 @@ def test_two_threads_give_the_bits_of_one(name, precision, dim, sharing, monkeyp
         threads = {by_caller for _, by_caller in sharing.taken}
         sharing.taken.clear()
         with monkeypatch.context() as serial:
-            serial.setattr(optimizers, "_step_pool", lambda: None)
+            serial.setattr(numerics, "_block_pool", lambda: None)
             assert_bitwise(shared, stepped(name, precision, dim, layout))
         # At most two blocks start no thread; above, both threads ran blocks.
         assert threads == (set() if dim <= 2 * _BLOCK else {True, False}), layout
@@ -1626,12 +1576,12 @@ def test_nonfinite_block_ends_every_range(name, layout, where, sharing, monkeypa
     assert all(future.done() for future in sharing.futures)
 
 
-def test_busy_worker_leaves_the_step_to_the_caller(monkeypatch):
+def test_busy_worker_leaves_the_step_to_the_caller(sharing, monkeypatch):
     # The worker is held on an event: the caller runs every block, and the
     # range it queued for the worker is cancelled, not awaited.
-    pool, release = SharingPool(gate=False), threading.Event()
+    pool, release = sharing, threading.Event()
+    pool.gate = False
     held = pool.pool.submit(release.wait, 60)
-    monkeypatch.setattr(optimizers, "_step_pool", lambda: pool)
     try:
         shared = stepped("innaprop", "f64", 4 * _BLOCK + 3, "owned")
         assert len(pool.futures) == 2 and all(f.cancelled() for f in pool.futures)
@@ -1639,11 +1589,11 @@ def test_busy_worker_leaves_the_step_to_the_caller(monkeypatch):
     finally:
         release.set()
         pool.pool.shutdown()
-    monkeypatch.setattr(optimizers, "_step_pool", lambda: None)
+    monkeypatch.setattr(numerics, "_block_pool", lambda: None)
     assert_bitwise(shared, stepped("innaprop", "f64", 4 * _BLOCK + 3, "owned"))
 
 
-def test_callers_sharing_the_worker_match_one_thread(monkeypatch):
+def test_callers_sharing_the_worker_match_one_thread(sharing, monkeypatch):
     # Four threads step states of their own, four blocks each, at once, with
     # a short switch interval: their ranges queue on the one worker, which
     # takes some and finds others cancelled. Each comes out bit for bit as
@@ -1654,12 +1604,13 @@ def test_callers_sharing_the_worker_match_one_thread(monkeypatch):
     def run(out, index):
         out[index] = stepped(names[index], "f64", dim, "owned", steps=6)
 
-    monkeypatch.setattr(optimizers, "_step_pool", lambda: None)
-    alone, together = {}, {}
-    for index in range(len(names)):
-        run(alone, index)
-    pool = SharingPool(gate=False)
-    monkeypatch.setattr(optimizers, "_step_pool", lambda: pool)
+    with monkeypatch.context() as serial:
+        serial.setattr(numerics, "_block_pool", lambda: None)
+        alone, together = {}, {}
+        for index in range(len(names)):
+            run(alone, index)
+    pool = sharing
+    pool.gate = False
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1702,20 +1653,20 @@ def test_worker_steps_in_the_callers_errstate(sharing):
 
 
 def test_step_pool_has_no_worker_on_one_cpu(monkeypatch):
-    monkeypatch.setattr(optimizers, "_pool", None)
+    monkeypatch.setattr(numerics, "_pool", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert optimizers._step_pool() is None
+    assert numerics._block_pool() is None
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert optimizers._step_pool() is None and optimizers._pool is None
+    assert numerics._block_pool() is None and numerics._pool is None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_drops_the_parents_pool(monkeypatch):
     # The parent's worker thread does not exist in a forked child, which
     # makes a pool of its own on its first step of more than two blocks.
-    monkeypatch.setattr(optimizers, "_pool", object())
+    monkeypatch.setattr(numerics, "_pool", object())
     pid = os.fork()
     if pid == 0:  # the child: exit at once, with the verdict as its status
-        os._exit(0 if optimizers._pool is None else 1)
+        os._exit(0 if numerics._pool is None else 1)
     assert os.waitpid(pid, 0)[1] == 0

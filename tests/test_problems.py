@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from innaprop.errors import ConfigError, ContractViolation, ParseError
 from innaprop.harness.checks import gradient_fidelity
 from innaprop.harness.config import build_problem, load_preset, parse_config_dict
 from innaprop.harness.runner import run_experiment
-from innaprop.numerics import ParamVector, RngStream
+import innaprop.numerics as numerics
+import innaprop.problems as problems
+from innaprop.numerics import _BLOCK, ParamVector, RngStream
 from innaprop.problems import (
     _CHUNK,
     MiniBatchSampler,
@@ -37,6 +40,69 @@ class TestQuadratic:
     def test_spectrum_must_be_positive_and_finite(self, bad):
         with pytest.raises(ContractViolation):
             make_problem("quadratic", spectrum=(1.0, bad))
+
+
+class TestLargeQuadraticGrad:
+    """Above two blocks the quadratic's gradient is filled block by block
+    through ``numerics.share_blocks``, with the bits of ``a * x`` in f64."""
+
+    @staticmethod
+    def problem_and_point(dim, precision, rows, seed=5):
+        rng = RngStream(dim, seed).generator()
+        prob = make_problem("quadratic", spectrum=rng.uniform(0.5, 50.0, dim))
+        x = rng.standard_normal((rows, dim) if rows else dim).astype(precision)
+        return prob, x
+
+    @pytest.mark.parametrize("threads", ["serial", "shared"])
+    @pytest.mark.parametrize("rows", [0, 3], ids=["vector", "stack"])
+    @pytest.mark.parametrize("precision", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("dim", [2 * _BLOCK + 1, 4 * _BLOCK + 3, 10**6])
+    def test_bits_of_the_whole_array_product(self, dim, precision, rows, threads, sharing,
+                                             monkeypatch):
+        if threads == "serial":
+            monkeypatch.setattr(numerics, "_block_pool", lambda: None)
+        prob, x = self.problem_and_point(dim, precision, rows)
+        a = prob.grad(np.ones(dim))
+        g = prob.grad(x)
+        expected = a * np.asarray(x, np.float64)
+        assert g.dtype == np.float64 and g.shape == x.shape
+        assert g.tobytes() == expected.tobytes()
+        # The Gate hands the worker the first block and the caller the next.
+        assert {by_caller for _, by_caller in sharing.taken} == (
+            set() if threads == "serial" else {True, False})
+
+    def test_at_most_two_blocks_never_reach_the_block_runner(self, monkeypatch):
+        monkeypatch.setattr(problems, "share_blocks", None)
+        prob, x = self.problem_and_point(2 * _BLOCK, np.float64, 3)
+        assert prob.grad(x).tobytes() == (prob.grad(np.ones(2 * _BLOCK)) * x).tobytes()
+
+    def test_overflow_follows_the_callers_errstate(self, sharing):
+        # The worker takes the first block, where a * x overflows.
+        prob, x = self.problem_and_point(10**6, np.float64, 0)
+        x[7] = 1e308 / prob.grad(np.ones(10**6))[7] * 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    prob.grad(x)
+            with np.errstate(over="ignore"):
+                g = prob.grad(x)
+        assert np.isposinf(g[7]) and np.count_nonzero(np.isfinite(g)) == g.size - 1
+        assert (0, False) in sharing.taken
+
+    @pytest.mark.parametrize("precision", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_allocates_only_its_output(self, precision):
+        # No whole-array f64 copy of an f32 input, and no ufunc cast buffer:
+        # one f64 output and small change, whether or not the worker runs.
+        prob, x = self.problem_and_point(10**6, precision, 0)
+        prob.grad(x)  # the pool, if any, is made before measuring
+        tracemalloc.start()
+        try:
+            g = prob.grad(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= g.nbytes + 64 * 1024
 
 
 class TestRosenbrock:
