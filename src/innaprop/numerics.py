@@ -203,6 +203,11 @@ def fd_gradient(problem, theta: ParamVector, h: float = 1e-5) -> ParamVector:
 # bound on an owned step's allocations.
 _BLOCK = 32 * 1024
 
+# Above this many elements a ``share_blocks`` call is shared between two
+# threads: more than two blocks. A caller that picks its path from the size
+# (``problems._quadratic``) asks this constant, not its own copy of the rule.
+_SHARED = 2 * _BLOCK
+
 # The pool of ``share_blocks``'s worker thread, made by ``_block_pool`` on
 # the first call of more than two blocks; a forked child makes its own.
 _pool = None
@@ -245,26 +250,29 @@ def _block_pool():
 
 def share_blocks(run, dim: int, *args) -> None:
     """``run(job)`` over the column blocks of ``dim`` elements, ``_BLOCK``
-    at a time, where ``job`` is the list ``[offsets, dim, *args]`` and
-    ``offsets`` an iterator of the blocks' first columns: ``run`` takes each
-    block's offset from it and works on that block's columns alone.
+    at a time, where ``job`` is the list ``[blocks, *args]`` and ``blocks``
+    an iterator of the blocks' ``(lo, hi)`` column bounds, the last block
+    partial: ``run`` takes each block's bounds from it and works on the
+    columns ``lo:hi`` alone.
 
-    Above two blocks, and unless the process may run on one CPU only, the
-    calling thread and one worker thread (``_block_pool``) both call ``run``
-    on the one ``job``, so each runs the blocks it takes first. The work on
-    a block must not depend on the other blocks or on the thread: then the
-    result is that of one thread, whatever the timing. The worker runs in a
-    copy of the caller's context, so numpy's ``errstate`` is the caller's in
-    both. A range the worker has not started when the caller runs out of
-    blocks is cancelled, so a busy worker cannot hold the call; a started
-    one is waited for before the call returns or raises, so no thread writes
-    an output after it. A raise in either thread takes every offset left, so
-    the other stops after its current block, and it is the call's error. At
-    most two blocks, and once interpreter shutdown has begun, the pool
-    refusing new work, every block runs on the calling thread.
+    Above ``_SHARED`` elements, and unless the process may run on one CPU
+    only, the calling thread and one worker thread (``_block_pool``) both
+    call ``run`` on the one ``job``, so each runs the blocks it takes first.
+    The work on a block must not depend on the other blocks or on the
+    thread: then the result is that of one thread, whatever the timing. The
+    worker runs in a copy of the caller's context, so numpy's ``errstate``
+    is the caller's in both. A range the worker has not started when the
+    caller runs out of blocks is cancelled, so a busy worker cannot hold the
+    call; a started one is waited for before the call returns or raises, so
+    no thread writes an output after it. A raise in either thread takes
+    every block left, so the other stops after its current block, and it is
+    the call's error. At most two blocks, and once interpreter shutdown has
+    begun, the pool refusing new work, every block runs on the calling
+    thread.
     """
-    job = [iter(range(0, dim, _BLOCK)), dim, *args]
-    pool = _block_pool() if dim > 2 * _BLOCK else None
+    # A list's iterator: two threads may take from it at once.
+    job = [iter([(lo, min(lo + _BLOCK, dim)) for lo in range(0, dim, _BLOCK)]), *args]
+    pool = _block_pool() if dim > _SHARED else None
     worker = None
     if pool is not None:
         try:
@@ -289,7 +297,7 @@ def share_blocks(run, dim: int, *args) -> None:
 
 
 def _drained(run, job):
-    """``run(job)``; a raise first takes every offset left in ``job[0]``."""
+    """``run(job)``; a raise first takes every block left in ``job[0]``."""
     try:
         run(job)
     finally:

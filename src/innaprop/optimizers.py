@@ -471,17 +471,16 @@ def _blocked_step(state, step_index: int, kernel, coeffs, names, grad: np.ndarra
 
 def _run_blocks(job):
     """``_blocked_step``'s loop, run by ``share_blocks``: the kernel and the
-    finiteness scan on each block whose offset the iterator ``blocks``
+    finiteness scan on each block whose bounds the iterator ``blocks``
     yields, with two scratch rows and a check buffer of its own, as the
     caller's or the worker's."""
-    blocks, dim, kernel, ins, outs, checked, coeffs, step_index = job
+    blocks, kernel, ins, outs, checked, coeffs, step_index = job
     # Per call: kept between calls, a 256 KB buffer changed how the
     # allocator served the megabyte arrays around a step at dim 1e6,
     # and the same numpy passes then ran at a different speed.
     scratch = np.empty((2, _BLOCK), ins[-1].dtype)
     finite = np.empty((*checked[0].shape[:-1], _BLOCK), dtype=bool)
-    for lo in blocks:
-        hi = min(lo + _BLOCK, dim)
+    for lo, hi in blocks:
         if hi - lo < _BLOCK:  # last, partial block
             scratch, finite = scratch[:, : hi - lo], finite[..., : hi - lo]
         kernel([arr[lo:hi] for arr in ins], [out[lo:hi] for out in outs],

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, ParseError
-from .numerics import _BLOCK, RngStream, share_blocks
+from .numerics import _SHARED, RngStream, share_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def _quadratic(spectrum) -> Problem:
         theta = np.asarray(theta, dtype=np.float64)
         return _per_cell_float(theta, 0.5 * (a * theta * theta).sum(axis=-1))
 
-    if a.size <= 2 * _BLOCK:
+    if a.size <= _SHARED:
         def grad(theta, batch=None):
             return a * np.asarray(theta, dtype=np.float64)
     else:
@@ -369,17 +369,11 @@ def _quadratic(spectrum) -> Problem:
 
 def _scaled_blocks(job):
     """``out = a * x`` in f64 on the column blocks ``share_blocks`` hands
-    out, bit for bit as ``a * np.asarray(x, np.float64)``. An ``x`` of
-    another dtype is cast into each output block first, then multiplied in
-    place: the cast is the one ``np.asarray`` makes, and no ufunc call needs
-    a cast buffer of its own."""
-    blocks, _, a, x, out = job
-    src = x if x.dtype == out.dtype else out
-    for lo in blocks:
-        cols = slice(lo, lo + _BLOCK)
-        if src is out:
-            out[..., cols] = x[..., cols]
-        np.multiply(a[cols], src[..., cols], out[..., cols])
+    out, bit for bit as ``a * np.asarray(x, np.float64)``: numpy widens an
+    f32 ``x`` to f64 exactly, a block at a time."""
+    blocks, a, x, out = job
+    for lo, hi in blocks:
+        np.multiply(a[lo:hi], x[..., lo:hi], out[..., lo:hi])
 
 
 def _rosenbrock(dim: int = 2) -> Problem:

@@ -25,13 +25,13 @@ def class_csv(tmp_path):
 
 
 class Gate:
-    """A ``share_blocks`` call's block offsets, handed out so that both
-    threads run blocks: the worker takes the first one, and its second waits
-    for the caller's first. ``taken`` records each offset with the thread
-    that took it."""
+    """A ``share_blocks`` call's blocks, handed out so that both threads
+    run blocks: the worker takes the first one, and its second waits for the
+    caller's first. ``taken`` records each block's first column with the
+    thread that took it."""
 
-    def __init__(self, offsets, caller, taken):
-        self.offsets, self.caller, self.taken = offsets, caller, taken
+    def __init__(self, blocks, caller, taken):
+        self.blocks, self.caller, self.taken = blocks, caller, taken
         self.worker_took, self.caller_took = threading.Event(), threading.Event()
 
     def __iter__(self):
@@ -42,10 +42,10 @@ class Gate:
         # A timeout, not a hang, when the other thread never comes.
         (self.worker_took if by_caller else self.caller_took).wait(
             timeout=10 if by_caller or self.worker_took.is_set() else 0)
-        lo = next(self.offsets)
-        self.taken.append((lo, by_caller))
+        block = next(self.blocks)
+        self.taken.append((block[0], by_caller))
         (self.caller_took if by_caller else self.worker_took).set()
-        return lo
+        return block
 
 
 class SharingPool:

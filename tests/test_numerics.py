@@ -261,7 +261,7 @@ def test_worker_error_ends_the_call_and_every_block(sharing):
     dim, ran, caller = 8 * _BLOCK, [], threading.current_thread()
 
     def run(job):
-        for lo in job[0]:
+        for lo, _ in job[0]:
             ran.append(lo)
             if threading.current_thread() is not caller:
                 raise ValueError(f"block {lo}")
@@ -281,8 +281,9 @@ def test_refused_worker_leaves_every_block_to_the_caller(monkeypatch):
 
     monkeypatch.setattr(numerics, "_block_pool", Refusing)
     ran, dim = [], 4 * _BLOCK + 3
-    share_blocks(lambda job: ran.extend((lo, threading.current_thread()) for lo in job[0]), dim)
-    assert ran == [(lo, threading.current_thread()) for lo in range(0, dim, _BLOCK)]
+    share_blocks(lambda job: ran.extend((*b, threading.current_thread()) for b in job[0]), dim)
+    assert ran == [(lo, min(lo + _BLOCK, dim), threading.current_thread())
+                   for lo in range(0, dim, _BLOCK)]
 
 
 # Steps and quadratic gradients of 100,000 elements, more than two blocks,
