@@ -85,6 +85,11 @@ def _cmd_ode(args) -> int:
     cfg = _load_config(args)
     if cfg.alpha is None or cfg.beta is None:
         raise ConfigError("ode command needs keys 'alpha' and 'beta'")
+    # The discrete recursion steps at the constant step size lr; checked
+    # before the flow is integrated, not once it has been.
+    if not 0 < cfg.lr < cfg.beta:
+        raise ConfigError(f"ode command needs 0 < lr < beta, got lr={cfg.lr:g}, "
+                          f"beta={cfg.beta:g}")
     problem = build_problem(cfg)
     theta0 = ParamVector(cfg.init_scale * problem.init_theta(init_stream(cfg).generator()))
     spec = DinFlowSpec(cfg.alpha, cfg.beta, problem, t_end=cfg.t_end, dt=cfg.ode_dt)

@@ -165,12 +165,23 @@ def parse_config_dict(raw: dict) -> RunConfig:
     return config
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a repeated key is a
+    ``ConfigError``, where ``json`` would keep its last value silently."""
+    raw = {}
+    for key, value in pairs:
+        if key in raw:
+            raise ConfigError(f"key {key!r} is repeated")
+        raw[key] = value
+    return raw
+
+
 def parse_config(path) -> RunConfig:
     try:
         # JSON text is UTF-8; a leading byte-order mark, as some editors
         # write, is dropped, as a CSV dataset's is.
         with open(path, encoding="utf-8-sig") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_config_dict(raw)
@@ -378,4 +389,5 @@ def load_preset(name: str) -> RunConfig:
     candidate = pkg / f"{name}.json"
     if not candidate.is_file():
         raise ConfigError(f"unknown preset {name!r}; shipped: {preset_names()}")
-    return parse_config_dict(json.loads(candidate.read_text(encoding="utf-8")))
+    return parse_config_dict(json.loads(candidate.read_text(encoding="utf-8"),
+                                        object_pairs_hook=_unique_keys))

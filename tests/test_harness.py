@@ -72,6 +72,9 @@ def bench_tracing():
 MINIMAL = {"problem": "rosenbrock", "optimizer": "innaprop", "alpha": 0.1,
            "beta": 0.9, "lr": 1e-3, "steps": 100}
 
+# The sha256 of everything ``innaprop check all`` prints.
+CHECK_ALL_SHA256 = "807157cc8a961d4cf4fb5df5ac285d7d435fe3aa334ca56ffc3e740292f73aa8"
+
 
 class TestConfig:
     def test_minimal_config_with_defaults(self):
@@ -1498,27 +1501,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[PASS] schedulers/" in out and "[FAIL]" not in out
 
-    def test_check_gradients_same_in_every_process(self):
-        # The probe points must not depend on the interpreter's string-hash seed.
+    def test_check_all_same_in_every_process(self):
+        # Every report line, the gradients suite's probe points among them,
+        # must not depend on the BLAS thread count or the interpreter's
+        # string-hash seed: two processes, run at once, print the pinned bytes.
         src = str(Path(__file__).resolve().parents[1] / "src")
-        outputs = []
-        for hash_seed in ("1", "2"):
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            done = subprocess.run([sys.executable, "-m", "innaprop.harness.cli", "check", "gradients"],
-                                  env=env, capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            outputs.append(done.stdout)
-        lines = outputs[0].splitlines()
-        assert outputs[0] == outputs[1]
-        assert len(lines) == 4 and all(line.startswith("[PASS] gradients/") for line in lines)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [subprocess.Popen([sys.executable, "-m", "innaprop.harness.cli", "check", "all"],
+                                 env={**os.environ, "OPENBLAS_NUM_THREADS": setting,
+                                      "PYTHONHASHSEED": setting, "PYTHONPATH": path},
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                for setting in ("1", "2")]
+        for run in runs:
+            out, err = run.communicate(timeout=120)
+            assert run.returncode == 0, err.decode()
+            assert hashlib.sha256(out).hexdigest() == CHECK_ALL_SHA256
+            assert out.decode().count("[PASS] gradients/") == 4
 
     def test_check_all_report_pinned(self, capsys):
         # Every line of every suite's report, byte for byte.
         assert main(["check", "all"]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "807157cc8a961d4cf4fb5df5ac285d7d435fe3aa334ca56ffc3e740292f73aa8")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_ALL_SHA256
 
     def test_check_failure_exit_one(self, capsys, monkeypatch):
         from innaprop.harness import checks, cli
@@ -1552,6 +1556,40 @@ class TestCli:
         assert code == 0
         header = (tmp_path / "ode" / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,theta0,theta1,loss"
+
+    @pytest.mark.parametrize("optimizer,lr", [("adamw", 0.5), ("dinadam", 0.1)])
+    def test_ode_checks_lr_below_beta_before_integrating(self, tmp_path, capsys, monkeypatch,
+                                                         optimizer, lr):
+        # validate_config holds lr below beta for the inertial family only;
+        # the ode command steps the recursion at lr for every optimizer.
+        from innaprop.harness import cli
+
+        def refuse(*args):
+            raise AssertionError("integrated before the check")
+
+        monkeypatch.setattr(cli, "rk4_integrate", refuse)
+        cfg = self._write_cfg(tmp_path, {"problem": "quadratic", "optimizer": optimizer,
+                                         "alpha": 0.5, "beta": 0.1, "lr": lr, "t_end": 20.0,
+                                         "ode_dt": 5e-4})
+        out = tmp_path / "ode"
+        assert main(["ode", "--config", cfg, "--out", str(out)]) == 2
+        assert "0 < lr < beta" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["file", "preset"])
+    def test_repeated_key_exit_two(self, tmp_path, capsys, monkeypatch, source):
+        # json keeps the last of two values silently; the config would run SGD.
+        text = ('{"problem": "rosenbrock", "optimizer": "adamw", "lr": 1e-3, "steps": 5, '
+                '"optimizer": "sgd"}')
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        if source == "preset":
+            monkeypatch.setattr(config_module.resources, "files", lambda package: tmp_path)
+        out = tmp_path / "out"
+        config = str(path) if source == "file" else "preset:repeated"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "key 'optimizer' is repeated" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,name,sha256", [
         ("sweep", "sweep.csv", "6f2f2fd1922731547bc726b59503d0dc6ba0a56009bfc73bd45e04cd69e1fcba"),

@@ -4,9 +4,11 @@ update rule."""
 import copy
 import os
 import pickle
+import random
 import sys
 import threading
 import warnings
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,9 +18,8 @@ from mpmath import mp, mpf
 import innaprop.numerics as numerics
 import innaprop.optimizers as optimizers
 from innaprop.errors import ContractViolation, DivergenceError, WellPosednessError
-from innaprop.numerics import ParamVector, Precision, RngStream, global_norm_clip
+from innaprop.numerics import _BLOCK, _SHARED, ParamVector, Precision, RngStream
 from innaprop.optimizers import (
-    _BLOCK,
     _own,
     InnapropConfig,
     InnapropState,
@@ -425,321 +426,44 @@ class TestReferenceOptimizers:
 
 
 # ---------------------------------------------------------------------------
-# The shared driver: precision contract of every public step
+# One table of the public steps: each rule and form with its init, its step
+# and, for a step of the blocked driver, the whole-array formulas it must
+# match bit for bit
 # ---------------------------------------------------------------------------
 
 CFG = InnapropConfig(alpha=0.1, beta=0.9, weight_decay=0.01)
 PLAIN_CFG = replace(CFG, weight_decay=0.0, bias_correction=False)
 PARAMS = ReferenceParams(weight_decay=0.01)
-
-# name -> (init(theta0), step(state, g, gamma=0.01)), one entry per public
-# step and form.
-EVERY_STEP = {
-    "innaprop": (lambda th: innaprop_init(CFG, th),
-                 lambda s, g, gamma=0.01: innaprop_step(s, g, gamma, CFG)),
-    "innaprop_plain": (lambda th: innaprop_init(PLAIN_CFG, th),
-                       lambda s, g, gamma=0.01: innaprop_step(s, g, gamma, PLAIN_CFG)),
-    "innaprop_naive": (lambda th: innaprop_naive_init(CFG, th),
-                       lambda s, g, gamma=0.01: innaprop_naive_step(s, g, gamma, CFG)),
-    "inna_classic": (lambda th: inna_init(0.5, 0.1, th),
-                     lambda s, g, gamma=0.01: inna_step(s, g, gamma, 0.5, 0.1, "classic")),
-    "inna_compact": (lambda th: inna_init(0.5, 0.1, th),
-                     lambda s, g, gamma=0.01: inna_step(s, g, gamma, 0.5, 0.1, "compact")),
-    "dinadam": (lambda th: dinadam_init(th, sigma1=0.9, sigma2=0.999),
-                lambda s, g, gamma=0.01: dinadam_step(s, g, gamma, 0.5, 0.7)),
-    "dinadam_direct": (lambda th: dinadam_direct_init(th, sigma1=0.9, sigma2=0.999),
-                       lambda s, g, gamma=0.01: dinadam_direct_step(s, g, gamma, 0.5, 0.7)),
-    **{f"momentum_{form}": (lambda th, form=form: innaprop_momentum_init(CFG, th, form),
-                            lambda s, g, gamma=0.01: innaprop_momentum_step(s, g, gamma, CFG))
-       for form in ("direct", "reduced")},
-    **{f"reference_{kind}": (lambda th, kind=kind: reference_init(kind, th, PARAMS),
-                             lambda s, g, gamma=0.01: reference_step(s, g, gamma, PARAMS))
-       for kind in ("SGD", "Momentum", "Nesterov", "RMSpropMomentum", "Adam", "AdamW",
-                    "NAdam")},
-}
-
-
-def slot_arrays(state) -> list:
-    """The arrays of the state's ``ParamVector`` slots, in field order."""
-    slots = [getattr(state, f.name) for f in fields(state)]
-    return [slot.data for slot in slots if isinstance(slot, ParamVector)]
-
-
-@pytest.mark.parametrize("name", sorted(EVERY_STEP))
-def test_step_checks_gradient_and_keeps_precision(name):
-    init, step = EVERY_STEP[name]
-    state = init(ParamVector([1.0, -2.0, 0.5], "f32"))
-    with pytest.raises(ContractViolation, match="precision"):
-        step(state, ParamVector([0.5, 0.25, -1.0], "f64"))
-    with pytest.raises(ContractViolation, match="dimension"):
-        step(state, ParamVector([0.5], "f32"))
-    for _ in range(2):  # the second step reads the slots the first one wrote
-        state = step(state, ParamVector([0.5, 0.25, -1.0], "f32"))
-    arrays = slot_arrays(state)
-    assert state.k == 2 and len(arrays) >= 1
-    assert all(arr.dtype == np.float32 for arr in arrays)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("gamma", [0.01, 0.0])
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("name", sorted(EVERY_STEP))
-def test_nonfinite_gradient_diverges_and_changes_nothing(name, precision, bad, gamma):
-    # The run loop hands a step the problem's gradient without a finiteness
-    # scan. Every rule reads the gradient into a new slot, and 0*inf and
-    # x*nan are NaN, so the step's own check is the verdict, even at step
-    # size 0. The bad element sits in the second block of the blocked steps.
-    init, step = EVERY_STEP[name]
-    dim = _BLOCK + 3
-    rng = RngStream(12, 0).generator()
-    state = step(init(ParamVector(rng.standard_normal(dim), precision)),
-                 ParamVector(rng.standard_normal(dim), precision))
-    before = [arr.copy() for arr in slot_arrays(state)]
-    grad = rng.standard_normal(dim).astype(Precision.of(precision).dtype)
-    grad[-2] = bad
-    with pytest.raises(DivergenceError) as err:
-        step(state, ParamVector._wrap(grad), gamma)
-    assert err.value.step == 2 and state.k == 1
-    assert not any(arr.flags.writeable for arr in slot_arrays(state))
-    assert_bitwise(slot_arrays(state), before)
-
-
-@pytest.mark.parametrize("gamma", [-0.01, np.nan, np.inf])
-@pytest.mark.parametrize("name", sorted(EVERY_STEP))
-def test_bad_step_size_rejected_before_the_gradient(name, gamma):
-    # A negative step size would step uphill, and a NaN or infinite one is
-    # the caller's error, not a divergence of the rule. Every step rejects
-    # it before it looks at the gradient, here one of the wrong dimension,
-    # and an owned state keeps its slots.
-    init, step = EVERY_STEP[name]
-    state = _own(init(ParamVector([1.0, -2.0, 0.5])))
-    before = [arr.copy() for arr in slot_arrays(state)]
-    with pytest.raises(ContractViolation, match="step size"):
-        step(state, ParamVector([0.5]), gamma)
-    assert_bitwise(slot_arrays(state), before)
-
-
-@pytest.mark.parametrize("layout", ["public", "owned"])
-@pytest.mark.parametrize("name", sorted(EVERY_STEP))
-def test_successor_is_the_state_with_its_new_slots_at_the_next_index(name, layout):
-    # Every step builds its successor one way: each field it does not step
-    # is carried over (a reference kind, a momentum form, DINAdam's rates, a
-    # None g_prev), its slots are those the rule wrote, and k is k + 1. An
-    # owned state's successor of the blocked driver keeps its record; an
-    # oracle's successor has fresh slots and is not owned.
-    init, step = EVERY_STEP[name]
-    rng = RngStream(4, 26).generator()
-    state = init(ParamVector(rng.standard_normal(42)))
-    if layout == "owned":
-        state = _own(state)
-    record = vars(state).get("_owned") if name in BLOCKED_STEPS else None
-    for k in (1, 2):
-        new = step(state, ParamVector(rng.standard_normal(42)))
-        slots = {f.name: getattr(new, f.name) for f in fields(new)
-                 if isinstance(getattr(new, f.name), ParamVector)}
-        assert slots.keys() == {f.name for f in fields(state)
-                                if isinstance(getattr(state, f.name), ParamVector)}
-        want = replace(state, **slots, k=k)
-        assert type(new) is type(state) and new.k == k
-        for f in fields(want):
-            if f.name != "k":
-                assert getattr(new, f.name) is getattr(want, f.name), f.name
-        assert set(vars(new)) - {"_owned"} == {f.name for f in fields(new)}
-        assert vars(new).get("_owned") is record
-        state = new
-
-
-# ---------------------------------------------------------------------------
-# Blocked kernels against the whole-array formulas
-# ---------------------------------------------------------------------------
-
-BLOCK_DIMS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]
-
-
-def loop_gradient(rng, dim, precision, grad_clip):
-    """A gradient as the run loop hands it to a step: clipped to
-    ``grad_clip`` when that is set. Its norm is well above 1, so a clip of 1
-    rescales it."""
-    g = ParamVector(3.0 * rng.standard_normal(dim), precision)
-    return global_norm_clip(g, grad_clip) if grad_clip is not None else g
-
-
-def whole_array_innaprop(state, g, gamma, cfg, weight_decay, bias_correction):
-    """The reduced step as whole-array numpy expressions, in the kernel's order."""
-    alpha, beta, sigma, eps = cfg.alpha, cfg.beta, cfg.sigma, cfg.epsilon
-    theta, psi, v = state.theta.data, state.psi.data, state.v.data
-    grad = g.data
-    if weight_decay:
-        theta = (1.0 - weight_decay * gamma) * theta
-    v_new = sigma * v + (1.0 - sigma) * grad * grad
-    v_hat = v_new / (1.0 - sigma ** (state.k + 1)) if bias_correction else v_new
-    psi_new = (1.0 - gamma / beta) * psi + (gamma * (1.0 / beta - alpha)) * theta
-    theta_new = (
-        (1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma)) * theta
-        - (gamma / (beta - gamma)) * psi_new
-        - (gamma * beta) * (grad / (np.sqrt(v_hat) + eps))
-    )
-    return theta_new, psi_new, v_new
-
-
-def whole_array_adamw(state, g, gamma, params):
-    b1, b2, eps, lam = params.beta1, params.beta2, params.epsilon, params.weight_decay
-    theta, grad, k = state.theta.data, g.data, state.k + 1
-    if lam:
-        theta = (1.0 - lam * gamma) * theta
-    m_new = b1 * state.m.data + (1.0 - b1) * grad
-    v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
-    if params.bias_correction:
-        m_hat, v_hat = m_new / (1.0 - b1 ** k), v_new / (1.0 - b2 ** k)
-    else:
-        m_hat, v_hat = m_new, v_new
-    return theta - gamma * (m_hat / (np.sqrt(v_hat) + eps)), m_new, v_new
-
-
-def assert_bitwise(got, want):
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-class TestBlockedKernels:
-    @pytest.mark.parametrize("dim", BLOCK_DIMS)
-    @pytest.mark.parametrize("precision", ["f32", "f64"])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @pytest.mark.parametrize("bias_correction", [True, False])
-    @pytest.mark.parametrize("grad_clip", [None, 1.0])
-    def test_innaprop_bitwise_equal_to_whole_array(self, dim, precision, weight_decay,
-                                                    bias_correction, grad_clip):
-        cfg = InnapropConfig(alpha=0.3, beta=0.9, weight_decay=weight_decay,
-                             bias_correction=bias_correction)
-        rng = RngStream(dim, 3).generator()
-        state = innaprop_init(cfg, ParamVector(rng.standard_normal(dim), precision))
-        for k in range(3):
-            g = loop_gradient(rng, dim, precision, grad_clip)
-            gamma = 0.01 * (k + 1)
-            want = whole_array_innaprop(state, g, gamma, cfg, weight_decay, bias_correction)
-            state = innaprop_step(state, g, gamma, cfg)
-            assert_bitwise((state.theta.data, state.psi.data, state.v.data), want)
-
-    @pytest.mark.parametrize("dim", BLOCK_DIMS)
-    @pytest.mark.parametrize("precision", ["f32", "f64"])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @pytest.mark.parametrize("bias_correction", [True, False])
-    def test_adamw_bitwise_equal_to_whole_array(self, dim, precision, weight_decay,
-                                                bias_correction):
-        params = ReferenceParams(weight_decay=weight_decay, bias_correction=bias_correction)
-        rng = RngStream(dim, 4).generator()
-        state = reference_init("AdamW", ParamVector(rng.standard_normal(dim), precision), params)
-        for _ in range(3):
-            g = ParamVector(3.0 * rng.standard_normal(dim), precision)
-            want = whole_array_adamw(state, g, 0.01, params)
-            state = reference_step(state, g, 0.01, params)
-            assert_bitwise((state.theta.data, state.m.data, state.v.data), want)
-
-    def test_input_state_is_left_alone(self):
-        dim = 2 * _BLOCK + 7
-        cfg = InnapropConfig(alpha=0.3, beta=0.9, weight_decay=0.01)
-        params = ReferenceParams(weight_decay=0.01)
-        rng = RngStream(5, 5).generator()
-        theta0 = ParamVector(rng.standard_normal(dim))
-        g = ParamVector(rng.standard_normal(dim))
-        for state, step in (
-            (innaprop_step(innaprop_init(cfg, theta0), g, 0.01, cfg),
-             lambda s: innaprop_step(s, g, 0.01, cfg)),
-            (reference_step(reference_init("AdamW", theta0, params), g, 0.01, params),
-             lambda s: reference_step(s, g, 0.01, params)),
-        ):
-            slots = [getattr(state, f) for f in ("theta", "psi", "m", "v")
-                     if getattr(state, f, None) is not None]
-            before = [s.data.copy() for s in slots]
-            new = step(state)
-            for slot, copy in zip(slots, before):
-                assert not slot.data.flags.writeable
-                assert np.array_equal(slot.data, copy)
-            assert not new.theta.data.flags.writeable
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_only_in_last_partial_block(self):
-        dim = 2 * _BLOCK + 7
-        cfg = InnapropConfig(alpha=0.1, beta=0.9)
-        theta = np.ones(dim)
-        theta[-1] = 1e308  # theta_new overflows there and nowhere else
-        state = replace(innaprop_init(cfg, ParamVector(theta)), k=6)
-        g = ParamVector(np.ones(dim))
-        want = whole_array_innaprop(state, g, 0.5, cfg, 0.0, True)
-        assert not np.isfinite(want[0][-1]) and np.isfinite(want[0][:-1]).all()
-        assert all(np.isfinite(arr).all() for arr in want[1:])
-        with pytest.raises(DivergenceError) as err:
-            innaprop_step(state, g, 0.5, cfg)
-        assert err.value.step == 7
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("in_place", [False, True], ids=["fresh", "in_place"])
-    @pytest.mark.parametrize("dim", [1, _BLOCK + 1])
-    def test_nonfinite_only_in_v(self, dim, in_place):
-        # The one verdict covers every new slot: a fresh step checks its
-        # rows together, an in-place step each slot, in one block or several.
-        cfg = InnapropConfig(alpha=0.1, beta=0.9)
-        params = ReferenceParams()
-        grad = np.ones(dim)
-        grad[-1] = 1e200  # (1 - sigma) * g * g overflows; g / sqrt(inf) is 0
-        g = ParamVector(grad)
-        inna = replace(innaprop_init(cfg, ParamVector(np.ones(dim))), k=2)
-        adamw = replace(reference_init("AdamW", ParamVector(np.ones(dim)), params), k=2)
-        if in_place:
-            inna, adamw = _own(inna), _own(adamw)
-        for state, want, step in (
-            (inna, whole_array_innaprop(inna, g, 0.01, cfg, 0.0, True),
-             lambda s: innaprop_step(s, g, 0.01, cfg)),
-            (adamw, whole_array_adamw(adamw, g, 0.01, params),
-             lambda s: reference_step(s, g, 0.01, params)),
-        ):
-            assert np.isfinite(want[0]).all() and np.isfinite(want[1]).all()
-            assert not np.isfinite(want[2][-1])
-            with pytest.raises(DivergenceError) as err:
-                step(state)
-            assert err.value.step == 3
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_in_v_slot_diverges(self):
-        cfg = InnapropConfig(alpha=0.1, beta=0.9)
-        v = np.zeros(_BLOCK + 1)
-        v[_BLOCK] = np.nan
-        state = replace(innaprop_init(cfg, ParamVector(np.ones(_BLOCK + 1))),
-                        v=ParamVector._wrap(v), k=4)
-        with pytest.raises(DivergenceError) as err:
-            innaprop_step(state, ParamVector(np.ones(_BLOCK + 1)), 0.01, cfg)
-        assert err.value.step == 5
-
-    def test_gradient_precision_must_match_state(self):
-        cfg = InnapropConfig(alpha=0.1, beta=0.9)
-        state = innaprop_init(cfg, ParamVector([1.0, 2.0], "f32"))
-        with pytest.raises(ContractViolation):
-            innaprop_step(state, ParamVector([1.0, 2.0], "f64"), 0.01, cfg)
-
-
-# ---------------------------------------------------------------------------
-# The rules that used to build whole-array temporaries, against those
-# expressions, kept here as reference formulas
-# ---------------------------------------------------------------------------
+PLAIN_PARAMS = replace(PARAMS, weight_decay=0.0, bias_correction=False)
 
 
 def whole_array_rms(g, v, eps):
     return g / (np.sqrt(v) + eps)
 
 
-def whole_array_inna(state, g, gamma, alpha, beta, form):
-    theta, psi, grad = state.theta.data, state.psi.data, g.data
+def whole_array_inna(theta, psi, grad, gamma, alpha, beta, form):
     if form == "classic":
         drift = (1.0 / beta - alpha) * theta - psi / beta
         return theta + gamma * (drift - beta * grad), psi + gamma * drift
     psi_new = (1.0 - gamma / beta) * psi + (gamma * (1.0 / beta - alpha)) * theta
     theta_new = (
-        (1.0 + gamma * (1.0 - beta * alpha) / (beta - gamma)) * theta
+        (1.0 + gamma * (1.0 - alpha * beta) / (beta - gamma)) * theta
         - (gamma / (beta - gamma)) * psi_new
         - (gamma * beta) * grad
     )
     return theta_new, psi_new
+
+
+def whole_array_innaprop(state, g, gamma, cfg):
+    """INNA's compact step from the decayed theta on RMSprop's scaled gradient."""
+    sigma, theta, grad = cfg.sigma, state.theta.data, g.data
+    if cfg.weight_decay:
+        theta = (1.0 - cfg.weight_decay * gamma) * theta
+    v_new = sigma * state.v.data + (1.0 - sigma) * grad * grad
+    v_hat = v_new / (1.0 - sigma ** (state.k + 1)) if cfg.bias_correction else v_new
+    rms = whole_array_rms(grad, v_hat, cfg.epsilon)
+    return (*whole_array_inna(theta, state.psi.data, rms, gamma, cfg.alpha, cfg.beta, "compact"),
+            v_new)
 
 
 def whole_array_momentum(state, g, gamma, cfg):
@@ -762,7 +486,7 @@ def whole_array_momentum(state, g, gamma, cfg):
     return theta_new, m_new, v_new
 
 
-def whole_array_dinadam(state, g, eta, alpha, beta, epsilon=1e-8):
+def whole_array_dinadam(state, g, eta, alpha, beta, epsilon):
     s1, s2, grad = state.sigma1, state.sigma2, g.data
     v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
     mtilde_new = s1 * state.mtilde.data + (1.0 - s1 + beta * alpha * s1 - beta * alpha) * grad
@@ -773,115 +497,316 @@ def whole_array_dinadam(state, g, eta, alpha, beta, epsilon=1e-8):
 
 
 def whole_array_reference(state, g, gamma_k, params):
-    """Every reference kind but Adam/AdamW; the new slots that the kind has."""
-    kind, grad, k = state.kind, g.data, state.k + 1
+    """Every reference kind; the new slots that the kind has."""
+    kind, theta, grad, k = state.kind, state.theta.data, g.data, state.k + 1
     b1, b2, eps = params.beta1, params.beta2, params.epsilon
     if kind == "SGD":
-        return (state.theta.data - gamma_k * grad,)
+        return (theta - gamma_k * grad,)
     if kind in ("Momentum", "Nesterov"):
         m_new = b1 * state.m.data + grad
         step = m_new if kind == "Momentum" else grad + b1 * m_new
-        return state.theta.data - gamma_k * step, m_new
-    if kind == "RMSpropMomentum":
-        v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
-        m_new = b1 * state.m.data + whole_array_rms(grad, v_new, eps)
-        return state.theta.data - gamma_k * m_new, m_new, v_new
-    assert kind == "NAdam"
-    m_new = b1 * state.m.data + (1.0 - b1) * grad
+        return theta - gamma_k * step, m_new
     v_new = b2 * state.v.data + (1.0 - b2) * grad * grad
-    m_hat = m_new / (1.0 - b1 ** (k + 1))
-    g_hat = grad / (1.0 - b1 ** k)
-    v_hat = v_new / (1.0 - b2 ** k)
-    theta_new = state.theta.data - gamma_k * (
-        (b1 * m_hat + (1.0 - b1) * g_hat) / (np.sqrt(v_hat) + eps)
-    )
-    return theta_new, m_new, v_new
+    if kind == "RMSpropMomentum":
+        m_new = b1 * state.m.data + whole_array_rms(grad, v_new, eps)
+        return theta - gamma_k * m_new, m_new, v_new
+    m_new = b1 * state.m.data + (1.0 - b1) * grad
+    if kind == "NAdam":
+        m_hat = m_new / (1.0 - b1 ** (k + 1))
+        g_hat = grad / (1.0 - b1 ** k)
+        direction = (b1 * m_hat + (1.0 - b1) * g_hat) / (np.sqrt(v_new / (1.0 - b2 ** k)) + eps)
+        return theta - gamma_k * direction, m_new, v_new
+    if kind == "AdamW" and params.weight_decay:
+        theta = (1.0 - params.weight_decay * gamma_k) * theta
+    m_hat, v_hat = m_new, v_new
+    if params.bias_correction:
+        m_hat, v_hat = m_new / (1.0 - b1 ** k), v_new / (1.0 - b2 ** k)
+    return theta - gamma_k * (m_hat / (np.sqrt(v_hat) + eps)), m_new, v_new
 
 
-MOMENTUM_CFG = InnapropConfig(alpha=0.3, beta=0.9, sigma=0.99)
-MOVED_PARAMS = ReferenceParams(beta1=0.8, beta2=0.99)
+def rules(cfg=CFG, params=PARAMS) -> dict:
+    """name -> (init(theta0), step(state, g, gamma=0.01), oracle(state, g,
+    gamma)), one entry per public rule and form: the inertial rules at
+    ``cfg``, DINAdam with ``params``' rates as its sigma1 and sigma2, the
+    reference kinds at ``params``. The oracle gives the new slots in field
+    order, as whole-array expressions with the step's coefficients in its
+    kernel's order; it is ``None`` for the two oracles of the equivalence
+    checks, which are whole-array steps themselves."""
+    alpha, beta, eps = cfg.alpha, cfg.beta, cfg.epsilon
+    s1, s2 = params.beta1, params.beta2
+    return {
+        "innaprop": (lambda th: innaprop_init(cfg, th),
+                     lambda s, g, gamma=0.01: innaprop_step(s, g, gamma, cfg),
+                     lambda s, g, gamma: whole_array_innaprop(s, g, gamma, cfg)),
+        "innaprop_naive": (lambda th: innaprop_naive_init(cfg, th),
+                           lambda s, g, gamma=0.01: innaprop_naive_step(s, g, gamma, cfg), None),
+        **{f"inna_{form}": (
+            lambda th: inna_init(alpha, beta, th),
+            lambda s, g, gamma=0.01, form=form: inna_step(s, g, gamma, alpha, beta, form),
+            lambda s, g, gamma, form=form: whole_array_inna(s.theta.data, s.psi.data, g.data,
+                                                            gamma, alpha, beta, form))
+           for form in ("classic", "compact")},
+        "dinadam": (lambda th: dinadam_init(th, s1, s2),
+                    lambda s, g, gamma=0.01: dinadam_step(s, g, gamma, alpha, beta, eps),
+                    lambda s, g, gamma: whole_array_dinadam(s, g, gamma, alpha, beta, eps)),
+        "dinadam_direct": (lambda th: dinadam_direct_init(th, s1, s2),
+                           lambda s, g, gamma=0.01: dinadam_direct_step(s, g, gamma, alpha, beta,
+                                                                        eps), None),
+        **{f"momentum_{form}": (lambda th, form=form: innaprop_momentum_init(cfg, th, form),
+                                lambda s, g, gamma=0.01: innaprop_momentum_step(s, g, gamma, cfg),
+                                lambda s, g, gamma: whole_array_momentum(s, g, gamma, cfg))
+           for form in ("direct", "reduced")},
+        **{f"reference_{kind}": (lambda th, kind=kind: reference_init(kind, th, params),
+                                 lambda s, g, gamma=0.01: reference_step(s, g, gamma, params),
+                                 lambda s, g, gamma: whole_array_reference(s, g, gamma, params))
+           for kind in ("SGD", "Momentum", "Nesterov", "RMSpropMomentum", "Adam", "AdamW",
+                        "NAdam")},
+    }
 
-# name -> (init(theta0), step(state, g, gamma), reference(state, g, gamma)),
-# one entry per rule and form.
-MOVED = {
-    # At alpha 0 the momentum kernels skip the product 1.0 * m.
-    **{f"momentum_{form}{suffix}": (
-        lambda th, form=form, cfg=cfg: innaprop_momentum_init(cfg, th, form),
-        lambda s, g, gamma, cfg=cfg: innaprop_momentum_step(s, g, gamma, cfg),
-        lambda s, g, gamma, cfg=cfg: whole_array_momentum(s, g, gamma, cfg))
-       for form in ("direct", "reduced")
-       for suffix, cfg in (("", MOMENTUM_CFG), ("_alpha0", replace(MOMENTUM_CFG, alpha=0.0)))},
-    **{f"inna_{form}": (
-        lambda th: inna_init(0.5, 0.9, th),
-        lambda s, g, gamma, form=form: inna_step(s, g, gamma, 0.5, 0.9, form),
-        lambda s, g, gamma, form=form: whole_array_inna(s, g, gamma, 0.5, 0.9, form))
-       for form in ("classic", "compact")},
-    "dinadam": (lambda th: dinadam_init(th, sigma1=0.9, sigma2=0.99),
-                lambda s, g, gamma: dinadam_step(s, g, gamma, 0.5, 0.7),
-                lambda s, g, gamma: whole_array_dinadam(s, g, gamma, 0.5, 0.7)),
-    **{f"reference_{kind}": (
-        lambda th, kind=kind: reference_init(kind, th, MOVED_PARAMS),
-        lambda s, g, gamma: reference_step(s, g, gamma, MOVED_PARAMS),
-        lambda s, g, gamma: whole_array_reference(s, g, gamma, MOVED_PARAMS))
-       for kind in ("SGD", "Momentum", "Nesterov", "RMSpropMomentum", "NAdam")},
-}
+
+STEPS = rules()
+# Every step that runs through the blocked driver; together they use every
+# blocked kernel.
+BLOCKED = sorted(name for name, (_, _, oracle) in STEPS.items() if oracle is not None)
 
 
-class TestMovedRules:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("layout", ["public", "owned", "donated"])
-    @pytest.mark.parametrize("dim", [2, 42, _BLOCK + 7])
-    @pytest.mark.parametrize("precision", ["f32", "f64"])
-    @pytest.mark.parametrize("name", sorted(MOVED))
-    def test_bitwise_equal_to_whole_array(self, name, precision, dim, layout):
-        # Three steps, each against the whole-array formula on the same
-        # state; then a gradient with one non-finite element, in the last
-        # partial block above _BLOCK, which the formula carries into a new
-        # slot and the step rejects at its own index. Only the owned state
-        # is written in place: a "donated" one, whose slots were all made
-        # writable by hand, gets fresh slots as the public one does.
-        init, step, reference = MOVED[name]
-        rng = RngStream(dim, 13).generator()
-        state = init(ParamVector(rng.standard_normal(dim), precision))
-        if layout == "owned":
-            state = _own(state)
-        elif layout == "donated":
-            state = with_writable_slots(state, [f.name for f in fields(state) if
-                                                isinstance(getattr(state, f.name), ParamVector)])
-        cls = type(state)
-        for k in range(3):
-            g = loop_gradient(rng, dim, precision, None)
-            gamma = 0.01 * (k + 1)
-            want = reference(state, g, gamma)
-            slots = slot_arrays(state)
-            before = [arr.copy() for arr in slots]
-            state = step(state, g, gamma)
-            assert state.k == k + 1 and type(state) is cls
-            assert_bitwise(slot_arrays(state), want)
-            assert len(slot_arrays(state)) == len(want)
-            in_place = [new is old for new, old in zip(slot_arrays(state), slots)]
-            assert all(in_place) if layout == "owned" else not any(in_place), name
-            if layout != "owned":
-                assert_bitwise(slots, before)
-        grad = loop_gradient(rng, dim, precision, None).data.copy()
-        grad[-1] = np.nan
-        bad = ParamVector._wrap(grad)
-        assert not all(np.isfinite(arr).all() for arr in reference(state, bad, 0.01))
-        with pytest.raises(DivergenceError) as err:
-            step(state, bad, 0.01)
-        assert err.value.step == 4
+def slot_arrays(state) -> list:
+    """The arrays of the state's ``ParamVector`` slots, in field order."""
+    slots = [getattr(state, f.name) for f in fields(state)]
+    return [slot.data for slot in slots if isinstance(slot, ParamVector)]
 
-    @pytest.mark.parametrize("name", sorted(MOVED))
-    def test_owned_state_keeps_one_block_of_its_slots(self, name):
-        init, step, _ = MOVED[name]
-        rng = RngStream(3, 14).generator()
-        state = _own(init(ParamVector(rng.standard_normal(42))))
-        block = state.theta.data.base
-        assert block.shape == (len(slot_arrays(state)), 42)
-        for _ in range(3):
-            state = step(state, ParamVector(rng.standard_normal(42)), 0.01)
-            assert all(arr.base is block and arr.flags.writeable
-                       for arr in slot_arrays(state)), name
+
+def assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_step_checks_gradient_and_keeps_precision(name):
+    init, step, _ = STEPS[name]
+    state = init(ParamVector([1.0, -2.0, 0.5], "f32"))
+    with pytest.raises(ContractViolation, match="precision"):
+        step(state, ParamVector([0.5, 0.25, -1.0], "f64"))
+    with pytest.raises(ContractViolation, match="dimension"):
+        step(state, ParamVector([0.5], "f32"))
+    for _ in range(2):  # the second step reads the slots the first one wrote
+        state = step(state, ParamVector([0.5, 0.25, -1.0], "f32"))
+    arrays = slot_arrays(state)
+    assert state.k == 2 and len(arrays) >= 1
+    assert all(arr.dtype == np.float32 for arr in arrays)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("gamma", [0.01, 0.0])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_nonfinite_gradient_diverges_and_changes_nothing(name, precision, bad, gamma):
+    # The run loop hands a step the problem's gradient without a finiteness
+    # scan. Every rule reads the gradient into a new slot, and 0*inf and
+    # x*nan are NaN, so the step's own check is the verdict, even at step
+    # size 0. The bad element sits in the second block of the blocked steps.
+    init, step, _ = STEPS[name]
+    dim = _BLOCK + 3
+    rng = RngStream(12, 0).generator()
+    state = step(init(ParamVector(rng.standard_normal(dim), precision)),
+                 ParamVector(rng.standard_normal(dim), precision))
+    before = [arr.copy() for arr in slot_arrays(state)]
+    grad = rng.standard_normal(dim).astype(Precision.of(precision).dtype)
+    grad[-2] = bad
+    with pytest.raises(DivergenceError) as err:
+        step(state, ParamVector._wrap(grad), gamma)
+    assert err.value.step == 2 and state.k == 1
+    assert not any(arr.flags.writeable for arr in slot_arrays(state))
+    assert_bitwise(slot_arrays(state), before)
+
+
+@pytest.mark.parametrize("gamma", [-0.01, np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_bad_step_size_rejected_before_the_gradient(name, gamma):
+    # A negative step size would step uphill, and a NaN or infinite one is
+    # the caller's error, not a divergence of the rule. Every step rejects
+    # it before it looks at the gradient, here one of the wrong dimension,
+    # and an owned state keeps its slots.
+    init, step, _ = STEPS[name]
+    state = _own(init(ParamVector([1.0, -2.0, 0.5])))
+    before = [arr.copy() for arr in slot_arrays(state)]
+    with pytest.raises(ContractViolation, match="step size"):
+        step(state, ParamVector([0.5]), gamma)
+    assert_bitwise(slot_arrays(state), before)
+
+
+@pytest.mark.parametrize("layout", ["public", "owned"])
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_successor_is_the_state_with_its_new_slots_at_the_next_index(name, layout):
+    # Every step builds its successor one way: each field it does not step
+    # is carried over (a reference kind, a momentum form, DINAdam's rates, a
+    # None g_prev), its slots are those the rule wrote, and k is k + 1. An
+    # owned state's successor of the blocked driver keeps its record; an
+    # oracle's successor has fresh slots and is not owned.
+    init, step, _ = STEPS[name]
+    rng = RngStream(4, 26).generator()
+    state = init(ParamVector(rng.standard_normal(42)))
+    if layout == "owned":
+        state = _own(state)
+    record = vars(state).get("_owned") if name in BLOCKED else None
+    for k in (1, 2):
+        new = step(state, ParamVector(rng.standard_normal(42)))
+        slots = {f.name: getattr(new, f.name) for f in fields(new)
+                 if isinstance(getattr(new, f.name), ParamVector)}
+        assert slots.keys() == {f.name for f in fields(state)
+                                if isinstance(getattr(state, f.name), ParamVector)}
+        want = replace(state, **slots, k=k)
+        assert type(new) is type(state) and new.k == k
+        for f in fields(want):
+            if f.name != "k":
+                assert getattr(new, f.name) is getattr(want, f.name), f.name
+        assert set(vars(new)) - {"_owned"} == {f.name for f in fields(new)}
+        assert vars(new).get("_owned") is record
+        state = new
+
+
+# ---------------------------------------------------------------------------
+# The differential fuzzer: every way the blocked driver runs a step, against
+# the table's whole-array formulas, byte for byte
+# ---------------------------------------------------------------------------
+
+FUZZ_SEED = 20261020
+FUZZ_CASES = 300
+FUZZ_STEPS = 4
+FUZZ_DIMS = [1, 2, 42, _BLOCK - 1, _BLOCK + 1, _SHARED - 1, _SHARED + 1]
+# public: fresh slots. owned: written in place (_own). cast: owned, at one
+# coefficient tuple, which _operands casts once it repeats. threads: owned,
+# above _SHARED, with its blocks handed to both threads by the Gate.
+PATHS = ["public", "owned", "cast", "threads"]
+# A step size drawn per step, one for every step, or a zero of either sign
+# at every step; the last with alpha * beta > 1, where psi_theta is -0.0 at
+# step size 0.0.
+SCHEDULES = ["changing", "constant", "zero", "zero_negative_psi_theta"]
+# Nothing, one gradient element made NaN or an infinity, or one finite but
+# so large that (1 - sigma) * g * g overflows v alone.
+INJECTIONS = [None, "non-finite", "overflow"]
+OVERFLOW = {"f64": 1e200, "f32": 1e30}
+
+
+def fuzz_draw(rng: random.Random) -> dict:
+    """One case: a blocked rule, its dtype and hyperparameters, a dim, a
+    path, the step sizes of ``FUZZ_STEPS`` steps, and the step and
+    coordinate of the injection, the first, a random or the last one."""
+    name, precision, path = rng.choice(BLOCKED), rng.choice(["f32", "f64"]), rng.choice(PATHS)
+    dim = rng.choice([d for d in FUZZ_DIMS if d > _SHARED] if path == "threads" else FUZZ_DIMS)
+    schedule = rng.choice(SCHEDULES)
+    if path == "cast" and schedule == "changing":
+        schedule = "constant"
+    # alpha * beta = 1 at (2, 0.5) and (1, 1): psi starts at signed zeros.
+    negative = schedule == "zero_negative_psi_theta"
+    alpha = rng.choice([2.5, 4.0] if negative else [0.0, 0.1, 1.0, 2.0])
+    beta = rng.choice([0.5, 0.9, 1.0])
+    # The cast path repeats its tuple: no bias correction, whose step index
+    # changes it (NAdam's changes anyway).
+    bias, decay = path != "cast" and rng.random() < 0.5, rng.choice([0.0, 0.01])
+    cfg = InnapropConfig(alpha, beta, rng.choice([0.0, 0.9, 0.999]), rng.choice([1e-8, 1e-3]),
+                         decay, bias)
+    params = ReferenceParams(rng.choice([0.0, 0.9]), rng.choice([0.9, 0.999]), cfg.epsilon,
+                             decay, bias)
+    if schedule == "changing":
+        gammas = [rng.uniform(0.0, 0.1) for _ in range(FUZZ_STEPS)]
+    elif schedule == "constant":
+        gammas = [rng.uniform(0.0, 0.1)] * FUZZ_STEPS
+    else:
+        gammas = [rng.choice([0.0, -0.0]) for _ in range(FUZZ_STEPS)]
+    injection = rng.choice(INJECTIONS)
+    if injection == "non-finite":
+        injection = rng.choice([np.nan, np.inf, -np.inf])
+    where = (rng.randrange(FUZZ_STEPS), rng.choice([0, rng.randrange(dim), dim - 1]))
+    return dict(name=name, precision=precision, dim=dim, path=path, schedule=schedule,
+                gammas=gammas, injection=injection, where=where, cfg=cfg, params=params)
+
+
+def fuzz_arrays(index: int, draw: dict):
+    """The case's theta0 and gradients, standard normal with a few signed
+    zeros, one gradient element replaced as the draw says."""
+    rng = RngStream(FUZZ_SEED, index).generator()
+    values = rng.standard_normal((1 + FUZZ_STEPS, draw["dim"]))
+    values[rng.random(values.shape) < min(0.5, 4 / draw["dim"])] *= 0.0
+    theta0, *grads = values.astype(Precision.of(draw["precision"]).dtype)
+    if draw["injection"] is not None:
+        step, coordinate = draw["where"]
+        bad = draw["injection"]
+        grads[step][coordinate] = OVERFLOW[draw["precision"]] if bad == "overflow" else bad
+    return theta0, grads
+
+
+def same_bytes(got, want) -> bool:
+    """Bit for bit, the signs of zeros included, as ``==`` is not."""
+    return [(a.dtype, a.tobytes()) for a in got] == [(b.dtype, b.tobytes()) for b in want]
+
+
+def run_fuzz_case(index: int, draw: dict, sharing) -> set:
+    """Steps the case's state and checks every step against the oracle;
+    returns what the case reached."""
+    init, step, oracle = rules(draw["cfg"], draw["params"])[draw["name"]]
+    theta0, grads = fuzz_arrays(index, draw)
+    public, reached = draw["path"] == "public", set()
+    state = init(ParamVector(theta0, draw["precision"]))
+    if not public:
+        state = _own(state)
+    for k, (gamma, grad) in enumerate(zip(draw["gammas"], grads), 1):
+        g, slots = ParamVector._wrap(grad), slot_arrays(state)
+        before = [arr.copy() for arr in slots] if public else []
+        want = oracle(state, g, gamma)
+        finite = all(np.isfinite(arr).all() for arr in want)
+        try:
+            new = step(state, g, gamma)
+        except DivergenceError as err:
+            assert not finite and err.step == k, f"DivergenceError({err.step}) at step {k}"
+            new = None
+        else:
+            assert finite, f"no DivergenceError at step {k}"
+            assert new.k == k and same_bytes(slot_arrays(new), want), f"bytes at step {k}"
+            if not public:
+                assert all(a is b for a, b in zip(slot_arrays(new), slots)), "not in place"
+                if vars(new)["_owned"].last[1] is not None:
+                    reached.add("cast coefficients")
+        if public:
+            assert same_bytes(slots, before), "input slots changed"
+            assert not any(arr.flags.writeable for arr in slots), "input slots writable"
+        # A step returns or raises only once the worker has stopped.
+        assert all(future.done() for future in sharing.futures), "a worker range still runs"
+        if new is None:
+            reached.add("diverged")
+            break
+        state = new
+    # The Gate hands the worker blocks on the threads path alone.
+    worker = any(not by_caller for _, by_caller in sharing.taken)
+    assert worker == (draw["path"] == "threads"), f"worker took blocks: {worker}"
+    return reached
+
+
+def test_every_path_of_every_blocked_rule_matches_the_oracle(sharing, monkeypatch):
+    # Under the run loop's errstate, warnings as errors: a worker thread
+    # that lost the caller's errstate warns on overflow, and fails the case.
+    rng, reached = random.Random(FUZZ_SEED), Counter()
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        for index in range(FUZZ_CASES):
+            draw = fuzz_draw(rng)
+            sharing.taken.clear()
+            with monkeypatch.context() as one_thread:
+                if draw["path"] != "threads":
+                    one_thread.setattr(numerics, "_block_pool", lambda: None)
+                try:
+                    reached.update(run_fuzz_case(index, draw, sharing))
+                except Exception as exc:
+                    raise AssertionError(f"fuzz case {index}: {draw}") from exc
+            reached[draw["path"]] += 1
+    # The search reaches every path, cast coefficients and divergences.
+    assert min(reached[key] for key in [*PATHS, "cast coefficients", "diverged"]) >= 30, reached
+
+
+# ---------------------------------------------------------------------------
+# The paper's construction and the owners of states
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("layout", ["public", "owned"])
@@ -906,7 +831,7 @@ def test_adaptive_rules_are_plain_rules_on_the_rms_scaled_gradient(precision, di
     states = [start(innaprop_init(cfg, ParamVector(theta0, precision))) for cfg in configs]
     rms_state = start(reference_init("RMSpropMomentum", ParamVector(theta0, precision)))
     for k in (1, 2, 3):
-        g = loop_gradient(rng, dim, precision, None)
+        g = ParamVector(3.0 * rng.standard_normal(dim), precision)
         gamma = 0.01 * k
         for i, cfg in enumerate(configs):
             theta, psi, v = (slot.data.copy() for slot in (states[i].theta, states[i].psi,
@@ -922,12 +847,12 @@ def test_adaptive_rules_are_plain_rules_on_the_rms_scaled_gradient(precision, di
                              form="compact")
             assert_bitwise([new.theta.data, new.psi.data], [inna.theta.data, inna.psi.data])
         theta, m, v = (slot.data.copy() for slot in (rms_state.theta, rms_state.m, rms_state.v))
-        rms_state = reference_step(rms_state, g, gamma, MOVED_PARAMS)
-        b2 = MOVED_PARAMS.beta2
+        rms_state = reference_step(rms_state, g, gamma, PARAMS)
+        b2 = PARAMS.beta2
         v_new = b2 * v + (1.0 - b2) * g.data * g.data
         plain = reference_step(
             ReferenceState("Momentum", ParamVector._wrap(theta), ParamVector._wrap(m)),
-            scaled(g, v_new, MOVED_PARAMS.epsilon), gamma, MOVED_PARAMS)
+            scaled(g, v_new, PARAMS.epsilon), gamma, PARAMS)
         assert_bitwise(slot_arrays(rms_state), [plain.theta.data, plain.m.data, v_new])
 
 
@@ -939,7 +864,7 @@ def test_threads_stepping_their_own_states_match_one_thread():
     count, start = 6, threading.Barrier(6)
 
     def run(out, index, barrier=None):
-        init, step, _ = MOVED["momentum_reduced"]
+        init, step, _ = STEPS["momentum_reduced"]
         rng = RngStream(index, 15).generator()
         state = _own(init(ParamVector(rng.standard_normal(42))))
         grads = [ParamVector(rng.standard_normal(42)) for _ in range(500)]
@@ -984,44 +909,7 @@ def with_writable_slots(state, names):
     return replace(state, **slots)
 
 
-def blocked_steps(weight_decay, bias_correction):
-    """name -> (init(theta0), step(state, g, gamma)) for each blocked step."""
-    cfg = InnapropConfig(alpha=0.3, beta=0.9, weight_decay=weight_decay,
-                         bias_correction=bias_correction)
-    params = ReferenceParams(weight_decay=weight_decay, bias_correction=bias_correction)
-    steps = {
-        "innaprop": (lambda th: innaprop_init(cfg, th),
-                     lambda s, g, gamma: innaprop_step(s, g, gamma, cfg)),
-    }
-    for kind in ("Adam", "AdamW"):
-        steps[kind] = (lambda th, kind=kind: reference_init(kind, th, params),
-                       lambda s, g, gamma: reference_step(s, g, gamma, params))
-    return steps
-
-
 class TestOwnedSteps:
-    @pytest.mark.parametrize("dim", BLOCK_DIMS)
-    @pytest.mark.parametrize("precision", ["f32", "f64"])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @pytest.mark.parametrize("bias_correction", [True, False])
-    @pytest.mark.parametrize("grad_clip", [None, 1.0])
-    def test_owned_bitwise_equal_to_fresh(self, dim, precision, weight_decay,
-                                          bias_correction, grad_clip):
-        for name, (init, step) in blocked_steps(weight_decay, bias_correction).items():
-            rng = RngStream(dim, 6).generator()
-            theta0 = rng.standard_normal(dim)
-            fresh = init(ParamVector(theta0, precision))
-            owned = _own(init(ParamVector(theta0, precision)))
-            for k in range(3):
-                g = loop_gradient(rng, dim, precision, grad_clip)
-                gamma = 0.01 * (k + 1)
-                fresh = step(fresh, g, gamma)
-                slots = slot_arrays(owned)
-                owned = step(owned, g, gamma)
-                assert owned.k == fresh.k == k + 1
-                assert all(new is old for new, old in zip(slot_arrays(owned), slots)), name
-                assert_bitwise(slot_arrays(owned), slot_arrays(fresh))
-
     @pytest.mark.parametrize("dim", [42, 2 * _BLOCK + 7])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("writable", ["read_only", "theta_only", "all_but_theta", "all"])
@@ -1033,9 +921,10 @@ class TestOwnedSteps:
         rng = RngStream(7, 7).generator()
         theta0 = ParamVector(rng.standard_normal(dim))
         g = ParamVector(rng.standard_normal(dim))
-        steps = {**blocked_steps(weight_decay, True),
-                 **{name: (init, step) for name, (init, step, _) in MOVED.items()}}
-        for name, (init, step) in steps.items():
+        steps = rules(replace(CFG, weight_decay=weight_decay),
+                      replace(PARAMS, weight_decay=weight_decay))
+        for name in BLOCKED:
+            init, step, _ = steps[name]
             public = step(init(theta0), g, 0.01)
             names = [f.name for f in fields(public) if isinstance(getattr(public, f.name),
                                                                   ParamVector)]
@@ -1058,11 +947,11 @@ class TestOwnedSteps:
         rng = RngStream(dim, 9).generator()
         theta0 = ParamVector(rng.standard_normal(dim))
         g = ParamVector(rng.standard_normal(dim))
-        for name, (init, step) in blocked_steps(0.01, True).items():
+        for name in BLOCKED:
+            init, step, _ = STEPS[name]
             state = init(theta0)
             new = step(state, g, 0.01)
             arrays, inputs = slot_arrays(new), [*slot_arrays(state), g.data]
-            assert len(arrays) == 3
             for i, arr in enumerate(arrays):
                 assert not arr.flags.writeable, name
                 assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:]), name
@@ -1080,76 +969,21 @@ class TestOwnedSteps:
 # with one kernel call and checks with one scan
 # ---------------------------------------------------------------------------
 
-OWNED_DIMS = [1, 42, _BLOCK]
-
-
-def owned_block(state) -> np.ndarray:
-    """The one array whose rows are the state's slots, as the run loop owns them."""
-    block = state.theta.data.base
-    assert block.shape == (3, state.theta.dim) and block.flags.writeable
-    assert all(arr.base is block and arr.flags.writeable for arr in slot_arrays(state))
-    return block
-
 
 class TestOwnedBlock:
-    @pytest.mark.parametrize("dim", OWNED_DIMS)
-    @pytest.mark.parametrize("precision", ["f32", "f64"])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @pytest.mark.parametrize("bias_correction", [True, False])
-    def test_bitwise_equal_to_fresh_and_keeps_its_rows(self, dim, precision, weight_decay,
-                                                        bias_correction):
-        for name, (init, step) in blocked_steps(weight_decay, bias_correction).items():
-            rng = RngStream(dim, 10).generator()
-            fresh = init(ParamVector(rng.standard_normal(dim), precision))
-            owned = _own(fresh)
-            block = owned_block(owned)
-            for k in range(3):
-                g = loop_gradient(rng, dim, precision, None)
-                gamma = 0.01 * (k + 1)
-                fresh = step(fresh, g, gamma)
-                rows = slot_arrays(owned)
-                owned = step(owned, g, gamma)
-                assert owned.k == fresh.k == k + 1
-                assert all(new is old for new, old in zip(slot_arrays(owned), rows)), name
-                assert owned_block(owned) is block
-                assert_bitwise(slot_arrays(owned), slot_arrays(fresh))
+    @pytest.mark.parametrize("name", BLOCKED)
+    def test_owned_state_keeps_one_block_of_its_slots(self, name):
+        init, step, _ = STEPS[name]
+        rng = RngStream(3, 14).generator()
+        state = _own(init(ParamVector(rng.standard_normal(42))))
+        block = state.theta.data.base
+        assert block.shape == (len(slot_arrays(state)), 42)
+        for _ in range(3):
+            state = step(state, ParamVector(rng.standard_normal(42)), 0.01)
+            assert all(arr.base is block and arr.flags.writeable
+                       for arr in slot_arrays(state)), name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("dim", [*OWNED_DIMS, _BLOCK + 1, 2 * _BLOCK + 7])
-    @pytest.mark.parametrize("row", [0, 1, 2])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_one_nonfinite_element_in_any_row_diverges(self, dim, row, bad):
-        # Above _BLOCK an owned state keeps separate slots, checked one by
-        # one, block by block; the bad element sits in the last, partial block.
-        rng = RngStream(dim, 11).generator()
-        theta0 = ParamVector(rng.standard_normal(dim))
-        g = ParamVector(rng.standard_normal(dim))
-        for name, (init, step) in blocked_steps(0.01, True).items():
-            state = _own(step(init(theta0), g, 0.01))
-            if dim <= _BLOCK:
-                owned_block(state)
-            slot_arrays(state)[row][-1] = bad
-            with pytest.raises(DivergenceError) as err:
-                step(state, g, 0.01)
-            assert err.value.step == 2, name
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("dim", OWNED_DIMS)
-    def test_nonfinite_only_in_the_last_row_diverges(self, dim):
-        # (1 - sigma) * g * g overflows in v alone; g / sqrt(inf) is 0.
-        grad = np.ones(dim)
-        grad[-1] = 1e200
-        g = ParamVector(grad)
-        for name, (init, step) in blocked_steps(0.0, True).items():
-            state = _own(init(ParamVector(np.ones(dim))))
-            with pytest.raises(DivergenceError) as err:
-                step(state, g, 0.01)
-            assert err.value.step == 1, name
-            theta, second, v = slot_arrays(state)
-            assert np.isfinite(theta).all() and np.isfinite(second).all()
-            assert not np.isfinite(v[-1])
-
-    @pytest.mark.parametrize("dim", OWNED_DIMS)
+    @pytest.mark.parametrize("dim", [1, 42, _BLOCK])
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_block_with_a_read_only_row_raises(self, dim, row):
         # An owned state is written in place whatever its flags say: the
@@ -1157,16 +991,18 @@ class TestOwnedBlock:
         rng = RngStream(dim, 12).generator()
         theta0 = ParamVector(rng.standard_normal(dim))
         g = ParamVector(rng.standard_normal(dim))
-        for name, (init, step) in blocked_steps(0.01, True).items():
+        for name in BLOCKED:
+            init, step, _ = STEPS[name]
             state = _own(step(init(theta0), g, 0.01))
-            slot_arrays(state)[row].flags.writeable = False
-            with pytest.raises(ValueError, match="read-only"):
-                step(state, g, 0.01)
+            if row < len(slot_arrays(state)):
+                slot_arrays(state)[row].flags.writeable = False
+                with pytest.raises(ValueError, match="read-only"):
+                    step(state, g, 0.01)
 
     def test_a_larger_state_keeps_its_own_slots(self):
         # A copy into one block would double the state's memory.
-        for name, (init, _) in blocked_steps(0.01, True).items():
-            state = init(ParamVector(np.ones(_BLOCK + 1)))
+        for name in BLOCKED:
+            state = STEPS[name][0](ParamVector(np.ones(_BLOCK + 1)))
             arrays = slot_arrays(state)
             assert _own(state) is state
             assert all(new is old and new.flags.writeable
@@ -1178,14 +1014,11 @@ class TestOwnedBlock:
 # outside their fields, and no other copy has it
 # ---------------------------------------------------------------------------
 
-# Every public step that runs through the blocked driver.
-DRIVEN_STEPS = sorted(set(EVERY_STEP) - {"innaprop_naive", "dinadam_direct"})
-
 
 def owned_run(name, steps, dim=42):
     """An owned state of step ``name`` after ``steps`` steps in place, the
     block its slots are rows of, and the generator of its gradients."""
-    init, step = EVERY_STEP[name]
+    init, step, _ = STEPS[name]
     rng = RngStream(dim, 23).generator()
     state = _own(init(ParamVector(rng.standard_normal(dim))))
     block = slot_arrays(state)[0].base
@@ -1197,9 +1030,9 @@ def owned_run(name, steps, dim=42):
 class TestOwnedRecord:
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     @pytest.mark.parametrize("precision", ["f32", "f64"])
-    @pytest.mark.parametrize("name", sorted(EVERY_STEP))
+    @pytest.mark.parametrize("name", sorted(STEPS))
     def test_every_state_pickles_under_every_protocol(self, name, precision, protocol):
-        init, step = EVERY_STEP[name]
+        init, step, _ = STEPS[name]
         rng = RngStream(42, 24).generator()
         state = step(init(ParamVector(rng.standard_normal(42), precision)),
                      ParamVector(rng.standard_normal(42), precision))
@@ -1209,14 +1042,14 @@ class TestOwnedRecord:
             assert got.dtype == want.dtype and not got.flags.writeable
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
-    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    @pytest.mark.parametrize("name", BLOCKED)
     def test_owned_state_pickles_without_its_record(self, name, protocol):
         state, block, _ = owned_run(name, 2)
         twin = pickle.loads(pickle.dumps(state, protocol=protocol))
         assert twin == state and vars(twin)["_owned"] is None
         assert not any(np.shares_memory(arr, block) for arr in slot_arrays(twin))
 
-    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    @pytest.mark.parametrize("name", BLOCKED)
     def test_successors_carry_the_record_and_keep_the_block(self, name):
         state, block, rng = owned_run(name, 0)
         record = vars(state)["_owned"]
@@ -1226,11 +1059,11 @@ class TestOwnedRecord:
         assert all(row.shape == (42,) and row.dtype == np.float64 for row in record.scratch)
         assert not any(np.shares_memory(row, block) for row in record.scratch)
         for k in range(1, 4):
-            state = EVERY_STEP[name][1](state, ParamVector(rng.standard_normal(42)))
+            state = STEPS[name][1](state, ParamVector(rng.standard_normal(42)))
             assert state.k == k and vars(state)["_owned"] is record
             assert all(a is b for a, b in zip(slot_arrays(state), arrays))
 
-    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    @pytest.mark.parametrize("name", BLOCKED)
     def test_equality_repr_and_fields_are_unchanged(self, name):
         state, _, _ = owned_run(name, 2)
         twin = replace(state)  # built by __init__: no record
@@ -1238,12 +1071,12 @@ class TestOwnedRecord:
         assert state == twin and repr(state) == repr(twin)
         assert "_owned" not in [f.name for f in fields(state)]
 
-    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    @pytest.mark.parametrize("name", BLOCKED)
     def test_replace_copy_gets_fresh_slots(self, name):
         # A copy without the record is not owned, though its slots are the
         # block's writable rows: it gets fresh, read-only slots, and the
         # block is not written.
-        step = EVERY_STEP[name][1]
+        step = STEPS[name][1]
         state, block, rng = owned_run(name, 2)
         g = ParamVector(rng.standard_normal(42))
         want = slot_arrays(step(replace(state, theta=ParamVector(state.theta.data)), g))
@@ -1256,30 +1089,30 @@ class TestOwnedRecord:
             assert_bitwise(slot_arrays(fresh), want)
 
     @pytest.mark.parametrize("steps", [0, 2])
-    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    @pytest.mark.parametrize("name", BLOCKED)
     def test_a_slot_made_read_only_raises(self, name, steps):
         state, _, rng = owned_run(name, steps)
         slot_arrays(state)[-1].flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
-            EVERY_STEP[name][1](state, ParamVector(rng.standard_normal(42)))
+            STEPS[name][1](state, ParamVector(rng.standard_normal(42)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    @pytest.mark.parametrize("name", BLOCKED)
     def test_recorded_scan_still_diverges(self, name):
         state, _, rng = owned_run(name, 2)
         slot_arrays(state)[-1][-1] = np.nan
         with pytest.raises(DivergenceError) as err:
-            EVERY_STEP[name][1](state, ParamVector(rng.standard_normal(42)))
+            STEPS[name][1](state, ParamVector(rng.standard_normal(42)))
         assert err.value.step == 3
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
                                         lambda state: pickle.loads(pickle.dumps(state))],
                              ids=["copy", "deepcopy", "pickle"])
-    @pytest.mark.parametrize("name", DRIVEN_STEPS)
+    @pytest.mark.parametrize("name", BLOCKED)
     def test_copies(self, name, copier):
         # A shallow copy shares the slots and their record; a deep copy or a
         # pickled one has new, read-only arrays and no record: fresh slots.
-        step = EVERY_STEP[name][1]
+        step = STEPS[name][1]
         state, block, rng = owned_run(name, 2)
         twin = copier(state)
         g = ParamVector(rng.standard_normal(42))
@@ -1298,10 +1131,6 @@ class TestOwnedRecord:
 # Kernel operands: a kernel only applies its coefficients, and a repeated
 # coefficient tuple reaches it cast once to the slots' dtype
 # ---------------------------------------------------------------------------
-
-# Every public step that runs through the blocked driver; together they use
-# every blocked kernel, and each branch a coefficient ``None`` skips.
-BLOCKED_STEPS = sorted(set(EVERY_STEP) - {"innaprop_naive", "dinadam_direct"})
 
 
 class Untouchable(float):
@@ -1329,19 +1158,22 @@ def test_blocked_steps_cover_every_kernel(monkeypatch):
         return blocked(state, step_index, kernel, *args)
 
     monkeypatch.setattr(optimizers, "_blocked_step", spy)
-    for name in BLOCKED_STEPS:
-        init, step = EVERY_STEP[name]
+    for name in BLOCKED:
+        init, step, _ = STEPS[name]
         step(init(vec(1.0, -2.0)), vec(0.5, 0.25))
     assert kernels == {name for name in dir(optimizers) if name.endswith("_kernel")}
 
 
+@pytest.mark.parametrize("hyper", [(CFG, PARAMS), (PLAIN_CFG, PLAIN_PARAMS)],
+                         ids=["decayed", "plain"])
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("name", BLOCKED_STEPS)
-def test_kernel_runs_on_coefficients_it_cannot_compute_with(name, precision, monkeypatch):
-    # The second step of each rule, all branches on that its config takes,
-    # is replayed through its kernel with coefficients whose arithmetic
-    # raises. In f64 the kernel's result is the step's, bit for bit.
-    init, step = EVERY_STEP[name]
+@pytest.mark.parametrize("name", BLOCKED)
+def test_kernel_runs_on_coefficients_it_cannot_compute_with(name, precision, hyper,
+                                                            monkeypatch):
+    # The second step of each rule, with decay and bias correction and
+    # without, is replayed through its kernel with coefficients whose
+    # arithmetic raises. In f64 the kernel's result is the step's, bit for bit.
+    init, step, _ = rules(*hyper)[name]
     rng = RngStream(5, 17).generator()
     state = step(init(ParamVector(rng.standard_normal(42), precision)),
                  ParamVector(rng.standard_normal(42), precision))
@@ -1363,70 +1195,13 @@ def test_kernel_runs_on_coefficients_it_cannot_compute_with(name, precision, mon
         assert_bitwise(outs, slot_arrays(state))
 
 
-@pytest.mark.parametrize("layout", ["public", "owned"])
-@pytest.mark.parametrize("dim", [2, 42, 100_000])
-@pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("name", BLOCKED_STEPS)
-def test_slot_typed_coefficients_give_the_bits_of_python_floats(name, precision, dim, layout,
-                                                                  monkeypatch):
-    # Three steps with every coefficient passed as a Python float, then the
-    # same three with every coefficient a 0-d array of the slots' dtype; at
-    # 100,000 elements the kernel runs over several blocks.
-    init, step = EVERY_STEP[name]
-    blocked = optimizers._blocked_step
-    monkeypatch.setattr(optimizers, "_operands", lambda owned, coeffs: coeffs)
-    runs = []
-    for cast in (False, True):
-        def driven(state, step_index, kernel, coeffs, slots, grad, *rest, cast=cast):
-            if cast:
-                coeffs = optimizers._cast(coeffs, grad.dtype)
-            return blocked(state, step_index, kernel, coeffs, slots, grad, *rest)
-
-        monkeypatch.setattr(optimizers, "_blocked_step", driven)
-        rng = RngStream(dim, 18).generator()
-        state = init(ParamVector(rng.standard_normal(dim), precision))
-        if layout == "owned":
-            state = _own(state)
-        for k in range(3):
-            state = step(state, ParamVector(rng.standard_normal(dim), precision), 0.01 * (k + 1))
-        runs.append(slot_arrays(state))
-    assert_bitwise(runs[1], runs[0])
-
-
-def test_repeated_coefficients_keep_the_sign_of_zero():
-    # At step size 0, INNAprop's psi_theta = 0 * (1/beta - alpha) is -0.0
-    # for alpha > 1/beta and +0.0 otherwise, and the two coefficient tuples
-    # compare equal under ==. With psi at -0.0 that sign reaches psi_new:
-    # -0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0. Stepped alternately, each
-    # state must still get its own coefficients.
-    configs = [InnapropConfig(alpha=alpha, beta=0.9, weight_decay=0.0, bias_correction=False)
-               for alpha in (2.0, 0.5)]
-    g = ParamVector(np.linspace(-1.0, 1.0, 8))
-
-    def run(indices):
-        states = {i: _own(InnapropState(ParamVector(np.linspace(0.5, 1.5, 8)),
-                                        ParamVector._wrap(np.full(8, -0.0)),
-                                        ParamVector(np.zeros(8))))
-                  for i in indices}
-        for _ in range(4):
-            for i in indices:
-                states[i] = innaprop_step(states[i], g, 0.0, configs[i])
-        return {i: slot_arrays(state) for i, state in states.items()}
-
-    alone = {i: run([i])[i] for i in (0, 1)}
-    assert np.signbit(alone[0][1]).all() and not np.signbit(alone[1][1]).any()
-    together = run([0, 1])
-    for i in (0, 1):
-        assert_bitwise(together[i], alone[i])
-
-
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_two_owned_states_of_one_kernel_cast_once_each(precision, monkeypatch):
     # Each owned state keeps its own last coefficients. Two states of one
     # kernel, stepped alternately, each at its own constant coefficients,
     # cast their tuples once each, at their second steps, and come out bit
     # for bit as when each is stepped alone.
-    rules = [(0.5, 0.9), (1.5, 0.7)]  # (alpha, beta) of each state
+    pairs = [(0.5, 0.9), (1.5, 0.7)]  # (alpha, beta) of each state
     casts = []
     cast = optimizers._cast
 
@@ -1438,13 +1213,13 @@ def test_two_owned_states_of_one_kernel_cast_once_each(precision, monkeypatch):
 
     def run(indices):
         rng = RngStream(3, 25).generator()
-        states = {i: _own(inna_init(*rules[i], ParamVector(np.linspace(-1.0, 1.0, 42),
+        states = {i: _own(inna_init(*pairs[i], ParamVector(np.linspace(-1.0, 1.0, 42),
                                                            precision)))
                   for i in indices}
         for _ in range(5):
             g = ParamVector(rng.standard_normal(42), precision)
             for i in indices:
-                states[i] = inna_step(states[i], g, 0.01, *rules[i], form="compact")
+                states[i] = inna_step(states[i], g, 0.01, *pairs[i], form="compact")
         return {i: slot_arrays(state) for i, state in states.items()}
 
     alone = {i: run([i])[i] for i in (0, 1)}
@@ -1461,13 +1236,13 @@ def test_threads_interleaving_rules_and_dtypes_match_their_standalone_runs():
     # threads step in lock-step, one step each between barriers, at a
     # constant step size, so every state repeats its coefficients: the same
     # kernel in two dtypes, and two other rules.
-    cases = [("innaprop_plain", "f32"), ("innaprop_plain", "f64"),
-             ("momentum_reduced", "f32"), ("reference_SGD", "f64")]
+    plain = rules(PLAIN_CFG)["innaprop"]
+    cases = [(plain, "f32"), (plain, "f64"), (STEPS["momentum_reduced"], "f32"),
+             (STEPS["reference_SGD"], "f64")]
     barrier = threading.Barrier(len(cases))
 
     def run(out, index, lockstep=False):
-        name, precision = cases[index]
-        init, step = EVERY_STEP[name]
+        (init, step, _), precision = cases[index]
         rng = RngStream(index, 19).generator()
         state = _own(init(ParamVector(rng.standard_normal(42), precision)))
         grads = [ParamVector(rng.standard_normal(42), precision) for _ in range(50)]
@@ -1501,31 +1276,11 @@ def test_threads_interleaving_rules_and_dtypes_match_their_standalone_runs():
 # calling thread and one worker thread, with the bits of one thread
 # ---------------------------------------------------------------------------
 
-THREAD_DIMS = [_BLOCK + 1, 2 * _BLOCK + 7, 4 * _BLOCK + 3]
-
-
-def running_ranges(monkeypatch) -> list:
-    """Counts the block ranges ``_blocked_step`` runs that have not yet
-    returned or raised, in a one-item list."""
-    running, run_blocks, lock = [0], optimizers._run_blocks, threading.Lock()
-
-    def counted(job):
-        with lock:
-            running[0] += 1
-        try:
-            run_blocks(job)
-        finally:
-            with lock:
-                running[0] -= 1
-
-    monkeypatch.setattr(optimizers, "_run_blocks", counted)
-    return running
-
 
 def stepped(name, precision, dim, layout, steps=2):
-    """The slot arrays of an ``EVERY_STEP`` state after ``steps`` steps on
-    fixed draws."""
-    init, step = EVERY_STEP[name]
+    """The slot arrays of a ``STEPS`` state after ``steps`` steps on fixed
+    draws."""
+    init, step, _ = STEPS[name]
     rng = RngStream(dim, 27).generator()
     state = init(ParamVector(rng.standard_normal(dim), precision))
     if layout == "owned":
@@ -1533,47 +1288,6 @@ def stepped(name, precision, dim, layout, steps=2):
     for _ in range(steps):
         state = step(state, ParamVector(rng.standard_normal(dim), precision))
     return slot_arrays(state)
-
-
-@pytest.mark.parametrize("dim", THREAD_DIMS)
-@pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("name", BLOCKED_STEPS)
-def test_two_threads_give_the_bits_of_one(name, precision, dim, sharing, monkeypatch):
-    for layout in ("public", "owned"):
-        shared = stepped(name, precision, dim, layout)
-        threads = {by_caller for _, by_caller in sharing.taken}
-        sharing.taken.clear()
-        with monkeypatch.context() as serial:
-            serial.setattr(numerics, "_block_pool", lambda: None)
-            assert_bitwise(shared, stepped(name, precision, dim, layout))
-        # At most two blocks start no thread; above, both threads ran blocks.
-        assert threads == (set() if dim <= 2 * _BLOCK else {True, False}), layout
-    assert len(sharing.futures) == (0 if dim <= 2 * _BLOCK else 4)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("where", [0, 2 * _BLOCK + 5, 4 * _BLOCK + 2],
-                         ids=["first_block", "middle_block", "last_partial_block"])
-@pytest.mark.parametrize("layout", ["public", "owned"])
-@pytest.mark.parametrize("name", BLOCKED_STEPS)
-def test_nonfinite_block_ends_every_range(name, layout, where, sharing, monkeypatch):
-    # The verdict is the same from either thread: the worker takes the
-    # first block, the caller the second. The step raises it only once no
-    # range is left running.
-    init, step = EVERY_STEP[name]
-    dim = 4 * _BLOCK + 3
-    running = running_ranges(monkeypatch)
-    rng = RngStream(dim, 28).generator()
-    state = step(init(ParamVector(rng.standard_normal(dim))), ParamVector(rng.standard_normal(dim)))
-    if layout == "owned":
-        state = _own(state)
-    grad = rng.standard_normal(dim)
-    grad[where] = np.nan
-    with pytest.raises(DivergenceError) as err:
-        step(state, ParamVector._wrap(grad))
-    assert err.value.step == 2
-    assert running == [0]
-    assert all(future.done() for future in sharing.futures)
 
 
 def test_busy_worker_leaves_the_step_to_the_caller(sharing, monkeypatch):
@@ -1627,29 +1341,6 @@ def test_callers_sharing_the_worker_match_one_thread(sharing, monkeypatch):
     assert len(pool.futures) == 6 * len(names) and all(f.done() for f in pool.futures)
     for index in range(len(names)):
         assert_bitwise(together[index], alone[index])
-
-
-def test_worker_steps_in_the_callers_errstate(sharing):
-    # numpy's errstate is a context variable, which a new thread does not
-    # inherit: the worker runs its range in a copy of the caller's context.
-    # The worker takes the first block, where (1 - sigma) * g * g overflows.
-    cfg = InnapropConfig(alpha=0.1, beta=0.9)
-    dim = 10**6
-    grad = np.ones(dim)
-    grad[:_BLOCK] = 1e200
-    g = ParamVector(grad)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = _own(innaprop_init(cfg, ParamVector(np.ones(dim))))
-            with pytest.raises(DivergenceError) as err:
-                innaprop_step(state, g, 0.01, cfg)
-            assert err.value.step == 1
-        with np.errstate(over="raise", invalid="ignore"):
-            state = _own(innaprop_init(cfg, ParamVector(np.ones(dim))))
-            with pytest.raises(FloatingPointError, match="overflow"):
-                innaprop_step(state, g, 0.01, cfg)
-    assert (0, False) in sharing.taken
 
 
 def test_step_pool_has_no_worker_on_one_cpu(monkeypatch):
