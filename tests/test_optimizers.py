@@ -666,6 +666,53 @@ def test_successor_is_the_state_with_its_new_slots_at_the_next_index(name, layou
         state = new
 
 
+class TestMovedRules:
+    """Every rule moved onto the blocked driver, on fixed draws."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("layout", ["public", "owned", "donated"])
+    @pytest.mark.parametrize("dim", [2, 42, _BLOCK + 7])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("name", BLOCKED)
+    def test_bitwise_equal_to_whole_array(self, name, precision, dim, layout):
+        # Three steps, each against the whole-array formula on the same
+        # state; then a gradient with one non-finite element, in the last
+        # partial block above _BLOCK, which the formula carries into a new
+        # slot and the step rejects at its own index. Only the owned state
+        # is written in place: a "donated" one, whose slots were all made
+        # writable by hand, gets fresh slots as the public one does.
+        init, step, oracle = STEPS[name]
+        rng = RngStream(dim, 13).generator()
+        state = init(ParamVector(rng.standard_normal(dim), precision))
+        if layout == "owned":
+            state = _own(state)
+        elif layout == "donated":
+            state = with_writable_slots(state, [f.name for f in fields(state) if
+                                                isinstance(getattr(state, f.name), ParamVector)])
+        cls = type(state)
+        for k in range(3):
+            g = ParamVector(rng.standard_normal(dim), precision)
+            gamma = 0.01 * (k + 1)
+            want = oracle(state, g, gamma)
+            slots = slot_arrays(state)
+            before = [arr.copy() for arr in slots]
+            state = step(state, g, gamma)
+            assert state.k == k + 1 and type(state) is cls
+            assert_bitwise(slot_arrays(state), want)
+            assert len(slot_arrays(state)) == len(want)
+            in_place = [new is old for new, old in zip(slot_arrays(state), slots)]
+            assert all(in_place) if layout == "owned" else not any(in_place), name
+            if layout != "owned":
+                assert_bitwise(slots, before)
+        grad = rng.standard_normal(dim).astype(Precision.of(precision).dtype)
+        grad[-1] = np.nan
+        bad = ParamVector._wrap(grad)
+        assert not all(np.isfinite(arr).all() for arr in oracle(state, bad, 0.01))
+        with pytest.raises(DivergenceError) as err:
+            step(state, bad, 0.01)
+        assert err.value.step == 4
+
+
 # ---------------------------------------------------------------------------
 # The differential fuzzer: every way the blocked driver runs a step, against
 # the table's whole-array formulas, byte for byte
@@ -783,25 +830,38 @@ def run_fuzz_case(index: int, draw: dict, sharing) -> set:
     return reached
 
 
-def test_every_path_of_every_blocked_rule_matches_the_oracle(sharing, monkeypatch):
-    # Under the run loop's errstate, warnings as errors: a worker thread
-    # that lost the caller's errstate warns on overflow, and fails the case.
-    rng, reached = random.Random(FUZZ_SEED), Counter()
+_FUZZ_RNG = random.Random(FUZZ_SEED)
+FUZZ_DRAWS = [fuzz_draw(_FUZZ_RNG) for _ in range(FUZZ_CASES)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_reached():
+    """What the fuzz cases reached. Once every case has run, the search
+    must have reached every path, cast coefficients and divergences."""
+    reached = Counter()
+    yield reached
+    if reached["cases"] == FUZZ_CASES:
+        assert min(reached[key] for key in [*PATHS, "cast coefficients", "diverged"]) >= 30, \
+            reached
+
+
+@pytest.mark.parametrize("index", range(FUZZ_CASES), ids=[
+    f"{i}-{d['name']}-{d['precision']}-{d['path']}" for i, d in enumerate(FUZZ_DRAWS)])
+def test_every_path_of_every_blocked_rule_matches_the_oracle(index, sharing, monkeypatch,
+                                                             fuzz_reached):
+    # One case a test. Under the run loop's errstate, warnings as errors: a
+    # worker thread that lost the caller's errstate warns on overflow, and
+    # fails the case.
+    draw = FUZZ_DRAWS[index]
+    if draw["path"] != "threads":
+        monkeypatch.setattr(numerics, "_block_pool", lambda: None)
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
-        for index in range(FUZZ_CASES):
-            draw = fuzz_draw(rng)
-            sharing.taken.clear()
-            with monkeypatch.context() as one_thread:
-                if draw["path"] != "threads":
-                    one_thread.setattr(numerics, "_block_pool", lambda: None)
-                try:
-                    reached.update(run_fuzz_case(index, draw, sharing))
-                except Exception as exc:
-                    raise AssertionError(f"fuzz case {index}: {draw}") from exc
-            reached[draw["path"]] += 1
-    # The search reaches every path, cast coefficients and divergences.
-    assert min(reached[key] for key in [*PATHS, "cast coefficients", "diverged"]) >= 30, reached
+        try:
+            fuzz_reached.update(run_fuzz_case(index, draw, sharing))
+        except Exception as exc:
+            raise AssertionError(f"fuzz case {index}: {draw}") from exc
+    fuzz_reached.update([draw["path"], "cases"])
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +1030,62 @@ class TestOwnedSteps:
 # ---------------------------------------------------------------------------
 
 
+OWNED_DIMS = [1, 42, _BLOCK]
+
+
+def owned_block(state) -> np.ndarray:
+    """The one array whose rows are the state's slots, as the run loop owns them."""
+    arrays = slot_arrays(state)
+    block = arrays[0].base
+    assert block.shape == (len(arrays), state.theta.dim) and block.flags.writeable
+    assert all(arr.base is block and arr.flags.writeable for arr in arrays)
+    return block
+
+
 class TestOwnedBlock:
+    @pytest.mark.parametrize("dim", OWNED_DIMS)
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("bias_correction", [True, False])
+    def test_bitwise_equal_to_fresh_and_keeps_its_rows(self, dim, precision, weight_decay,
+                                                        bias_correction):
+        steps = rules(replace(CFG, weight_decay=weight_decay, bias_correction=bias_correction),
+                      replace(PARAMS, weight_decay=weight_decay, bias_correction=bias_correction))
+        for name in BLOCKED:
+            init, step, _ = steps[name]
+            rng = RngStream(dim, 10).generator()
+            fresh = init(ParamVector(rng.standard_normal(dim), precision))
+            owned = _own(fresh)
+            block = owned_block(owned)
+            for k in range(3):
+                g = ParamVector(rng.standard_normal(dim), precision)
+                gamma = 0.01 * (k + 1)
+                fresh = step(fresh, g, gamma)
+                rows = slot_arrays(owned)
+                owned = step(owned, g, gamma)
+                assert owned.k == fresh.k == k + 1
+                assert all(new is old for new, old in zip(slot_arrays(owned), rows)), name
+                assert owned_block(owned) is block
+                assert_bitwise(slot_arrays(owned), slot_arrays(fresh))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dim", OWNED_DIMS)
+    def test_nonfinite_only_in_the_last_row_diverges(self, dim):
+        # (1 - sigma) * g * g overflows in v alone; g / sqrt(inf) is 0.
+        grad = np.ones(dim)
+        grad[-1] = 1e200
+        g = ParamVector(grad)
+        steps = rules(replace(CFG, weight_decay=0.0), replace(PARAMS, weight_decay=0.0))
+        for name in ("innaprop", "reference_Adam", "reference_AdamW"):
+            init, step, _ = steps[name]
+            state = _own(init(ParamVector(np.ones(dim))))
+            with pytest.raises(DivergenceError) as err:
+                step(state, g, 0.01)
+            assert err.value.step == 1, name
+            theta, second, v = slot_arrays(state)
+            assert np.isfinite(theta).all() and np.isfinite(second).all()
+            assert not np.isfinite(v[-1])
+
     @pytest.mark.parametrize("name", BLOCKED)
     def test_owned_state_keeps_one_block_of_its_slots(self, name):
         init, step, _ = STEPS[name]
@@ -1195,6 +1310,63 @@ def test_kernel_runs_on_coefficients_it_cannot_compute_with(name, precision, hyp
         assert_bitwise(outs, slot_arrays(state))
 
 
+@pytest.mark.parametrize("layout", ["public", "owned"])
+@pytest.mark.parametrize("dim", [2, 42, 100_000])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("name", BLOCKED)
+def test_slot_typed_coefficients_give_the_bits_of_python_floats(name, precision, dim, layout,
+                                                                  monkeypatch):
+    # Three steps with every coefficient passed as a Python float, then the
+    # same three with every coefficient a 0-d array of the slots' dtype; at
+    # 100,000 elements the kernel runs over several blocks.
+    init, step, _ = STEPS[name]
+    blocked = optimizers._blocked_step
+    monkeypatch.setattr(optimizers, "_operands", lambda owned, coeffs: coeffs)
+    runs = []
+    for cast in (False, True):
+        def driven(state, step_index, kernel, coeffs, names, grad, cast=cast):
+            if cast:
+                coeffs = optimizers._cast(coeffs, grad.dtype)
+            return blocked(state, step_index, kernel, coeffs, names, grad)
+
+        monkeypatch.setattr(optimizers, "_blocked_step", driven)
+        rng = RngStream(dim, 18).generator()
+        state = init(ParamVector(rng.standard_normal(dim), precision))
+        if layout == "owned":
+            state = _own(state)
+        for k in range(3):
+            state = step(state, ParamVector(rng.standard_normal(dim), precision), 0.01 * (k + 1))
+        runs.append(slot_arrays(state))
+    assert_bitwise(runs[1], runs[0])
+
+
+def test_repeated_coefficients_keep_the_sign_of_zero():
+    # At step size 0, INNAprop's psi_theta = 0 * (1/beta - alpha) is -0.0
+    # for alpha > 1/beta and +0.0 otherwise, and the two coefficient tuples
+    # compare equal under ==. With psi at -0.0 that sign reaches psi_new:
+    # -0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0. Stepped alternately, each
+    # state must still get its own coefficients.
+    configs = [InnapropConfig(alpha=alpha, beta=0.9, weight_decay=0.0, bias_correction=False)
+               for alpha in (2.0, 0.5)]
+    g = ParamVector(np.linspace(-1.0, 1.0, 8))
+
+    def run(indices):
+        states = {i: _own(InnapropState(ParamVector(np.linspace(0.5, 1.5, 8)),
+                                        ParamVector._wrap(np.full(8, -0.0)),
+                                        ParamVector(np.zeros(8))))
+                  for i in indices}
+        for _ in range(4):
+            for i in indices:
+                states[i] = innaprop_step(states[i], g, 0.0, configs[i])
+        return {i: slot_arrays(state) for i, state in states.items()}
+
+    alone = {i: run([i])[i] for i in (0, 1)}
+    assert np.signbit(alone[0][1]).all() and not np.signbit(alone[1][1]).any()
+    together = run([0, 1])
+    for i in (0, 1):
+        assert_bitwise(together[i], alone[i])
+
+
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_two_owned_states_of_one_kernel_cast_once_each(precision, monkeypatch):
     # Each owned state keeps its own last coefficients. Two states of one
@@ -1290,6 +1462,65 @@ def stepped(name, precision, dim, layout, steps=2):
     return slot_arrays(state)
 
 
+def running_ranges(monkeypatch) -> list:
+    """Counts the block ranges ``_blocked_step`` runs that have not yet
+    returned or raised, in a one-item list."""
+    running, run_blocks, lock = [0], optimizers._run_blocks, threading.Lock()
+
+    def counted(job):
+        with lock:
+            running[0] += 1
+        try:
+            run_blocks(job)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(optimizers, "_run_blocks", counted)
+    return running
+
+
+@pytest.mark.parametrize("dim", [_BLOCK + 1, 2 * _BLOCK + 7, 4 * _BLOCK + 3])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("name", BLOCKED)
+def test_two_threads_give_the_bits_of_one(name, precision, dim, sharing, monkeypatch):
+    for layout in ("public", "owned"):
+        shared = stepped(name, precision, dim, layout)
+        threads = {by_caller for _, by_caller in sharing.taken}
+        sharing.taken.clear()
+        with monkeypatch.context() as serial:
+            serial.setattr(numerics, "_block_pool", lambda: None)
+            assert_bitwise(shared, stepped(name, precision, dim, layout))
+        # At most two blocks start no thread; above, both threads ran blocks.
+        assert threads == (set() if dim <= _SHARED else {True, False}), layout
+    assert len(sharing.futures) == (0 if dim <= _SHARED else 4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("where", [0, 2 * _BLOCK + 5, 4 * _BLOCK + 2],
+                         ids=["first_block", "middle_block", "last_partial_block"])
+@pytest.mark.parametrize("layout", ["public", "owned"])
+@pytest.mark.parametrize("name", BLOCKED)
+def test_nonfinite_block_ends_every_range(name, layout, where, sharing, monkeypatch):
+    # The verdict is the same from either thread: the worker takes the
+    # first block, the caller the second. The step raises it only once no
+    # range is left running.
+    init, step, _ = STEPS[name]
+    dim = 4 * _BLOCK + 3
+    running = running_ranges(monkeypatch)
+    rng = RngStream(dim, 28).generator()
+    state = step(init(ParamVector(rng.standard_normal(dim))), ParamVector(rng.standard_normal(dim)))
+    if layout == "owned":
+        state = _own(state)
+    grad = rng.standard_normal(dim)
+    grad[where] = np.nan
+    with pytest.raises(DivergenceError) as err:
+        step(state, ParamVector._wrap(grad))
+    assert err.value.step == 2
+    assert running == [0]
+    assert all(future.done() for future in sharing.futures)
+
+
 def test_busy_worker_leaves_the_step_to_the_caller(sharing, monkeypatch):
     # The worker is held on an event: the caller runs every block, and the
     # range it queued for the worker is cancelled, not awaited.
@@ -1341,6 +1572,29 @@ def test_callers_sharing_the_worker_match_one_thread(sharing, monkeypatch):
     assert len(pool.futures) == 6 * len(names) and all(f.done() for f in pool.futures)
     for index in range(len(names)):
         assert_bitwise(together[index], alone[index])
+
+
+def test_worker_steps_in_the_callers_errstate(sharing):
+    # numpy's errstate is a context variable, which a new thread does not
+    # inherit: the worker runs its range in a copy of the caller's context.
+    # The worker takes the first block, where (1 - sigma) * g * g overflows.
+    cfg = InnapropConfig(alpha=0.1, beta=0.9)
+    dim = 10**6
+    grad = np.ones(dim)
+    grad[:_BLOCK] = 1e200
+    g = ParamVector(grad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = _own(innaprop_init(cfg, ParamVector(np.ones(dim))))
+            with pytest.raises(DivergenceError) as err:
+                innaprop_step(state, g, 0.01, cfg)
+            assert err.value.step == 1
+        with np.errstate(over="raise", invalid="ignore"):
+            state = _own(innaprop_init(cfg, ParamVector(np.ones(dim))))
+            with pytest.raises(FloatingPointError, match="overflow"):
+                innaprop_step(state, g, 0.01, cfg)
+    assert (0, False) in sharing.taken
 
 
 def test_step_pool_has_no_worker_on_one_cpu(monkeypatch):
