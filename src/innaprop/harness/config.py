@@ -15,14 +15,18 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..numerics import Precision, RngStream
+from ..optimizers import (InnapropConfig, ReferenceParams, dinadam_init, dinadam_step,
+                          inna_init, inna_step, innaprop_init, innaprop_momentum_init,
+                          innaprop_momentum_step, innaprop_step, reference_init, reference_step)
 from ..problems import (
     ACTIVATIONS,
     PROBLEM_KINDS,
@@ -35,25 +39,71 @@ from ..problems import (
 )
 from ..schedulers import ScheduleSpec, lr_at, max_lr, stays_below
 
-# Every optimizer a config can name, mapped to its ``reference_step`` kind and
-# the values its key 'form' may take, the default first. Kind ``None`` marks
-# the inertial family, which needs keys 'alpha' and 'beta'.
-OPTIMIZERS = {
-    "innaprop": (None, ()),
-    "innaprop_plain": (None, ()),
-    "innaprop_momentum": (None, ("reduced", "direct")),
-    "dinadam": (None, ()),
-    "inna": (None, ("classic", "compact")),
-    "adamw": ("AdamW", ()),
-    "adam": ("Adam", ()),
-    "sgd": ("SGD", ()),
-    "momentum": ("Momentum", ()),
-    "nesterov": ("Nesterov", ()),
-    "rmsprop_momentum": ("RMSpropMomentum", ()),
-    "nadam": ("NAdam", ()),
-}
 
-INERTIAL_KINDS = tuple(name for name, (kind, _) in OPTIMIZERS.items() if kind is None)
+@dataclass(frozen=True)
+class Rule:
+    """What an ``optimizer`` name means to a run."""
+
+    reads: frozenset  # the keys that change the run, beside the schedule and grad_clip
+    start: Callable  # (config, theta0) -> (state, public step, its args after gamma)
+    forms: tuple = ()  # the values of key 'form', the default first
+    gamma_below_beta: bool = False  # its step divides by beta - gamma
+
+
+def _form(config) -> str:
+    return config.form or OPTIMIZERS[config.optimizer].forms[0]
+
+
+def _innaprop_config(config) -> InnapropConfig:
+    """Weight decay and bias correction are each off where the rule does not
+    read its key."""
+    reads = OPTIMIZERS[config.optimizer].reads
+    return InnapropConfig(config.alpha, config.beta, config.sigma, config.epsilon,
+                          config.weight_decay if "weight_decay" in reads else 0.0,
+                          config.bias_correction and "bias_correction" in reads)
+
+
+def _start_innaprop(config, theta0):
+    hyper = _innaprop_config(config)
+    return innaprop_init(hyper, theta0), innaprop_step, (hyper,)
+
+
+def _start_momentum_variant(config, theta0):
+    hyper = _innaprop_config(config)
+    return innaprop_momentum_init(hyper, theta0, _form(config)), innaprop_momentum_step, (hyper,)
+
+
+def _start_reference(kind: str, config, theta0):
+    params = ReferenceParams(config.beta1, config.sigma, config.epsilon, config.weight_decay,
+                             config.bias_correction)
+    return reference_init(kind, theta0, params), reference_step, (params,)
+
+
+# The keys of the RMSprop-scaled inertial rules and of the moment-based ones.
+_SCALED = frozenset({"alpha", "beta", "sigma", "epsilon"})
+_MOMENTS = frozenset({"beta1", "sigma", "epsilon"})
+
+# Every optimizer a config can name.
+OPTIMIZERS = {
+    "innaprop": Rule(_SCALED | {"weight_decay", "bias_correction"}, _start_innaprop,
+                     gamma_below_beta=True),
+    "innaprop_plain": Rule(_SCALED, _start_innaprop, gamma_below_beta=True),
+    "innaprop_momentum": Rule(_SCALED | {"form"}, _start_momentum_variant,
+                              ("reduced", "direct"), gamma_below_beta=True),
+    "dinadam": Rule(_SCALED | {"sigma1"}, lambda c, theta0: (
+        dinadam_init(theta0, c.sigma1, c.sigma), dinadam_step, (c.alpha, c.beta, c.epsilon))),
+    "inna": Rule(frozenset({"alpha", "beta", "form"}), lambda c, theta0: (
+        inna_init(c.alpha, c.beta, theta0), inna_step, (c.alpha, c.beta, _form(c))),
+        ("classic", "compact"), gamma_below_beta=True),
+    "adamw": Rule(_MOMENTS | {"weight_decay", "bias_correction"},
+                  partial(_start_reference, "AdamW")),
+    "adam": Rule(_MOMENTS | {"bias_correction"}, partial(_start_reference, "Adam")),
+    "sgd": Rule(frozenset(), partial(_start_reference, "SGD")),
+    "momentum": Rule(frozenset({"beta1"}), partial(_start_reference, "Momentum")),
+    "nesterov": Rule(frozenset({"beta1"}), partial(_start_reference, "Nesterov")),
+    "rmsprop_momentum": Rule(_MOMENTS, partial(_start_reference, "RMSpropMomentum")),
+    "nadam": Rule(_MOMENTS, partial(_start_reference, "NAdam")),
+}
 
 # Purpose offsets for per-run randomness; every stream is keyed by the config
 # seed alone so grid cells see identical data, inits and batch orders.
@@ -190,11 +240,11 @@ def parse_config(path) -> RunConfig:
 def validate_config(config: RunConfig):
     if config.problem not in PROBLEM_KINDS:
         raise ConfigError(f"unknown problem {config.problem!r}")
-    if config.optimizer not in OPTIMIZERS:
+    rule = OPTIMIZERS.get(config.optimizer)
+    if rule is None:
         raise ConfigError(f"unknown optimizer {config.optimizer!r}")
-    forms = OPTIMIZERS[config.optimizer][1]
-    if config.form is not None and config.form not in forms:
-        allowed = f"one of {', '.join(forms)}" if forms else "unset"
+    if config.form is not None and config.form not in rule.forms:
+        allowed = f"one of {', '.join(rule.forms)}" if rule.forms else "unset"
         raise ConfigError(f"key 'form' of optimizer {config.optimizer!r} must be {allowed}, "
                           f"not {config.form!r}")
     for key in _FIELDS:
@@ -246,8 +296,7 @@ def validate_config(config: RunConfig):
         raise ConfigError("key 'weight_decay' must be >= 0")
     if config.grad_clip is not None and not config.grad_clip > 0:
         raise ConfigError("key 'grad_clip' must be positive when set")
-    if (config.bias_correction and config.sigma == 1.0
-            and config.optimizer in ("innaprop", "adam", "adamw")):
+    if config.bias_correction and config.sigma == 1.0 and "bias_correction" in rule.reads:
         raise ConfigError("key 'bias_correction' is undefined at sigma = 1")
     if config.optimizer == "nadam" and config.sigma == 1.0:
         raise ConfigError("key 'sigma' must be below 1 for optimizer 'nadam', which "
@@ -265,21 +314,18 @@ def validate_config(config: RunConfig):
         raise ConfigError("key 'precision' must be 'f32' or 'f64'")
     if not config.init_scale > 0:
         raise ConfigError("key 'init_scale' must be positive")
-    if config.optimizer in INERTIAL_KINDS:
+    if "alpha" in rule.reads:
         if config.alpha is None or config.beta is None:
             raise ConfigError(f"optimizer {config.optimizer!r} needs keys 'alpha' and 'beta'")
         if config.alpha < 0:
             raise ConfigError("key 'alpha' must be >= 0")
         # beta = 0 is DINAdam's Adam limit; the others need beta above gamma.
-        if config.optimizer == "dinadam" and config.beta < 0:
+        if not rule.gamma_below_beta and config.beta < 0:
             raise ConfigError("key 'beta' must be >= 0")
     schedule = build_schedule(config)
-    if config.optimizer in INERTIAL_KINDS and config.optimizer != "dinadam":
-        if not stays_below(schedule, config.beta):
-            raise ConfigError(
-                f"well-posedness violated: schedule can emit gamma={schedule.gamma0} "
-                f">= beta={config.beta}"
-            )
+    if rule.gamma_below_beta and not stays_below(schedule, config.beta):
+        raise ConfigError(f"well-posedness violated: schedule can emit gamma={schedule.gamma0} "
+                          f">= beta={config.beta}")
     # innaprop_momentum divides by a = 1 - alpha * gamma. The step sizes of
     # the run's steps are enumerated only when some can reach 1 / alpha.
     if config.optimizer == "innaprop_momentum" and config.alpha * max_lr(schedule) >= 1.0:

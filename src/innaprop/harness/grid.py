@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import ConfigError
-from .config import RunConfig, validate_config
+from .config import OPTIMIZERS, RunConfig, validate_config
 from .runner import CellResults, csv_text, run_experiment, snapshot_step
 
 # Default tuning grid for the inertial pair.
@@ -83,11 +83,11 @@ def grid_search(base_config: RunConfig, alphas=None, betas=None,
                 out_dir=None) -> GridResult:
     """One lock-step run of every (alpha, beta) cell; rows sorted by (alpha, beta).
 
-    Every cell is validated up front, which rejects an inertial cell that is
-    not well-posed against the schedule, a repeated alpha or beta, and two
-    cells whose file names (``cell_a{alpha:g}_b{beta:g}``) coincide;
-    unstable cells that diverge at run time are recorded with their step
-    index.
+    Every cell is validated up front, which rejects an optimizer that reads
+    neither alpha nor beta, an inertial cell that is not well-posed against
+    the schedule, a repeated alpha or beta, and two cells whose file names
+    (``cell_a{alpha:g}_b{beta:g}``) coincide; unstable cells that diverge at
+    run time are recorded with their step index.
     """
     alphas = tuple(alphas) if alphas is not None else DEFAULT_GRID
     betas = tuple(betas) if betas is not None else DEFAULT_GRID
@@ -102,6 +102,9 @@ def grid_search(base_config: RunConfig, alphas=None, betas=None,
     configs = [replace(base_config, alpha=a, beta=b) for a, b in cells]
     for cfg in configs:
         validate_config(cfg)
+    if not {"alpha", "beta"} & OPTIMIZERS[base_config.optimizer].reads:
+        raise ConfigError(f"grid needs an optimizer that reads alpha or beta, "
+                          f"not {base_config.optimizer!r}")
     short_step = snapshot_step(base_config)
 
     runs = run_experiment(configs, out_dir=out_dir, tag=tags)

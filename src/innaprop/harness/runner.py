@@ -22,21 +22,9 @@ import numpy as np
 
 from ..errors import ContractViolation, DivergenceError
 from ..numerics import ParamVector, global_norm_clip
-from ..optimizers import (
-    _own,
-    InnapropConfig,
-    ReferenceParams,
-    dinadam_init,
-    dinadam_step,
-    inna_init,
-    inna_step,
-    innaprop_init,
-    innaprop_momentum_init,
-    innaprop_momentum_step,
-    innaprop_step,
-    reference_init,
-    reference_step,
-)
+# The run loop calls each step through its global here (``_run_cells``).
+from ..optimizers import (_own, dinadam_step, inna_step, innaprop_momentum_step,  # noqa: F401
+                          innaprop_step, reference_step)
 from ..problems import MiniBatchSampler
 from ..schedulers import lr_at
 from .config import (
@@ -99,49 +87,6 @@ def rows_to_csv(rows: list[RunRow]) -> str:
                                  for r in rows])
 
 
-def _make_stepper(config: RunConfig, theta0: ParamVector):
-    """Initial state plus a step closure (state, g, gamma) -> state.
-
-    ``theta0`` becomes the state's parameter slot.
-    """
-    kind = config.optimizer
-    ref_kind, forms = OPTIMIZERS[kind]
-    if ref_kind is not None:
-        params = ReferenceParams(
-            beta1=config.beta1,
-            beta2=config.sigma,
-            epsilon=config.epsilon,
-            weight_decay=config.weight_decay,
-            bias_correction=config.bias_correction,
-        )
-        state = reference_init(ref_kind, theta0, params)
-        return state, lambda s, g, lr: reference_step(s, g, lr, params)
-    if kind == "inna":
-        state = inna_init(config.alpha, config.beta, theta0)
-        form = config.form or forms[0]
-        return state, lambda s, g, lr: inna_step(s, g, lr, config.alpha, config.beta, form)
-    if kind == "dinadam":
-        state = dinadam_init(theta0, sigma1=config.sigma1, sigma2=config.sigma)
-        return state, lambda s, g, lr: dinadam_step(
-            s, g, lr, config.alpha, config.beta, config.epsilon
-        )
-
-    opt_cfg = InnapropConfig(
-        alpha=config.alpha,
-        beta=config.beta,
-        sigma=config.sigma,
-        epsilon=config.epsilon,
-        weight_decay=config.weight_decay if kind == "innaprop" else 0.0,
-        bias_correction=config.bias_correction if kind == "innaprop" else False,
-    )
-    # innaprop_plain is innaprop_step with decay and bias correction off.
-    if kind in ("innaprop", "innaprop_plain"):
-        state = innaprop_init(opt_cfg, theta0)
-        return state, lambda s, g, lr: innaprop_step(s, g, lr, opt_cfg)
-    state = innaprop_momentum_init(opt_cfg, theta0, config.form or forms[0])
-    return state, lambda s, g, lr: innaprop_momentum_step(s, g, lr, opt_cfg)
-
-
 def snapshot_step(config: RunConfig) -> int:
     """Short-horizon readout point: 10% of the budget, at least one step."""
     return max(1, int(np.ceil(0.1 * config.steps)))
@@ -152,9 +97,15 @@ def snapshot_step(config: RunConfig) -> int:
 CELL_KEYS = ("alpha", "beta", "lr")
 
 
-def _check_cells(configs: list) -> None:
+def _check_cells(configs: list, tags: list) -> None:
     if not configs:
         raise ContractViolation("run_experiment needs at least one config")
+    # A tag names its cell's two files in ``out_dir``.
+    for tag in tags:
+        if not isinstance(tag, str) or tag in ("", "..") or Path(tag).name != tag:
+            raise ContractViolation(f"a tag must be a plain file name, not {tag!r}")
+    if len(set(tags)) != len(tags):
+        raise ContractViolation(f"tags must differ: {tags}")
     first = configs[0]
     for cfg in configs:
         if not isinstance(cfg, RunConfig):
@@ -295,7 +246,8 @@ def run_experiment(config: RunConfig | Sequence[RunConfig], out_dir=None,
 
     When ``out_dir`` is given, writes ``<tag>.csv`` with the per-step records
     and ``<tag>.json`` with a config echo, input hash and final metrics, for
-    every cell.
+    every cell. Tags that repeat, or that are not plain file names, are a
+    ``ContractViolation`` before any compute.
     """
     if isinstance(config, RunConfig):
         return _run_cells([config], [tag], out_dir)[0]
@@ -307,7 +259,7 @@ def run_experiment(config: RunConfig | Sequence[RunConfig], out_dir=None,
 
 def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
     started = time.perf_counter()
-    _check_cells(configs)
+    _check_cells(configs, tags)
     base = configs[0]
     problem = build_problem(base)
     precision = precision_of(base)
@@ -321,10 +273,14 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
     )
     # Each cell owns its state's arrays, made writable once
     # (``optimizers._own``); the first may keep theta itself.
-    states, step_fns = map(list, zip(*(
-        _make_stepper(cfg, theta if i == 0 else ParamVector._wrap(theta.data.copy()))
-        for i, cfg in enumerate(configs))))
+    states, steps, args = zip(*(
+        OPTIMIZERS[cfg.optimizer].start(cfg, theta if i == 0 else
+                                        ParamVector._wrap(theta.data.copy()))
+        for i, cfg in enumerate(configs)))
     states = [_own(state) for state in states]
+    # The cells' one step is this module's global of its name, looked up per
+    # run: a tracer that wraps the global sees every step.
+    step = globals()[steps[0].__name__]
 
     sampler = None
     if base.batch_size is not None:
@@ -379,7 +335,7 @@ def _run_cells(configs: list, tags: list, out_dir) -> CellResults:
                 if base.grad_clip is not None:
                     g = global_norm_clip(g, base.grad_clip)
                 try:
-                    states[i] = step_fns[i](states[i], g, gammas[lane[i]])
+                    states[i] = step(states[i], g, gammas[lane[i]], *args[i])
                 except DivergenceError as exc:
                     # A non-finite gradient or result. A state written in place
                     # may be left partly written; the cell leaves the live set

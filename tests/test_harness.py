@@ -518,25 +518,12 @@ class TestGradClip:
 
 
 class TestKeysRead:
-    """The optimizer keys each optimizer reads, as README's table lists them;
-    a key an optimizer does not read leaves its CSV unchanged."""
+    """The keys each optimizer's record in ``OPTIMIZERS`` reads, as README's
+    table lists them; a key an optimizer does not read leaves its CSV
+    unchanged."""
 
-    READ = {
-        "innaprop": {"sigma", "epsilon", "weight_decay", "bias_correction"},
-        "innaprop_plain": {"sigma", "epsilon"},
-        "innaprop_momentum": {"sigma", "epsilon", "form"},
-        "dinadam": {"sigma", "epsilon", "sigma1"},
-        "inna": {"form"},
-        "adamw": {"beta1", "sigma", "epsilon", "weight_decay", "bias_correction"},
-        "adam": {"beta1", "sigma", "epsilon", "bias_correction"},
-        "sgd": set(),
-        "momentum": {"beta1"},
-        "nesterov": {"beta1"},
-        "rmsprop_momentum": {"beta1", "sigma", "epsilon"},
-        "nadam": {"beta1", "sigma", "epsilon"},
-    }
-    CHANGE = {"beta1": 0.5, "sigma": 0.99, "epsilon": 1e-3, "weight_decay": 0.5,
-              "bias_correction": False, "sigma1": 0.5}
+    CHANGE = {"alpha": 0.5, "beta": 1.5, "beta1": 0.5, "sigma": 0.99, "epsilon": 1e-3,
+              "weight_decay": 0.5, "bias_correction": False, "sigma1": 0.5}
 
     @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
     def test_csv_changes_exactly_with_the_keys_read(self, optimizer):
@@ -544,12 +531,11 @@ class TestKeysRead:
             cfg = parse_config_dict({**MINIMAL, "optimizer": optimizer, "steps": 20, **change})
             return rows_to_csv(run_experiment(cfg)[0])
 
-        read, plain = self.READ[optimizer], csv()
+        rule, plain = OPTIMIZERS[optimizer], csv()
         for key, value in self.CHANGE.items():
-            assert (csv(**{key: value}) != plain) == (key in read), key
-        forms = OPTIMIZERS[optimizer][1]
-        assert bool(forms) == ("form" in read)
-        for form in forms[1:]:
+            assert (csv(**{key: value}) != plain) == (key in rule.reads), key
+        assert bool(rule.forms) == ("form" in rule.reads)
+        for form in rule.forms[1:]:
             assert csv(form=form) != plain
 
     def test_readme_table_matches(self):
@@ -567,7 +553,7 @@ class TestKeysRead:
             names, *marks = [cell.strip() for cell in line.split("|")[1:-1]]
             for name in names.split(","):
                 table[name.strip(" `")] = {key for key, mark in zip(keys, marks) if mark == "x"}
-        assert table == self.READ
+        assert table == {name: rule.reads for name, rule in OPTIMIZERS.items()}
 
 
 class TestNonFiniteGradient:
@@ -611,7 +597,7 @@ class TestRunLoopMemory:
 
     @pytest.mark.parametrize("optimizer,form", [
         pytest.param(name, form, id=name if form is None else f"{name}-{form}")
-        for name, (_, forms) in OPTIMIZERS.items() for form in forms or [None]])
+        for name, rule in OPTIMIZERS.items() for form in rule.forms or [None]])
     def test_peak_is_the_problem_the_slots_and_one_gradient(self, optimizer, form):
         # Every step ends in optimizers._blocked_step, which writes an owned
         # state in place. Above optimizers._BLOCK the run loop keeps the
@@ -620,7 +606,7 @@ class TestRunLoopMemory:
         cfg = parse_config_dict({"problem": "quadratic", "dim": dim, "optimizer": optimizer,
                                  "form": form, "alpha": 0.1, "beta": 0.9, "lr": 1e-3,
                                  "steps": 3})
-        state, _ = runner._make_stepper(cfg, ParamVector([1.0, 2.0]))
+        state, _, _ = OPTIMIZERS[optimizer].start(cfg, ParamVector([1.0, 2.0]))
         slots = sum(isinstance(getattr(state, f.name), ParamVector) for f in fields(state))
         assert slots == {"sgd": 1, "momentum": 2, "nesterov": 2, "inna": 2}.get(
             optimizer, 4 if form == "direct" else 3)
@@ -849,12 +835,25 @@ class TestGrid:
         assert keys == [(0.5, 0.9), (0.5, 1.5), (2.0, 0.9), (2.0, 1.5)]
         assert all(c.status == "ok" for c in grid.cells)
 
-    def test_beta_below_lr_runs_for_an_optimizer_without_beta(self):
-        # Only the inertial kinds that divide by beta - gamma need beta > lr.
-        cfg = parse_config_dict({**self.BASE, "optimizer": "adamw", "lr": 0.5})
+    def test_beta_below_lr_runs_for_an_optimizer_without_the_bound(self):
+        # Only the inertial kinds that divide by beta - gamma need beta > lr;
+        # DINAdam reads beta and does not.
+        cfg = parse_config_dict({**self.BASE, "optimizer": "dinadam", "lr": 0.5})
         grid = grid_search(cfg, alphas=[1.0], betas=[0.4, 2.0])
         assert [c.beta for c in grid.cells] == [0.4, 2.0]
         assert all(c.status == "ok" for c in grid.cells)
+
+    @pytest.mark.parametrize("optimizer", sorted(
+        name for name, rule in OPTIMIZERS.items() if "alpha" not in rule.reads))
+    def test_optimizer_without_alpha_or_beta_rejected(self, tmp_path, capsys, optimizer):
+        # Its cells would all run the same numbers.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.BASE, "optimizer": optimizer}), encoding="utf-8")
+        out = tmp_path / "grid"
+        assert main(["grid", "--config", str(path), "--alphas", "0.1", "0.5",
+                     "--betas", "0.9", "1.5", "--out", str(out)]) == 2
+        assert f"not {optimizer!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_illposed_cell_rejected_up_front(self):
         cfg = parse_config_dict({**self.BASE, "lr": 0.5})
@@ -1112,13 +1111,32 @@ class TestLockStep:
             with pytest.raises(ContractViolation, match="tag"):
                 run_experiment([cfg, cfg], tag=tag)
 
-    @pytest.mark.parametrize("optimizer,form", [(name, form) for name, (_, forms)
-                                                in OPTIMIZERS.items() for form in forms or [None]])
+    def test_repeated_tag_rejected_before_compute(self, tmp_path, monkeypatch):
+        # Both cells would write a.csv, the second over the first.
+        cfg = parse_config_dict({**MINIMAL, "steps": 30})
+        monkeypatch.setattr(runner, "build_problem", None)  # no compute
+        with pytest.raises(ContractViolation, match="tags must differ"):
+            run_experiment([cfg, replace(cfg, lr=1e-2)], out_dir=tmp_path / "out",
+                           tag=["a", "a"])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tag", ["../escape", "sub/a", "", ".", ".."])
+    def test_tag_that_is_not_a_plain_file_name_rejected(self, tmp_path, monkeypatch, tag):
+        cfg = parse_config_dict({**MINIMAL, "steps": 30})
+        monkeypatch.setattr(runner, "build_problem", None)  # no compute
+        out = tmp_path / "deep" / "out"
+        for config, tags in ((cfg, tag), ([cfg], [tag])):
+            with pytest.raises(ContractViolation, match="plain file name"):
+                run_experiment(config, out_dir=out, tag=tags)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("optimizer,form", [(name, form) for name, rule in OPTIMIZERS.items()
+                                                for form in rule.forms or [None]])
     def test_initial_state_slots_share_no_array(self, optimizer, form):
         # The run loop makes every slot of a cell's state writable, for the
         # blocked steps to write in place; so no two slots may share an array.
         cfg = parse_config_dict({**MINIMAL, "optimizer": optimizer, "form": form})
-        state, _ = runner._make_stepper(cfg, ParamVector([1.0, 2.0]))
+        state, _, _ = OPTIMIZERS[optimizer].start(cfg, ParamVector([1.0, 2.0]))
         slots = [getattr(state, f.name).data for f in fields(state)
                  if isinstance(getattr(state, f.name), ParamVector)]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(slots) for b in slots[i + 1:])
@@ -1156,16 +1174,19 @@ class TestBenchmarkHooks:
     harness.grid.cells) or of the step count behind steps_per_s."""
 
     @staticmethod
-    def _grid(tmp_path, tracer, optimizer="innaprop"):
+    def _grid(tmp_path, tracer, optimizer="innaprop", form=None):
+        """Four lock-step cells of 20 steps: a 2 x 2 grid, or, for an
+        optimizer that reads neither alpha nor beta, a sweep of four lrs."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**MINIMAL, "optimizer": optimizer, "steps": 20}),
-                       encoding="utf-8")
+        cfg.write_text(json.dumps({**MINIMAL, "optimizer": optimizer, "form": form,
+                                   "steps": 20}), encoding="utf-8")
+        # --workers 1 as the benchmark's grid workload passes it.
+        argv = (["grid", "--alphas", "0.1", "0.5", "--betas", "0.9", "1.5", "--workers", "1",
+                 "--out", str(tmp_path / "grid")] if "alpha" in OPTIMIZERS[optimizer].reads
+                else ["sweep", "--lrs", "1e-4", "2e-4", "5e-4", "1e-3"])
         tracer.install()
         try:
-            # --workers 1 as the benchmark's grid workload passes it.
-            assert main(["grid", "--config", str(cfg), "--alphas", "0.1", "0.5",
-                         "--betas", "0.9", "1.5", "--workers", "1",
-                         "--out", str(tmp_path / "grid")]) == 0
+            assert main([*argv, "--config", str(cfg)]) == 0
         finally:
             tracer.uninstall()
 
@@ -1177,11 +1198,16 @@ class TestBenchmarkHooks:
         assert layers["harness.grid.cells"] == 1
         assert layers["harness.runner.run_experiment.self_s"] > 0
 
-    @pytest.mark.parametrize("optimizer", ["innaprop", "innaprop_plain", "adamw"])
-    def test_every_cell_step_is_counted(self, tmp_path, capsys, optimizer):
+    @pytest.mark.parametrize("optimizer,form", [
+        pytest.param(name, form, id=name if form is None else f"{name}-{form}")
+        for name, rule in OPTIMIZERS.items() for form in rule.forms or [None]])
+    def test_every_cell_step_is_counted(self, tmp_path, capsys, optimizer, form):
+        # The run loop calls every step through runner's global of its name,
+        # which the tracer wraps; a step called as the object OPTIMIZERS
+        # holds would count 0.
         tracing = bench_tracing()
         tracer = tracing.Tracer(record=False)
-        self._grid(tmp_path, tracer, optimizer)
+        self._grid(tmp_path, tracer, optimizer, form)
         assert tracer.counts()[tracing.STEP] == 4 * 20
 
     def test_check_steps_go_through_checks_globals(self):
