@@ -85,6 +85,8 @@ def _cmd_ode(args) -> int:
     cfg = _load_config(args)
     if cfg.alpha is None or cfg.beta is None:
         raise ConfigError("ode command needs keys 'alpha' and 'beta'")
+    if cfg.precision != "f64":
+        raise ConfigError(f"ode command integrates in f64 only, not {cfg.precision!r}")
     # The discrete recursion steps at the constant step size lr; checked
     # before the flow is integrated, not once it has been.
     if not 0 < cfg.lr < cfg.beta:

@@ -47,7 +47,7 @@ class Rule:
     reads: frozenset  # the keys that change the run, beside the schedule and grad_clip
     start: Callable  # (config, theta0) -> (state, public step, its args after gamma)
     forms: tuple = ()  # the values of key 'form', the default first
-    gamma_below_beta: bool = False  # its step divides by beta - gamma
+    gamma_below_beta: bool = False  # held to well-posedness: gamma_k < beta at every step
 
 
 def _form(config) -> str:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import ConfigError
-from .config import OPTIMIZERS, RunConfig, validate_config
+from .config import OPTIMIZERS, RunConfig
 from .runner import CellResults, csv_text, run_experiment, snapshot_step
 
 # Default tuning grid for the inertial pair.
@@ -70,23 +70,14 @@ def _summarize_cell(alpha, beta, results: CellResults, i: int, short_step) -> Gr
     )
 
 
-def _distinct_tags(tags: list, what: str, values: str):
-    """Reject tags that coincide: a tag names a cell's files and its line of
-    output, so two cells must not share one."""
-    if len(set(tags)) != len(tags):
-        shared = sorted({tag for tag in tags if tags.count(tag) > 1})
-        raise ConfigError(f"{what} would share the names {shared}; "
-                          f"{values} must differ in their first 6 significant digits")
-
-
 def grid_search(base_config: RunConfig, alphas=None, betas=None,
                 out_dir=None) -> GridResult:
     """One lock-step run of every (alpha, beta) cell; rows sorted by (alpha, beta).
 
-    Every cell is validated up front, which rejects an optimizer that reads
-    neither alpha nor beta, an inertial cell that is not well-posed against
-    the schedule, a repeated alpha or beta, and two cells whose file names
-    (``cell_a{alpha:g}_b{beta:g}``) coincide; unstable cells that diverge at
+    Before any compute, this rejects a repeated alpha or beta and an
+    optimizer that reads neither; ``run_experiment`` rejects an invalid or
+    ill-posed cell and two cells whose file names
+    (``cell_a{alpha:g}_b{beta:g}``) coincide. Unstable cells that diverge at
     run time are recorded with their step index.
     """
     alphas = tuple(alphas) if alphas is not None else DEFAULT_GRID
@@ -95,16 +86,14 @@ def grid_search(base_config: RunConfig, alphas=None, betas=None,
         raise ConfigError("grid needs at least one alpha and one beta")
     if len(set(alphas)) != len(alphas) or len(set(betas)) != len(betas):
         raise ConfigError("duplicate alphas or betas in grid")
-
-    cells = [(a, b) for a in alphas for b in betas]
-    tags = [f"cell_a{a:g}_b{b:g}" for a, b in cells]
-    _distinct_tags(tags, "grid cells", "alphas and betas")
-    configs = [replace(base_config, alpha=a, beta=b) for a, b in cells]
-    for cfg in configs:
-        validate_config(cfg)
-    if not {"alpha", "beta"} & OPTIMIZERS[base_config.optimizer].reads:
+    rule = OPTIMIZERS.get(base_config.optimizer)  # run_experiment rejects an unknown name
+    if rule is not None and not {"alpha", "beta"} & rule.reads:
         raise ConfigError(f"grid needs an optimizer that reads alpha or beta, "
                           f"not {base_config.optimizer!r}")
+
+    cells = [(a, b) for a in alphas for b in betas]
+    configs = [replace(base_config, alpha=a, beta=b) for a, b in cells]
+    tags = [f"cell_a{a:g}_b{b:g}" for a, b in cells]
     short_step = snapshot_step(base_config)
 
     runs = run_experiment(configs, out_dir=out_dir, tag=tags)
@@ -129,22 +118,15 @@ class SweepRow:
 def lr_sweep(base_config: RunConfig, lrs=None, out_dir=None) -> list[SweepRow]:
     """One lock-step run of every candidate initial learning rate.
 
-    Every rate is validated up front, which rejects a repeated rate, a rate
-    that is not positive, and two rates whose names (``lr{v:g}``, as the
-    command line prints them) coincide.
+    Before any compute, this rejects a repeated rate; ``run_experiment``
+    rejects a rate that is not finite and positive and two rates whose names
+    (``lr{v:g}``, as the command line prints them) coincide.
     """
     lrs = tuple(lrs) if lrs is not None else DEFAULT_LR_SWEEP
     if len(set(lrs)) != len(lrs):
         raise ConfigError("duplicate learning rates in sweep list")
-    if any(not v > 0 for v in lrs):
-        raise ConfigError("learning rates must be positive")
-    tags = [f"lr{v:g}" for v in lrs]
-    _distinct_tags(tags, "sweep cells", "learning rates")
     configs = [replace(base_config, lr=v) for v in lrs]
-    for cfg in configs:
-        validate_config(cfg)
-
-    runs = run_experiment(configs, tag=tags)
+    runs = run_experiment(configs, tag=[f"lr{v:g}" for v in lrs])
     rows = []
     for i, cfg in enumerate(configs):
         last, summary = runs.last_row(i), runs.summary(i)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ContractViolation, DivergenceError
+from ..errors import ConfigError, ContractViolation, DivergenceError
 from ..numerics import ParamVector, global_norm_clip
 # The run loop calls each step through its global here (``_run_cells``).
 from ..optimizers import (_own, dinadam_step, inna_step, innaprop_momentum_step,  # noqa: F401
@@ -37,6 +37,7 @@ from .config import (
     emit_config,
     init_stream,
     precision_of,
+    validate_config,
 )
 
 CSV_HEADER = "step,lr,train_loss,test_metric,status"
@@ -98,6 +99,7 @@ CELL_KEYS = ("alpha", "beta", "lr")
 
 
 def _check_cells(configs: list, tags: list) -> None:
+    """Every check of a lock-step call's cells, made before any compute."""
     if not configs:
         raise ContractViolation("run_experiment needs at least one config")
     # A tag names its cell's two files in ``out_dir``.
@@ -105,11 +107,13 @@ def _check_cells(configs: list, tags: list) -> None:
         if not isinstance(tag, str) or tag in ("", "..") or Path(tag).name != tag:
             raise ContractViolation(f"a tag must be a plain file name, not {tag!r}")
     if len(set(tags)) != len(tags):
-        raise ContractViolation(f"tags must differ: {tags}")
+        shared = sorted({tag for tag in tags if tags.count(tag) > 1})
+        raise ConfigError(f"cells would share the names {shared}; their tags must differ")
     first = configs[0]
     for cfg in configs:
         if not isinstance(cfg, RunConfig):
             raise ContractViolation(f"expected a RunConfig, got {type(cfg).__name__}")
+        validate_config(cfg)
         if replace(cfg, **{key: getattr(first, key) for key in CELL_KEYS}) != first:
             keys = [f.name for f in fields(RunConfig) if f.name not in CELL_KEYS
                     and getattr(cfg, f.name) != getattr(first, f.name)]
@@ -132,9 +136,9 @@ class CellResults(Sequence):
     and one column per cell (one per distinct schedule for the lr), NaN
     where nothing was logged. Reading a cell builds its ``RunRow`` list;
     ``summary`` reads the arrays and builds no row, and ``row_at`` and
-    ``last_row`` build only the row they return.
-    A cell's summary and last row are built once, on first use, and every
-    later call returns the same object.
+    ``last_row`` build only the row they return, on every call. A cell's
+    summary is built once, on first use, and every later call returns the
+    same object.
     """
 
     def __init__(self, configs, hashes, logged, lrs, lane, losses, metrics, ends,
@@ -142,7 +146,7 @@ class CellResults(Sequence):
         self._configs, self._hashes, self._logged = configs, hashes, logged
         self._lrs, self._lane, self._losses, self._metrics = lrs, lane, losses, metrics
         self._ends, self._wall_time_s = ends, wall_time_s
-        self._summaries, self._last_rows = {}, {}
+        self._summaries = {}
 
     def __len__(self) -> int:
         return len(self._configs)
@@ -200,10 +204,8 @@ class CellResults(Sequence):
 
     def last_row(self, i: int) -> Optional[RunRow]:
         """Cell ``i``'s last ok row."""
-        if i not in self._last_rows:
-            ok = np.flatnonzero(np.isfinite(self._losses[:, i]))
-            self._last_rows[i] = self._row(i, ok[-1]) if ok.size else None
-        return self._last_rows[i]
+        ok = np.flatnonzero(np.isfinite(self._losses[:, i]))
+        return self._row(i, ok[-1]) if ok.size else None
 
     def summary(self, i: int) -> RunSummary:
         if i not in self._summaries:
@@ -246,8 +248,9 @@ def run_experiment(config: RunConfig | Sequence[RunConfig], out_dir=None,
 
     When ``out_dir`` is given, writes ``<tag>.csv`` with the per-step records
     and ``<tag>.json`` with a config echo, input hash and final metrics, for
-    every cell. Tags that repeat, or that are not plain file names, are a
-    ``ContractViolation`` before any compute.
+    every cell. Before any compute, an invalid config or a repeated tag is a
+    ``ConfigError``, and a tag that is not a plain file name a
+    ``ContractViolation``.
     """
     if isinstance(config, RunConfig):
         return _run_cells([config], [tag], out_dir)[0]

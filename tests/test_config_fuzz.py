@@ -213,8 +213,8 @@ def test_every_grid_and_sweep_override_is_rejected_before_compute_or_runs(tmp_pa
 # "-inf" and "-NaN" for options and stop with "unrecognized arguments" or
 # "expected at least one argument".
 OPTION_LIKE = [
-    ("sweep", ["--lrs", "0.01", "-1e-3"], "learning rates must be positive"),
-    ("sweep", ["--lrs", "-inf"], "learning rates must be positive"),
+    ("sweep", ["--lrs", "0.01", "-1e-3"], "key 'lr' must be positive"),
+    ("sweep", ["--lrs", "-inf"], "key 'lr' must be finite"),
     ("grid", ["--alphas", "-inf", "--betas", "0.9"], "key 'alpha' must be finite"),
     ("grid", ["--alphas", "0.1", "--betas", "-0.5"], "beta=-0.5"),
     ("grid", ["--alphas", "-1e-3", "--betas", "0.9"], "key 'alpha' must be >= 0"),

@@ -17,11 +17,11 @@ import pytest
 from innaprop.errors import ConfigError, ContractViolation
 import innaprop.harness.checks as checks
 import innaprop.harness.config as config_module
-import innaprop.harness.grid as grid_module
 import innaprop.harness.runner as runner
 from innaprop.harness.cli import main
 from innaprop.harness.config import (
     OPTIMIZERS,
+    RunConfig,
     build_problem,
     build_schedule,
     content_hash,
@@ -981,7 +981,7 @@ class TestSweep:
         # the sweep printed two "lr=0.01" lines with different losses.
         def no_compute(*args, **kwargs):
             raise AssertionError("the sweep ran")
-        monkeypatch.setattr(grid_module, "run_experiment", no_compute)
+        monkeypatch.setattr(runner, "build_problem", no_compute)
         with pytest.raises(ConfigError, match=r"\['lr0.01'\]"):
             lr_sweep(parse_config_dict(self.BASE), lrs=[1e-3, 0.01, 0.0100000001],
                      out_dir=tmp_path / "sweep")
@@ -992,6 +992,44 @@ class TestSweep:
         losses = [r.final_train_loss for r in rows]
         best = int(np.argmin(losses))
         assert 0 < best < len(rows) - 1, f"best lr at endpoint: {losses}"
+
+
+class TestSearchRejections:
+    """Every grid and sweep rejection is a ConfigError raised before the
+    problem is built, and leaves no output directory."""
+
+    @pytest.mark.parametrize("search,change,values,match", [
+        ("grid", {}, {"alphas": [0.5, 0.5], "betas": [2.0]}, "duplicate"),
+        ("grid", {}, {"alphas": [0.5], "betas": [2.0, 2.0]}, "duplicate"),
+        ("sweep", {}, {"lrs": [1e-3, 1e-3]}, "duplicate"),
+        # 0.0 and -0.0 are one value with two names.
+        ("grid", {}, {"alphas": [0.0, -0.0], "betas": [2.0]}, "duplicate"),
+        ("grid", {}, {"alphas": [0.1234567, 0.1234568], "betas": [2.0]},
+         r"\['cell_a0.123457_b2'\]"),
+        ("grid", {}, {"alphas": [0.5], "betas": [2.0, 2.0000001]}, r"\['cell_a0.5_b2'\]"),
+        ("sweep", {}, {"lrs": [0.01, 0.0100000001]}, r"\['lr0.01'\]"),
+        ("grid", {}, {"alphas": [0.5], "betas": [1e-4, 2.0]}, "well-posedness"),
+        ("sweep", {}, {"lrs": [1e-3, 0.0]}, "key 'lr' must be positive"),
+        ("sweep", {}, {"lrs": [-1e-3]}, "key 'lr' must be positive"),
+        ("sweep", {}, {"lrs": [float("inf")]}, "key 'lr' must be finite"),
+        ("sweep", {}, {"lrs": [float("nan")]}, "key 'lr' must be finite"),
+        ("grid", {"optimizer": "sgd"}, {"alphas": [0.1, 0.5], "betas": [0.9]}, "not 'sgd'"),
+        ("grid", {}, {"alphas": [], "betas": [0.9]}, "at least one"),
+    ], ids=["repeated_alpha", "repeated_beta", "repeated_rate", "signed_zero_alphas",
+            "alphas_one_name", "betas_one_name", "rates_one_name", "ill_posed_cell",
+            "zero_rate", "negative_rate", "infinite_rate", "nan_rate",
+            "optimizer_without_alpha_or_beta", "no_alphas"])
+    def test_rejected_before_any_compute(self, tmp_path, monkeypatch, search, change, values,
+                                         match):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(runner, "build_problem", no_compute)
+        cfg = parse_config_dict({**TestGrid.BASE, **change})
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=match):
+            (grid_search if search == "grid" else lr_sweep)(cfg, out_dir=out, **values)
+        assert not out.exists()
 
 
 class TestLockStep:
@@ -1115,10 +1153,26 @@ class TestLockStep:
         # Both cells would write a.csv, the second over the first.
         cfg = parse_config_dict({**MINIMAL, "steps": 30})
         monkeypatch.setattr(runner, "build_problem", None)  # no compute
-        with pytest.raises(ContractViolation, match="tags must differ"):
+        with pytest.raises(ConfigError, match=r"share the names \['a'\]"):
             run_experiment([cfg, replace(cfg, lr=1e-2)], out_dir=tmp_path / "out",
                            tag=["a", "a"])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config,match", [
+        (RunConfig(), "needs keys 'alpha' and 'beta'"),
+        (RunConfig(optimizer="nope"), "unknown optimizer 'nope'"),
+        (RunConfig(alpha=0.1, beta=0.9, lr=2.0), "well-posedness"),
+        (RunConfig(alpha=0.1, beta=0.9, sigma=1.5), "key 'sigma' must lie in"),
+    ], ids=["no_alpha", "unknown_optimizer", "ill_posed", "sigma_above_one"])
+    def test_invalid_config_rejected_before_compute(self, tmp_path, monkeypatch, config,
+                                                    match):
+        # A library call is validated as a config file is, before the
+        # problem is built.
+        monkeypatch.setattr(runner, "build_problem", None)  # no compute
+        for configs, tags in ((config, "run"), ([config, config], ["a", "b"])):
+            with pytest.raises(ConfigError, match=match):
+                run_experiment(configs, out_dir=tmp_path / "out", tag=tags)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tag", ["../escape", "sub/a", "", ".", ".."])
     def test_tag_that_is_not_a_plain_file_name_rejected(self, tmp_path, monkeypatch, tag):
@@ -1600,6 +1654,24 @@ class TestCli:
         out = tmp_path / "ode"
         assert main(["ode", "--config", cfg, "--out", str(out)]) == 2
         assert "0 < lr < beta" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [[], ["--precision", "f32"]], ids=["config", "flag"])
+    def test_ode_rejects_f32_before_integrating(self, tmp_path, capsys, monkeypatch, flag):
+        # The flow is integrated in f64 only; an f32 request is a config
+        # error, not an f64 run under the f32 name.
+        from innaprop.harness import cli
+
+        def refuse(*args):
+            raise AssertionError("integrated before the check")
+
+        monkeypatch.setattr(cli, "build_problem", refuse)
+        monkeypatch.setattr(cli, "rk4_integrate", refuse)
+        cfg = self._write_cfg(tmp_path, {"problem": "quadratic", "t_end": 1.0, "ode_dt": 0.01,
+                                         "precision": "f64" if flag else "f32"})
+        out = tmp_path / "ode"
+        assert main(["ode", "--config", cfg, "--out", str(out), *flag]) == 2
+        assert "f64 only, not 'f32'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["file", "preset"])
