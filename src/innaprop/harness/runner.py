@@ -134,11 +134,11 @@ class CellResults(Sequence):
 
     The logged numbers stay in compact arrays with one row per logged step
     and one column per cell (one per distinct schedule for the lr), NaN
-    where nothing was logged. Reading a cell builds its ``RunRow`` list;
-    ``summary`` reads the arrays and builds no row, and ``row_at`` and
-    ``last_row`` build only the row they return, on every call. A cell's
-    summary is built once, on first use, and every later call returns the
-    same object.
+    where nothing was logged. Reading a cell builds its ``RunRow`` list, one
+    ``_row`` per logged step; ``summary`` reads the arrays and builds no
+    row, and ``row_at`` and ``last_row`` build only the row they return, on
+    every call. A cell's summary is built once, on first use, and every
+    later call returns the same object.
     """
 
     def __init__(self, configs, hashes, logged, lrs, lane, losses, metrics, ends,
@@ -157,12 +157,7 @@ class CellResults(Sequence):
         if not -len(self) <= index < len(self):
             raise IndexError(index)
         i = index % len(self)
-        lrs = self._lrs[:, self._lane[i]].tolist()
-        metrics = (self._metrics[:, i].tolist() if self._metrics is not None
-                   else [None] * len(lrs))
-        rows = [RunRow(step, lr, loss, metric, "ok") for step, lr, loss, metric
-                in zip(self._logged, lrs, self._losses[:, i].tolist(), metrics)
-                if math.isfinite(loss)]
+        rows = [row for j in range(len(self._logged)) if (row := self._row(i, j)) is not None]
         if self._ends[i] is not None:
             k, gamma, at = self._ends[i]
             rows.append(RunRow(k, gamma, float("nan"), None, f"diverged@{at}"))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DivergenceError, DomainError
-from .numerics import ParamVector, RngStream
+from .numerics import ParamVector
 from .optimizers import _own, inna_init, inna_step
 from .problems import Problem
 
@@ -100,11 +100,11 @@ def _step_count(total: float, step: float) -> int:
     return n
 
 
-def rk4_integrate(spec: DinFlowSpec, theta0: ParamVector, psi0: ParamVector | None = None) -> Trajectory:
+def rk4_integrate(spec: DinFlowSpec, theta0: ParamVector) -> Trajectory:
     """Classical fourth-order integration from (theta0, psi0).
 
-    ``psi0`` defaults to ``(1 - alpha*beta) * theta0``, the initialization
-    under which critical points are equilibria of the flow. (theta, psi)
+    ``psi0`` is ``(1 - alpha*beta) * theta0``, the initialization under
+    which critical points are equilibria of the flow. (theta, psi)
     advance as the two rows of one (2, p) array, so every stage is one set of
     array operations for both. Overflow on a diverging flow is reported as
     ``DivergenceError`` at the first non-finite step, not as a warning.
@@ -119,7 +119,7 @@ def rk4_integrate(spec: DinFlowSpec, theta0: ParamVector, psi0: ParamVector | No
     # held twice.
     samples = np.empty((n_steps + 1, 2, p))
     samples[0, 0] = th
-    samples[0, 1] = psi0.data if psi0 is not None else (1.0 - spec.alpha * spec.beta) * th
+    samples[0, 1] = (1.0 - spec.alpha * spec.beta) * th
     t = np.linspace(0.0, n_steps * spec.dt, n_steps + 1)
 
     # Made once per integration: the coefficients as 0-d f64 arrays, the
@@ -176,7 +176,7 @@ def richardson_ratio(spec: DinFlowSpec, theta0: ParamVector) -> float:
     return coarse / fine
 
 
-def discretization_gap(spec: DinFlowSpec, gamma: float, theta0: ParamVector | None = None) -> float:
+def discretization_gap(spec: DinFlowSpec, gamma: float, theta0: ParamVector) -> float:
     """Max deviation between the constant-step discrete recursion and the flow.
 
     The discrete trajectory is the plain (unscaled) inertial-Newton step with
@@ -185,8 +185,6 @@ def discretization_gap(spec: DinFlowSpec, gamma: float, theta0: ParamVector | No
     """
     if not 0 < gamma < spec.beta:
         raise ContractViolation("gamma must satisfy 0 < gamma < beta")
-    if theta0 is None:
-        theta0 = ParamVector(spec.problem.init_theta(RngStream(0, 0).generator()))
     n_steps = _step_count(spec.t_end, gamma)
 
     refine = max(1, int(np.ceil(gamma / spec.dt)))

@@ -36,9 +36,9 @@ calling thread and one worker thread (``numerics.share_blocks``), with the
 bits of one thread.
 
 The oracles, ``innaprop_naive_step`` and ``dinadam_direct_step``, keep
-their whole-array expressions and end in ``_advance``, which checks and
-wraps the new arrays the same way. Both build a successor one way: a copy of
-the state's instance ``__dict__`` with the new ``k`` and the changed fields.
+their whole-array expressions: each checks its new arrays for finiteness,
+as the kernels' scan does, and builds its successor with
+``dataclasses.replace``, fresh slots and no ``_Owned`` record.
 
 Naming used throughout:
 
@@ -266,26 +266,6 @@ def _begin(state, theta: ParamVector, g: ParamVector) -> int:
     if grad.dtype != data.dtype:
         raise ContractViolation("gradient precision must match the state precision")
     return state.k + 1
-
-
-def _advance(state, step_index: int, **changes):
-    """The state after ``state`` at ``step_index``, with the fields
-    ``changes`` by name and every other field but ``_own``'s record carried
-    over; the oracles' whole-array steps end here. Each raw ndarray among
-    ``changes`` is checked for finiteness, raising
-    ``DivergenceError(step_index)``, and wrapped."""
-    for value in changes.values():
-        # count_nonzero costs about half of .all() on small arrays.
-        if type(value) is np.ndarray and np.count_nonzero(np.isfinite(value)) < value.size:
-            raise DivergenceError(step_index)
-    successor = object.__new__(type(state))
-    new = successor.__dict__
-    new.update(state.__dict__)
-    new.pop("_owned", None)
-    for name, value in changes.items():
-        new[name] = ParamVector._wrap(value) if type(value) is np.ndarray else value
-    new["k"] = step_index
-    return successor
 
 
 class _Owned:
@@ -641,8 +621,13 @@ def innaprop_naive_step(
             - (beta * gamma) * (rms_curr - rms_prev)
             - (gamma * gamma) * rms_prev
         )
-    return _advance(state, step_index, theta_prev=state.theta_curr, theta_curr=theta_next,
-                    g_prev=g_curr, v_prev=state.v_curr, v_curr=v_next)
+    for new in (theta_next, v_next):
+        # count_nonzero costs about half of .all() on small arrays.
+        if np.count_nonzero(np.isfinite(new)) < new.size:
+            raise DivergenceError(step_index)
+    return replace(state, theta_prev=state.theta_curr, theta_curr=ParamVector._wrap(theta_next),
+                   g_prev=g_curr, v_prev=state.v_curr, v_curr=ParamVector._wrap(v_next),
+                   k=step_index)
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +890,11 @@ def dinadam_direct_step(
         + (beta * alpha * s1) * (grad - state.g_prev.data)
     )
     theta_new = state.theta.data - eta * m_new / (np.sqrt(v_new) + epsilon)
-    return _advance(state, step_index, theta=theta_new, m=m_new, v=v_new, g_prev=g)
+    for new in (theta_new, m_new, v_new):
+        if np.count_nonzero(np.isfinite(new)) < new.size:
+            raise DivergenceError(step_index)
+    return replace(state, theta=ParamVector._wrap(theta_new), m=ParamVector._wrap(m_new),
+                   v=ParamVector._wrap(v_new), g_prev=g, k=step_index)
 
 
 # ---------------------------------------------------------------------------

@@ -68,37 +68,28 @@ def _split_indices(n: int, split_fraction: float, rng: np.random.Generator):
     return perm[:n_train], perm[n_train:]
 
 
-SYNTHETIC_KINDS = ("two_gaussians", "linear_regression")
+SYNTHETIC_KINDS = ("two_gaussians",)
 
 
 def generate_synthetic(kind: str, n: int, dim: int, seed: int,
-                       split_fraction: float = 0.75, separation: float = 6.0,
-                       noise: float = 0.0) -> Dataset:
+                       split_fraction: float = 0.75, separation: float = 6.0) -> Dataset:
     """Seed-deterministic synthetic datasets.
 
     ``two_gaussians``: balanced binary labels (counts differ by at most one),
     class means ``separation`` apart along a fixed direction, unit-variance
-    noise. ``linear_regression``: gaussian features, targets from a hidden
-    weight vector plus optional gaussian noise.
+    noise.
     """
     if n <= 0 or dim <= 0:
         raise ContractViolation("n and dim must be positive")
-    rng = RngStream(seed, 0).generator()
-    if kind == "two_gaussians":
-        n0 = n // 2
-        labels = np.concatenate([np.zeros(n0), np.ones(n - n0)])
-        direction = np.zeros(dim)
-        direction[0] = 1.0
-        centers = np.where(labels[:, None] > 0, 0.5 * separation, -0.5 * separation)
-        features = centers * direction + rng.standard_normal((n, dim))
-    elif kind == "linear_regression":
-        features = rng.standard_normal((n, dim))
-        w_star = rng.standard_normal(dim)
-        labels = features @ w_star
-        if noise:
-            labels = labels + noise * rng.standard_normal(n)
-    else:
+    if kind not in SYNTHETIC_KINDS:
         raise ContractViolation(f"unknown synthetic dataset kind {kind!r}")
+    rng = RngStream(seed, 0).generator()
+    n0 = n // 2
+    labels = np.concatenate([np.zeros(n0), np.ones(n - n0)])
+    direction = np.zeros(dim)
+    direction[0] = 1.0
+    centers = np.where(labels[:, None] > 0, 0.5 * separation, -0.5 * separation)
+    features = centers * direction + rng.standard_normal((n, dim))
     shuffle = rng.permutation(n)
     features, labels = features[shuffle], labels[shuffle]
     train_idx, test_idx = _split_indices(n, split_fraction, rng)
@@ -110,10 +101,11 @@ def load_csv_dataset(path, label_column: str, split_fraction: float = 0.75,
     """Parse a numeric CSV with a header row into a split dataset.
 
     Malformed cells, non-numeric or non-finite (``nan``, ``inf``), raise
-    ``ParseError`` naming the row and column; a missing label column raises
-    ``ConfigError``; bytes that are not UTF-8 raise ``ParseError``, and a
-    byte-order mark is skipped. The file is read once, and the dataset keeps
-    the bytes it parsed as ``source``.
+    ``ParseError`` naming the row and column, and so does a column name the
+    header repeats; a missing label column raises ``ConfigError``; bytes
+    that are not UTF-8 raise ``ParseError``, and a byte-order mark is
+    skipped. The file is read once, and the dataset keeps the bytes it
+    parsed as ``source``.
     """
     with open(path, "rb") as fh:
         source = fh.read()
@@ -128,6 +120,11 @@ def load_csv_dataset(path, label_column: str, split_fraction: float = 0.75,
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        seen = set()
+        for col in header:
+            if col in seen:
+                raise ParseError(f"{path}: column {col!r} appears twice in the header")
+            seen.add(col)
         if label_column not in header:
             raise ConfigError(f"{path}: label column {label_column!r} not in header {header}")
         label_pos = header.index(label_column)
@@ -303,16 +300,16 @@ def _argmax_last(z: np.ndarray) -> np.ndarray:
     return (~(second <= first) & (first == first)).astype(np.intp)
 
 
-def _over_cells(fn, cell_size: Callable[[Optional[np.ndarray]], int]):
+def _over_cells(fn, width: int, n_rows: int):
     """Lift ``fn(theta, batch)``, written for a (..., dim) f64 array and
     returning one result per vector, to the ``Problem`` calling convention.
 
     A 1-D parameter vector, or the row of a one-row stack, goes to ``fn`` as
     it is: no cells axis, so 2-D activations. A per-vector scalar comes back
     a float for a vector. Only a real stack is cut into chunks, and each of
-    its rows gives bit for bit its vector's numbers; ``cell_size(batch)`` is
-    the size of a cell's largest intermediate, and it sets how many cells
-    make a chunk.
+    its rows gives bit for bit its vector's numbers; a cell's largest
+    intermediate holds ``width`` values per data row, of the batch or of all
+    ``n_rows`` when ``batch`` is None, and sets how many cells make a chunk.
     """
     def lifted(theta, batch=None):
         arr = np.asarray(theta, dtype=np.float64)
@@ -321,12 +318,24 @@ def _over_cells(fn, cell_size: Callable[[Optional[np.ndarray]], int]):
             return float(out) if out.ndim == 0 else out
         if len(arr) == 1:
             return fn(arr[0], batch)[None]
-        step = max(1, _CHUNK // cell_size(batch))
+        step = max(1, _CHUNK // (width * (n_rows if batch is None else batch.size)))
         if len(arr) <= step:
             return fn(arr, batch)
         return np.concatenate([fn(arr[lo:lo + step], batch)
                                for lo in range(0, len(arr), step)])
     return lifted
+
+
+def _dataset_problem(name: str, dataset: Dataset, dim: int, width: int, loss, grad,
+                     test_metric, init_theta) -> Problem:
+    """A ``Problem`` over ``dataset`` from functions written for a (..., dim)
+    array, each lifted by ``_over_cells`` with ``width`` values per data row;
+    without test rows there is no test metric."""
+    n_test = dataset.test_idx.size
+    return Problem(name=name, dim=dim, loss=_over_cells(loss, width, dataset.n_train),
+                   grad=_over_cells(grad, width, dataset.n_train), init_theta=init_theta,
+                   test_metric=_over_cells(test_metric, width, n_test) if n_test else None,
+                   dataset=dataset)
 
 
 def _per_cell_float(theta: np.ndarray, out):
@@ -419,9 +428,6 @@ def _logistic_regression(dataset: Dataset) -> Problem:
     # negated once here (exactly) and not on every call.
     flip = -(2.0 * y_train - 1.0)
 
-    def cell_size(batch):
-        return x_train.shape[0] if batch is None else batch.size
-
     def _margins(x, theta):
         # One gemv per cell: a single (cells, d) @ (d, n) gemm would round
         # differently from the 1-D call's gemv.
@@ -456,16 +462,8 @@ def _logistic_regression(dataset: Dataset) -> Problem:
     def init_theta(rng):
         return 0.1 * rng.standard_normal(d + 1)
 
-    return Problem(
-        name="logistic_regression",
-        dim=d + 1,
-        loss=_over_cells(loss, cell_size),
-        grad=_over_cells(grad, cell_size),
-        init_theta=init_theta,
-        test_metric=(_over_cells(test_metric, lambda batch: x_test.shape[0])
-                     if x_test.shape[0] else None),
-        dataset=dataset,
-    )
+    return _dataset_problem("logistic_regression", dataset, d + 1, 1, loss, grad, test_metric,
+                            init_theta)
 
 
 class _MlpLayout:
@@ -531,11 +529,11 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
         acts.append(_by_columns(np.add, z, b, out=z))
         return acts
 
-    one_hot = np.eye(n_classes)[labels]
     all_rows = np.arange(labels.size)  # the full batch's row index, built once
-
-    def cell_size(batch):
-        return widest * (x_train.shape[0] if batch is None else batch.size)
+    # One 1.0 per row, at its label, in (rows, classes) values:
+    # np.eye(n_classes)[labels] would first build n_classes ** 2 of them.
+    one_hot = np.zeros((labels.size, n_classes))
+    one_hot[all_rows, labels] = 1.0
 
     def loss(theta, batch):
         if batch is None:
@@ -599,16 +597,8 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
             theta0[w_sl] = rng.uniform(-lim, lim, fan_in * fan_out)
         return theta0
 
-    return Problem(
-        name="tiny_mlp",
-        dim=layout.dim,
-        loss=_over_cells(loss, cell_size),
-        grad=_over_cells(grad, cell_size),
-        init_theta=init_theta,
-        test_metric=(_over_cells(test_metric, lambda batch: widest * x_test.shape[0])
-                     if x_test.shape[0] else None),
-        dataset=dataset,
-    )
+    return _dataset_problem("tiny_mlp", dataset, layout.dim, widest, loss, grad, test_metric,
+                            init_theta)
 
 
 PROBLEM_KINDS = ("quadratic", "rosenbrock", "logistic_regression", "tiny_mlp")
@@ -619,23 +609,20 @@ def make_problem(kind: str, **params) -> Problem:
 
     quadratic            spectrum=[positive eigenvalues]
     rosenbrock           dim=2
-    logistic_regression  dataset=Dataset
+    logistic_regression  dataset=Dataset (ignores hidden= and activation=)
     tiny_mlp             dataset=Dataset, hidden=(8,), activation="tanh"|"relu"
     """
     if kind == "quadratic":
         return _quadratic(params.pop("spectrum", (1.0, 10.0)))
     if kind == "rosenbrock":
         return _rosenbrock(params.pop("dim", 2))
-    if kind == "logistic_regression":
+    if kind in ("logistic_regression", "tiny_mlp"):
         dataset = params.pop("dataset", None)
         if dataset is None:
-            raise ContractViolation("logistic_regression needs dataset=")
+            raise ContractViolation(f"{kind} needs dataset=")
+        if kind == "tiny_mlp":
+            return _tiny_mlp(dataset, params.pop("hidden", (8,)), params.pop("activation", "tanh"))
         return _logistic_regression(dataset)
-    if kind == "tiny_mlp":
-        dataset = params.pop("dataset", None)
-        if dataset is None:
-            raise ContractViolation("tiny_mlp needs dataset=")
-        return _tiny_mlp(dataset, params.pop("hidden", (8,)), params.pop("activation", "tanh"))
     raise ContractViolation(f"unknown problem kind {kind!r}")
 
 

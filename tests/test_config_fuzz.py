@@ -47,6 +47,7 @@ VALUES = {
     "dim": ([None], [1, 2, 3, 0, -1, 2.5, True]),
     "dataset": ([None, "two_gaussians", "CSV"],
                 ["linear_regression", "three_moons", "NAN_CSV"]),
+    "noise": ([0.0], [0.1, float("nan")]),
     "schedule": (["constant", "cosine", "linear_warmup"], ["bogus"]),
     "t_warmup": ([0, 2], [-1, 1.5]),
     "lr": ([1e-3, 0.05], [0.0, -1.0, "fast", 2.0, float("inf")]),

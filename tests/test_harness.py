@@ -52,6 +52,7 @@ from innaprop.optimizers import (
 )
 from innaprop.problems import (
     ACTIVATIONS,
+    PROBLEM_KINDS,
     SYNTHETIC_KINDS,
     MiniBatchSampler,
     generate_synthetic,
@@ -132,6 +133,13 @@ class TestConfig:
                              ("activation", ACTIVATIONS), ("dataset", SYNTHETIC_KINDS)):
             for value in allowed:
                 assert getattr(parse_config_dict({**MINIMAL, key: value}), key) == value
+
+    @pytest.mark.parametrize("value", [0.1, -1e-300])
+    @pytest.mark.parametrize("problem", PROBLEM_KINDS)
+    def test_nonzero_noise_rejected(self, tmp_path, capsys, problem, value):
+        # No dataset reads it, so a nonzero value would change nothing.
+        self._rejected_before_compute(tmp_path, {**MINIMAL, "problem": problem, "noise": value},
+                                      "'noise'")
 
     @pytest.mark.parametrize("problem", ["quadratic", "rosenbrock"])
     def test_batch_size_needs_a_dataset(self, tmp_path, capsys, problem):
@@ -436,7 +444,8 @@ class TestRunExperiment:
 
 class TestLabels:
     """A problem that cannot read its dataset's labels is rejected before any
-    compute: CLI exit 2 and no output directory."""
+    compute: CLI exit 2 and no output directory. So is a dataset without
+    class labels, for every problem, and a CSV header that repeats a name."""
 
     @staticmethod
     def _run(tmp_path, raw) -> tuple:
@@ -445,7 +454,7 @@ class TestLabels:
         out = tmp_path / "out"
         return main(["run", "--config", str(path), "--out", str(out)]), out.exists()
 
-    @pytest.mark.parametrize("problem", ["tiny_mlp", "logistic_regression"])
+    @pytest.mark.parametrize("problem", PROBLEM_KINDS)
     def test_regression_targets_rejected(self, tmp_path, capsys, problem):
         raw = {"problem": problem, "dataset": "linear_regression", "optimizer": "adamw",
                "steps": 5, "dim": 3}
@@ -463,6 +472,17 @@ class TestLabels:
         raw = {"problem": problem, "dataset": str(data), "label_column": "y",
                "optimizer": "adamw", "steps": 5}
         assert self._run(tmp_path, raw) == (code, code == 0)
+
+    @pytest.mark.parametrize("header", ["x0,y,y", "x0,x0,y"], ids=["label", "feature"])
+    def test_csv_header_repeating_a_name(self, tmp_path, capsys, header):
+        data = tmp_path / "data.csv"
+        rows = [f"{0.1 * i},{i % 2},{i % 2}" for i in range(12)]
+        data.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        raw = {"problem": "logistic_regression", "dataset": str(data), "label_column": "y",
+               "optimizer": "adamw", "steps": 5}
+        assert self._run(tmp_path, raw) == (2, False)
+        name = header.split(",")[1]
+        assert f"column '{name}' appears twice" in capsys.readouterr().err
 
 
 class TestGradClip:
@@ -554,6 +574,42 @@ class TestKeysRead:
             for name in names.split(","):
                 table[name.strip(" `")] = {key for key, mark in zip(keys, marks) if mark == "x"}
         assert table == {name: rule.reads for name, rule in OPTIMIZERS.items()}
+
+
+class TestProblemKeysRead:
+    """The problem keys each problem kind reads, checked by running: a key it
+    does not read leaves its ``run.csv`` unchanged."""
+
+    READS = {
+        "quadratic": {"dim", "spectrum", "init_scale"},
+        "rosenbrock": {"dim", "init_scale"},
+        "logistic_regression": {"dim", "dataset", "n_samples", "split_fraction", "separation",
+                                "batch_size", "batch_order", "init_scale"},
+        "tiny_mlp": {"dim", "hidden", "activation", "dataset", "n_samples", "split_fraction",
+                     "separation", "batch_size", "batch_order", "init_scale"},
+    }
+
+    @pytest.mark.parametrize("problem", PROBLEM_KINDS)
+    def test_csv_changes_exactly_with_the_keys_read(self, class_csv, problem):
+        change = {"dim": {"dim": 3}, "spectrum": {"spectrum": [2.0, 5.0]},
+                  "hidden": {"hidden": [4]}, "activation": {"activation": "relu"},
+                  "dataset": {"dataset": str(class_csv(2)), "label_column": "y"},
+                  "n_samples": {"n_samples": 120}, "split_fraction": {"split_fraction": 0.5},
+                  "separation": {"separation": 2.0}, "batch_size": {"batch_size": 8},
+                  "batch_order": {"batch_order": "iid-with-replacement"},
+                  "init_scale": {"init_scale": 0.5}}
+        # A dataset problem runs on minibatches, so that it reads batch_order.
+        base = {"problem": problem, "optimizer": "adamw", "lr": 0.01, "steps": 6,
+                **({"batch_size": 16} if "batch_size" in self.READS[problem] else {})}
+
+        def csv(**keys):
+            return rows_to_csv(run_experiment(parse_config_dict({**base, **keys}))[0])
+
+        plain = csv()
+        for key, keys in change.items():
+            if key == "batch_size" and key not in self.READS[problem]:
+                continue  # rejected: TestConfig.test_batch_size_needs_a_dataset
+            assert (csv(**keys) != plain) == (key in self.READS[problem]), key
 
 
 class TestNonFiniteGradient:
