@@ -15,7 +15,6 @@ pass/fail reports for the command line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -84,20 +83,14 @@ def _paired_max_dev(problem, n_steps, theta0, init_a, step_a, init_b, step_b) ->
     it in place; the caller's ``theta0`` is never written."""
     state_a = _own(init_a(ParamVector._wrap(theta0.data.copy())))
     state_b = _own(init_b(ParamVector._wrap(theta0.data.copy())))
-    theta_a, theta_b = _theta_of(state_a), _theta_of(state_b)
     worst = 0.0
     for _ in range(n_steps):
-        grads = problem.grad(np.array((theta_a(state_a), theta_b(state_b)),
+        grads = problem.grad(np.array((state_a.theta.data, state_b.theta.data),
                                       dtype=np.float64)).astype(np.float64, copy=False)
         state_a = step_a(state_a, ParamVector._wrap(grads[0]))
         state_b = step_b(state_b, ParamVector._wrap(grads[1]))
-        worst = max(worst, _rel_dev(theta_a(state_a), theta_b(state_b)))
+        worst = max(worst, _rel_dev(state_a.theta.data, state_b.theta.data))
     return worst
-
-
-def _theta_of(state):
-    """The getter of the parameter array of states of ``state``'s class."""
-    return attrgetter("theta_curr.data" if hasattr(state, "theta_curr") else "theta.data")
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +160,8 @@ def dinadam_reduction_dev(n_steps: int = 500) -> float:
     params = ReferenceParams(beta1=0.9, beta2=0.999, epsilon=1e-8, bias_correction=False)
     return _paired_max_dev(
         problem, n_steps, theta0,
-        lambda th: dinadam_init(th, sigma1=0.9, sigma2=0.999),
-        lambda s, g: dinadam_step(s, g, 1e-3, alpha=1.0, beta=0.0),
+        dinadam_init,
+        lambda s, g: dinadam_step(s, g, 1e-3, alpha=1.0, beta=0.0, sigma1=0.9, sigma2=0.999),
         lambda th: reference_init("Adam", th, params),
         lambda s, g: reference_step(s, g, 1e-3, params),
     )
@@ -181,10 +174,11 @@ def dinadam_forms_dev(n_steps: int = 100) -> float:
     theta0 = ParamVector(problem.init_theta(RngStream(3, 0).generator()))
     return _paired_max_dev(
         problem, n_steps, theta0,
-        lambda th: dinadam_init(th, sigma1=0.9, sigma2=0.999),
-        lambda s, g: dinadam_step(s, g, 1e-3, alpha=0.5, beta=0.7),
-        lambda th: dinadam_direct_init(th, sigma1=0.9, sigma2=0.999),
-        lambda s, g: dinadam_direct_step(s, g, 1e-3, alpha=0.5, beta=0.7),
+        dinadam_init,
+        lambda s, g: dinadam_step(s, g, 1e-3, alpha=0.5, beta=0.7, sigma1=0.9, sigma2=0.999),
+        dinadam_direct_init,
+        lambda s, g: dinadam_direct_step(s, g, 1e-3, alpha=0.5, beta=0.7, sigma1=0.9,
+                                         sigma2=0.999),
     )
 
 

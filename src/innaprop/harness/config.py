@@ -91,7 +91,7 @@ OPTIMIZERS = {
     "innaprop_momentum": Rule(_SCALED | {"form"}, _start_momentum_variant,
                               ("reduced", "direct"), gamma_below_beta=True),
     "dinadam": Rule(_SCALED | {"sigma1"}, lambda c, theta0: (
-        dinadam_init(theta0, c.sigma1, c.sigma), dinadam_step, (c.alpha, c.beta, c.epsilon))),
+        dinadam_init(theta0), dinadam_step, (c.alpha, c.beta, c.sigma1, c.sigma, c.epsilon))),
     "inna": Rule(frozenset({"alpha", "beta", "form"}), lambda c, theta0: (
         inna_init(c.alpha, c.beta, theta0), inna_step, (c.alpha, c.beta, _form(c))),
         ("classic", "compact"), gamma_below_beta=True),
@@ -404,8 +404,10 @@ def build_problem(config: RunConfig) -> Problem:
             split_fraction=config.split_fraction,
             separation=config.separation,
         )
-    return make_problem(config.problem, dataset=dataset, hidden=config.hidden,
-                        activation=config.activation)
+    if config.problem == "tiny_mlp":
+        return make_problem("tiny_mlp", dataset=dataset, hidden=config.hidden,
+                            activation=config.activation)
+    return make_problem(config.problem, dataset=dataset)
 
 
 def init_stream(config: RunConfig) -> RngStream:

@@ -3,15 +3,19 @@ reference methods, written as pure step functions over explicit state.
 
 Every optimizer here is a function ``(state, gradient, step size, params) ->
 new state``; states are plain immutable values, so runs can be replayed,
-forked, or executed concurrently. A public step checks its step size
-(``_guard_gamma``) and its other scalar arguments, then calls ``_begin``,
-which rejects a gradient whose dimension or precision differs from the
-state's with ``ContractViolation``.
+forked, or executed concurrently. Every rule's state is one record,
+``State``: its ``kind``, its step index and its slots, one ``ParamVector``
+each. ``_SLOTS`` is the one table of which slots each kind carries, in its
+kernel's order; the state's own check, the inits, ``_own`` and the driver
+read it. A public step checks its step size (``_guard_gamma``) and its other
+scalar arguments, then calls ``_begin``, which rejects a state of another
+rule's kind, and a gradient whose dimension or precision differs from the
+state's, with ``ContractViolation``.
 
 Every step but the two oracles of the equivalence checks then ends in
 ``_blocked_step``, which runs the rule's update kernel block by block over
-the state's one to four slots, which the step names, and builds the new
-state itself. A rule is one module-level ``kernel(ins, outs, scratch, c)``
+the state's one to four slots and builds the new state itself. A rule
+is one module-level ``kernel(ins, outs, scratch, c)``
 and the tuple ``c`` of coefficients its public step computes as Python
 floats, ``1 - rate`` among them: a kernel takes its coefficients as ready
 operands and does no arithmetic on them. A tuple that repeats an owned
@@ -37,8 +41,8 @@ bits of one thread.
 
 The oracles, ``innaprop_naive_step`` and ``dinadam_direct_step``, keep
 their whole-array expressions: each checks its new arrays for finiteness,
-as the kernels' scan does, and builds its successor with
-``dataclasses.replace``, fresh slots and no ``_Owned`` record.
+as the kernels' scan does, and builds its successor with ``_successor``,
+as the blocked steps do, with fresh slots and no ``_Owned`` record.
 
 Naming used throughout:
 
@@ -46,6 +50,7 @@ Naming used throughout:
 * ``psi``     auxiliary variable of the inertial-Newton recursion,
               initialized to ``(1 - alpha*beta) * theta0`` so critical points
               are fixed points
+* ``m``       momentum, or the reduced forms' m-tilde
 * ``v``       exponential moving average of squared gradients (rate sigma)
 * ``rms``     the scaled direction ``g / (sqrt(v) + eps)``
 """
@@ -63,14 +68,8 @@ from .numerics import _BLOCK, ParamVector, share_blocks
 
 __all__ = [
     "InnapropConfig",
-    "InnapropState",
-    "NaiveInnapropState",
-    "InnaState",
-    "MomentumVariantState",
-    "DinadamState",
-    "DinadamDirectState",
     "ReferenceParams",
-    "ReferenceState",
+    "State",
     "innaprop_init",
     "innaprop_step",
     "innaprop_naive_init",
@@ -125,97 +124,6 @@ class InnapropConfig:
 
 
 @dataclass(frozen=True)
-class InnapropState:
-    """Three full-dimension slots: theta, psi and the squared-gradient average."""
-
-    theta: ParamVector
-    psi: ParamVector
-    v: ParamVector
-    k: int = 0
-
-
-@dataclass(frozen=True)
-class NaiveInnapropState:
-    """Unreduced three-term recursion state.
-
-    Deliberately keeps six full-dimension slots alive at once
-    (theta_{k-1}, theta_k, g_{k-1}, v_k, v_{k+1}, plus the incoming gradient),
-    mirroring the memory cost the reduced (theta, psi, v) form removes.
-    """
-
-    theta_prev: ParamVector
-    theta_curr: ParamVector
-    g_prev: ParamVector
-    v_prev: ParamVector
-    v_curr: ParamVector
-    k: int = 0
-
-
-@dataclass(frozen=True)
-class InnaState:
-    """Two full-dimension slots of the unscaled recursion: theta and psi."""
-
-    theta: ParamVector
-    psi: ParamVector
-    k: int = 0
-
-
-@dataclass(frozen=True)
-class MomentumVariantState:
-    """State for the momentum-style integration of the scaled direction.
-
-    ``form`` selects the direct recursion (carries m and the previous
-    gradient, since the update needs the previous scaled direction) or the
-    reduced recursion (carries m-tilde only). With ``m0 = 0`` and no previous
-    gradient the two are related by ``mtilde_k = m_k - (c/a) * rms_{k-1}`` and
-    both start at zero.
-    """
-
-    theta: ParamVector
-    m: ParamVector
-    v: ParamVector
-    g_prev: Optional[ParamVector] = None  # direct form only
-    form: str = "reduced"  # "direct" | "reduced"
-    k: int = 0
-
-    def __post_init__(self):
-        if self.form not in ("direct", "reduced"):
-            raise ContractViolation(f"unknown momentum form {self.form!r}")
-        if (self.g_prev is not None) != (self.form == "direct"):
-            needs = "needs" if self.form == "direct" else "takes no"
-            raise ContractViolation(f"a {self.form} momentum state {needs} g_prev")
-
-
-@dataclass(frozen=True)
-class DinadamState:
-    """Adam-style combination of the inertial dynamics with last-step scaling."""
-
-    theta: ParamVector
-    mtilde: ParamVector
-    v: ParamVector
-    sigma1: float
-    sigma2: float
-    k: int = 0
-
-
-@dataclass(frozen=True)
-class DinadamDirectState:
-    """Direct-recursion twin of ``DinadamState`` used by the equivalence oracle.
-
-    Keeps the raw momentum ``m`` and the previous gradient instead of the
-    memory-saving ``mtilde = m - alpha*beta*g_prev``.
-    """
-
-    theta: ParamVector
-    m: ParamVector
-    v: ParamVector
-    g_prev: ParamVector
-    sigma1: float
-    sigma2: float
-    k: int = 0
-
-
-@dataclass(frozen=True)
 class ReferenceParams:
     """Hyperparameters for the reference update rules; unused fields ignored."""
 
@@ -226,26 +134,74 @@ class ReferenceParams:
     bias_correction: bool = True  # Adam / AdamW
 
 
-@dataclass(frozen=True)
-class ReferenceState:
-    """Tagged state for the standard reference optimizers.
+# kind -> the slots its state carries after theta, in its kernel's order.
+# The unreduced oracle's five slots and the gradient are the six vectors
+# that the reduced (theta, psi, v) form saves. The reduced momentum and
+# DINAdam forms keep m-tilde in ``m``; their direct forms, m and g_prev.
+_SLOTS = {
+    "INNAprop": ("psi", "v"),
+    "INNApropNaive": ("v", "g_prev", "theta_prev", "v_prev"),
+    "INNA": ("psi",),
+    "INNApropMomentumReduced": ("m", "v"),
+    "INNApropMomentumDirect": ("m", "v", "g_prev"),
+    "DINAdam": ("m", "v"),
+    "DINAdamDirect": ("m", "v", "g_prev"),
+    "SGD": (),
+    "Momentum": ("m",),
+    "Nesterov": ("m",),
+    "RMSpropMomentum": ("m", "v"),
+    "Adam": ("m", "v"),
+    "AdamW": ("m", "v"),
+    "NAdam": ("m", "v"),
+}
 
-    The slot set matches the kind exactly: SGD none, Momentum/Nesterov ``m``,
-    RMSpropMomentum/Adam/AdamW/NAdam ``m`` and ``v``.
-    """
+
+@dataclass(frozen=True)
+class State:
+    """The state of every rule: its ``kind``, a key of ``_SLOTS``, the slots
+    that kind carries, each a ``ParamVector``, ``None`` for every other
+    slot, and the step index ``k``. A kind's slots are its fields' order,
+    so a state of a kind that listed them otherwise could not be built.
+
+    A ``None`` slot is read from the class: it is left out of the instance
+    ``__dict__``, which every step copies (``_successor``), so that copy
+    costs what the kind's own slots cost, not what the whole record's
+    would."""
 
     kind: str
     theta: ParamVector
+    psi: Optional[ParamVector] = None
     m: Optional[ParamVector] = None
     v: Optional[ParamVector] = None
+    g_prev: Optional[ParamVector] = None
+    theta_prev: Optional[ParamVector] = None
+    v_prev: Optional[ParamVector] = None
     k: int = 0
 
     def __post_init__(self):
-        rule = _REFERENCE.get(self.kind)
-        if rule is None:
-            raise ContractViolation(f"unknown reference kind {self.kind!r}")
-        if (self.m is not None, self.v is not None) != ("m" in rule[0], "v" in rule[0]):
-            raise ContractViolation(f"{self.kind} state must carry exactly the slots {rule[0]}")
+        slots = _SLOTS.get(self.kind)
+        if slots is None:
+            raise ContractViolation(f"unknown state kind {self.kind!r}")
+        own = self.__dict__
+        for name in _FIELDS:
+            if own[name] is None:
+                del own[name]
+        if tuple(name for name in _FIELDS if name in own) != ("theta", *slots):
+            raise ContractViolation(
+                f"a {self.kind} state carries exactly the slots {('theta', *slots)}")
+
+
+# The slot fields of ``State``, in order.
+_FIELDS = tuple(f.name for f in fields(State))[1:-1]
+
+
+def _init(kind: str, theta0: ParamVector, **given) -> State:
+    """A ``kind`` state at step 0 from ``theta0``: the slots ``given``, and
+    zeros for the others, each an array of its own, so an owner may make
+    them writable."""
+    return State(kind, theta0, **{name: given[name] if name in given
+                                  else ParamVector.zeros_like(theta0)
+                                  for name in _SLOTS[kind]})
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +209,39 @@ class ReferenceState:
 # ---------------------------------------------------------------------------
 
 
-def _begin(state, theta: ParamVector, g: ParamVector) -> int:
-    """Check ``g`` against ``theta``, the state's parameter slot, in
-    dimension and precision; returns the new state's step index ``k + 1``.
-    Every public step calls it after its scalar guards, before any arithmetic.
+def _begin(state: State, kinds, g: ParamVector) -> int:
+    """Check that ``state`` is of one of ``kinds``, the step's, and ``g``
+    against its theta in dimension and precision; returns the new state's
+    step index ``k + 1``. Every public step calls it after its scalar
+    guards, before any arithmetic.
     """
-    grad, data = g.data, theta.data
+    if state.kind not in kinds:
+        raise ContractViolation(
+            f"a {state.kind} state given to the {' or '.join(kinds)} step")
+    grad, data = g.data, state.theta.data
     if grad.size != data.size:
         raise ContractViolation(
-            f"gradient dimension {g.dim} does not match state dimension {theta.dim}"
+            f"gradient dimension {g.dim} does not match state dimension {state.theta.dim}"
         )
     if grad.dtype != data.dtype:
         raise ContractViolation("gradient precision must match the state precision")
     return state.k + 1
+
+
+def _successor(state: State, step_index: int, slots: Optional[dict] = None) -> State:
+    """The state after ``state`` at ``step_index``, as every step builds it:
+    a copy of its instance ``__dict__``, without ``__init__`` (its kind's
+    slots were checked when it was built), with ``slots``, the new slots by
+    name, set over the old ones. Given new slots, it is not owned."""
+    successor = object.__new__(State)
+    new = successor.__dict__
+    new.update(state.__dict__)
+    # Item by item: update() with keywords first builds a dict of them.
+    new["k"] = step_index
+    if slots is not None:
+        new.update(slots)
+        new.pop("_owned", None)
+    return successor
 
 
 class _Owned:
@@ -307,7 +283,7 @@ def _own(state):
     whole-array steps write no state, so owning one of their states changes
     only its layout.
     """
-    names = [f.name for f in fields(state) if isinstance(getattr(state, f.name), ParamVector)]
+    names = ("theta", *_SLOTS[state.kind])
     arrays = [getattr(state, name).data for name in names]
     if arrays[0].size > _BLOCK:
         for arr in arrays:
@@ -373,21 +349,18 @@ def _operands(owned, coeffs):
     return coeffs
 
 
-def _blocked_step(state, step_index: int, kernel, coeffs, names, grad: np.ndarray):
+def _blocked_step(state, step_index: int, kernel, coeffs, grad: np.ndarray):
     """The state after ``state`` from the update ``kernel`` over its one to
-    four slots, the fields ``names`` in its class's order, and the raw
-    gradient, all of one length and precision. Every step but the oracles'
-    ends here.
+    four slots, theta and then its kind's ``_SLOTS``, and the raw gradient,
+    all of one length and precision. Every step but the oracles' ends here.
 
-    The successor is a copy of the state's instance ``__dict__`` at
-    ``step_index``: its class's ``__init__`` checked every field when the
-    state was built. A state from ``_own``, or an in-place successor of one,
-    carries its ``_Owned`` record, and its new slots are the old ones,
-    written in place: every kernel is elementwise and reads an input block,
-    and every input its later writes overwrite, before it writes the output
+    A state from ``_own``, or an in-place successor of one, carries its
+    ``_Owned`` record, and its successor's slots are the old ones, written
+    in place: every kernel is elementwise and reads an input block, and
+    every input its later writes overwrite, before it writes the output
     block over it. A slot made read-only makes the kernel raise numpy's
     ``ValueError``. Any other state gets fresh slots, the rows of one new
-    ``(slots, dim)`` array, set under ``names``.
+    ``(slots, dim)`` array, set under the slots' names.
 
     ``kernel(ins, outs, scratch, coeffs)`` gets the slots then the gradient
     as ``ins``, the new slots as ``outs`` and two scratch rows: the arrays
@@ -417,6 +390,7 @@ def _blocked_step(state, step_index: int, kernel, coeffs, names, grad: np.ndarra
     """
     owned = state.__dict__.get("_owned")
     if owned is None:
+        names = ("theta", *_SLOTS[state.kind])
         rows = np.empty((len(names), grad.size), grad.dtype)
         ins = [getattr(state, name).data for name in names] + [grad]
         # Indexed: iterating the array takes its rows at about twice the cost.
@@ -438,15 +412,10 @@ def _blocked_step(state, step_index: int, kernel, coeffs, names, grad: np.ndarra
                 raise DivergenceError(step_index)
     else:
         share_blocks(_run_blocks, dim, kernel, ins, outs, checked, coeffs, step_index)
-    successor = object.__new__(type(state))
-    # Item by item: update() with keywords first builds a dict of them.
-    new = successor.__dict__
-    new.update(state.__dict__)
-    new["k"] = step_index
-    if owned is None:
-        for name, out in zip(names, outs):
-            new[name] = ParamVector._wrap(out)
-    return successor
+    if owned is not None:
+        return _successor(state, step_index)
+    return _successor(state, step_index,
+                      {name: ParamVector._wrap(out) for name, out in zip(names, outs)})
 
 
 def _run_blocks(job):
@@ -515,15 +484,12 @@ def _psi0(alpha: float, beta: float, theta0: ParamVector) -> ParamVector:
 # ---------------------------------------------------------------------------
 
 
-def innaprop_init(config: InnapropConfig, theta0: ParamVector) -> InnapropState:
+def innaprop_init(config: InnapropConfig, theta0: ParamVector) -> State:
     """Initial state: v = 0 and psi = (1 - alpha*beta) * theta0."""
-    psi0 = _psi0(config.alpha, config.beta, theta0)
-    return InnapropState(theta=theta0, psi=psi0, v=ParamVector.zeros_like(theta0), k=0)
+    return _init("INNAprop", theta0, psi=_psi0(config.alpha, config.beta, theta0))
 
 
-def innaprop_step(
-    state: InnapropState, g: ParamVector, gamma_k: float, config: InnapropConfig
-) -> InnapropState:
+def innaprop_step(state: State, g: ParamVector, gamma_k: float, config: InnapropConfig) -> State:
     """One full training step of the reduced recursion.
 
     In order: decoupled weight decay ``theta <- (1 - lambda*gamma_k) * theta``;
@@ -548,15 +514,14 @@ def innaprop_step(
     expressions, so its results match them bit for bit in F32 and F64.
     """
     _guard_gamma(gamma_k, config.beta)
-    step_index = _begin(state, state.theta, g)
+    step_index = _begin(state, ("INNAprop",), g)
     gamma, weight_decay = float(gamma_k), float(config.weight_decay)
     sigma = float(config.sigma)
     coeffs = (1.0 - weight_decay * gamma if weight_decay else None, sigma, 1.0 - sigma,
               1.0 - sigma ** step_index if config.bias_correction else None,
               float(config.epsilon),
               _inna_compact_coefficients(gamma, float(config.alpha), float(config.beta)))
-    return _blocked_step(state, step_index, _innaprop_kernel, coeffs, ("theta", "psi", "v"),
-                         g.data)
+    return _blocked_step(state, step_index, _innaprop_kernel, coeffs, g.data)
 
 
 def _innaprop_kernel(ins, outs, scratch, c):
@@ -579,45 +544,37 @@ def _innaprop_kernel(ins, outs, scratch, c):
 # ---------------------------------------------------------------------------
 
 
-def innaprop_naive_init(config: InnapropConfig, theta0: ParamVector) -> NaiveInnapropState:
-    zeros = ParamVector.zeros_like(theta0)
-    return NaiveInnapropState(
-        theta_prev=theta0,
-        theta_curr=theta0,
-        g_prev=zeros,
-        v_prev=zeros,
-        v_curr=zeros,
-        k=0,
-    )
+def innaprop_naive_init(config: InnapropConfig, theta0: ParamVector) -> State:
+    return _init("INNApropNaive", theta0, theta_prev=theta0)
 
 
-def innaprop_naive_step(
-    state: NaiveInnapropState, g_curr: ParamVector, gamma: float, config: InnapropConfig
-) -> NaiveInnapropState:
+def innaprop_naive_step(state: State, g_curr: ParamVector, gamma: float,
+                        config: InnapropConfig) -> State:
     """Advance the three-term recursion
 
         theta_{k+1} = theta_k + (1 - alpha*gamma) * (theta_k - theta_{k-1})
                       - beta*gamma * (rms_k - rms_{k-1}) - gamma^2 * rms_{k-1}
 
-    with ``rms_k = g_k / (sqrt(v_{k+1}) + eps)``. The first call performs the
+    with ``rms_k = g_k / (sqrt(v_{k+1}) + eps)``, over the slots theta, v,
+    g_prev = g_{k-1}, theta_prev and v_prev. The first call performs the
     bootstrap ``theta_1 = theta_0 - gamma*beta*rms_0``, the unique start
     consistent with ``psi_0 = (1 - alpha*beta) * theta_0`` in the reduced
     form, which makes the two recursions coincide exactly from step one.
     """
     _guard_gamma(gamma, config.beta)
-    step_index = _begin(state, state.theta_curr, g_curr)
+    step_index = _begin(state, ("INNApropNaive",), g_curr)
     alpha, beta, sigma, eps = config.alpha, config.beta, config.sigma, config.epsilon
     grad = g_curr.data
-    v_next = sigma * state.v_curr.data + (1.0 - sigma) * grad * grad
+    v_next = sigma * state.v.data + (1.0 - sigma) * grad * grad
     rms_curr = _rms(grad, v_next, eps)
 
     if state.k == 0:
-        theta_next = state.theta_curr.data - (gamma * beta) * rms_curr
+        theta_next = state.theta.data - (gamma * beta) * rms_curr
     else:
-        rms_prev = _rms(state.g_prev.data, state.v_curr.data, eps)
+        rms_prev = _rms(state.g_prev.data, state.v.data, eps)
         theta_next = (
-            state.theta_curr.data
-            + (1.0 - alpha * gamma) * (state.theta_curr.data - state.theta_prev.data)
+            state.theta.data
+            + (1.0 - alpha * gamma) * (state.theta.data - state.theta_prev.data)
             - (beta * gamma) * (rms_curr - rms_prev)
             - (gamma * gamma) * rms_prev
         )
@@ -625,9 +582,9 @@ def innaprop_naive_step(
         # count_nonzero costs about half of .all() on small arrays.
         if np.count_nonzero(np.isfinite(new)) < new.size:
             raise DivergenceError(step_index)
-    return replace(state, theta_prev=state.theta_curr, theta_curr=ParamVector._wrap(theta_next),
-                   g_prev=g_curr, v_prev=state.v_curr, v_curr=ParamVector._wrap(v_next),
-                   k=step_index)
+    return _successor(state, step_index, {
+        "theta": ParamVector._wrap(theta_next), "v": ParamVector._wrap(v_next),
+        "g_prev": g_curr, "theta_prev": state.theta, "v_prev": state.v})
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +592,12 @@ def innaprop_naive_step(
 # ---------------------------------------------------------------------------
 
 
-def inna_init(alpha: float, beta: float, theta0: ParamVector) -> InnaState:
-    return InnaState(theta=theta0, psi=_psi0(alpha, beta, theta0))
+def inna_init(alpha: float, beta: float, theta0: ParamVector) -> State:
+    return _init("INNA", theta0, psi=_psi0(alpha, beta, theta0))
 
 
-def inna_step(
-    state: InnaState,
-    g: ParamVector,
-    gamma: float,
-    alpha: float,
-    beta: float,
-    form: str = "classic",
-) -> InnaState:
+def inna_step(state: State, g: ParamVector, gamma: float, alpha: float, beta: float,
+              form: str = "classic") -> State:
     """One step of the plain inertial-Newton recursion.
 
     ``form="classic"`` is the textbook two-line update
@@ -658,21 +609,19 @@ def inna_step(
     ``form="compact"`` substitutes psi_{k+1} into the theta update so only the
     already-updated psi needs to be held; algebraically identical.
     """
-    if not isinstance(state, InnaState):
-        raise ContractViolation("inna_step requires an INNA state")
     if not beta > 0:
         raise ContractViolation("beta must be > 0")
     if form not in ("classic", "compact"):
         raise ContractViolation(f"unknown INNA form {form!r}")
     _guard_gamma(gamma, beta if form == "compact" else None)
-    step_index = _begin(state, state.theta, g)
+    step_index = _begin(state, ("INNA",), g)
 
     gamma, alpha, beta = float(gamma), float(alpha), float(beta)
     if form == "compact":
         kernel, coeffs = _inna_compact_kernel, _inna_compact_coefficients(gamma, alpha, beta)
     else:
         kernel, coeffs = _inna_classic_kernel, (1.0 / beta - alpha, beta, gamma)
-    return _blocked_step(state, step_index, kernel, coeffs, ("theta", "psi"), g.data)
+    return _blocked_step(state, step_index, kernel, coeffs, g.data)
 
 
 def _inna_classic_kernel(ins, outs, scratch, c):
@@ -718,27 +667,28 @@ def _inna_compact_kernel(ins, outs, scratch, c):
 # ---------------------------------------------------------------------------
 
 
-def innaprop_momentum_init(
-    config: InnapropConfig, theta0: ParamVector, form: str = "reduced"
-) -> MomentumVariantState:
-    return MomentumVariantState(
-        theta=theta0, m=ParamVector.zeros_like(theta0), v=ParamVector.zeros_like(theta0),
-        form=form, g_prev=ParamVector.zeros_like(theta0) if form == "direct" else None,
-    )
+def innaprop_momentum_init(config: InnapropConfig, theta0: ParamVector,
+                           form: str = "reduced") -> State:
+    """A state of the kind of ``form``, whose recursion its steps run; with
+    ``m0 = 0`` and no previous gradient, m-tilde starts at zero too."""
+    kind = {"reduced": "INNApropMomentumReduced", "direct": "INNApropMomentumDirect"}.get(form)
+    if kind is None:
+        raise ContractViolation(f"unknown momentum form {form!r}")
+    return _init(kind, theta0)
 
 
-def innaprop_momentum_step(
-    state: MomentumVariantState, g: ParamVector, gamma: float, config: InnapropConfig
-) -> MomentumVariantState:
+def innaprop_momentum_step(state: State, g: ParamVector, gamma: float,
+                           config: InnapropConfig) -> State:
     """Momentum-style integration of the scaled direction.
 
-    Direct form (coefficients a = 1 - alpha*gamma, b = beta*gamma,
+    Direct form, which carries the previous gradient since the update needs
+    the previous scaled direction (coefficients a = 1 - alpha*gamma, b = beta*gamma,
     c = gamma*(beta - gamma)):
 
         m_{k+1}     = a*m_k + gamma^2 * rms_{k-1} + b*(rms_k - rms_{k-1})
         theta_{k+1} = theta_k - m_{k+1}
 
-    Reduced form via mtilde_k = m_k - (c/a)*rms_{k-1}:
+    Reduced form via mtilde_k = m_k - (c/a)*rms_{k-1}, kept in slot ``m``:
 
         mtilde_{k+1} = a*mtilde_k + gamma^2*((1-alpha*beta)/a) * rms_k
         theta_{k+1}  = theta_k - mtilde_{k+1} - (c/a) * rms_k
@@ -752,17 +702,16 @@ def innaprop_momentum_step(
     a = 1.0 - alpha * gamma
     if a == 0.0:
         raise ContractViolation("singular coefficient: alpha * gamma == 1")
-    step_index = _begin(state, state.theta, g)
+    step_index = _begin(state, ("INNApropMomentumReduced", "INNApropMomentumDirect"), g)
     keep = None if a == 1.0 else a  # 1.0 * m is m: the kernel skips the product
 
-    if state.form == "direct":
+    if state.kind == "INNApropMomentumDirect":
         return _blocked_step(state, step_index, _momentum_direct_kernel,
-                             (sigma, 1.0 - sigma, eps, keep, gamma * gamma, beta * gamma),
-                             ("theta", "m", "v", "g_prev"), g.data)
+                             (sigma, 1.0 - sigma, eps, keep, gamma * gamma, beta * gamma), g.data)
     return _blocked_step(state, step_index, _momentum_reduced_kernel,
                          (sigma, 1.0 - sigma, eps, keep,
                           gamma * gamma * (1.0 - alpha * beta) / a, gamma * (beta - gamma) / a),
-                         ("theta", "m", "v"), g.data)
+                         g.data)
 
 
 def _momentum_direct_kernel(ins, outs, scratch, c):
@@ -806,22 +755,19 @@ def _momentum_reduced_kernel(ins, outs, scratch, c):
 # ---------------------------------------------------------------------------
 
 
-def dinadam_init(theta0: ParamVector, sigma1: float, sigma2: float) -> DinadamState:
+def _guard_rates(sigma1: float, sigma2: float):
+    """Both DINAdam steps' check of their rates, made before ``_begin``."""
     if not (0.0 <= sigma1 <= 1.0 and 0.0 <= sigma2 <= 1.0):
         raise ContractViolation("sigma1 and sigma2 must lie in [0, 1]")
-    return DinadamState(theta=theta0, mtilde=ParamVector.zeros_like(theta0),
-                        v=ParamVector.zeros_like(theta0), sigma1=sigma1, sigma2=sigma2)
 
 
-def dinadam_step(
-    state: DinadamState,
-    g: ParamVector,
-    eta: float,
-    alpha: float,
-    beta: float,
-    epsilon: float = 1e-8,
-) -> DinadamState:
-    """Adam-flavored step of the inertial dynamics.
+def dinadam_init(theta0: ParamVector) -> State:
+    return _init("DINAdam", theta0)
+
+
+def dinadam_step(state: State, g: ParamVector, eta: float, alpha: float, beta: float,
+                 sigma1: float, sigma2: float, epsilon: float = 1e-8) -> State:
+    """Adam-flavored step of the inertial dynamics, with m-tilde in slot ``m``.
 
         v_{k+1}      = sigma2*v_k + (1-sigma2)*g_k^2
         mtilde_{k+1} = sigma1*mtilde_k
@@ -835,13 +781,13 @@ def dinadam_step(
     Adam without bias correction.
     """
     _guard_gamma(eta)
-    step_index = _begin(state, state.theta, g)
-    s1, s2 = float(state.sigma1), float(state.sigma2)
+    _guard_rates(sigma1, sigma2)
+    step_index = _begin(state, ("DINAdam",), g)
+    s1, s2 = float(sigma1), float(sigma2)
     alpha, beta = float(alpha), float(beta)
     coeffs = (s2, 1.0 - s2, s1, 1.0 - s1 + beta * alpha * s1 - beta * alpha, alpha * beta,
               float(eta), float(epsilon))
-    return _blocked_step(state, step_index, _dinadam_kernel, coeffs, ("theta", "mtilde", "v"),
-                         g.data)
+    return _blocked_step(state, step_index, _dinadam_kernel, coeffs, g.data)
 
 
 def _dinadam_kernel(ins, outs, scratch, c):
@@ -859,30 +805,24 @@ def _dinadam_kernel(ins, outs, scratch, c):
     np.subtract(theta, _over_rms(a, v_new, eps, b, a), theta_new)
 
 
-def dinadam_direct_init(theta0: ParamVector, sigma1: float, sigma2: float) -> DinadamDirectState:
-    zeros = ParamVector.zeros_like(theta0)
-    return DinadamDirectState(
-        theta=theta0, m=zeros, v=zeros, g_prev=zeros, sigma1=sigma1, sigma2=sigma2
-    )
+def dinadam_direct_init(theta0: ParamVector) -> State:
+    return _init("DINAdamDirect", theta0)
 
 
-def dinadam_direct_step(
-    state: DinadamDirectState,
-    g: ParamVector,
-    eta: float,
-    alpha: float,
-    beta: float,
-    epsilon: float = 1e-8,
-) -> DinadamDirectState:
-    """Direct momentum recursion used as the change-of-variable oracle:
+def dinadam_direct_step(state: State, g: ParamVector, eta: float, alpha: float, beta: float,
+                        sigma1: float, sigma2: float, epsilon: float = 1e-8) -> State:
+    """Direct momentum recursion used as the change-of-variable oracle; it
+    keeps the raw momentum ``m`` and the previous gradient instead of the
+    memory-saving ``mtilde = m - alpha*beta*g_prev``:
 
         m_{k+1} = sigma1*m_k + (1-sigma1)*g_k + beta*alpha*sigma1*(g_k - g_{k-1})
         theta_{k+1} = theta_k - eta * m_{k+1} / (sqrt(v_{k+1}) + eps)
     """
     _guard_gamma(eta)
-    step_index = _begin(state, state.theta, g)
+    _guard_rates(sigma1, sigma2)
+    step_index = _begin(state, ("DINAdamDirect",), g)
 
-    s1, s2, grad = state.sigma1, state.sigma2, g.data
+    s1, s2, grad = sigma1, sigma2, g.data
     v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
     m_new = (
         s1 * state.m.data
@@ -893,8 +833,9 @@ def dinadam_direct_step(
     for new in (theta_new, m_new, v_new):
         if np.count_nonzero(np.isfinite(new)) < new.size:
             raise DivergenceError(step_index)
-    return replace(state, theta=ParamVector._wrap(theta_new), m=ParamVector._wrap(m_new),
-                   v=ParamVector._wrap(v_new), g_prev=g, k=step_index)
+    return _successor(state, step_index, {
+        "theta": ParamVector._wrap(theta_new), "m": ParamVector._wrap(m_new),
+        "v": ParamVector._wrap(v_new), "g_prev": g})
 
 
 # ---------------------------------------------------------------------------
@@ -902,20 +843,15 @@ def dinadam_direct_step(
 # ---------------------------------------------------------------------------
 
 
-def reference_init(
-    kind: str, theta0: ParamVector, params: Optional[ReferenceParams] = None
-) -> ReferenceState:
+def reference_init(kind: str, theta0: ParamVector,
+                   params: Optional[ReferenceParams] = None) -> State:
     """State with exactly the slots the chosen update rule needs."""
-    rule = _REFERENCE.get(kind)
-    if rule is None:
+    if kind not in _REFERENCE:
         raise ContractViolation(f"unknown reference kind {kind!r}")
-    # Each slot gets its own zeros, so an owner may make them writable.
-    return ReferenceState(kind, theta0, *[ParamVector.zeros_like(theta0) for _ in rule[0]])
+    return _init(kind, theta0)
 
 
-def reference_step(
-    state: ReferenceState, g: ParamVector, gamma_k: float, params: ReferenceParams
-) -> ReferenceState:
+def reference_step(state: State, g: ParamVector, gamma_k: float, params: ReferenceParams) -> State:
     """One standard update of the selected kind.
 
     Conventions (stated because they differ across the literature):
@@ -937,12 +873,11 @@ def reference_step(
     ``_blocked_step``).
     """
     _guard_gamma(gamma_k)
-    step_index = _begin(state, state.theta, g)
+    step_index = _begin(state, _REFERENCE, g)
     kind = state.kind
-    slots, kernel, coefficients = _REFERENCE[kind]
+    kernel, coefficients = _REFERENCE[kind]
     return _blocked_step(state, step_index, kernel,
-                         coefficients(kind, float(gamma_k), params, step_index),
-                         ("theta", *slots), g.data)
+                         coefficients(kind, float(gamma_k), params, step_index), g.data)
 
 
 def _sgd_kernel(ins, outs, scratch, c):
@@ -1052,17 +987,17 @@ def _nadam_coefficients(kind, gamma, params, k):
             float(params.epsilon), gamma)
 
 
-# The reference kinds, as ``ReferenceState``, ``reference_init`` and
-# ``reference_step`` read them: kind -> (its slots after theta, m before v;
-# its kernel; its coefficients(kind, gamma, params, k) as Python floats).
-# Each kernel evaluates the kind's formula (see ``reference_step``) with the
-# same ufuncs, in the same order, as the whole-array expression.
+# The reference kinds, as ``reference_init`` and ``reference_step`` read
+# them: kind -> (its kernel; its coefficients(kind, gamma, params, k) as
+# Python floats). Each kernel evaluates the kind's formula (see
+# ``reference_step``) with the same ufuncs, in the same order, as the
+# whole-array expression.
 _REFERENCE = {
-    "SGD": ((), _sgd_kernel, _sgd_coefficients),
-    "Momentum": (("m",), _momentum_kernel, _momentum_coefficients),
-    "Nesterov": (("m",), _momentum_kernel, _momentum_coefficients),
-    "RMSpropMomentum": (("m", "v"), _rmsprop_momentum_kernel, _rmsprop_momentum_coefficients),
-    "Adam": (("m", "v"), _adam_kernel, _adam_coefficients),
-    "AdamW": (("m", "v"), _adam_kernel, _adam_coefficients),
-    "NAdam": (("m", "v"), _nadam_kernel, _nadam_coefficients),
+    "SGD": (_sgd_kernel, _sgd_coefficients),
+    "Momentum": (_momentum_kernel, _momentum_coefficients),
+    "Nesterov": (_momentum_kernel, _momentum_coefficients),
+    "RMSpropMomentum": (_rmsprop_momentum_kernel, _rmsprop_momentum_coefficients),
+    "Adam": (_adam_kernel, _adam_coefficients),
+    "AdamW": (_adam_kernel, _adam_coefficients),
+    "NAdam": (_nadam_kernel, _nadam_coefficients),
 }

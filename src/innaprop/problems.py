@@ -601,7 +601,10 @@ def _tiny_mlp(dataset: Dataset, hidden=(8,), activation: str = "tanh") -> Proble
                             init_theta)
 
 
-PROBLEM_KINDS = ("quadratic", "rosenbrock", "logistic_regression", "tiny_mlp")
+# Every problem kind, and the keyword arguments ``make_problem`` takes for it.
+_KEYWORDS = {"quadratic": {"spectrum"}, "rosenbrock": {"dim"},
+             "logistic_regression": {"dataset"}, "tiny_mlp": {"dataset", "hidden", "activation"}}
+PROBLEM_KINDS = tuple(_KEYWORDS)
 
 
 def make_problem(kind: str, **params) -> Problem:
@@ -609,21 +612,26 @@ def make_problem(kind: str, **params) -> Problem:
 
     quadratic            spectrum=[positive eigenvalues]
     rosenbrock           dim=2
-    logistic_regression  dataset=Dataset (ignores hidden= and activation=)
+    logistic_regression  dataset=Dataset
     tiny_mlp             dataset=Dataset, hidden=(8,), activation="tanh"|"relu"
+
+    A keyword argument that the kind does not take raises ``ContractViolation``.
     """
+    if kind not in _KEYWORDS:
+        raise ContractViolation(f"unknown problem kind {kind!r}")
+    stray = sorted(params.keys() - _KEYWORDS[kind])
+    if stray:
+        raise ContractViolation(f"{kind} takes no keyword argument {', '.join(stray)}")
     if kind == "quadratic":
-        return _quadratic(params.pop("spectrum", (1.0, 10.0)))
+        return _quadratic(params.get("spectrum", (1.0, 10.0)))
     if kind == "rosenbrock":
-        return _rosenbrock(params.pop("dim", 2))
-    if kind in ("logistic_regression", "tiny_mlp"):
-        dataset = params.pop("dataset", None)
-        if dataset is None:
-            raise ContractViolation(f"{kind} needs dataset=")
-        if kind == "tiny_mlp":
-            return _tiny_mlp(dataset, params.pop("hidden", (8,)), params.pop("activation", "tanh"))
-        return _logistic_regression(dataset)
-    raise ContractViolation(f"unknown problem kind {kind!r}")
+        return _rosenbrock(params.get("dim", 2))
+    dataset = params.get("dataset")
+    if dataset is None:
+        raise ContractViolation(f"{kind} needs dataset=")
+    if kind == "tiny_mlp":
+        return _tiny_mlp(dataset, params.get("hidden", (8,)), params.get("activation", "tanh"))
+    return _logistic_regression(dataset)
 
 
 def shipped_problems(seed: int = 7) -> list[Problem]:

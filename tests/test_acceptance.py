@@ -196,7 +196,7 @@ def test_criterion_9_fixed_points_and_well_posedness():
             st_naive = innaprop_naive_init(cfg, theta0)
             st_dir = innaprop_momentum_init(cfg, theta0, "direct")
             st_red = innaprop_momentum_init(cfg, theta0, "reduced")
-            st_din = dinadam_init(theta0, sigma1=0.9, sigma2=0.999)
+            st_din = dinadam_init(theta0)
             st_inna = inna_init(alpha, beta, theta0)
             for _ in range(5):
                 st = innaprop_step(st, zero, 0.01, cfg)
@@ -204,11 +204,11 @@ def test_criterion_9_fixed_points_and_well_posedness():
                 st_naive = innaprop_naive_step(st_naive, zero, 0.01, cfg)
                 st_dir = innaprop_momentum_step(st_dir, zero, 0.01, cfg)
                 st_red = innaprop_momentum_step(st_red, zero, 0.01, cfg)
-                st_din = dinadam_step(st_din, zero, 0.01, alpha, beta)
+                st_din = dinadam_step(st_din, zero, 0.01, alpha, beta, 0.9, 0.999)
                 st_inna = inna_step(st_inna, zero, 0.01, alpha, beta)
             for state in (st, st_plain, st_dir, st_red, st_din, st_inna):
                 drift = max(drift, rel_drift(state.theta.data, theta0))
-            drift = max(drift, rel_drift(st_naive.theta_curr.data, theta0))
+            drift = max(drift, rel_drift(st_naive.theta.data, theta0))
 
     params = ReferenceParams(beta1=0.9, beta2=0.999, weight_decay=0.0)
     for kind in ("SGD", "Momentum", "Nesterov", "RMSpropMomentum", "Adam",

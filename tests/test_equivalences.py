@@ -105,7 +105,7 @@ def test_naive_bootstrap_matches_reduced_exactly():
     g0 = ParamVector(rng.standard_normal(5))
     reduced = innaprop_step(innaprop_init(cfg, theta0), g0, 0.01, cfg)
     naive = innaprop_naive_step(innaprop_naive_init(cfg, theta0), g0, 0.01, cfg)
-    rel = np.max(np.abs(reduced.theta.data - naive.theta_curr.data)) / np.max(
+    rel = np.max(np.abs(reduced.theta.data - naive.theta.data)) / np.max(
         np.abs(reduced.theta.data)
     )
     assert rel < 1e-15

@@ -20,13 +20,11 @@ import innaprop.optimizers as optimizers
 from innaprop.errors import ContractViolation, DivergenceError, WellPosednessError
 from innaprop.numerics import _BLOCK, _SHARED, ParamVector, Precision, RngStream
 from innaprop.optimizers import (
+    _SLOTS,
     _own,
     InnapropConfig,
-    InnapropState,
-    InnaState,
-    MomentumVariantState,
     ReferenceParams,
-    ReferenceState,
+    State,
     dinadam_direct_init,
     dinadam_direct_step,
     dinadam_init,
@@ -205,22 +203,21 @@ class TestNaiveForm:
         state = innaprop_naive_init(cfg, vec(1.0))
         state = innaprop_naive_step(state, vec(1.0), 0.01, cfg)
         expected = 1.0 - 0.01 * 0.9 * 1.0 / np.sqrt(0.001)
-        assert abs(state.theta_curr.data[0] - expected) < 1e-14
+        assert abs(state.theta.data[0] - expected) < 1e-14
 
     def test_zero_gradients_after_zero_bootstrap(self):
         cfg = InnapropConfig(alpha=0.1, beta=0.9, sigma=0.999, epsilon=1e-8)
         state = innaprop_naive_init(cfg, vec(2.0, -1.0))
         for _ in range(3):
             state = innaprop_naive_step(state, vec(0.0, 0.0), 0.01, cfg)
-        np.testing.assert_array_equal(state.theta_curr.data, [2.0, -1.0])
+        np.testing.assert_array_equal(state.theta.data, [2.0, -1.0])
 
     def test_six_slots_live(self):
         cfg = InnapropConfig(alpha=0.1, beta=0.9)
         state = innaprop_naive_init(cfg, vec(1.0))
         state = innaprop_naive_step(state, vec(1.0), 0.01, cfg)
         state = innaprop_naive_step(state, vec(0.5), 0.01, cfg)
-        for slot in (state.theta_prev, state.theta_curr, state.g_prev,
-                     state.v_prev, state.v_curr):
+        for slot in (state.theta_prev, state.theta, state.g_prev, state.v_prev, state.v):
             assert slot.dim == 1
         assert state.k == 2
 
@@ -281,17 +278,21 @@ class TestMomentumVariant:
     @pytest.mark.parametrize("form,g_prev", [("bogus", False), ("bogus", True),
                                              ("direct", False), ("reduced", True)])
     def test_state_checks_its_form_and_g_prev(self, form, g_prev):
-        # The direct form carries the previous gradient and the reduced form
-        # does not; any other form is rejected. A successor copies every
-        # field it does not step, so a stray g_prev would be carried.
+        # Each form is a kind: the direct one carries the previous gradient
+        # and the reduced one does not; any other kind is rejected. A
+        # successor copies every field it does not step, so a stray g_prev
+        # would be carried.
         theta = vec(1.0, -1.0)
-        message = {"bogus": "unknown momentum form 'bogus'",
-                   "direct": "a direct momentum state needs g_prev",
-                   "reduced": "a reduced momentum state takes no g_prev"}[form]
+        kind = {"bogus": "bogus", "direct": "INNApropMomentumDirect",
+                "reduced": "INNApropMomentumReduced"}[form]
+        message = {"bogus": "unknown state kind 'bogus'",
+                   "direct": r"INNApropMomentumDirect state carries exactly the slots "
+                             r"\('theta', 'm', 'v', 'g_prev'\)",
+                   "reduced": r"INNApropMomentumReduced state carries exactly the slots "
+                              r"\('theta', 'm', 'v'\)"}[form]
         with pytest.raises(ContractViolation, match=message):
-            MomentumVariantState(theta, ParamVector.zeros_like(theta),
-                                 ParamVector.zeros_like(theta),
-                                 ParamVector.zeros_like(theta) if g_prev else None, form)
+            State(kind, theta, m=ParamVector.zeros_like(theta), v=ParamVector.zeros_like(theta),
+                  g_prev=ParamVector.zeros_like(theta) if g_prev else None)
 
     def test_init_rejects_an_unknown_form(self):
         with pytest.raises(ContractViolation, match="unknown momentum form 'bogus'"):
@@ -300,30 +301,44 @@ class TestMomentumVariant:
 
 class TestDinadam:
     def test_alpha1_beta0_first_step_matches_adam_no_correction(self):
-        state = dinadam_init(vec(1.0), sigma1=0.9, sigma2=0.999)
-        state = dinadam_step(state, vec(2.0), 0.1, alpha=1.0, beta=0.0, epsilon=1e-30)
+        state = dinadam_init(vec(1.0))
+        state = dinadam_step(state, vec(2.0), 0.1, alpha=1.0, beta=0.0, sigma1=0.9, sigma2=0.999,
+                             epsilon=1e-30)
         # mtilde1 = (1-sigma1)*g; v1 = (1-sigma2)*g^2
         expected = 1.0 - 0.1 * (0.1 * 2.0) / np.sqrt(0.001 * 4.0)
         assert abs(state.theta.data[0] - expected) < 1e-14
 
     def test_zero_gradient_constant(self):
-        state = dinadam_init(vec(1.0, 2.0), sigma1=0.9, sigma2=0.999)
+        state = dinadam_init(vec(1.0, 2.0))
         for _ in range(5):
-            state = dinadam_step(state, vec(0.0, 0.0), 0.1, alpha=0.5, beta=0.7)
+            state = dinadam_step(state, vec(0.0, 0.0), 0.1, 0.5, 0.7, 0.9, 0.999)
         np.testing.assert_array_equal(state.theta.data, [1.0, 2.0])
 
-    def test_sigma_bounds(self):
-        with pytest.raises(ContractViolation):
-            dinadam_init(vec(1.0), sigma1=1.2, sigma2=0.999)
+    @pytest.mark.parametrize("rates", [(1.2, 0.999), (0.9, -0.1), (np.nan, 0.999),
+                                       (0.9, np.inf)])
+    @pytest.mark.parametrize("layout", ["public", "owned"])
+    @pytest.mark.parametrize("form", ["reduced", "direct"])
+    def test_sigma_bounds(self, form, layout, rates):
+        # Both steps check their rates with one guard, before the gradient
+        # (here of the wrong dimension), and leave the state as it was.
+        init, step = ((dinadam_init, dinadam_step) if form == "reduced"
+                      else (dinadam_direct_init, dinadam_direct_step))
+        state = step(init(vec(1.0, -2.0)), vec(0.5, 0.25), 0.1, 0.5, 0.7, 0.9, 0.999)
+        if layout == "owned":
+            state = _own(state)
+        before = [arr.copy() for arr in slot_arrays(state)]
+        with pytest.raises(ContractViolation, match="sigma1 and sigma2 must lie in"):
+            step(state, vec(1.0), 0.1, 0.5, 0.7, *rates)
+        assert_bitwise(slot_arrays(state), before)
 
     def test_zero_step_size_keeps_theta(self):
         # A schedule that ends at lr_min = 0 hands the last step eta = 0.
-        state = dinadam_init(vec(1.0, -2.0), sigma1=0.9, sigma2=0.999)
-        state = dinadam_step(state, vec(3.0, 0.5), 0.0, alpha=0.5, beta=0.7)
+        state = dinadam_init(vec(1.0, -2.0))
+        state = dinadam_step(state, vec(3.0, 0.5), 0.0, 0.5, 0.7, 0.9, 0.999)
         np.testing.assert_array_equal(state.theta.data, [1.0, -2.0])
         assert state.k == 1
         with pytest.raises(ContractViolation, match="eta"):
-            dinadam_step(state, vec(3.0, 0.5), -0.1, alpha=0.5, beta=0.7)
+            dinadam_step(state, vec(3.0, 0.5), -0.1, 0.5, 0.7, 0.9, 0.999)
 
 
 class TestReferenceOptimizers:
@@ -371,9 +386,11 @@ class TestReferenceOptimizers:
         assert reference_init("Momentum", vec(1.0)).m is not None
         assert reference_init("Adam", vec(1.0)).v is not None
         with pytest.raises(ContractViolation):
-            ReferenceState(kind="SGD", theta=vec(1.0), m=vec(0.0))
+            State(kind="SGD", theta=vec(1.0), m=vec(0.0))
         with pytest.raises(ContractViolation):
             reference_init("Bogus", vec(1.0))
+        with pytest.raises(ContractViolation, match="unknown reference kind 'INNAprop'"):
+            reference_init("INNAprop", vec(1.0))
 
     def test_zero_gradient_fixed_points_all_kinds(self):
         rng = RngStream(31, 0).generator()
@@ -473,7 +490,7 @@ def whole_array_momentum(state, g, gamma, cfg):
     grad = g.data
     v_new = sigma * state.v.data + (1.0 - sigma) * grad * grad
     rms_curr = whole_array_rms(grad, v_new, eps)
-    if state.form == "direct":
+    if state.kind == "INNApropMomentumDirect":
         rms_prev = whole_array_rms(state.g_prev.data, state.v.data, eps)
         m_new = (
             a * state.m.data
@@ -486,10 +503,10 @@ def whole_array_momentum(state, g, gamma, cfg):
     return theta_new, m_new, v_new
 
 
-def whole_array_dinadam(state, g, eta, alpha, beta, epsilon):
-    s1, s2, grad = state.sigma1, state.sigma2, g.data
+def whole_array_dinadam(state, g, eta, alpha, beta, s1, s2, epsilon):
+    grad = g.data
     v_new = s2 * state.v.data + (1.0 - s2) * grad * grad
-    mtilde_new = s1 * state.mtilde.data + (1.0 - s1 + beta * alpha * s1 - beta * alpha) * grad
+    mtilde_new = s1 * state.m.data + (1.0 - s1 + beta * alpha * s1 - beta * alpha) * grad
     theta_new = state.theta.data - eta * (mtilde_new + (alpha * beta) * grad) / (
         np.sqrt(v_new) + epsilon
     )
@@ -546,12 +563,13 @@ def rules(cfg=CFG, params=PARAMS) -> dict:
             lambda s, g, gamma, form=form: whole_array_inna(s.theta.data, s.psi.data, g.data,
                                                             gamma, alpha, beta, form))
            for form in ("classic", "compact")},
-        "dinadam": (lambda th: dinadam_init(th, s1, s2),
-                    lambda s, g, gamma=0.01: dinadam_step(s, g, gamma, alpha, beta, eps),
-                    lambda s, g, gamma: whole_array_dinadam(s, g, gamma, alpha, beta, eps)),
-        "dinadam_direct": (lambda th: dinadam_direct_init(th, s1, s2),
+        "dinadam": (dinadam_init,
+                    lambda s, g, gamma=0.01: dinadam_step(s, g, gamma, alpha, beta, s1, s2, eps),
+                    lambda s, g, gamma: whole_array_dinadam(s, g, gamma, alpha, beta, s1, s2,
+                                                            eps)),
+        "dinadam_direct": (dinadam_direct_init,
                            lambda s, g, gamma=0.01: dinadam_direct_step(s, g, gamma, alpha, beta,
-                                                                        eps), None),
+                                                                        s1, s2, eps), None),
         **{f"momentum_{form}": (lambda th, form=form: innaprop_momentum_init(cfg, th, form),
                                 lambda s, g, gamma=0.01: innaprop_momentum_step(s, g, gamma, cfg),
                                 lambda s, g, gamma: whole_array_momentum(s, g, gamma, cfg))
@@ -640,8 +658,8 @@ def test_bad_step_size_rejected_before_the_gradient(name, gamma):
 @pytest.mark.parametrize("name", sorted(STEPS))
 def test_successor_is_the_state_with_its_new_slots_at_the_next_index(name, layout):
     # Every step builds its successor one way: each field it does not step
-    # is carried over (a reference kind, a momentum form, DINAdam's rates, a
-    # None g_prev), its slots are those the rule wrote, and k is k + 1. An
+    # is carried over (the kind and every None slot), its slots are those
+    # the rule wrote, and k is k + 1. An
     # owned state's successor of the blocked driver keeps its record; an
     # oracle's successor has fresh slots and is not owned.
     init, step, _ = STEPS[name]
@@ -661,9 +679,57 @@ def test_successor_is_the_state_with_its_new_slots_at_the_next_index(name, layou
         for f in fields(want):
             if f.name != "k":
                 assert getattr(new, f.name) is getattr(want, f.name), f.name
-        assert set(vars(new)) - {"_owned"} == {f.name for f in fields(new)}
+        # A None slot is read from the class, not kept in the instance.
+        assert set(vars(new)) - {"_owned"} == {f.name for f in fields(new)
+                                               if getattr(new, f.name) is not None}
         assert vars(new).get("_owned") is record
         state = new
+
+
+# The kinds each rule of the table takes, in the order its step names them;
+# every other kind is foreign to it. And each kind's init, by the kind of
+# the state it builds.
+REFERENCE_KINDS = ("SGD", "Momentum", "Nesterov", "RMSpropMomentum", "Adam", "AdamW", "NAdam")
+MOMENTUM_KINDS = ("INNApropMomentumReduced", "INNApropMomentumDirect")
+TAKES = {"innaprop": ("INNAprop",), "innaprop_naive": ("INNApropNaive",),
+         "inna_classic": ("INNA",), "inna_compact": ("INNA",), "dinadam": ("DINAdam",),
+         "dinadam_direct": ("DINAdamDirect",), "momentum_direct": MOMENTUM_KINDS,
+         "momentum_reduced": MOMENTUM_KINDS,
+         **{f"reference_{kind}": REFERENCE_KINDS for kind in REFERENCE_KINDS}}
+INITS = {init(vec(1.0)).kind: init for init, _, _ in STEPS.values()}
+
+
+def test_every_kind_has_one_init_and_exactly_its_slots():
+    # One kind per row of _SLOTS, each built by an init of the table with
+    # theta and the row's slots, in field order; a state that lacks one of
+    # them, or carries another, is refused.
+    assert sorted(INITS) == sorted(_SLOTS) and len(_SLOTS) == 14
+    slot_fields = [f.name for f in fields(State)][1:-1]
+    for kind, init in INITS.items():
+        state = init(ParamVector([1.0, -2.0]))
+        names = ["theta", *_SLOTS[kind]]
+        assert [name for name in slot_fields if getattr(state, name) is not None] == names
+        for name in slot_fields:
+            with pytest.raises(ContractViolation, match=f"{kind} state carries exactly"):
+                replace(state, **{name: None if name in names else state.theta})
+    with pytest.raises(ContractViolation, match="unknown state kind 'Bogus'"):
+        State("Bogus", vec(1.0))
+
+
+@pytest.mark.parametrize("layout", ["public", "owned"])
+@pytest.mark.parametrize("name,kind", [(name, kind) for name in sorted(STEPS)
+                                       for kind in sorted(_SLOTS) if kind not in TAKES[name]])
+def test_a_state_of_another_rule_is_refused(name, kind, layout):
+    # A step given a state of a kind it does not take raises, naming both
+    # kinds, before any arithmetic: the state's slots stay as they were.
+    state = INITS[kind](ParamVector([1.0, -2.0, 0.5]))
+    if layout == "owned":
+        state = _own(state)
+    before = [arr.copy() for arr in slot_arrays(state)]
+    with pytest.raises(ContractViolation) as err:
+        STEPS[name][1](state, ParamVector([0.5, 0.25, -1.0]))
+    assert str(err.value) == f"a {kind} state given to the {' or '.join(TAKES[name])} step"
+    assert_bitwise(slot_arrays(state), before)
 
 
 class TestMovedRules:
@@ -902,7 +968,7 @@ def test_adaptive_rules_are_plain_rules_on_the_rms_scaled_gradient(precision, di
             if cfg.weight_decay:
                 theta = (1.0 - cfg.weight_decay * gamma) * theta
             v_hat = v_new / (1.0 - cfg.sigma ** k) if cfg.bias_correction else v_new
-            inna = inna_step(InnaState(ParamVector._wrap(theta), ParamVector._wrap(psi)),
+            inna = inna_step(State("INNA", ParamVector._wrap(theta), ParamVector._wrap(psi)),
                              scaled(g, v_hat, cfg.epsilon), gamma, cfg.alpha, cfg.beta,
                              form="compact")
             assert_bitwise([new.theta.data, new.psi.data], [inna.theta.data, inna.psi.data])
@@ -911,7 +977,7 @@ def test_adaptive_rules_are_plain_rules_on_the_rms_scaled_gradient(precision, di
         b2 = PARAMS.beta2
         v_new = b2 * v + (1.0 - b2) * g.data * g.data
         plain = reference_step(
-            ReferenceState("Momentum", ParamVector._wrap(theta), ParamVector._wrap(m)),
+            State("Momentum", ParamVector._wrap(theta), m=ParamVector._wrap(m)),
             scaled(g, v_new, PARAMS.epsilon), gamma, PARAMS)
         assert_bitwise(slot_arrays(rms_state), [plain.theta.data, plain.m.data, v_new])
 
@@ -1295,10 +1361,10 @@ def test_kernel_runs_on_coefficients_it_cannot_compute_with(name, precision, hyp
     calls = []
     blocked = optimizers._blocked_step
 
-    def capture(state, step_index, kernel, coeffs, names, grad):
-        slots = [getattr(state, name).data.copy() for name in names]
+    def capture(state, step_index, kernel, coeffs, grad):
+        slots = [arr.copy() for arr in slot_arrays(state)]
         calls.append((kernel, coeffs, slots, grad.copy()))
-        return blocked(state, step_index, kernel, coeffs, names, grad)
+        return blocked(state, step_index, kernel, coeffs, grad)
 
     monkeypatch.setattr(optimizers, "_blocked_step", capture)
     state = step(state, ParamVector(rng.standard_normal(42), precision))
@@ -1324,10 +1390,10 @@ def test_slot_typed_coefficients_give_the_bits_of_python_floats(name, precision,
     monkeypatch.setattr(optimizers, "_operands", lambda owned, coeffs: coeffs)
     runs = []
     for cast in (False, True):
-        def driven(state, step_index, kernel, coeffs, names, grad, cast=cast):
+        def driven(state, step_index, kernel, coeffs, grad, cast=cast):
             if cast:
                 coeffs = optimizers._cast(coeffs, grad.dtype)
-            return blocked(state, step_index, kernel, coeffs, names, grad)
+            return blocked(state, step_index, kernel, coeffs, grad)
 
         monkeypatch.setattr(optimizers, "_blocked_step", driven)
         rng = RngStream(dim, 18).generator()
@@ -1351,9 +1417,8 @@ def test_repeated_coefficients_keep_the_sign_of_zero():
     g = ParamVector(np.linspace(-1.0, 1.0, 8))
 
     def run(indices):
-        states = {i: _own(InnapropState(ParamVector(np.linspace(0.5, 1.5, 8)),
-                                        ParamVector._wrap(np.full(8, -0.0)),
-                                        ParamVector(np.zeros(8))))
+        states = {i: _own(State("INNAprop", ParamVector(np.linspace(0.5, 1.5, 8)),
+                                ParamVector._wrap(np.full(8, -0.0)), v=ParamVector(np.zeros(8))))
                   for i in indices}
         for _ in range(4):
             for i in indices:

@@ -165,6 +165,23 @@ class TestGradientFidelity:
         with pytest.raises(ContractViolation):
             make_problem("tiny_mlp", dataset=data, activation="swish")
 
+    @pytest.mark.parametrize("kind,params,stray", [
+        ("tiny_mlp", {"hiden": (4,)}, "hiden"),
+        ("quadratic", {"spectrum": (1.0, 2.0), "dim": 5}, "dim"),
+        ("logistic_regression", {"hidden": (4,), "activation": "relu"}, "activation, hidden"),
+        ("rosenbrock", {"spectrum": (1.0,)}, "spectrum"),
+    ])
+    def test_a_keyword_the_kind_does_not_take_is_refused(self, kind, params, stray):
+        # A misspelt or foreign keyword is refused, not ignored: ignored,
+        # hiden=(4,) builds the default (8,) network and dim=5 a problem of
+        # the spectrum's dim 2. build_problem passes hidden and activation
+        # to tiny_mlp alone.
+        data = generate_synthetic("two_gaussians", n=20, dim=2, seed=0)
+        if kind in ("tiny_mlp", "logistic_regression"):
+            params = {"dataset": data, **params}
+        with pytest.raises(ContractViolation, match=f"{kind} takes no keyword argument {stray}$"):
+            make_problem(kind, **params)
+
     def test_relu_mlp_at_kink_free_point(self):
         data = generate_synthetic("two_gaussians", n=80, dim=2, seed=5)
         prob = make_problem("tiny_mlp", dataset=data, hidden=(6,), activation="relu")
